@@ -28,9 +28,6 @@ COMMANDS = ("spectrum", "winding", "phase-diagram", "quench", "amplify", "check"
 # documented defaults per configuration key (string form, as in config files)
 DEFAULTS = {
     "command": "check",
-    "format": "csv",
-    "threads": "0",
-    "seed": "0",
     "J": "1.0",
     "theta": "0.4",
     "delta": "0.5",
@@ -94,8 +91,6 @@ def validate(cfg: dict) -> dict:
     full.update(cfg)
     if full["command"] not in COMMANDS:
         raise UsageError(f"command must be one of {COMMANDS}, got {full['command']!r}")
-    if full["format"] not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {full['format']!r}")
     if full["regime"] not in ("real", "imaginary"):
         raise UsageError(f"regime must be real or imaginary, got {full['regime']!r}")
     if full["boundary"] not in ("pbc", "obc"):
@@ -107,8 +102,8 @@ def validate(cfg: dict) -> dict:
             float(full[key])
         except ValueError:
             raise UsageError(f"{key} must be a number, got {full[key]!r}") from None
-    for key in ("threads", "seed", "n_cells", "k_points", "delta_steps",
-                "theta_steps", "grid_points", "n_half", "n_t", "n_max"):
+    for key in ("n_cells", "k_points", "delta_steps", "theta_steps",
+                "grid_points", "n_half", "n_t", "n_max"):
         try:
             int(full[key])
         except ValueError:
@@ -400,16 +395,10 @@ def main(argv=None) -> int:
     parser.add_argument("--command", choices=COMMANDS,
                         help="experiment family to run")
     parser.add_argument("--out", help="output directory (default: cwd)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="output format for data files")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads, 0 = auto")
-    parser.add_argument("--seed", type=int,
-                        help="reserved; all computation is deterministic")
     args = parser.parse_args(argv)
     try:
         cfg = read_config(args.config) if args.config else {}
-        for key in ("command", "out", "format", "threads", "seed"):
+        for key in ("command", "out"):
             val = getattr(args, key)
             if val is not None:
                 cfg[key] = str(val)

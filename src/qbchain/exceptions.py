@@ -26,7 +26,8 @@ class ResolutionError(QbChainError):
 
 
 class SingularityError(QbChainError):
-    """Matrix to invert is singular (parameters at a transition point)."""
+    """Matrix to invert is singular (parameters at a transition point), or
+    its inverse leaves the double-precision range."""
 
 
 class ConvergenceError(QbChainError):

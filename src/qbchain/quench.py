@@ -161,7 +161,6 @@ class QuenchProtocol:
 class LoschmidtResult:
     gk: np.ndarray            # complex, shape (n_k, n_t)
     return_rate: np.ndarray   # real, shape (n_t,), +inf where G(t) = 0
-    log_scale: bool = True
 
 
 def return_rate(p: QuenchProtocol) -> LoschmidtResult:

@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,6 +98,33 @@ class TestSusceptibility:
             assert np.abs(np.abs(sub) - ac_ref).max() < 1e-10
         for sub in (rep.chi_bd_x, rep.chi_bd_p):
             assert np.abs(np.abs(sub) - bd_ref).max() < 1e-10
+
+    @pytest.mark.parametrize("delta,theta", [
+        (0.5, 0.4), (0.8, 1.0), (0.2, 0.0),
+        (-0.5, 0.4),  # trivial: delta < delta0
+    ])
+    def test_matches_high_precision_inverse(self, delta, theta):
+        c = derive_couplings(1, delta, theta)
+        n_cells = 12
+        rep = amplification.susceptibility(c, n_cells)
+        for h, chi in zip(model.quadrature_dynamical(c, n_cells),
+                          (rep.chi_x, rep.chi_p)):
+            with mpmath.workdps(50):
+                ref = np.array((mpmath.matrix(h.tolist()) ** -1).tolist(),
+                               dtype=float)
+            nz = ref != 0.0
+            rel = np.abs(chi[nz] - ref[nz]) / np.abs(ref[nz])
+            assert rel.max() < 1e-12
+            assert np.abs(chi[~nz]).max(initial=0.0) <= 1e-12 * np.abs(chi).max()
+
+    def test_overflow_is_typed(self):
+        c = derive_couplings(1, 0.9, 0.4)
+        rep = amplification.susceptibility(c, 200)  # max|chi| ~ 1e276
+        assert np.isfinite(rep.chi_x).all() and rep.residual < 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="overflow.*n_cells=260"):
+                amplification.susceptibility(c, 260)
 
     def test_closed_form_requires_theta0(self):
         with pytest.raises(DomainError):

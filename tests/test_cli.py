@@ -19,12 +19,16 @@ class TestValidation:
     def test_defaults_fill_in(self):
         cfg = cli.validate({})
         assert cfg["command"] == "check"
-        assert cfg["format"] == "csv"
         assert cfg["n_cells"] == "40"
 
     def test_unknown_key_lists_schema(self):
         with pytest.raises(cli.UsageError, match="valid keys"):
             cli.validate({"frobnicate": "1"})
+
+    @pytest.mark.parametrize("key", ["format", "threads", "seed"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(cli.UsageError, match="unknown config keys"):
+            cli.validate({key: "1"})
 
     def test_bad_number(self):
         with pytest.raises(cli.UsageError):
@@ -127,6 +131,7 @@ class TestCommands:
                 "amplification_scan.csv"} <= names
         first = (out / "chi_ac_x.csv").read_text().splitlines()[1]
         assert first.split(",")[0] == "1A" and first.split(",")[1] == "1B"
+        assert manifest["tolerances"]["susceptibility_residual"] < 1e-10
 
     def test_check_passes(self, tmp_path):
         code, out, manifest = run_cli(tmp_path, ["--command", "check"])
