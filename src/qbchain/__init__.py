@@ -33,7 +33,6 @@ from .topology import Phase, PhaseLabel, WindingResult
 from .quench import (
     CriticalTimes,
     DtopSeries,
-    LoschmidtResult,
     PgpField,
     QuenchProtocol,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "PhaseLabel",
     "WindingResult",
     "QuenchProtocol",
-    "LoschmidtResult",
     "CriticalTimes",
     "PgpField",
     "DtopSeries",

@@ -131,7 +131,7 @@ def _delta_grid(cfg: dict) -> np.ndarray:
 def _write(outdir: Path, name: str, text: str, files: list) -> None:
     path = outdir / name
     path.write_text(text)
-    rows = max(0, len(text.splitlines()) - 1)
+    rows = max(0, text.count("\n") - 1)
     files.append({"name": name, "rows": rows})
 
 
@@ -208,13 +208,13 @@ def _cmd_quench(cfg, outdir, files, tolerances):
     p = quench.QuenchProtocol.default(ci, cf, t_max=float(cfg["t_max"]),
                                       n_half=int(cfg["n_half"]),
                                       n_t=int(cfg["n_t"]))
-    res = quench.return_rate(p)
+    field = quench.pgp_field(p)
     lines = ["t,return_rate"]
-    for t, r in zip(p.t_grid, res.return_rate):
+    for t, r in zip(p.t_grid, quench.return_rate(field)):
         lines.append(f"{_fmt(t)},{'inf' if np.isinf(r) else _fmt(r)}")
     _write(outdir, "return_rate.csv", "\n".join(lines) + "\n", files)
 
-    d = quench.dtop(p)
+    d = quench.dtop(field)
     lines = ["t,dtop_plus,dtop_minus,drift_plus,drift_minus"]
     for row in zip(d.t, d.dtop_plus, d.dtop_minus, d.drift_plus,
                    d.drift_minus):
@@ -234,12 +234,14 @@ def _cmd_quench(cfg, outdir, files, tolerances):
         (abs(e[4]) for e in ct.entries), default=0.0)
     _write(outdir, "critical_times.csv", "\n".join(lines) + "\n", files)
 
-    field = quench.pgp_field(p)
-    lines = ["k,t,phi_pgp"]
-    for i, k in enumerate(p.k_grid):
-        for j, t in enumerate(p.t_grid):
-            lines.append(f"{_fmt(k)},{_fmt(t)},{_fmt(field.phi_pgp[i, j])}")
-    _write(outdir, "pgp_grid.csv", "\n".join(lines) + "\n", files)
+    # each t is formatted once; one % fills each momentum's row of lines
+    t_cells = [f",{_fmt(t)},%.16e\n" for t in p.t_grid]
+    with (outdir / "pgp_grid.csv").open("w") as fh:
+        fh.write("k,t,phi_pgp\n")
+        for k, phi in zip(p.k_grid, field.phi_pgp):
+            kf = _fmt(k)
+            fh.write((kf + kf.join(t_cells)) % tuple(phi.tolist()))
+    files.append({"name": "pgp_grid.csv", "rows": field.phi_pgp.size})
 
 
 def _cmd_amplify(cfg, outdir, files, tolerances):

@@ -38,8 +38,6 @@ __all__ = [
     "fourier_project",
     "quadrature_dynamical",
     "build_dynamical_from_blocks",
-    "nambu_basis_label",
-    "realspace_basis_label",
     "TAU1",
     "TAU3",
 ]
@@ -51,6 +49,9 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 #: tau_i = sigma_i (x) I_4, acting on the 8-dim Nambu space of one momentum.
 TAU1 = np.kron(_SX, np.eye(4))
 TAU3 = np.kron(_SZ, np.eye(4))
+
+#: relative bound on the non-Hermiticity of K and the asymmetry of Delta
+_SYMMETRY_TOL = 1e-12
 
 
 class Regime(enum.Enum):
@@ -258,7 +259,7 @@ def _pq_blocks(k: float, c: CouplingSet, regime: Regime):
 def hamiltonian_qb_k(k: float, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarray:
     """Hermitian 8x8 Bogoliubov Hamiltonian in the Nambu basis.
 
-    Basis ordering: see :func:`nambu_basis_label`.
+    Basis ordering: (A_k, B_k, C_k, D_k, A_-k^dag, B_-k^dag, C_-k^dag, D_-k^dag).
     """
     P, Q = _pq_blocks(k, c, regime)
     if regime is Regime.REAL:
@@ -269,17 +270,6 @@ def hamiltonian_qb_k(k: float, c: CouplingSet, regime: Regime = Regime.REAL) -> 
 def dynamical_qb_k(k: float, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarray:
     """Non-Hermitian generator of Heisenberg evolution, tau_3 times the Hamiltonian."""
     return TAU3 @ hamiltonian_qb_k(k, c, regime)
-
-
-def nambu_basis_label() -> str:
-    return "(A_k, B_k, C_k, D_k, A_-k^dag, B_-k^dag, C_-k^dag, D_-k^dag)"
-
-
-def realspace_basis_label(n_cells: int) -> str:
-    return (
-        f"(a_1..a_{4 * n_cells}, a_1^dag..a_{4 * n_cells}^dag) with modes "
-        "ordered cell-major as (1A, 1B, 1C, 1D, 2A, ...)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +317,7 @@ def realspace_hamiltonian_blocks(c: CouplingSet, n_cells: int, regime: Regime = 
     return K, D
 
 
-def build_dynamical_from_blocks(K: np.ndarray, Delta: np.ndarray,
-                                tol: float = 1e-12) -> np.ndarray:
+def build_dynamical_from_blocks(K: np.ndarray, Delta: np.ndarray) -> np.ndarray:
     """Assemble the bosonic dynamical matrix [[K, Delta], [-Delta*, -K^T]].
 
     K must be Hermitian and Delta symmetric (bosonic statistics); violations
@@ -339,16 +328,20 @@ def build_dynamical_from_blocks(K: np.ndarray, Delta: np.ndarray,
     if K.shape != Delta.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValidationError("K and Delta must be square matrices of equal size")
     scale = max(1.0, np.abs(K).max(), np.abs(Delta).max())
-    if np.abs(K - K.conj().T).max() > tol * scale:
+    if np.abs(K - K.conj().T).max() > _SYMMETRY_TOL * scale:
         raise ValidationError("hopping block K is not Hermitian")
-    if np.abs(Delta - Delta.T).max() > tol * scale:
+    if np.abs(Delta - Delta.T).max() > _SYMMETRY_TOL * scale:
         raise ValidationError("pairing block Delta is not symmetric (Delta^T != Delta)")
     return np.block([[K, Delta], [-Delta.conj(), -K.T]])
 
 
 def realspace_dynamical(c: CouplingSet, n_cells: int, regime: Regime = Regime.REAL,
                         boundary=None) -> np.ndarray:
-    """8N x 8N real-space dynamical matrix; basis per :func:`realspace_basis_label`."""
+    """8N x 8N real-space dynamical matrix.
+
+    Basis: (a_1..a_4N, a_1^dag..a_4N^dag) with modes ordered cell-major as
+    (1A, 1B, 1C, 1D, 2A, ...).
+    """
     pbc = isinstance(boundary, PBC)
     if boundary is not None and not isinstance(boundary, (PBC, OBC)):
         raise DomainError(f"unknown boundary {boundary!r}")

@@ -30,10 +30,13 @@ from .exceptions import (
     ResolutionError,
 )
 from .model import CouplingSet, bloch_nssh2, hamiltonian_nssh2_k
+from .topology import _wrap
+
+#: refinement rounds of ``dtop`` per flagged step (8, 64, 512 sub-steps)
+_MAX_REFINE = 3
 
 __all__ = [
     "QuenchProtocol",
-    "LoschmidtResult",
     "CriticalTimes",
     "PgpField",
     "DtopSeries",
@@ -65,11 +68,17 @@ def _overlap_fields(k, ci: CouplingSet, cf: CouplingSet):
     return Ei, Ef, ov
 
 
+def _gk_and_dyn(Ef, ov, t):
+    """g_k(t) = cos(E^f t) + i ov sin(E^f t) and the dynamical phase Re(E^f ov) t."""
+    phase = Ef * t
+    return np.cos(phase) + 1j * ov * np.sin(phase), np.real(Ef * ov) * t
+
+
 def loschmidt_gk(k, ci: CouplingSet, cf: CouplingSet, t):
     """Loschmidt amplitude g_k(t) = cos(E^f t) + i (d^i_hat . d^f_hat) sin(E^f t)."""
     _, Ef, ov = _overlap_fields(k, ci, cf)
     t = np.asarray(t)  # complex times allowed (Fisher-zero checks)
-    return np.cos(Ef * t) + 1j * ov * np.sin(Ef * t)
+    return _gk_and_dyn(Ef, ov, t)[0]
 
 
 def _mode_parameter(H: np.ndarray):
@@ -139,7 +148,8 @@ class QuenchProtocol:
         if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
             raise DomainError("k grid must be strictly increasing")
         # half-zone DTOPs need matched +-k pairs
-        if not np.allclose(np.sort(-k[k < 0]), k[k > 0], atol=1e-12):
+        neg, pos = np.sort(-k[k < 0]), k[k > 0]
+        if neg.size != pos.size or not np.allclose(neg, pos, atol=1e-12):
             raise DomainError("k grid must contain matched +-k pairs")
         if t.ndim != 1 or t.size < 2 or t[0] < 0 or np.any(np.diff(t) <= 0):
             raise DomainError("t grid must be strictly increasing and >= 0")
@@ -158,22 +168,34 @@ class QuenchProtocol:
 
 
 @dataclass
-class LoschmidtResult:
-    gk: np.ndarray            # complex, shape (n_k, n_t)
-    return_rate: np.ndarray   # real, shape (n_t,), +inf where G(t) = 0
+class PgpField:
+    """g_k(t) and the Pancharatnam geometric phase over one protocol's grid."""
+
+    protocol: QuenchProtocol
+    gk: np.ndarray         # complex, (n_k, n_t)
+    phi_pgp: np.ndarray    # (n_k, n_t)
 
 
-def return_rate(p: QuenchProtocol) -> LoschmidtResult:
-    """RR(t) = -(1/N_k) sum_k log |g_k(t)|^2, as a sum of logs."""
+def pgp_field(p: QuenchProtocol) -> PgpField:
+    """Loschmidt amplitude and Pancharatnam geometric phase over the (k, t) grid.
+
+    The total phase arg g_k(t) is unwrapped along t per momentum; the
+    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.
+    """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
-    phase = Ef[:, None] * p.t_grid[None, :]
-    gk = np.cos(phase) + 1j * ov[:, None] * np.sin(phase)
-    mag2 = np.abs(gk) ** 2
-    rr = np.full(p.t_grid.size, np.inf)
+    gk, phi_dyn = _gk_and_dyn(Ef[:, None], ov[:, None], p.t_grid[None, :])
+    phi_pgp = np.unwrap(np.angle(gk), axis=1) - phi_dyn
+    return PgpField(protocol=p, gk=gk, phi_pgp=phi_pgp)
+
+
+def return_rate(f: PgpField) -> np.ndarray:
+    """RR(t) = -(1/N_k) sum_k log |g_k(t)|^2, as a sum of logs; +inf where G(t) = 0."""
+    mag2 = np.abs(f.gk) ** 2
+    rr = np.full(mag2.shape[1], np.inf)
     ok = (mag2 > 0.0).all(axis=0)
     with np.errstate(divide="ignore"):
         rr[ok] = -np.mean(np.log(mag2[:, ok]), axis=0)
-    return LoschmidtResult(gk=gk, return_rate=rr)
+    return rr
 
 
 def fisher_zeros(k: float, ci: CouplingSet, cf: CouplingSet, n_range=range(10)):
@@ -244,30 +266,6 @@ def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
 
 
 @dataclass
-class PgpField:
-    phi_pgp: np.ndarray    # (n_k, n_t)
-    phi_dyn: np.ndarray
-    phi_total: np.ndarray
-    holes: np.ndarray      # boolean (n_k, n_t), True where g_k = 0
-
-
-def pgp_field(p: QuenchProtocol) -> PgpField:
-    """Pancharatnam geometric phase over the (k, t) grid.
-
-    The total phase arg g_k(t) is unwrapped along t per momentum; the
-    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.
-    """
-    _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
-    phase = Ef[:, None] * p.t_grid[None, :]
-    gk = np.cos(phase) + 1j * ov[:, None] * np.sin(phase)
-    holes = np.abs(gk) == 0.0
-    phi_total = np.unwrap(np.angle(gk), axis=1)
-    phi_dyn = np.real(Ef * ov)[:, None] * p.t_grid[None, :]
-    return PgpField(phi_pgp=phi_total - phi_dyn, phi_dyn=phi_dyn,
-                    phi_total=phi_total, holes=holes)
-
-
-@dataclass
 class DtopSeries:
     """Half-zone DTOPs and the endpoint drift removed from them.
 
@@ -282,11 +280,7 @@ class DtopSeries:
     drift_minus: np.ndarray
 
 
-def _wrap(a):
-    return -((-a + np.pi) % (2 * np.pi) - np.pi)
-
-
-def dtop(p: QuenchProtocol, max_refine: int = 3) -> DtopSeries:
+def dtop(f: PgpField) -> DtopSeries:
     """Half-zone winding of the PGP, pinned at the ends of the grid.
 
     For each half zone and time, the sum of wrapped k-increments of phi_pgp
@@ -300,17 +294,17 @@ def dtop(p: QuenchProtocol, max_refine: int = 3) -> DtopSeries:
     Steps whose wrapped increment exceeds pi/2 are refined by inserting
     intermediate momenta; if the cap is hit a resolution error is raised.
     """
-    field_ = pgp_field(p)
+    p = f.protocol
     halves = []
 
     def phi_at(k_vals, t):
         _, Ef, ov = _overlap_fields(k_vals, p.initial, p.final)
-        g = np.cos(Ef * t) + 1j * ov * np.sin(Ef * t)
-        return np.angle(g) - np.real(Ef * ov) * t
+        g, phi_dyn = _gk_and_dyn(Ef, ov, t)
+        return np.angle(g) - phi_dyn
 
     for mask in (p.k_grid > 0, p.k_grid < 0):
         ks = p.k_grid[mask]
-        phi = field_.phi_pgp[mask]
+        phi = f.phi_pgp[mask]
         inc = _wrap(np.diff(phi, axis=0))
         total = inc.sum(axis=0)
         for i, it in zip(*np.nonzero(np.abs(inc) > np.pi / 2)):
@@ -318,7 +312,7 @@ def dtop(p: QuenchProtocol, max_refine: int = 3) -> DtopSeries:
             a, b, t = ks[i], ks[i + 1], p.t_grid[it]
             sub_ok = False
             npts = 8
-            for _ in range(max_refine):
+            for _ in range(_MAX_REFINE):
                 sub = np.linspace(a, b, npts + 1)
                 sub_inc = _wrap(np.diff(phi_at(sub, t)))
                 if np.abs(sub_inc).max() <= np.pi / 2:

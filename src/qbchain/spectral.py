@@ -64,6 +64,10 @@ BLOCK_Q_IMAG = (
     / np.sqrt(2)
 ) @ np.diag([1, 1, 1, -1, 1, -1, 1, 1.0])
 
+# eig_general's cluster width (relative to max(1, max|w|)) and defect bound
+_CLUSTER_TOL = 1e-6
+_DEFECT_TOL = 1e-10
+
 
 @dataclass
 class EigenSystem:
@@ -87,8 +91,7 @@ class EigenSystem:
         return bool(self.defective.any())
 
 
-def eig_general(A: np.ndarray, defect_tol: float = 1e-10,
-                cluster_tol: float = 1e-6) -> EigenSystem:
+def eig_general(A: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a general complex matrix.
 
     Left eigenvectors come from an independent decomposition of the transpose
@@ -119,7 +122,7 @@ def eig_general(A: np.ndarray, defect_tol: float = 1e-10,
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and abs(w[stop] - w[stop - 1]) <= cluster_tol * scale:
+        while stop < n and abs(w[stop] - w[stop - 1]) <= _CLUSTER_TOL * scale:
             stop += 1
         sl = slice(start, stop)
         R = vr[:, sl]
@@ -133,7 +136,7 @@ def eig_general(A: np.ndarray, defect_tol: float = 1e-10,
         # (machine-precision perturbations split an exact EP into eigenvalues
         # ~sqrt(eps) apart with nearly parallel eigenvectors)
         sr = np.linalg.svd(R, compute_uv=False)
-        if svals.min() < defect_tol or sr.min() < 1e-7 * sr.max():
+        if svals.min() < _DEFECT_TOL or sr.min() < 1e-7 * sr.max():
             defective[sl] = True
         else:
             vl[sl, :] = np.linalg.solve(M, L)

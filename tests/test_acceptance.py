@@ -150,7 +150,7 @@ def test_criterion_08_chiral_dtop():
     # chiral quench into the Moebius phase: DTOP_+ plateaus, DTOP_- flat
     cf = derive_couplings(1, -0.1, 0.4)
     p = quench.QuenchProtocol.default(ci, cf)
-    d = quench.dtop(p)
+    d = quench.dtop(quench.pgp_field(p))
     ct = quench.critical_set(p)
     tcs = ct.times("+")
     max_minus = float(np.abs(d.dtop_minus).max())
@@ -172,11 +172,12 @@ def test_criterion_08_chiral_dtop():
     # quench into the nontrivial phase: plateaus in both halves; RR cusps at t_c
     cf4 = derive_couplings(1, 0.9, 0.4)
     p4 = quench.QuenchProtocol.default(ci, cf4)
-    d4 = quench.dtop(p4)
+    f4 = quench.pgp_field(p4)
+    d4 = quench.dtop(f4)
     if not (np.abs(d4.dtop_plus).max() > 0.5 and np.abs(d4.dtop_minus).max() > 0.5):
         ok = False
         notes.append("double-sided quench missing plateaus in one half zone")
-    rr = quench.return_rate(p4).return_rate
+    rr = quench.return_rate(f4)
     ct4 = quench.critical_set(p4)
     dt = p4.t_grid[1] - p4.t_grid[0]
     curv = np.abs(np.diff(rr, 2))

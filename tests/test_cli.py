@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from qbchain import cli
+from qbchain import cli, model, quench
 
 
 def run_cli(tmp_path, args):
@@ -119,6 +120,24 @@ class TestCommands:
         assert header == "t,dtop_plus,dtop_minus,drift_plus,drift_minus"
         assert manifest["tolerances"]["dtop_quantization_residual"] < 1e-12
         assert manifest["tolerances"]["dtop_endpoint_drift"] > 0.0
+        # pgp_grid.csv: k-major rows of the field, 17 digits, exact round trip
+        rows = {f["name"]: f["rows"] for f in manifest["files"]}
+        assert rows["pgp_grid.csv"] == 12000
+        p = quench.QuenchProtocol.default(
+            model.derive_couplings(1.0, -0.9, 0.0),
+            model.derive_couplings(1.0, 0.9, 0.4), t_max=12.0, n_half=100, n_t=60)
+        f = quench.pgp_field(p)
+        lines = (out / "pgp_grid.csv").read_text().splitlines()
+        assert lines[0] == "k,t,phi_pgp"
+        expected = [f"{cli._fmt(k)},{cli._fmt(t)},{cli._fmt(phi)}"
+                    for k, row in zip(p.k_grid, f.phi_pgp)
+                    for t, phi in zip(p.t_grid, row)]
+        assert lines[1:] == expected
+        parsed = np.array([[float(x) for x in line.split(",")]
+                           for line in lines[1:]])
+        assert np.array_equal(parsed[:, 0], np.repeat(p.k_grid, 60))
+        assert np.array_equal(parsed[:, 1], np.tile(p.t_grid, 200))
+        assert np.array_equal(parsed[:, 2], f.phi_pgp.ravel())
 
     def test_amplify_outputs(self, tmp_path):
         cfg = tmp_path / "a.cfg"
