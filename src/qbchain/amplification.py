@@ -9,11 +9,9 @@ in the topologically non-trivial phase.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DomainError, SingularityError
 from .model import CouplingSet, quadrature_dynamical
@@ -69,8 +67,31 @@ def _sector_indices(n_cells: int):
     return ac, bd
 
 
+def _lower_blocks(d, w, n_cells: int) -> np.ndarray:
+    """Blocks of the inverse of the block-lower-bidiagonal I(x)d + S(x)w.
+
+    d is diagonal, so the inverse is block-lower Toeplitz: block (i, j) is
+    B_(i-j), with B_0 = d^-1 and B_m = (-d^-1 w) B_(m-1).  Returns
+    B_0 .. B_(N-1) and a zero block at index N for the upper triangle.
+    """
+    step = -w / np.diag(d)[:, None]
+    blocks = np.zeros((n_cells + 1, 2, 2))
+    blocks[0] = np.diag(1.0 / np.diag(d))
+    for m in range(1, n_cells):
+        blocks[m] = step @ blocks[m - 1]
+    return blocks
+
+
 def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
-    """Static susceptibilities chi_x = h_x^-1 and chi_p = h_p^-1."""
+    """Static susceptibilities chi_x = h_x^-1 and chi_p = h_p^-1.
+
+    h is bipartite: its AC x AC and BD x BD blocks vanish, h[ac, bd] = X is
+    block-lower bidiagonal, X = I(x)D + S(x)W with D = diag(v, -v) and
+    W = [[w+, +-w-], [+-w-, -w+]], and h[bd, ac] = Y is its upper-shift
+    analogue.  So chi_bd = X^-1 and chi_ac = Y^-1 in closed form: a Neumann
+    series in -D^-1 W = -(v_crit/v) R(phi), a scaled rotation whose gain per
+    cell v_crit/|v| exceeds 1 exactly when delta > delta0.
+    """
     hx, hp = quadrature_dynamical(c, n_cells)
     _, _, delta0 = ep_nssh1(c)
     if abs(c.delta - delta0) < 1e-8:
@@ -78,48 +99,55 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
             f"quadrature generators singular at the transition: delta={c.delta} "
             f"within 1e-8 of delta0={delta0:.8f}"
         )
-    chis = []
+    ac, bd = _sector_indices(n_cells)
+    # one gather index into the blocks: block distance (the zero block N
+    # above the diagonal) and sublattice pair of each 2N x 2N entry
+    cell = np.repeat(np.arange(n_cells), 2)
+    dist = cell[:, None] - cell[None, :]
+    sub = np.arange(2 * n_cells) % 2
+    idx = (np.where(dist >= 0, dist, n_cells), sub[:, None], sub[None, :])
+    wp = 0.5 * (c.w_r + c.w_l)
+    wm = 0.5 * (c.w_l - c.w_r)
+    dx = np.diag([c.v, -c.v])  # diagonal block of X; Y's is -dx
+    n = 4 * n_cells
+    eye = np.eye(n)
+    out = []
     worst_res = 0.0
-    for h in (hx, hp):
-        eye = np.eye(h.shape[0])
-        try:
-            with warnings.catch_warnings():
-                # a pivot that underflows to zero leaves a non-finite chi,
-                # reported below as an overflow
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(h)
-            chi = scipy.linalg.lu_solve((lu, piv), eye)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularityError(
-                f"quadrature generator singular at delta={c.delta} "
-                f"(transition at delta0={delta0:.6f}): {exc}"
-            ) from exc
-        if not np.isfinite(chi).all():
-            raise SingularityError(
-                f"susceptibility overflows double precision at "
-                f"n_cells={n_cells}, delta={c.delta}: |chi| grows "
-                f"geometrically with n_cells"
-            )
-        # the residual floor scales with |chi| for strongly amplifying
-        # parameters; quality is judged relative to that scale
-        scale = max(1.0, np.abs(chi).max())
-        res = np.abs(chi @ h - eye).max()
+    for h, s in ((hx, 1.0), (hp, -1.0)):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            chi_bd = _lower_blocks(
+                dx, np.array([[wp, s * wm], [s * wm, -wp]]), n_cells)[idx]
+            # Y^T = I(x)(-dx) + S(x)W', so Y^-1 is a transposed lower inverse
+            chi_ac = _lower_blocks(
+                -dx, np.array([[-wp, s * wm], [s * wm, wp]]), n_cells)[idx].T
+            chi = np.zeros((n, n))
+            chi[np.ix_(bd, ac)] = chi_bd
+            chi[np.ix_(ac, bd)] = chi_ac
+            if not np.isfinite(chi).all():
+                raise SingularityError(
+                    f"susceptibility overflows double precision at "
+                    f"n_cells={n_cells}, delta={c.delta}: |chi| grows "
+                    f"geometrically with n_cells"
+                )
+            # the residual floor scales with |chi| for strongly amplifying
+            # parameters; quality is judged relative to that scale
+            scale = max(1.0, np.abs(chi).max())
+            res = np.abs(chi @ h - eye).max()
         if not np.isfinite(res) or res > 1e-10 * scale:
             raise SingularityError(
                 f"inverse residual {res:.3e} too large at delta={c.delta} "
                 f"(transition at delta0={delta0:.6f})"
             )
         worst_res = max(worst_res, float(res / scale))
-        chis.append(chi)
-    chi_x, chi_p = chis
-    ac, bd = _sector_indices(n_cells)
+        out.append((chi, chi_ac, chi_bd))
+    (chi_x, chi_ac_x, chi_bd_x), (chi_p, chi_ac_p, chi_bd_p) = out
     return SusceptibilityReport(
         chi_x=chi_x,
         chi_p=chi_p,
-        chi_ac_x=chi_x[np.ix_(ac, bd)],
-        chi_ac_p=chi_p[np.ix_(ac, bd)],
-        chi_bd_x=chi_x[np.ix_(bd, ac)],
-        chi_bd_p=chi_p[np.ix_(bd, ac)],
+        chi_ac_x=chi_ac_x,
+        chi_ac_p=chi_ac_p,
+        chi_bd_x=chi_bd_x,
+        chi_bd_p=chi_bd_p,
         params=c,
         n_cells=n_cells,
         residual=worst_res,
@@ -163,11 +191,12 @@ def gain_metrics(rep: SusceptibilityReport):
         ("BD", "P", rep.chi_bd_p),
     ]
     n_cells = rep.n_cells
+    # block distance between the column cell and the row cell
+    cell_r = np.repeat(np.arange(n_cells), 2)
+    dist = cell_r[None, :] - cell_r[:, None]  # cols minus rows
+    far = np.abs(dist) == n_cells - 1
     for sector, quad, sub in subs:
         mag = np.abs(sub)
-        # block distance between the column cell and the row cell
-        cell_r = np.repeat(np.arange(n_cells), 2)
-        dist = cell_r[None, :] - cell_r[:, None]  # cols minus rows
         upper = mag[dist > 0]
         lower = mag[dist < 0]
         # chi[r, c] is the response at cell r to a drive at cell c: a
@@ -176,13 +205,13 @@ def gain_metrics(rep: SusceptibilityReport):
             tri_sign, direction = 1, "leftward"
         else:
             tri_sign, direction = -1, "rightward"
-        xs, ys = [], []
-        for m in range(1, n_cells):
-            entries = mag[dist == tri_sign * m]
-            entries = entries[entries > 1e-13]
-            if entries.size:
-                xs.append(m)
-                ys.append(np.log(entries).mean())
+        # mean log-magnitude at each distance m >= 1 into that triangle
+        m = tri_sign * dist
+        keep = (m > 0) & (mag > 1e-13)
+        counts = np.bincount(m[keep], minlength=n_cells)
+        xs = np.flatnonzero(counts)
+        ys = np.bincount(m[keep], weights=np.log(mag[keep]),
+                         minlength=n_cells)[xs] / counts[xs]
         if len(xs) >= 2:
             slope = np.polyfit(xs, ys, 1)[0]
             gain = float(np.exp(slope))
@@ -190,9 +219,8 @@ def gain_metrics(rep: SusceptibilityReport):
             gain = 0.0
         if gain <= DIRECTION_GAIN_THRESHOLD:
             direction = "none"
-        far = mag[np.abs(dist) == n_cells - 1]
         out.append(GainProfile(direction=direction, gain_per_cell=gain,
-                               end_to_end=float(far.max(initial=0.0)),
+                               end_to_end=float(mag[far].max(initial=0.0)),
                                sector=sector, quadrature=quad))
     return out
 

@@ -250,18 +250,21 @@ def _cmd_amplify(cfg, outdir, files, tolerances):
     n_cells = int(cfg["n_cells"])
     rep = amplification.susceptibility(c, n_cells)
     tolerances["susceptibility_residual"] = rep.residual
-    subs = [("chi_ac_x", rep.chi_ac_x, "AC"), ("chi_ac_p", rep.chi_ac_p, "AC"),
-            ("chi_bd_x", rep.chi_bd_x, "BD"), ("chi_bd_p", rep.chi_bd_p, "BD")]
-    for name, sub, sector in subs:
-        row_subs = ("A", "C") if sector == "AC" else ("B", "D")
-        col_subs = ("B", "D") if sector == "AC" else ("A", "C")
-        lines = ["row,col,abs_value"]
-        for i in range(sub.shape[0]):
-            for j in range(sub.shape[1]):
-                rl = f"{i // 2 + 1}{row_subs[i % 2]}"
-                cl = f"{j // 2 + 1}{col_subs[j % 2]}"
-                lines.append(f"{rl},{cl},{_fmt(abs(sub[i, j]))}")
-        _write(outdir, f"{name}.csv", "\n".join(lines) + "\n", files)
+    # cell-sublattice labels, e.g. "3C", per sector; each row's "row,col,"
+    # prefixes are built once and one % fills the row
+    labels = {s: [f"{i // 2 + 1}{s[i % 2]}" for i in range(2 * n_cells)]
+              for s in ("AC", "BD")}
+    col_cells = {s: [f",{cl},%.16e\n" for cl in labels[s]] for s in labels}
+    subs = [("chi_ac_x", rep.chi_ac_x, "AC", "BD"),
+            ("chi_ac_p", rep.chi_ac_p, "AC", "BD"),
+            ("chi_bd_x", rep.chi_bd_x, "BD", "AC"),
+            ("chi_bd_p", rep.chi_bd_p, "BD", "AC")]
+    for name, sub, rows, cols in subs:
+        with (outdir / f"{name}.csv").open("w") as fh:
+            fh.write("row,col,abs_value\n")
+            for rl, mag in zip(labels[rows], np.abs(sub)):
+                fh.write((rl + rl.join(col_cells[cols])) % tuple(mag.tolist()))
+        files.append({"name": f"{name}.csv", "rows": sub.size})
     lines = ["delta,delta0,nu,gain_ac_x,gain_ac_p,gain_bd_x,gain_bd_p"]
     scan = amplification.amplification_phase_scan(
         float(cfg["J"]), float(cfg["theta"]), _delta_grid(cfg), n_cells)

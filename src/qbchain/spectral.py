@@ -6,7 +6,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceError, DomainError
 from .model import (
@@ -243,6 +242,8 @@ def ipr_localization(A: np.ndarray, n_cells: int | None = None):
     of each unit cell (4 particle + 4 hole) are aggregated, positions are
     unit-cell indices 1..N.  Returns a list of (eigenvalue, ipr, mean_position).
     """
+    import scipy.linalg  # only this generalized eigensolve needs scipy
+
     es = eig_general(A)
     dim = A.shape[0]
     if n_cells is not None:

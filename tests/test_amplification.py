@@ -3,6 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qbchain import amplification, model, topology
 from qbchain.exceptions import DomainError, SingularityError
@@ -117,6 +118,27 @@ class TestSusceptibility:
             assert rel.max() < 1e-12
             assert np.abs(chi[~nz]).max(initial=0.0) <= 1e-12 * np.abs(chi).max()
 
+    @pytest.mark.parametrize("delta,theta,n_cells", [
+        (-0.3, 0.0, 40), (0.3, 0.0, 40),    # delta0 = 0
+        (-0.5, 0.4, 40), (0.5, 0.4, 40),    # delta0 = -0.119
+        (-0.7, 1.0, 40), (0.2, 1.0, 40),    # delta0 = -0.344
+        (-0.9, 2.0, 40), (0.3, 2.0, 40),    # delta0 = -0.681
+        (0.9, 0.4, 200),                    # max|chi| ~ 1e276
+    ])
+    def test_closed_form_matches_lu(self, delta, theta, n_cells):
+        c = derive_couplings(1, delta, theta)
+        rep = amplification.susceptibility(c, n_cells)
+        ac, bd = amplification._sector_indices(n_cells)
+        for h, chi in zip(model.quadrature_dynamical(c, n_cells),
+                          (rep.chi_x, rep.chi_p)):
+            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(h),
+                                        np.eye(h.shape[0]))
+            big = np.abs(ref) >= 1e-12 * np.abs(ref).max()
+            rel = np.abs(chi[big] - ref[big]) / np.abs(ref[big])
+            assert rel.max() <= 1e-12
+            assert not chi[np.ix_(ac, ac)].any()
+            assert not chi[np.ix_(bd, bd)].any()
+
     def test_overflow_is_typed(self):
         c = derive_couplings(1, 0.9, 0.4)
         rep = amplification.susceptibility(c, 200)  # max|chi| ~ 1e276
@@ -154,6 +176,42 @@ class TestGain:
         for g in gains:
             assert g.direction == "none"
             assert g.end_to_end < 1.0
+
+    @pytest.mark.parametrize("delta,theta,tol", [
+        (0.5, 0.4, 0.02), (0.8, 1.0, 0.02), (0.3, 2.0, 0.02),
+        (0.0, 0.4, 0.02), (-0.5, 0.4, 0.02),
+        (0.2, 0.0, 1e-9), (-0.3, 0.0, 1e-9),
+    ])
+    def test_gain_per_cell_is_topological(self, delta, theta, tol):
+        # -D^-1 W is the rotation R(phi) scaled by v_crit/|v|
+        c = derive_couplings(1, delta, theta)
+        v_crit, _, delta0 = topology.ep_nssh1(c)
+        gains = amplification.gain_metrics(amplification.susceptibility(c, 40))
+        for g in gains:
+            assert abs(g.gain_per_cell / (v_crit / abs(c.v)) - 1.0) < tol
+            assert (g.direction == "none") == (delta < delta0)
+
+    @pytest.mark.parametrize("delta,theta", [
+        (0.5, 0.4), (0.8, 1.0), (-0.5, 0.4), (0.2, 0.0), (-0.3, 0.0)])
+    def test_gain_matches_per_distance_loop(self, delta, theta):
+        rep = amplification.susceptibility(derive_couplings(1, delta, theta), 20)
+        cell = np.repeat(np.arange(20), 2)
+        dist = cell[None, :] - cell[:, None]
+        gains = amplification.gain_metrics(rep)
+        for g, sub in zip(gains, (rep.chi_ac_x, rep.chi_ac_p,
+                                  rep.chi_bd_x, rep.chi_bd_p)):
+            mag = np.abs(sub)
+            tri_sign = 1 if g.sector == "AC" else -1
+            xs, ys = [], []
+            for m in range(1, 20):
+                entries = mag[dist == tri_sign * m]
+                entries = entries[entries > 1e-13]
+                if entries.size:
+                    xs.append(m)
+                    ys.append(np.log(entries).mean())
+            ref = float(np.exp(np.polyfit(xs, ys, 1)[0]))
+            assert abs(g.gain_per_cell / ref - 1.0) < 1e-12
+            assert g.end_to_end == mag[np.abs(dist) == 19].max()
 
     def test_scan_topology_correspondence(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]

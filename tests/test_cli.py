@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbchain
 from qbchain import cli, model, quench
 
 
@@ -177,3 +182,29 @@ class TestCommands:
         assert manifest["config"]["command"] == "winding"
         assert all(f["rows"] > 0 for f in manifest["files"])
         assert manifest["wall_time_s"] >= 0
+
+    def test_commands_do_not_import_scipy(self, tmp_path):
+        # only spectral.ipr_localization needs scipy, and imports it itself
+        configs = [
+            {"command": "amplify", "regime": "imaginary", "n_cells": "4",
+             "delta_steps": "3"},
+            {"command": "quench", "n_half": "50", "n_t": "20"},
+            {"command": "phase-diagram", "delta_steps": "3", "theta_steps": "2",
+             "grid_points": "401"},
+        ]
+        for cfg in configs:
+            cfg["out"] = str(tmp_path / cfg["command"])
+        script = (
+            "import sys\n"
+            "from qbchain import cli\n"
+            f"for cfg in {configs!r}:\n"
+            "    assert cli.run(cli.validate(cfg)) == 0, cfg['command']\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(qbchain.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
