@@ -92,6 +92,12 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
     series in -D^-1 W = -(v_crit/v) R(phi), a scaled rotation whose gain per
     cell v_crit/|v| exceeds 1 exactly when delta > delta0.
     """
+    if c.v == 0.0:
+        # X = S(x)W is then strictly block-lower: h is exactly singular
+        raise SingularityError(
+            f"quadrature generators singular at v = 0 (delta={c.delta}): "
+            f"no intracell coupling"
+        )
     hx, hp = quadrature_dynamical(c, n_cells)
     _, _, delta0 = ep_nssh1(c)
     if abs(c.delta - delta0) < 1e-8:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -63,6 +64,95 @@ class UsageError(Exception):
 def _fmt(x: float) -> str:
     """Scientific notation with 17 significant digits (round-trip exact)."""
     return f"{x:.16e}"
+
+
+#: bytes per formatted value, len("-1.2345678901234567e-308")
+_CELL = 24
+#: 10^0 .. 10^22, each exact in double
+_POW10 = np.array([float(10**s) for s in range(23)])
+#: the ASCII text "0000" .. "9999" of each 4-digit group, as one uint32
+_DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+#: momenta per block of pgp_grid.csv rows
+_PGP_BLOCK = 32
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(p, e) with p + e = a * b exactly (Dekker, with Veltkamp splits)."""
+    p = a * b
+    ah = a * 134217729.0
+    ah = ah - (ah - a)
+    bh = b * 134217729.0
+    bh = bh - (bh - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _off_decade(p: np.ndarray, e: np.ndarray):
+    """Masks of the exact p + e below 10^16 and at or above 10^17."""
+    return ((p < 1e16) | ((p == 1e16) & (e < 0.0)),
+            (p > 1e17) | ((p == 1e17) & (e >= 0.0)))
+
+
+def _fmt_cells(x: np.ndarray) -> np.ndarray:
+    """The exact ``'%.16e'`` text of each value as a zero-padded uint8 row.
+
+    Zeros and values whose decimal exponent E lies in [-6, 16] are
+    formatted in numpy: |x| 10^(16-E) is the exact unevaluated sum p + e
+    (10^s is exact in double for 0 <= s <= 22).  p >= 10^16 > 2^53 is an
+    even integer, so the correctly rounded 17-digit mantissa is
+    p + rint(e), ties to even as in ``dtoa``.  It never rounds up to 10^17:
+    no double in the window lies within the half unit 5e-18 (relative) below
+    a power of ten; the nearest lie 8e-17 below.  Other values (tiny, huge,
+    non-finite) go through Python's ``'%.16e'``.  Returns an array of shape
+    (x.size, 24) in which byte 0 is padding.
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.floor(np.log10(a))
+    zero = a == 0.0
+    slow = ~zero & ~((est >= -7) & (est <= 17))
+    # zeros and slow values run as 1.0 * 10^16 and are reset below
+    a[zero | slow] = 1.0
+    ex = np.clip(np.where(zero | slow, 0.0, est), -6, 16).astype(np.int64)
+    p, e = _two_product(a, _POW10[16 - ex])
+    # the float estimate of E can be one off: step it by the exact p + e
+    low, high = _off_decade(p, e)
+    step = np.nonzero(low | high)[0]
+    if step.size:
+        ex[step] += high[step].astype(np.int64) - low[step].astype(np.int64)
+        out = (ex[step] < -6) | (ex[step] > 16)
+        slow[step[out]] = True
+        step = step[~out]
+        p[step], e[step] = _two_product(a[step], _POW10[16 - ex[step]])
+        low, high = _off_decade(p[step], e[step])
+        slow[step[low | high]] = True
+    m = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    m[zero | slow] = 0
+    ex[zero | slow] = 0
+
+    cells = np.zeros((x.size, _CELL), dtype=np.uint8)
+    cells[np.signbit(x), 0] = ord("-")
+    hi, lo = np.divmod(m, 10**8)
+    lead, hi = np.divmod(hi, 10**8)
+    groups = np.empty((x.size, 4), dtype=np.int64)
+    groups[:, 0], groups[:, 1] = np.divmod(hi, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(lo, 10**4)
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    cells[:, 3:19] = _DIGITS4[groups].view(np.uint8)
+    cells[:, 19] = ord("e")
+    cells[:, 20] = np.where(ex < 0, ord("-"), ord("+"))
+    tens, units = np.divmod(np.abs(ex), 10)
+    cells[:, 21] = tens + ord("0")
+    cells[:, 22] = units + ord("0")
+    for i in np.nonzero(slow)[0]:
+        text = b"%.16e" % x[i]
+        cells[i] = 0
+        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
 
 
 def read_config(path: str) -> dict:
@@ -126,6 +216,32 @@ def _delta_grid(cfg: dict) -> np.ndarray:
     if n == 1:
         return np.array([float(cfg["delta_min"])])
     return np.linspace(float(cfg["delta_min"]), float(cfg["delta_max"]), n)
+
+
+def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> int:
+    """Write the k-major ``k,t,phi_pgp`` rows of phi; returns the bytes written.
+
+    Each k and t is formatted once.  Rows are assembled from fixed-width
+    ``_fmt_cells``, _PGP_BLOCK momenta at a time, and the padding is
+    dropped by one mask per block.
+    """
+    w = _CELL
+    k_cells = _fmt_cells(k_grid)
+    block = np.zeros((min(_PGP_BLOCK, k_grid.size), t_grid.size, 3 * w + 3),
+                     dtype=np.uint8)
+    block[:, :, w] = block[:, :, 2 * w + 1] = ord(",")
+    block[:, :, w + 1:2 * w + 1] = _fmt_cells(t_grid)
+    block[:, :, -1] = ord("\n")
+    with path.open("wb") as fh:
+        nbytes = fh.write(b"k,t,phi_pgp\n")
+        for start in range(0, k_grid.size, _PGP_BLOCK):
+            stop = min(start + _PGP_BLOCK, k_grid.size)
+            rows = block[:stop - start]
+            rows[:, :, :w] = k_cells[start:stop, None]
+            rows[:, :, 2 * w + 2:-1] = _fmt_cells(phi[start:stop]).reshape(
+                stop - start, -1, w)
+            nbytes += fh.write(rows[rows != 0])
+    return nbytes
 
 
 def _write(outdir: Path, name: str, text: str, files: list) -> None:
@@ -200,7 +316,7 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances):
     _write(outdir, "phase_diagram.csv", "\n".join(lines) + "\n", files)
 
 
-def _cmd_quench(cfg, outdir, files, tolerances):
+def _cmd_quench(cfg, outdir, files, tolerances, stages):
     ci = model.derive_couplings(float(cfg["J_i"]), float(cfg["delta_i"]),
                                 float(cfg["theta_i"]))
     cf = model.derive_couplings(float(cfg["J_f"]), float(cfg["delta_f"]),
@@ -208,16 +324,29 @@ def _cmd_quench(cfg, outdir, files, tolerances):
     p = quench.QuenchProtocol.default(ci, cf, t_max=float(cfg["t_max"]),
                                       n_half=int(cfg["n_half"]),
                                       n_t=int(cfg["n_t"]))
+
+    def stage(name, t0, shape, nbytes):
+        stages.append({"name": name, "wall_s": time.perf_counter() - t0,
+                       "shape": list(shape), "bytes": int(nbytes)})
+
+    t0 = time.perf_counter()
     field = quench.pgp_field(p)
+    stage("pgp_field", t0, field.gk.shape,
+          field.gk.nbytes + field.phi_pgp.nbytes)
+    t0 = time.perf_counter()
+    rr = quench.return_rate(field)
+    stage("return_rate", t0, rr.shape, rr.nbytes)
     lines = ["t,return_rate"]
-    for t, r in zip(p.t_grid, quench.return_rate(field)):
+    for t, r in zip(p.t_grid, rr):
         lines.append(f"{_fmt(t)},{'inf' if np.isinf(r) else _fmt(r)}")
     _write(outdir, "return_rate.csv", "\n".join(lines) + "\n", files)
 
+    t0 = time.perf_counter()
     d = quench.dtop(field)
+    series = (d.dtop_plus, d.dtop_minus, d.drift_plus, d.drift_minus)
+    stage("dtop", t0, d.dtop_plus.shape, sum(a.nbytes for a in series))
     lines = ["t,dtop_plus,dtop_minus,drift_plus,drift_minus"]
-    for row in zip(d.t, d.dtop_plus, d.dtop_minus, d.drift_plus,
-                   d.drift_minus):
+    for row in zip(d.t, *series):
         lines.append(",".join(_fmt(x) for x in row))
     windings = np.concatenate([d.dtop_plus, d.dtop_minus])
     tolerances["dtop_quantization_residual"] = float(
@@ -226,21 +355,28 @@ def _cmd_quench(cfg, outdir, files, tolerances):
         max(np.abs(d.drift_plus).max(), np.abs(d.drift_minus).max()))
     _write(outdir, "dtop.csv", "\n".join(lines) + "\n", files)
 
+    t0 = time.perf_counter()
     ct = quench.critical_set(p, range(int(cfg["n_max"])))
+    stage("critical_set", t0, (len(ct.entries), 5), 40 * len(ct.entries))
     lines = ["n,side,k_c,t_c,residual"]
     for n, side, kc, tc, resid in ct.entries:
         lines.append(f"{n},{side},{_fmt(kc)},{_fmt(tc)},{_fmt(resid)}")
     tolerances["kc_equation_residual"] = max(
         (abs(e[4]) for e in ct.entries), default=0.0)
+    # oracle independent of the PGP grid: away from every critical time,
+    # |DTOP_pm(t)| counts the critical times on its side before t
+    far = np.abs(d.t[:, None] - ct.times()[None, :]).min(
+        axis=1, initial=np.inf) > 0.05
+    tolerances["dtop_critical_count_mismatch"] = float(max(
+        np.abs(np.abs(np.rint(w)) - np.searchsorted(ct.times(side), d.t))[far]
+        .max(initial=0.0)
+        for side, w in (("+", d.dtop_plus), ("-", d.dtop_minus))))
     _write(outdir, "critical_times.csv", "\n".join(lines) + "\n", files)
 
-    # each t is formatted once; one % fills each momentum's row of lines
-    t_cells = [f",{_fmt(t)},%.16e\n" for t in p.t_grid]
-    with (outdir / "pgp_grid.csv").open("w") as fh:
-        fh.write("k,t,phi_pgp\n")
-        for k, phi in zip(p.k_grid, field.phi_pgp):
-            kf = _fmt(k)
-            fh.write((kf + kf.join(t_cells)) % tuple(phi.tolist()))
+    t0 = time.perf_counter()
+    nbytes = _write_pgp_grid(outdir / "pgp_grid.csv", p.k_grid, p.t_grid,
+                             field.phi_pgp)
+    stage("pgp_grid.csv", t0, (field.phi_pgp.size, 3), nbytes)
     files.append({"name": "pgp_grid.csv", "rows": field.phi_pgp.size})
 
 
@@ -344,12 +480,33 @@ def _cmd_check(cfg, outdir, files, tolerances):
     return len(failures)
 
 
+def _environment() -> dict:
+    """Versions, BLAS, cores and thread settings behind a run's timings."""
+    import importlib.metadata  # 20 ms: kept off every command's start-up
+
+    try:  # the installed version, without importing scipy
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "threads": {v: os.environ.get(v) for v in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def run(cfg: dict) -> int:
     """Dispatch a validated configuration; returns the process exit code."""
     outdir = Path(cfg.get("out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     tolerances = {}
+    stages = []
     start = time.time()
     status = 0
     error = None
@@ -361,7 +518,7 @@ def run(cfg: dict) -> int:
         elif cfg["command"] == "phase-diagram":
             _cmd_phase_diagram(cfg, outdir, files, tolerances)
         elif cfg["command"] == "quench":
-            _cmd_quench(cfg, outdir, files, tolerances)
+            _cmd_quench(cfg, outdir, files, tolerances, stages)
         elif cfg["command"] == "amplify":
             _cmd_amplify(cfg, outdir, files, tolerances)
         elif cfg["command"] == "check":
@@ -378,8 +535,10 @@ def run(cfg: dict) -> int:
         "config": cfg,
         "files": files,
         "wall_time_s": time.time() - start,
+        "stages": stages,
         "tolerances": tolerances,
         "status": status,
+        "env": _environment(),
     }
     if error is not None:
         manifest["error"] = error

@@ -157,6 +157,13 @@ class TestSusceptibility:
         with pytest.raises(SingularityError):
             amplification.susceptibility(derive_couplings(1, delta0, 0.4), 6)
 
+    def test_singular_at_zero_intracell_coupling(self):
+        # delta = 1: v = 0, h is exactly singular; nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="singular at v = 0"):
+                amplification.susceptibility(derive_couplings(1, 1.0, 0.4), 6)
+
 
 class TestGain:
     def test_directions_nontrivial(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -113,8 +114,7 @@ class TestCommands:
 
     def test_quench_outputs(self, tmp_path):
         cfg = tmp_path / "q.cfg"
-        cfg.write_text("command=quench\nn_half=100\nn_t=60\nn_max=3\n"
-                       "delta_f=0.9\n")
+        cfg.write_text("command=quench\nn_half=100\nn_t=60\ndelta_f=0.9\n")
         code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
         assert code == 0
         names = {f["name"] for f in manifest["files"]}
@@ -125,6 +125,15 @@ class TestCommands:
         assert header == "t,dtop_plus,dtop_minus,drift_plus,drift_minus"
         assert manifest["tolerances"]["dtop_quantization_residual"] < 1e-12
         assert manifest["tolerances"]["dtop_endpoint_drift"] > 0.0
+        # |DTOP_pm| counts the critical times on its side away from them
+        assert manifest["tolerances"]["dtop_critical_count_mismatch"] == 0.0
+        stages = {s["name"]: s for s in manifest["stages"]}
+        assert list(stages) == ["pgp_field", "return_rate", "dtop",
+                                "critical_set", "pgp_grid.csv"]
+        assert all(s["wall_s"] >= 0.0 for s in stages.values())
+        assert stages["pgp_field"]["shape"] == [200, 60]
+        assert (stages["pgp_grid.csv"]["bytes"]
+                == (out / "pgp_grid.csv").stat().st_size)
         # pgp_grid.csv: k-major rows of the field, 17 digits, exact round trip
         rows = {f["name"]: f["rows"] for f in manifest["files"]}
         assert rows["pgp_grid.csv"] == 12000
@@ -182,6 +191,14 @@ class TestCommands:
         assert manifest["config"]["command"] == "winding"
         assert all(f["rows"] > 0 for f in manifest["files"])
         assert manifest["wall_time_s"] >= 0
+        env = manifest["env"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert isinstance(env["scipy"], str)
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] == os.cpu_count()
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_commands_do_not_import_scipy(self, tmp_path):
         # only spectral.ipr_localization needs scipy, and imports it itself
@@ -208,3 +225,65 @@ class TestCommands:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def _cell_texts(cells):
+    """The strings held by _fmt_cells rows, padding dropped."""
+    rows = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)],
+                          axis=1)
+    return rows[rows != 0].tobytes().decode().split("\n")[:-1]
+
+
+def _edge_values():
+    p10 = np.array([10.0**s for s in range(-30, 31)] + [1e-6, 1e17])
+    edges = np.concatenate([
+        p10, np.nextafter(p10, 0.0), np.nextafter(p10, np.inf),
+        [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1.7976931348623157e308, np.inf, np.nan, np.pi, 0.5,
+         1e17 - 16, 99999999999999984.0, 9.9999999999999995e-07],
+        # exact ties between 17-digit decimals: n 2^-17 in [1, 10), n odd
+        np.ldexp(np.arange(2**17 + 1, 2**17 + 200, 2, dtype=float), -17),
+    ])
+    return np.concatenate([edges, -edges])
+
+
+class TestFormatKernel:
+    def test_matches_percent_format(self):
+        rng = np.random.default_rng(20261018)
+        x = np.concatenate([
+            rng.uniform(-np.pi, np.pi, 400_000),
+            rng.standard_normal(400_000) * 10.0 ** rng.integers(-12, 20, 400_000),
+            rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+            _edge_values(),
+        ])
+        cells = cli._fmt_cells(x)
+        assert cells.shape == (x.size, 24)
+        got = _cell_texts(cells)
+        expected = ["%.16e" % v for v in x.tolist()]
+        bad = [(v, g, e) for v, g, e in zip(x.tolist(), got, expected) if g != e]
+        assert len(got) == len(expected) and not bad, bad[:5]
+
+    def test_pgp_grid_matches_percent_writer(self, tmp_path, monkeypatch):
+        p = quench.QuenchProtocol.default(
+            model.derive_couplings(1.0, -0.9, 0.0),
+            model.derive_couplings(1.0, 0.9, 0.4), n_half=37, n_t=23)
+        phi = quench.pgp_field(p).phi_pgp.copy()
+        assert p.t_grid[0] == 0.0 and (phi < 0).any()
+        phi[5, 1:1 + 11] = [-0.0, 1e-300, -1e-7, 1e-6, np.nan, -np.inf,
+                            1e300, 5e-324, 1e17, -9.9999999999999995e-07, 1e-5]
+
+        def percent_writer(path):
+            # the per-row % writer that _write_pgp_grid replaced
+            t_cells = [f",{cli._fmt(t)},%.16e\n" for t in p.t_grid]
+            with path.open("w") as fh:
+                fh.write("k,t,phi_pgp\n")
+                for k, row in zip(p.k_grid, phi):
+                    kf = cli._fmt(k)
+                    fh.write((kf + kf.join(t_cells)) % tuple(row.tolist()))
+
+        percent_writer(tmp_path / "ref.csv")
+        monkeypatch.setattr(cli, "_PGP_BLOCK", 16)  # 74 momenta: a partial block
+        nbytes = cli._write_pgp_grid(tmp_path / "new.csv", p.k_grid, p.t_grid, phi)
+        ref = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == ref
+        assert nbytes == len(ref)
