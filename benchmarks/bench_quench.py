@@ -1,14 +1,14 @@
 """Timings of the default quench's two largest stages, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_quench.py \
-        --benchmark-json BENCH_7.json
+        --benchmark-json BENCH_8.json
 
 ``pgp_field`` builds the 2000 k x 800 t Loschmidt and PGP field;
 ``pgp_grid.csv`` writes it (1.6 M rows, 112 MB) into a fresh file each
 round.  The file name is outside pytest's default ``test_*.py`` pattern,
 so the test suite does not collect it; pass it to pytest by path.  Each
 record's ``extra_info`` holds the manifest's ``env`` block (versions,
-BLAS, cores, thread settings).
+BLAS, cores, thread settings) and the number of threads the stage used.
 """
 
 import pytest
@@ -32,6 +32,7 @@ def test_pgp_field(benchmark, protocol):
     benchmark.extra_info["env"] = cli._environment()
     field = benchmark.pedantic(quench.pgp_field, args=(protocol,),
                                rounds=ROUNDS, iterations=1)
+    benchmark.extra_info["workers"] = field.workers
     assert field.phi_pgp.shape == (2000, 800)
 
 
@@ -44,6 +45,7 @@ def test_pgp_grid_write(benchmark, protocol, tmp_path):
         path.unlink(missing_ok=True)
         return (path, protocol.k_grid, protocol.t_grid, phi), {}
 
-    nbytes = benchmark.pedantic(cli._write_pgp_grid, setup=fresh_file,
-                                rounds=ROUNDS, iterations=1)
+    nbytes, workers = benchmark.pedantic(cli._write_pgp_grid, setup=fresh_file,
+                                         rounds=ROUNDS, iterations=1)
+    benchmark.extra_info["workers"] = workers
     assert nbytes == path.stat().st_size == 111959589

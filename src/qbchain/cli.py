@@ -218,30 +218,37 @@ def _delta_grid(cfg: dict) -> np.ndarray:
     return np.linspace(float(cfg["delta_min"]), float(cfg["delta_max"]), n)
 
 
-def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> int:
-    """Write the k-major ``k,t,phi_pgp`` rows of phi; returns the bytes written.
+def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> tuple[int, int]:
+    """Write the k-major ``k,t,phi_pgp`` rows of phi.
 
-    Each k and t is formatted once.  Rows are assembled from fixed-width
-    ``_fmt_cells``, _PGP_BLOCK momenta at a time, and the padding is
-    dropped by one mask per block.
+    Returns the bytes written and the number of formatting threads.  Each
+    k and t is formatted once.  Rows are assembled from fixed-width
+    ``_fmt_cells``, _PGP_BLOCK momenta at a time on ``quench.map_chunks``'
+    threads, and the padding is dropped by one mask per block; this thread
+    writes the blocks in order.
     """
     w = _CELL
     k_cells = _fmt_cells(k_grid)
-    block = np.zeros((min(_PGP_BLOCK, k_grid.size), t_grid.size, 3 * w + 3),
-                     dtype=np.uint8)
-    block[:, :, w] = block[:, :, 2 * w + 1] = ord(",")
-    block[:, :, w + 1:2 * w + 1] = _fmt_cells(t_grid)
-    block[:, :, -1] = ord("\n")
+    template = np.zeros((min(_PGP_BLOCK, k_grid.size), t_grid.size, 3 * w + 3),
+                        dtype=np.uint8)
+    template[:, :, w] = template[:, :, 2 * w + 1] = ord(",")
+    template[:, :, w + 1:2 * w + 1] = _fmt_cells(t_grid)
+    template[:, :, -1] = ord("\n")
+
+    def block(i):
+        start = i * _PGP_BLOCK
+        stop = min(start + _PGP_BLOCK, k_grid.size)
+        rows = template[:stop - start].copy()
+        rows[:, :, :w] = k_cells[start:stop, None]
+        rows[:, :, 2 * w + 2:-1] = _fmt_cells(phi[start:stop]).reshape(
+            stop - start, -1, w)
+        return rows[rows != 0]
+
     with path.open("wb") as fh:
-        nbytes = fh.write(b"k,t,phi_pgp\n")
-        for start in range(0, k_grid.size, _PGP_BLOCK):
-            stop = min(start + _PGP_BLOCK, k_grid.size)
-            rows = block[:stop - start]
-            rows[:, :, :w] = k_cells[start:stop, None]
-            rows[:, :, 2 * w + 2:-1] = _fmt_cells(phi[start:stop]).reshape(
-                stop - start, -1, w)
-            nbytes += fh.write(rows[rows != 0])
-    return nbytes
+        written = [fh.write(b"k,t,phi_pgp\n")]
+        workers = quench.map_chunks(block, -(-k_grid.size // _PGP_BLOCK),
+                                    lambda text: written.append(fh.write(text)))
+    return sum(written), workers
 
 
 def _write(outdir: Path, name: str, text: str, files: list) -> None:
@@ -325,14 +332,14 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
                                       n_half=int(cfg["n_half"]),
                                       n_t=int(cfg["n_t"]))
 
-    def stage(name, t0, shape, nbytes):
+    def stage(name, t0, shape, nbytes, **extra):
         stages.append({"name": name, "wall_s": time.perf_counter() - t0,
-                       "shape": list(shape), "bytes": int(nbytes)})
+                       "shape": list(shape), "bytes": int(nbytes), **extra})
 
     t0 = time.perf_counter()
     field = quench.pgp_field(p)
     stage("pgp_field", t0, field.gk.shape,
-          field.gk.nbytes + field.phi_pgp.nbytes)
+          field.gk.nbytes + field.phi_pgp.nbytes, workers=field.workers)
     t0 = time.perf_counter()
     rr = quench.return_rate(field)
     stage("return_rate", t0, rr.shape, rr.nbytes)
@@ -342,20 +349,6 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     _write(outdir, "return_rate.csv", "\n".join(lines) + "\n", files)
 
     t0 = time.perf_counter()
-    d = quench.dtop(field)
-    series = (d.dtop_plus, d.dtop_minus, d.drift_plus, d.drift_minus)
-    stage("dtop", t0, d.dtop_plus.shape, sum(a.nbytes for a in series))
-    lines = ["t,dtop_plus,dtop_minus,drift_plus,drift_minus"]
-    for row in zip(d.t, *series):
-        lines.append(",".join(_fmt(x) for x in row))
-    windings = np.concatenate([d.dtop_plus, d.dtop_minus])
-    tolerances["dtop_quantization_residual"] = float(
-        np.abs(windings - np.rint(windings)).max())
-    tolerances["dtop_endpoint_drift"] = float(
-        max(np.abs(d.drift_plus).max(), np.abs(d.drift_minus).max()))
-    _write(outdir, "dtop.csv", "\n".join(lines) + "\n", files)
-
-    t0 = time.perf_counter()
     ct = quench.critical_set(p, range(int(cfg["n_max"])))
     stage("critical_set", t0, (len(ct.entries), 5), 40 * len(ct.entries))
     lines = ["n,side,k_c,t_c,residual"]
@@ -363,20 +356,38 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
         lines.append(f"{n},{side},{_fmt(kc)},{_fmt(tc)},{_fmt(resid)}")
     tolerances["kc_equation_residual"] = max(
         (abs(e[4]) for e in ct.entries), default=0.0)
-    # oracle independent of the PGP grid: away from every critical time,
-    # |DTOP_pm(t)| counts the critical times on its side before t
+    _write(outdir, "critical_times.csv", "\n".join(lines) + "\n", files)
+    files[-1]["t_complete"] = ct.t_complete
+
+    t0 = time.perf_counter()
+    d = quench.dtop(field, ct)
+    series = (d.dtop_plus, d.dtop_minus, d.drift_plus, d.drift_minus)
+    stage("dtop", t0, d.dtop_plus.shape, sum(a.nbytes for a in series))
+    lines = ["t,dtop_plus,dtop_minus,drift_plus,drift_minus,resolved"]
+    for ok, row in zip(d.resolved, zip(d.t, *series)):
+        lines.append(",".join(_fmt(x) for x in row) + f",{int(ok)}")
+    windings = np.concatenate([d.dtop_plus, d.dtop_minus])
+    tolerances["dtop_quantization_residual"] = float(
+        np.abs(windings - np.rint(windings)).max())
+    tolerances["dtop_endpoint_drift"] = float(
+        max(np.abs(d.drift_plus).max(), np.abs(d.drift_minus).max()))
+    # oracle independent of the PGP grid: away from every critical time and
+    # before t_complete, |DTOP_pm(t)| counts the critical times on its side
+    # before t
     far = np.abs(d.t[:, None] - ct.times()[None, :]).min(
         axis=1, initial=np.inf) > 0.05
+    far &= d.t < ct.t_complete
     tolerances["dtop_critical_count_mismatch"] = float(max(
         np.abs(np.abs(np.rint(w)) - np.searchsorted(ct.times(side), d.t))[far]
         .max(initial=0.0)
         for side, w in (("+", d.dtop_plus), ("-", d.dtop_minus))))
-    _write(outdir, "critical_times.csv", "\n".join(lines) + "\n", files)
+    _write(outdir, "dtop.csv", "\n".join(lines) + "\n", files)
+    files[-1]["unresolved"] = int((~d.resolved).sum())
 
     t0 = time.perf_counter()
-    nbytes = _write_pgp_grid(outdir / "pgp_grid.csv", p.k_grid, p.t_grid,
-                             field.phi_pgp)
-    stage("pgp_grid.csv", t0, (field.phi_pgp.size, 3), nbytes)
+    nbytes, workers = _write_pgp_grid(outdir / "pgp_grid.csv", p.k_grid,
+                                      p.t_grid, field.phi_pgp)
+    stage("pgp_grid.csv", t0, (field.phi_pgp.size, 3), nbytes, workers=workers)
     files.append({"name": "pgp_grid.csv", "rows": field.phi_pgp.size})
 
 
@@ -495,6 +506,7 @@ def _environment() -> dict:
         "scipy": scipy_version,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
+        "cpus_available": quench.cpus_available(),
         "threads": {v: os.environ.get(v) for v in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }

@@ -19,7 +19,9 @@ separately as the drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +36,12 @@ from .topology import _wrap
 
 #: refinement rounds of ``dtop`` per flagged step (8, 64, 512 sub-steps)
 _MAX_REFINE = 3
+#: momenta per chunk of ``pgp_field``'s rows
+_FIELD_ROWS = 32
 
 __all__ = [
+    "cpus_available",
+    "map_chunks",
     "QuenchProtocol",
     "CriticalTimes",
     "PgpField",
@@ -48,6 +54,72 @@ __all__ = [
     "pgp_field",
     "dtop",
 ]
+
+
+def cpus_available() -> int:
+    """Number of CPUs this process may run on: its affinity mask where the
+    platform has one (Linux), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_chunks(fn, n_chunks: int, consume=None) -> int:
+    """Run fn(0), ..., fn(n_chunks - 1) on a thread pool; returns its size.
+
+    The pool has min(cpus_available(), n_chunks) threads, which overlap
+    where fn spends its time in numpy calls that release the GIL.  Each
+    result is passed to ``consume`` on the calling thread, in chunk order.
+    No chunk is started more than 2 x (pool size) chunks ahead of the next
+    one to consume, which bounds the results held at once.  An exception
+    raised by fn is raised here, unchanged, when its chunk is next, and no
+    further chunk is started.
+    """
+    workers = max(1, min(cpus_available(), n_chunks))
+    slots = threading.Semaphore(2 * workers)
+    done = threading.Condition()
+    results = {}
+    next_chunk = [0]
+
+    def work():
+        while True:
+            slots.acquire()
+            with done:
+                i = next_chunk[0]
+                if i >= n_chunks:
+                    return
+                next_chunk[0] = i + 1
+            try:
+                out = (fn(i), None)
+            except BaseException as exc:  # re-raised on the calling thread
+                out = (None, exc)
+            with done:
+                results[i] = out
+                done.notify_all()
+
+    threads = []
+    try:
+        for _ in range(workers):
+            th = threading.Thread(target=work)
+            th.start()
+            threads.append(th)
+        for i in range(n_chunks):
+            with done:
+                done.wait_for(lambda: i in results)
+                out, exc = results.pop(i)
+            if exc is not None:
+                raise exc
+            if consume is not None:
+                consume(out)
+            slots.release()
+    finally:
+        with done:
+            next_chunk[0] = n_chunks  # start no further chunk
+        for _ in threads:
+            slots.release()
+        for th in threads:
+            th.join()
+    return workers
 
 
 def _overlap_fields(k, ci: CouplingSet, cf: CouplingSet):
@@ -174,18 +246,30 @@ class PgpField:
     protocol: QuenchProtocol
     gk: np.ndarray         # complex, (n_k, n_t)
     phi_pgp: np.ndarray    # (n_k, n_t)
+    workers: int           # threads that built the field
 
 
 def pgp_field(p: QuenchProtocol) -> PgpField:
     """Loschmidt amplitude and Pancharatnam geometric phase over the (k, t) grid.
 
     The total phase arg g_k(t) is unwrapped along t per momentum; the
-    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.
+    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.  Rows
+    are built _FIELD_ROWS momenta at a time on ``map_chunks``' threads.
+    Every operation acts per element or per row, so the field is the same,
+    bit for bit, for any chunking and any number of threads.
     """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
-    gk, phi_dyn = _gk_and_dyn(Ef[:, None], ov[:, None], p.t_grid[None, :])
-    phi_pgp = np.unwrap(np.angle(gk), axis=1) - phi_dyn
-    return PgpField(protocol=p, gk=gk, phi_pgp=phi_pgp)
+    t = p.t_grid[None, :]
+    gk = np.empty((Ef.size, t.size), dtype=complex)
+    phi_pgp = np.empty(gk.shape)
+
+    def rows(i):
+        s = slice(i * _FIELD_ROWS, (i + 1) * _FIELD_ROWS)
+        gk[s], phi_dyn = _gk_and_dyn(Ef[s, None], ov[s, None], t)
+        np.subtract(np.unwrap(np.angle(gk[s]), axis=1), phi_dyn, out=phi_pgp[s])
+
+    workers = map_chunks(rows, -(-Ef.size // _FIELD_ROWS))
+    return PgpField(protocol=p, gk=gk, phi_pgp=phi_pgp, workers=workers)
 
 
 def return_rate(f: PgpField) -> np.ndarray:
@@ -211,13 +295,27 @@ def fisher_zeros(k: float, ci: CouplingSet, cf: CouplingSet, n_range=range(10)):
 
 @dataclass
 class CriticalTimes:
-    """Solutions (n, side, k_c, t_c) of the Fisher-zero real-axis crossings."""
+    """Solutions (n, side, k_c, t_c) of the Fisher-zero real-axis crossings.
 
-    entries: list = field(default_factory=list)  # (n, side, k_c, t_c, residual)
+    Every crossing before t_complete is listed: orders above the scanned
+    range cross no earlier.
+    """
+
+    entries: list          # (n, side, k_c, t_c, residual)
+    t_complete: float
 
     def times(self, side: str | None = None):
         sel = [e[3] for e in self.entries if side is None or e[1] == side]
         return np.array(sorted(sel))
+
+
+def _crossing_time(Ef, ov, n):
+    # real time of the order-n crossing at a momentum where the k_c equation
+    # holds; it grows with n while Re E^f > 0.  The builtin abs keeps numpy's
+    # scalar |E^f| for single momenta, which can differ from np.abs in the
+    # last bit, so the listed times keep their digits
+    return (np.pi * (n + 0.5) * Ef.real
+            - np.imag(np.conj(Ef) * np.arctanh(ov))) / abs(Ef) ** 2
 
 
 def _kc_equation(k, ci, cf, n):
@@ -233,9 +331,14 @@ def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
 
     Each half zone is scanned separately; brackets are refined by bisection
     to 1e-12 in k, then the closed-form t_c is evaluated.  Times outside the
-    protocol's t span are discarded.
+    protocol's t span are discarded.  ``t_complete`` is the least crossing
+    time of the first order above n_range over the k grid: a crossing of a
+    higher order comes no earlier (while Re E^f > 0), so the list holds
+    every crossing before it.
     """
-    out = CriticalTimes()
+    _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
+    n_next = max(n_range, default=-1) + 1
+    out = CriticalTimes([], float(_crossing_time(Ef, ov, n_next).min()))
     t_lo, t_hi = p.t_grid[0], p.t_grid[-1]
     for side, ks in (("+", p.k_grid[p.k_grid > 0]), ("-", p.k_grid[p.k_grid < 0])):
         if ks.size < 2:
@@ -255,8 +358,7 @@ def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
                         a, fa = m, fm
                 kc = 0.5 * (a + b)
                 _, Ef, ov = _overlap_fields(kc, p.initial, p.final)
-                tc = (np.pi * (n + 0.5) * Ef.real
-                      - np.imag(np.conj(Ef) * np.arctanh(ov))) / abs(Ef) ** 2
+                tc = _crossing_time(Ef, ov, n)
                 if tc <= 0 or tc < t_lo or tc > t_hi:
                     continue
                 residual = float(_kc_equation(kc, p.initial, p.final, n))
@@ -271,6 +373,9 @@ class DtopSeries:
 
     dtop_plus/dtop_minus are integer winding numbers (up to rounding);
     dtop + drift is the raw half-zone sum of wrapped k-increments of phi_pgp.
+    resolved is False at the times where a phase slip at a critical point
+    could not be resolved; the DTOPs there are still the integer winding of
+    the finest sub-grid tried.
     """
 
     t: np.ndarray
@@ -278,9 +383,10 @@ class DtopSeries:
     dtop_minus: np.ndarray
     drift_plus: np.ndarray
     drift_minus: np.ndarray
+    resolved: np.ndarray
 
 
-def dtop(f: PgpField) -> DtopSeries:
+def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     """Half-zone winding of the PGP, pinned at the ends of the grid.
 
     For each half zone and time, the sum of wrapped k-increments of phi_pgp
@@ -292,9 +398,17 @@ def dtop(f: PgpField) -> DtopSeries:
     O(h^2) offset of the grid ends from those momenta.
 
     Steps whose wrapped increment exceeds pi/2 are refined by inserting
-    intermediate momenta; if the cap is hit a resolution error is raised.
+    intermediate momenta.  A step still unresolved after _MAX_REFINE rounds
+    is a zero of g_k(t) too close to the grid to resolve.  It is accepted,
+    with that time marked unresolved, when a crossing of ``critical`` on the
+    same half zone lies in its grid cell: k_c within the step and t_c
+    strictly between the neighbouring grid times.  Otherwise a resolution
+    error is raised.
     """
     p = f.protocol
+    t_grid = p.t_grid
+    resolved = np.ones(t_grid.size, dtype=bool)
+    crossings = critical.entries if critical is not None else []
     halves = []
 
     def phi_at(k_vals, t):
@@ -302,14 +416,14 @@ def dtop(f: PgpField) -> DtopSeries:
         g, phi_dyn = _gk_and_dyn(Ef, ov, t)
         return np.angle(g) - phi_dyn
 
-    for mask in (p.k_grid > 0, p.k_grid < 0):
+    for side, mask in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
         ks = p.k_grid[mask]
         phi = f.phi_pgp[mask]
         inc = _wrap(np.diff(phi, axis=0))
         total = inc.sum(axis=0)
         for i, it in zip(*np.nonzero(np.abs(inc) > np.pi / 2)):
             # re-difference this step over a locally refined sub-grid
-            a, b, t = ks[i], ks[i + 1], p.t_grid[it]
+            a, b, t = ks[i], ks[i + 1], t_grid[it]
             sub_ok = False
             npts = 8
             for _ in range(_MAX_REFINE):
@@ -320,13 +434,20 @@ def dtop(f: PgpField) -> DtopSeries:
                     break
                 npts *= 8
             if not sub_ok:
-                raise ResolutionError(
-                    f"phase slip at k in ({a:.6f}, {b:.6f}), t={t:.6f} "
-                    "not resolved by local refinement"
-                )
+                lo = t_grid[max(it - 1, 0)]
+                hi = t_grid[min(it + 1, t_grid.size - 1)]
+                if not any(s == side and a <= kc <= b and lo < tc < hi
+                           for _, s, kc, tc, _ in crossings):
+                    raise ResolutionError(
+                        f"phase slip at k in ({a:.6f}, {b:.6f}), t={t:.6f} "
+                        "not resolved by local refinement and at no critical "
+                        "point"
+                    )
+                resolved[it] = False
             total[it] += sub_inc.sum() - inc[i, it]
         drift = (phi[-1] - phi[0]) / (2 * np.pi)
         halves.append((total / (2 * np.pi) - drift, drift))
     (dplus, drift_plus), (dminus, drift_minus) = halves
-    return DtopSeries(t=p.t_grid.copy(), dtop_plus=dplus, dtop_minus=dminus,
-                      drift_plus=drift_plus, drift_minus=drift_minus)
+    return DtopSeries(t=t_grid.copy(), dtop_plus=dplus, dtop_minus=dminus,
+                      drift_plus=drift_plus, drift_minus=drift_minus,
+                      resolved=resolved)

@@ -121,16 +121,25 @@ class TestCommands:
         assert {"return_rate.csv", "dtop.csv", "critical_times.csv",
                 "pgp_grid.csv"} <= names
         assert manifest["tolerances"]["kc_equation_residual"] < 1e-9
-        header = (out / "dtop.csv").read_text().splitlines()[0]
-        assert header == "t,dtop_plus,dtop_minus,drift_plus,drift_minus"
+        dtop_lines = (out / "dtop.csv").read_text().splitlines()
+        assert dtop_lines[0] == ("t,dtop_plus,dtop_minus,drift_plus,drift_minus,"
+                                 "resolved")
+        assert {line.split(",")[-1] for line in dtop_lines[1:]} == {"1"}
+        entries = {f["name"]: f for f in manifest["files"]}
+        assert entries["dtop.csv"]["unresolved"] == 0
+        assert entries["critical_times.csv"]["t_complete"] > 12.0
         assert manifest["tolerances"]["dtop_quantization_residual"] < 1e-12
         assert manifest["tolerances"]["dtop_endpoint_drift"] > 0.0
         # |DTOP_pm| counts the critical times on its side away from them
         assert manifest["tolerances"]["dtop_critical_count_mismatch"] == 0.0
         stages = {s["name"]: s for s in manifest["stages"]}
-        assert list(stages) == ["pgp_field", "return_rate", "dtop",
-                                "critical_set", "pgp_grid.csv"]
+        assert list(stages) == ["pgp_field", "return_rate", "critical_set",
+                                "dtop", "pgp_grid.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
+        # 200 momenta: 7 row chunks and 7 blocks of 32
+        workers = min(len(os.sched_getaffinity(0)), 7)
+        assert stages["pgp_field"]["workers"] == workers
+        assert stages["pgp_grid.csv"]["workers"] == workers
         assert stages["pgp_field"]["shape"] == [200, 60]
         assert (stages["pgp_grid.csv"]["bytes"]
                 == (out / "pgp_grid.csv").stat().st_size)
@@ -152,6 +161,33 @@ class TestCommands:
         assert np.array_equal(parsed[:, 0], np.repeat(p.k_grid, 60))
         assert np.array_equal(parsed[:, 1], np.tile(p.t_grid, 200))
         assert np.array_equal(parsed[:, 2], f.phi_pgp.ravel())
+
+    def test_count_oracle_stops_at_t_complete(self, tmp_path):
+        # three Fisher-zero orders list the crossings up to t_complete = 3.92
+        # only; the oracle counts no further
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("command=quench\nn_half=100\nn_t=60\nn_max=3\n")
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0
+        entries = {f["name"]: f for f in manifest["files"]}
+        assert 3.9 < entries["critical_times.csv"]["t_complete"] < 4.0
+        assert entries["critical_times.csv"]["rows"] == 6
+        assert manifest["tolerances"]["dtop_critical_count_mismatch"] == 0.0
+
+    def test_unresolved_dtop_row(self, tmp_path):
+        # one grid time lies 6e-6 from a critical time: that row is flagged,
+        # and the series is still written
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("command=quench\nn_half=400\nn_t=200\n")
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0
+        entries = {f["name"]: f for f in manifest["files"]}
+        assert entries["dtop.csv"]["unresolved"] == 1
+        rows = (out / "dtop.csv").read_text().splitlines()[1:]
+        flagged = [r for r in rows if r.endswith(",0")]
+        assert len(rows) == 200 and len(flagged) == 1
+        assert flagged[0].startswith("1.0010050251256281e+01,")
+        assert "nan" not in (out / "dtop.csv").read_text()
 
     def test_amplify_outputs(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -197,11 +233,14 @@ class TestCommands:
         assert isinstance(env["scipy"], str)
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] == os.cpu_count()
+        assert env["cpus_available"] == len(os.sched_getaffinity(0))
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_commands_do_not_import_scipy(self, tmp_path):
-        # only spectral.ipr_localization needs scipy, and imports it itself
+        # only spectral.ipr_localization needs scipy, and imports it itself;
+        # the quench's thread pool is plain threading, which numpy loads, not
+        # concurrent.futures (about 5 ms of start-up)
         configs = [
             {"command": "amplify", "regime": "imaginary", "n_cells": "4",
              "delta_steps": "3"},
@@ -216,7 +255,8 @@ class TestCommands:
             "from qbchain import cli\n"
             f"for cfg in {configs!r}:\n"
             "    assert cli.run(cli.validate(cfg)) == 0, cfg['command']\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'concurrent')))\n"
         )
         src = str(Path(qbchain.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -283,7 +323,12 @@ class TestFormatKernel:
 
         percent_writer(tmp_path / "ref.csv")
         monkeypatch.setattr(cli, "_PGP_BLOCK", 16)  # 74 momenta: a partial block
-        nbytes = cli._write_pgp_grid(tmp_path / "new.csv", p.k_grid, p.t_grid, phi)
         ref = (tmp_path / "ref.csv").read_bytes()
-        assert (tmp_path / "new.csv").read_bytes() == ref
-        assert nbytes == len(ref)
+        # one thread, two, and more CPUs than the 5 blocks
+        for cpus in (1, 2, 16):
+            monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
+            nbytes, workers = cli._write_pgp_grid(tmp_path / "new.csv", p.k_grid,
+                                                  p.t_grid, phi)
+            assert (tmp_path / "new.csv").read_bytes() == ref
+            assert nbytes == len(ref)
+            assert workers == min(cpus, 5)

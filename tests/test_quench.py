@@ -1,8 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from qbchain import model, quench
-from qbchain.exceptions import BranchCutError, DomainError, ExceptionalPointError
+from qbchain.exceptions import (
+    BranchCutError,
+    DomainError,
+    ExceptionalPointError,
+    ResolutionError,
+)
 from qbchain.model import derive_couplings
 
 
@@ -153,6 +161,18 @@ class TestCriticalSet:
         assert ct.entries
         assert all(e[1] == "+" for e in ct.entries)
 
+    def test_complete_before_t_complete(self):
+        # three Fisher-zero orders list every crossing before t_complete and
+        # none after it; ten orders reach past t_max at this grid
+        p = quench.QuenchProtocol.default(CI, CF4, n_half=100, n_t=60)
+        short, full = quench.critical_set(p, range(3)), quench.critical_set(p)
+        assert 3.9 < short.t_complete < 4.0
+        assert full.t_complete > p.t_grid[-1]
+        before = [e for e in full.entries if e[3] < short.t_complete]
+        assert short.entries == before
+        assert len(before) == 6
+        assert min(e[3] for e in full.entries if e[0] >= 3) > short.t_complete
+
     def test_hermitian_quench_evenly_spaced(self):
         # Hermitian final Hamiltonian: t_c = (n + 1/2) pi / E^f at fixed k_c
         ci = derive_couplings(1, -0.8, 0.0)
@@ -239,3 +259,111 @@ class TestPgpAndDtop:
             far = np.array([np.all(np.abs(t - tcs) > 0.05) for t in d.t])
             count = np.array([(tcs < t).sum() for t in d.t])
             assert np.abs(np.abs(dt) - count)[far].max() < 1e-12
+
+    def test_unresolvable_slip_at_a_critical_point(self):
+        # t = 10.010050 lies 6e-6 past the crossing (n=7, k_c=1.46431,
+        # t_c=10.010044): no sub-grid resolves that slip
+        p = quench.QuenchProtocol.default(CI, CF4, n_half=400, n_t=200)
+        f = quench.pgp_field(p)
+        ct = quench.critical_set(p)
+        d = quench.dtop(f, ct)
+        assert np.nonzero(~d.resolved)[0].tolist() == [166]
+        assert abs(d.t[166] - 10.010050) < 1e-6
+        for w in (d.dtop_plus, d.dtop_minus):
+            assert np.isfinite(w).all()
+            assert np.abs(w - np.rint(w)).max() < 1e-12
+        # DTOP_+ already counts the crossing 6e-6 before the row
+        assert np.rint(d.dtop_plus[165:168]).tolist() == [7.0, 8.0, 8.0]
+        # a slip that no critical point explains still fails the series
+        for critical in (None, quench.CriticalTimes([], np.inf)):
+            with pytest.raises(ResolutionError, match="t=10.010050"):
+                quench.dtop(f, critical)
+
+
+def serial_field(p):
+    """The single-pass pgp_field body that the chunked one replaced."""
+    _, Ef, ov = quench._overlap_fields(p.k_grid, p.initial, p.final)
+    gk, phi_dyn = quench._gk_and_dyn(Ef[:, None], ov[:, None], p.t_grid[None, :])
+    phi_pgp = np.unwrap(np.angle(gk), axis=1) - phi_dyn
+    return gk, phi_pgp
+
+
+class TestChunkedField:
+    @pytest.mark.parametrize("rows, cpus, workers", [
+        (8, 2, 2),      # 75 momenta: ten chunks, the last of 3 rows
+        (7, 1, 1),      # one thread
+        (1000, 2, 1),   # a single chunk
+        (30, 16, 3),    # more CPUs than chunks
+    ])
+    def test_matches_serial_body(self, monkeypatch, rows, cpus, workers):
+        # an odd number of momenta (k = 0 included) that no chunk size divides
+        p = quench.QuenchProtocol(CI, CF4, np.linspace(-3.0, 3.0, 75),
+                                  np.linspace(0.0, 12.0, 97))
+        monkeypatch.setattr(quench, "_FIELD_ROWS", rows)
+        monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
+        f = quench.pgp_field(p)
+        gk, phi_pgp = serial_field(p)
+        assert f.workers == workers
+        assert np.array_equal(f.gk, gk)
+        assert np.array_equal(f.phi_pgp, phi_pgp)
+
+    def test_default_field_matches_serial_body(self):
+        p = quench.QuenchProtocol.default(CI, CF4)
+        f = quench.pgp_field(p)
+        gk, phi_pgp = serial_field(p)
+        assert np.array_equal(f.gk, gk)
+        assert np.array_equal(f.phi_pgp, phi_pgp)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        p = quench.QuenchProtocol.default(CI, CF4, n_half=100, n_t=20)
+        err = ExceptionalPointError("d.d vanishes in chunk 4")
+        real = quench._gk_and_dyn
+
+        def failing(Ef, ov, t):
+            if Ef.shape[0] == 8 and Ef[0, 0] == first_of_chunk_4:
+                raise err
+            return real(Ef, ov, t)
+
+        first_of_chunk_4 = quench._overlap_fields(p.k_grid, CI, CF4)[1][32]
+        monkeypatch.setattr(quench, "_FIELD_ROWS", 8)
+        monkeypatch.setattr(quench, "cpus_available", lambda: 2)
+        monkeypatch.setattr(quench, "_gk_and_dyn", failing)
+        with pytest.raises(ExceptionalPointError) as info:
+            quench.pgp_field(p)
+        assert info.value is err
+
+    def test_map_chunks_order_and_bound(self, monkeypatch):
+        # more threads than cores and frequent switches: results arrive in
+        # chunk order and no chunk starts 2 x workers ahead of consumption
+        monkeypatch.setattr(quench, "cpus_available", lambda: 6)
+        lock = threading.Lock()
+        count = {"started": 0, "consumed": 0, "ahead": 0}
+        seen = []
+
+        def fn(i):
+            with lock:
+                count["started"] += 1
+                count["ahead"] = max(count["ahead"],
+                                     count["started"] - count["consumed"])
+            return i, np.sin(np.arange(2000.0) + i).sum()
+
+        def consume(out):
+            with lock:
+                count["consumed"] += 1
+            seen.append(out[0])
+
+        result = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            th = threading.Thread(target=lambda: result.setdefault(
+                "workers", quench.map_chunks(fn, 400, consume)))
+            th.start()
+            th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not th.is_alive()
+        assert result["workers"] == 6
+        assert seen == list(range(400))
+        assert count["started"] == 400
+        assert count["ahead"] <= 12
