@@ -1,14 +1,16 @@
-"""Timings of the default quench's two largest stages, with pytest-benchmark.
+"""Timings of the default quench's stages, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_quench.py \
-        --benchmark-json BENCH_8.json
+        --benchmark-json BENCH_9.json
 
-``pgp_field`` builds the 2000 k x 800 t Loschmidt and PGP field;
-``pgp_grid.csv`` writes it (1.6 M rows, 112 MB) into a fresh file each
+``pgp_field`` builds the 2000 k x 800 t field (log |g_k|^2 and the PGP);
+``return_rate`` and ``dtop`` read it, as the ``quench`` command does;
+``pgp_grid.csv`` writes the PGP (1.6 M rows, 112 MB) into a fresh file each
 round.  The file name is outside pytest's default ``test_*.py`` pattern,
 so the test suite does not collect it; pass it to pytest by path.  Each
 record's ``extra_info`` holds the manifest's ``env`` block (versions,
-BLAS, cores, thread settings) and the number of threads the stage used.
+BLAS, cores, thread settings) and, for the threaded stages, the number of
+threads used.
 """
 
 import pytest
@@ -28,6 +30,11 @@ def protocol():
                                          n_t=int(cfg["n_t"]))
 
 
+@pytest.fixture(scope="module")
+def field(protocol):
+    return quench.pgp_field(protocol)
+
+
 def test_pgp_field(benchmark, protocol):
     benchmark.extra_info["env"] = cli._environment()
     field = benchmark.pedantic(quench.pgp_field, args=(protocol,),
@@ -36,14 +43,28 @@ def test_pgp_field(benchmark, protocol):
     assert field.phi_pgp.shape == (2000, 800)
 
 
-def test_pgp_grid_write(benchmark, protocol, tmp_path):
+def test_return_rate(benchmark, field):
     benchmark.extra_info["env"] = cli._environment()
-    phi = quench.pgp_field(protocol).phi_pgp
+    rr = benchmark.pedantic(quench.return_rate, args=(field,),
+                            rounds=ROUNDS, iterations=1)
+    assert rr.shape == (800,)
+
+
+def test_dtop(benchmark, protocol, field):
+    benchmark.extra_info["env"] = cli._environment()
+    critical = quench.critical_set(protocol)
+    d = benchmark.pedantic(quench.dtop, args=(field, critical),
+                           rounds=ROUNDS, iterations=1)
+    assert d.resolved.all()
+
+
+def test_pgp_grid_write(benchmark, protocol, field, tmp_path):
+    benchmark.extra_info["env"] = cli._environment()
     path = tmp_path / "pgp_grid.csv"
 
     def fresh_file():
         path.unlink(missing_ok=True)
-        return (path, protocol.k_grid, protocol.t_grid, phi), {}
+        return (path, protocol.k_grid, protocol.t_grid, field.phi_pgp), {}
 
     nbytes, workers = benchmark.pedantic(cli._write_pgp_grid, setup=fresh_file,
                                          rounds=ROUNDS, iterations=1)

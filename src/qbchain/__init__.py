@@ -14,6 +14,7 @@ from .exceptions import (
     BranchCutError,
     ConvergenceError,
     DomainError,
+    DoubleOverflowError,
     ExceptionalPointError,
     QbChainError,
     ResolutionError,
@@ -47,6 +48,7 @@ __all__ = [
     "BranchCutError",
     "ResolutionError",
     "SingularityError",
+    "DoubleOverflowError",
     "ConvergenceError",
     "CouplingSet",
     "Regime",

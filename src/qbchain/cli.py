@@ -75,7 +75,7 @@ _DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None]
             // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 #: momenta per block of pgp_grid.csv rows
-_PGP_BLOCK = 32
+_PGP_BLOCK = 16
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -338,8 +338,11 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
 
     t0 = time.perf_counter()
     field = quench.pgp_field(p)
-    stage("pgp_field", t0, field.gk.shape,
-          field.gk.nbytes + field.phi_pgp.nbytes, workers=field.workers)
+    held = {name: {"shape": list(a.shape), "bytes": a.nbytes} for name, a in
+            (("phi_pgp", field.phi_pgp), ("log_mag2", field.log_mag2))}
+    stage("pgp_field", t0, field.phi_pgp.shape,
+          field.phi_pgp.nbytes + field.log_mag2.nbytes, workers=field.workers,
+          arrays=held)
     t0 = time.perf_counter()
     rr = quench.return_rate(field)
     stage("return_rate", t0, rr.shape, rr.nbytes)
@@ -512,6 +515,20 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
+    """This process's peak resident set (VmHWM) in MiB, or None where the
+    status file is missing.  Unlike ru_maxrss, VmHWM starts afresh at exec,
+    so it holds no peak of the process that spawned this one."""
+    try:
+        with open(status) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def run(cfg: dict) -> int:
     """Dispatch a validated configuration; returns the process exit code."""
     outdir = Path(cfg.get("out", "."))
@@ -550,6 +567,7 @@ def run(cfg: dict) -> int:
         "stages": stages,
         "tolerances": tolerances,
         "status": status,
+        "peak_rss_mb": _peak_rss_mb(),
         "env": _environment(),
     }
     if error is not None:

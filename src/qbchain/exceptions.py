@@ -30,5 +30,9 @@ class SingularityError(QbChainError):
     its inverse leaves the double-precision range."""
 
 
+class DoubleOverflowError(QbChainError, OverflowError):
+    """A computed magnitude leaves the double-precision range."""
+
+
 class ConvergenceError(QbChainError):
     """Eigensolver failed to converge."""

@@ -28,6 +28,7 @@ import numpy as np
 from .exceptions import (
     BranchCutError,
     DomainError,
+    DoubleOverflowError,
     ExceptionalPointError,
     ResolutionError,
 )
@@ -241,10 +242,10 @@ class QuenchProtocol:
 
 @dataclass
 class PgpField:
-    """g_k(t) and the Pancharatnam geometric phase over one protocol's grid."""
+    """log |g_k(t)|^2 and the Pancharatnam geometric phase over one protocol's grid."""
 
     protocol: QuenchProtocol
-    gk: np.ndarray         # complex, (n_k, n_t)
+    log_mag2: np.ndarray   # (n_t, n_k), time-major; -inf where g_k(t) = 0
     phi_pgp: np.ndarray    # (n_k, n_t)
     workers: int           # threads that built the field
 
@@ -253,33 +254,48 @@ def pgp_field(p: QuenchProtocol) -> PgpField:
     """Loschmidt amplitude and Pancharatnam geometric phase over the (k, t) grid.
 
     The total phase arg g_k(t) is unwrapped along t per momentum; the
-    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.  Rows
-    are built _FIELD_ROWS momenta at a time on ``map_chunks``' threads.
-    Every operation acts per element or per row, so the field is the same,
-    bit for bit, for any chunking and any number of threads.
+    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.  Of
+    g_k(t) itself only log |g_k(t)|^2 is kept, stored time-major so that
+    each time's row is contiguous.  Rows are built _FIELD_ROWS momenta at a
+    time on ``map_chunks``' threads.  Every operation acts per element or
+    per row, so the field is the same, bit for bit, for any chunking and
+    any number of threads.  |g_k(t)|^2 grows like exp(2 |Im E^f| t); where
+    it leaves the double range a DoubleOverflowError is raised.
     """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
     t = p.t_grid[None, :]
-    gk = np.empty((Ef.size, t.size), dtype=complex)
-    phi_pgp = np.empty(gk.shape)
+    phi_pgp = np.empty((Ef.size, t.size))
+    log_mag2 = np.empty((t.size, Ef.size))
+    tops = []
 
     def rows(i):
         s = slice(i * _FIELD_ROWS, (i + 1) * _FIELD_ROWS)
-        gk[s], phi_dyn = _gk_and_dyn(Ef[s, None], ov[s, None], t)
-        np.subtract(np.unwrap(np.angle(gk[s]), axis=1), phi_dyn, out=phi_pgp[s])
+        with np.errstate(all="ignore"):  # -inf marks a zero; overflow raises below
+            g, phi_dyn = _gk_and_dyn(Ef[s, None], ov[s, None], t)
+            np.subtract(np.unwrap(np.angle(g), axis=1), phi_dyn, out=phi_pgp[s])
+            lm = np.log(np.abs(g) ** 2)
+        log_mag2[:, s] = lm.T
+        return lm.max()
 
-    workers = map_chunks(rows, -(-Ef.size // _FIELD_ROWS))
-    return PgpField(protocol=p, gk=gk, phi_pgp=phi_pgp, workers=workers)
+    workers = map_chunks(rows, -(-Ef.size // _FIELD_ROWS), tops.append)
+    if not np.max(tops) < np.inf:  # +inf or NaN somewhere
+        it = np.argmin((log_mag2 < np.inf).all(axis=1))
+        reach = np.abs(Ef.imag).max() * p.t_grid[it]
+        raise DoubleOverflowError(
+            f"|g_k(t)|^2 overflows double precision from t = {p.t_grid[it]:.6g}, "
+            f"where max|Im E^f| t = {reach:.1f}; |g_k|^2 grows like "
+            "exp(2 |Im E^f| t) and the double range ends at exp(709.8)"
+        )
+    return PgpField(protocol=p, log_mag2=log_mag2, phi_pgp=phi_pgp,
+                    workers=workers)
 
 
 def return_rate(f: PgpField) -> np.ndarray:
-    """RR(t) = -(1/N_k) sum_k log |g_k(t)|^2, as a sum of logs; +inf where G(t) = 0."""
-    mag2 = np.abs(f.gk) ** 2
-    rr = np.full(mag2.shape[1], np.inf)
-    ok = (mag2 > 0.0).all(axis=0)
-    with np.errstate(divide="ignore"):
-        rr[ok] = -np.mean(np.log(mag2[:, ok]), axis=0)
-    return rr
+    """RR(t) = -(1/N_k) sum_k log |g_k(t)|^2, as a mean of logs; +inf where G(t) = 0.
+
+    A vanishing g_k(t) is -inf in log_mag2, so its time's mean is -inf too.
+    """
+    return -np.mean(f.log_mag2, axis=1)
 
 
 def fisher_zeros(k: float, ci: CouplingSet, cf: CouplingSet, n_range=range(10)):
@@ -409,19 +425,18 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     t_grid = p.t_grid
     resolved = np.ones(t_grid.size, dtype=bool)
     crossings = critical.entries if critical is not None else []
-    halves = []
 
     def phi_at(k_vals, t):
         _, Ef, ov = _overlap_fields(k_vals, p.initial, p.final)
         g, phi_dyn = _gk_and_dyn(Ef, ov, t)
         return np.angle(g) - phi_dyn
 
-    for side, mask in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
-        ks = p.k_grid[mask]
-        phi = f.phi_pgp[mask]
-        inc = _wrap(np.diff(phi, axis=0))
+    def half(side, rows):
+        ks = p.k_grid[rows]
+        phi = f.phi_pgp[rows]
+        inc = _wrap_in_place(np.diff(phi, axis=0))
         total = inc.sum(axis=0)
-        for i, it in zip(*np.nonzero(np.abs(inc) > np.pi / 2)):
+        for i, it in zip(*np.nonzero((inc > np.pi / 2) | (inc < -np.pi / 2))):
             # re-difference this step over a locally refined sub-grid
             a, b, t = ks[i], ks[i + 1], t_grid[it]
             sub_ok = False
@@ -446,8 +461,22 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
                 resolved[it] = False
             total[it] += sub_inc.sum() - inc[i, it]
         drift = (phi[-1] - phi[0]) / (2 * np.pi)
-        halves.append((total / (2 * np.pi) - drift, drift))
-    (dplus, drift_plus), (dminus, drift_minus) = halves
+        return total / (2 * np.pi) - drift, drift
+
+    # the k grid is sorted with matched +-k: each half zone is a contiguous
+    # block of rows (a k = 0 row may sit between them)
+    n = np.count_nonzero(p.k_grid > 0)
+    dplus, drift_plus = half("+", slice(p.k_grid.size - n, None))
+    dminus, drift_minus = half("-", slice(0, n))
     return DtopSeries(t=t_grid.copy(), dtop_plus=dplus, dtop_minus=dminus,
                       drift_plus=drift_plus, drift_minus=drift_minus,
                       resolved=resolved)
+
+
+def _wrap_in_place(a: np.ndarray) -> np.ndarray:
+    """topology._wrap, overwriting a: the same operations, bit for bit."""
+    np.negative(a, out=a)
+    a += np.pi
+    np.remainder(a, 2 * np.pi, out=a)
+    a -= np.pi
+    return np.negative(a, out=a)

@@ -136,11 +136,16 @@ class TestCommands:
         assert list(stages) == ["pgp_field", "return_rate", "critical_set",
                                 "dtop", "pgp_grid.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
-        # 200 momenta: 7 row chunks and 7 blocks of 32
-        workers = min(len(os.sched_getaffinity(0)), 7)
-        assert stages["pgp_field"]["workers"] == workers
-        assert stages["pgp_grid.csv"]["workers"] == workers
+        # 200 momenta: 7 row chunks of 32 and 13 blocks of 16
+        cpus = len(os.sched_getaffinity(0))
+        assert stages["pgp_field"]["workers"] == min(cpus, 7)
+        assert stages["pgp_grid.csv"]["workers"] == min(cpus, 13)
         assert stages["pgp_field"]["shape"] == [200, 60]
+        assert stages["pgp_field"]["arrays"] == {
+            "phi_pgp": {"shape": [200, 60], "bytes": 96000},
+            "log_mag2": {"shape": [60, 200], "bytes": 96000}}
+        assert stages["pgp_field"]["bytes"] == 192000
+        assert manifest["peak_rss_mb"] > 0.0
         assert (stages["pgp_grid.csv"]["bytes"]
                 == (out / "pgp_grid.csv").stat().st_size)
         # pgp_grid.csv: k-major rows of the field, 17 digits, exact round trip
@@ -161,6 +166,21 @@ class TestCommands:
         assert np.array_equal(parsed[:, 0], np.repeat(p.k_grid, 60))
         assert np.array_equal(parsed[:, 1], np.tile(p.t_grid, 200))
         assert np.array_equal(parsed[:, 2], f.phi_pgp.ravel())
+
+    def test_overflow_writes_no_csv(self, tmp_path):
+        # |g_k(t)|^2 leaves the double range from t = 1667: a typed error
+        # before any file, not inf in return_rate.csv and a misleading
+        # resolution error later
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("command=quench\ntheta_f=3.0\nt_max=5000\nn_half=50\n"
+                       "n_t=400\n")
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 2
+        assert manifest["status"] == 2
+        assert manifest["error"].startswith("DoubleOverflowError: ")
+        assert "max|Im E^f| t = 354.9" in manifest["error"]
+        assert manifest["files"] == [] and manifest["stages"] == []
+        assert sorted(x.name for x in out.iterdir()) == ["manifest.json"]
 
     def test_count_oracle_stops_at_t_complete(self, tmp_path):
         # three Fisher-zero orders list the crossings up to t_complete = 3.92
@@ -236,6 +256,11 @@ class TestCommands:
         assert env["cpus_available"] == len(os.sched_getaffinity(0))
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        # VmHWM of this process, which ran the command
+        status = Path("/proc/self/status").read_text()
+        hwm = int(status.split("VmHWM:")[1].split()[0]) / 1024.0
+        assert 0.0 < manifest["peak_rss_mb"] <= hwm
+        assert cli._peak_rss_mb(str(tmp_path / "no-status")) is None
 
     def test_commands_do_not_import_scipy(self, tmp_path):
         # only spectral.ipr_localization needs scipy, and imports it itself;

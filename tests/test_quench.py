@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qbchain import model, quench
 from qbchain.exceptions import (
     BranchCutError,
     DomainError,
+    DoubleOverflowError,
     ExceptionalPointError,
     ResolutionError,
 )
@@ -107,7 +109,8 @@ class TestReturnRate:
         f = quench.pgp_field(p)
         rr = quench.return_rate(f)
         assert abs(rr[0]) < 1e-12
-        assert f.gk.shape == (200, 50)
+        assert f.log_mag2.shape == (50, 200)
+        assert f.phi_pgp.shape == (200, 50)
 
     def test_cusps_at_critical_times(self):
         p = quench.QuenchProtocol.default(CI, CF4, n_half=400, n_t=400)
@@ -268,6 +271,10 @@ class TestPgpAndDtop:
         ct = quench.critical_set(p)
         d = quench.dtop(f, ct)
         assert np.nonzero(~d.resolved)[0].tolist() == [166]
+        for got, want in zip((d.dtop_plus, d.dtop_minus, d.drift_plus,
+                              d.drift_minus, d.resolved),
+                             reference_dtop(p, f.phi_pgp, ct)):
+            assert np.array_equal(got, want)
         assert abs(d.t[166] - 10.010050) < 1e-6
         for w in (d.dtop_plus, d.dtop_minus):
             assert np.isfinite(w).all()
@@ -288,6 +295,67 @@ def serial_field(p):
     return gk, phi_pgp
 
 
+def reference_return_rate(gk):
+    """return_rate as computed from the complex (n_k, n_t) amplitude."""
+    mag2 = np.abs(gk) ** 2
+    rr = np.full(mag2.shape[1], np.inf)
+    ok = (mag2 > 0.0).all(axis=0)
+    with np.errstate(divide="ignore"):
+        rr[ok] = -np.mean(np.log(mag2[:, ok]), axis=0)
+    return rr
+
+
+def reference_dtop(p, phi_pgp, critical=None):
+    """dtop on masked copies of each half zone, as before the views."""
+    crossings = critical.entries if critical is not None else []
+    resolved = np.ones(p.t_grid.size, dtype=bool)
+    halves = []
+    for side, mask in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
+        ks = p.k_grid[mask]
+        phi = phi_pgp[mask]
+        inc = quench._wrap(np.diff(phi, axis=0))
+        total = inc.sum(axis=0)
+        for i, it in zip(*np.nonzero(np.abs(inc) > np.pi / 2)):
+            a, b, t = ks[i], ks[i + 1], p.t_grid[it]
+            npts = 8
+            for _ in range(quench._MAX_REFINE):
+                _, Ef, ov = quench._overlap_fields(np.linspace(a, b, npts + 1),
+                                                   p.initial, p.final)
+                g, phi_dyn = quench._gk_and_dyn(Ef, ov, t)
+                sub_inc = quench._wrap(np.diff(np.angle(g) - phi_dyn))
+                if np.abs(sub_inc).max() <= np.pi / 2:
+                    break
+                npts *= 8
+            else:
+                lo = p.t_grid[max(it - 1, 0)]
+                hi = p.t_grid[min(it + 1, p.t_grid.size - 1)]
+                assert any(s == side and a <= kc <= b and lo < tc < hi
+                           for _, s, kc, tc, _ in crossings)
+                resolved[it] = False
+            total[it] += sub_inc.sum() - inc[i, it]
+        drift = (phi[-1] - phi[0]) / (2 * np.pi)
+        halves.append((total / (2 * np.pi) - drift, drift))
+    (dplus, drift_plus), (dminus, drift_minus) = halves
+    return dplus, dminus, drift_plus, drift_minus, resolved
+
+
+def assert_matches_references(p, f, gk, phi_pgp, critical=None):
+    assert np.array_equal(f.log_mag2, np.log(np.abs(gk) ** 2).T)
+    assert np.array_equal(f.phi_pgp, phi_pgp)
+    assert np.array_equal(quench.return_rate(f), reference_return_rate(gk))
+    d = quench.dtop(f, critical)
+    ref = reference_dtop(p, phi_pgp, critical)
+    for got, want in zip((d.dtop_plus, d.dtop_minus, d.drift_plus,
+                          d.drift_minus, d.resolved), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def default_field():
+    p = quench.QuenchProtocol.default(CI, CF4)
+    return p, quench.pgp_field(p)
+
+
 class TestChunkedField:
     @pytest.mark.parametrize("rows, cpus, workers", [
         (8, 2, 2),      # 75 momenta: ten chunks, the last of 3 rows
@@ -304,15 +372,25 @@ class TestChunkedField:
         f = quench.pgp_field(p)
         gk, phi_pgp = serial_field(p)
         assert f.workers == workers
-        assert np.array_equal(f.gk, gk)
-        assert np.array_equal(f.phi_pgp, phi_pgp)
+        # 468 steps of this coarse grid's + half zone go through refinement
+        assert_matches_references(p, f, gk, phi_pgp)
 
-    def test_default_field_matches_serial_body(self):
-        p = quench.QuenchProtocol.default(CI, CF4)
-        f = quench.pgp_field(p)
+    def test_default_field_matches_serial_body(self, default_field):
+        p, f = default_field
         gk, phi_pgp = serial_field(p)
-        assert np.array_equal(f.gk, gk)
-        assert np.array_equal(f.phi_pgp, phi_pgp)
+        assert_matches_references(p, f, gk, phi_pgp)
+
+    def test_exact_zero_matches_reference(self):
+        # one g_k(t) = 0 puts -inf in log_mag2: RR = +inf at that time only
+        p = quench.QuenchProtocol.default(CI, CF4, n_half=100, n_t=50)
+        f = quench.pgp_field(p)
+        gk, _ = serial_field(p)
+        gk[17, 9] = 0.0
+        f.log_mag2[9, 17] = -np.inf
+        with np.errstate(all="raise"):
+            rr = quench.return_rate(f)
+        assert np.array_equal(rr, reference_return_rate(gk))
+        assert np.isinf(rr).tolist() == [i == 9 for i in range(50)]
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         p = quench.QuenchProtocol.default(CI, CF4, n_half=100, n_t=20)
@@ -367,3 +445,42 @@ class TestChunkedField:
         assert seen == list(range(400))
         assert count["started"] == 400
         assert count["ahead"] <= 12
+
+
+class TestFieldMemory:
+    def test_return_rate_and_dtop_allocate_little(self, default_field):
+        # tracemalloc sees numpy's data buffers: return_rate makes no
+        # full-size temporary, dtop one half-zone difference at a time
+        p, f = default_field
+        assert np.isfinite(f.log_mag2).all()
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for fn in (quench.return_rate, quench.dtop):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fn(f)
+                peaks[fn.__name__] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks["return_rate"] < 0.01 * f.log_mag2.nbytes
+        assert peaks["dtop"] < 1.25 * f.phi_pgp.nbytes
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_typed(self):
+        # |Im E^f| t passes about 354 from t = 1667: |g_k|^2 leaves the
+        # double range, and the field says so instead of holding inf and NaN
+        cf = derive_couplings(1, 0.9, 3.0)
+        p = quench.QuenchProtocol.default(CI, cf, t_max=5000, n_half=50, n_t=400)
+        with pytest.raises(DoubleOverflowError, match=r"max\|Im E\^f\| t = 35"):
+            quench.pgp_field(p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_below_overflow_is_finite(self):
+        cf = derive_couplings(1, 0.9, 3.0)
+        p = quench.QuenchProtocol.default(CI, cf, t_max=1600, n_half=50, n_t=400)
+        f = quench.pgp_field(p)
+        assert np.isfinite(f.log_mag2).all() and np.isfinite(f.phi_pgp).all()
+        assert np.isfinite(quench.return_rate(f)).all()
