@@ -1,0 +1,59 @@
+"""Timings of the default amplify scan and its winding, with pytest-benchmark.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_amplify.py \
+        --benchmark-json BENCH_10.json
+
+``amplification_phase_scan`` runs the default scan (41 deltas at
+theta = 0.4, N = 40): per delta a winding, a susceptibility and its gain
+metrics.  ``classify_phase_imag`` winds the nSSH1 Bloch vector on the
+default 2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
+``winding_pair`` winds the same vector one momentum at a time, as a
+reference for that speed-up.  The file name is outside pytest's default
+``test_*.py`` pattern, so the test suite does not collect it; pass it to
+pytest by path.  Each record's ``extra_info`` holds the manifest's ``env``
+block (versions, BLAS, cores, thread settings).
+"""
+
+import pytest
+
+from qbchain import amplification, cli, model, topology
+
+ROUNDS = 10
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return cli.validate({"command": "amplify", "regime": "imaginary"})
+
+
+@pytest.fixture(scope="module")
+def couplings(cfg):
+    return model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
+                                  float(cfg["theta"]))
+
+
+def test_amplification_phase_scan(benchmark, cfg):
+    benchmark.extra_info["env"] = cli._environment()
+    rows = benchmark.pedantic(
+        amplification.amplification_phase_scan,
+        args=(float(cfg["J"]), float(cfg["theta"]), cli._delta_grid(cfg),
+              int(cfg["n_cells"])),
+        rounds=ROUNDS, iterations=1)
+    assert len(rows) == 41
+
+
+def test_classify_phase_imag(benchmark, couplings):
+    benchmark.extra_info["env"] = cli._environment()
+    label = benchmark.pedantic(topology.classify_phase_imag, args=(couplings,),
+                               rounds=ROUNDS, iterations=1)
+    assert label.tag is topology.Phase.NONTRIVIAL
+
+
+def test_winding_pair_per_momentum(benchmark, couplings):
+    benchmark.extra_info["env"] = cli._environment()
+    res = benchmark.pedantic(
+        topology.winding_pair,
+        args=(lambda k: model.bloch_nssh1(k, couplings),
+              topology.default_bz_grid()),
+        rounds=ROUNDS, iterations=1)
+    assert res == topology.classify_phase_imag(couplings).winding

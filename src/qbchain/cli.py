@@ -12,6 +12,7 @@ failure in ``check``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,6 +259,12 @@ def _write(outdir: Path, name: str, text: str, files: list) -> None:
     files.append({"name": name, "rows": rows})
 
 
+def _stage(stages: list, name: str, t0: float, shape, nbytes, **extra) -> None:
+    """Record a manifest stage timed from ``t0`` (a ``perf_counter`` value)."""
+    stages.append({"name": name, "wall_s": time.perf_counter() - t0,
+                   "shape": list(shape), "bytes": int(nbytes), **extra})
+
+
 def _cmd_spectrum(cfg, outdir, files, tolerances):
     regime = model.Regime(cfg["regime"])
     if cfg["boundary"] == "pbc":
@@ -308,15 +315,15 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances):
             c = model.derive_couplings(float(cfg["J"]), d, th)
             if cfg["regime"] == "real":
                 label = topology.classify_phase_real(c)
-                provider = lambda k: model.bloch_nssh2(k, c)
             else:
                 label = topology.classify_phase_imag(c, grid)
-                provider = lambda k: model.bloch_nssh1(k, c)
             if label.tag is topology.Phase.CRITICAL:
                 lines.append(",".join([_fmt(d), _fmt(th), "nan", "nan", "nan",
                                        label.tag.value]))
                 continue
-            res = topology.winding_pair(provider, grid)
+            res = label.winding
+            if res is None:  # the real-regime label comes from thresholds
+                res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
             lines.append(",".join([_fmt(d), _fmt(th), _fmt(res.nu1),
                                    _fmt(res.nu2), _fmt(res.nu),
                                    label.tag.value]))
@@ -332,20 +339,17 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
                                       n_half=int(cfg["n_half"]),
                                       n_t=int(cfg["n_t"]))
 
-    def stage(name, t0, shape, nbytes, **extra):
-        stages.append({"name": name, "wall_s": time.perf_counter() - t0,
-                       "shape": list(shape), "bytes": int(nbytes), **extra})
-
     t0 = time.perf_counter()
     field = quench.pgp_field(p)
     held = {name: {"shape": list(a.shape), "bytes": a.nbytes} for name, a in
             (("phi_pgp", field.phi_pgp), ("log_mag2", field.log_mag2))}
-    stage("pgp_field", t0, field.phi_pgp.shape,
-          field.phi_pgp.nbytes + field.log_mag2.nbytes, workers=field.workers,
-          arrays=held)
+    _stage(stages, "pgp_field", t0, field.phi_pgp.shape,
+           field.phi_pgp.nbytes + field.log_mag2.nbytes, workers=field.workers,
+           arrays=held)
     t0 = time.perf_counter()
     rr = quench.return_rate(field)
-    stage("return_rate", t0, rr.shape, rr.nbytes)
+    field.log_mag2 = None  # read by return_rate only: freed before the later stages
+    _stage(stages, "return_rate", t0, rr.shape, rr.nbytes)
     lines = ["t,return_rate"]
     for t, r in zip(p.t_grid, rr):
         lines.append(f"{_fmt(t)},{'inf' if np.isinf(r) else _fmt(r)}")
@@ -353,7 +357,8 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
 
     t0 = time.perf_counter()
     ct = quench.critical_set(p, range(int(cfg["n_max"])))
-    stage("critical_set", t0, (len(ct.entries), 5), 40 * len(ct.entries))
+    _stage(stages, "critical_set", t0, (len(ct.entries), 5),
+           40 * len(ct.entries))
     lines = ["n,side,k_c,t_c,residual"]
     for n, side, kc, tc, resid in ct.entries:
         lines.append(f"{n},{side},{_fmt(kc)},{_fmt(tc)},{_fmt(resid)}")
@@ -365,7 +370,7 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     t0 = time.perf_counter()
     d = quench.dtop(field, ct)
     series = (d.dtop_plus, d.dtop_minus, d.drift_plus, d.drift_minus)
-    stage("dtop", t0, d.dtop_plus.shape, sum(a.nbytes for a in series))
+    _stage(stages, "dtop", t0, d.dtop_plus.shape, sum(a.nbytes for a in series))
     lines = ["t,dtop_plus,dtop_minus,drift_plus,drift_minus,resolved"]
     for ok, row in zip(d.resolved, zip(d.t, *series)):
         lines.append(",".join(_fmt(x) for x in row) + f",{int(ok)}")
@@ -390,15 +395,20 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     t0 = time.perf_counter()
     nbytes, workers = _write_pgp_grid(outdir / "pgp_grid.csv", p.k_grid,
                                       p.t_grid, field.phi_pgp)
-    stage("pgp_grid.csv", t0, (field.phi_pgp.size, 3), nbytes, workers=workers)
+    _stage(stages, "pgp_grid.csv", t0, (field.phi_pgp.size, 3), nbytes,
+           workers=workers)
     files.append({"name": "pgp_grid.csv", "rows": field.phi_pgp.size})
 
 
-def _cmd_amplify(cfg, outdir, files, tolerances):
+def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
                                float(cfg["theta"]))
     n_cells = int(cfg["n_cells"])
+    t0 = time.perf_counter()
     rep = amplification.susceptibility(c, n_cells)
+    _stage(stages, "susceptibility", t0, rep.chi_x.shape, sum(a.nbytes for a in (
+        rep.chi_x, rep.chi_p, rep.chi_ac_x, rep.chi_ac_p, rep.chi_bd_x,
+        rep.chi_bd_p)))
     tolerances["susceptibility_residual"] = rep.residual
     # cell-sublattice labels, e.g. "3C", per sector; each row's "row,col,"
     # prefixes are built once and one % fills the row
@@ -410,14 +420,19 @@ def _cmd_amplify(cfg, outdir, files, tolerances):
             ("chi_bd_x", rep.chi_bd_x, "BD", "AC"),
             ("chi_bd_p", rep.chi_bd_p, "BD", "AC")]
     for name, sub, rows, cols in subs:
+        t0 = time.perf_counter()
         with (outdir / f"{name}.csv").open("w") as fh:
-            fh.write("row,col,abs_value\n")
+            nbytes = fh.write("row,col,abs_value\n")
             for rl, mag in zip(labels[rows], np.abs(sub)):
-                fh.write((rl + rl.join(col_cells[cols])) % tuple(mag.tolist()))
+                nbytes += fh.write(
+                    (rl + rl.join(col_cells[cols])) % tuple(mag.tolist()))
+        _stage(stages, f"{name}.csv", t0, (sub.size, 3), nbytes)
         files.append({"name": f"{name}.csv", "rows": sub.size})
     lines = ["delta,delta0,nu,gain_ac_x,gain_ac_p,gain_bd_x,gain_bd_p"]
+    t0 = time.perf_counter()
     scan = amplification.amplification_phase_scan(
         float(cfg["J"]), float(cfg["theta"]), _delta_grid(cfg), n_cells)
+    _stage(stages, "phase_scan", t0, (len(scan), 7), 56 * len(scan))
     for d, d0, nu, gains in scan:
         lines.append(",".join([
             _fmt(d), _fmt(d0), _fmt(nu if nu is not None else float("nan")),
@@ -494,8 +509,14 @@ def _cmd_check(cfg, outdir, files, tolerances):
     return len(failures)
 
 
+@functools.cache
 def _environment() -> dict:
-    """Versions, BLAS, cores and thread settings behind a run's timings."""
+    """Versions, BLAS, cores and thread settings behind a run's timings.
+
+    Computed once per process: the metadata lookup costs about 10 ms, and
+    BLAS reads its thread variables only when it is loaded.  Every caller
+    gets the same dict, so none may change it.
+    """
     import importlib.metadata  # 20 ms: kept off every command's start-up
 
     try:  # the installed version, without importing scipy
@@ -549,7 +570,7 @@ def run(cfg: dict) -> int:
         elif cfg["command"] == "quench":
             _cmd_quench(cfg, outdir, files, tolerances, stages)
         elif cfg["command"] == "amplify":
-            _cmd_amplify(cfg, outdir, files, tolerances)
+            _cmd_amplify(cfg, outdir, files, tolerances, stages)
         elif cfg["command"] == "check":
             if _cmd_check(cfg, outdir, files, tolerances):
                 status = 3

@@ -387,32 +387,21 @@ def quadrature_dynamical(c: CouplingSet, n_cells: int, boundary=None):
     wp = 0.5 * (c.w_r + c.w_l)
     wm = 0.5 * (c.w_l - c.w_r)
 
-    def ix(cell, sub):
-        return 4 * cell + sub
-
+    j = np.arange(n_cells)
+    i, o = j[1:], j[:-1]  # each cell but the first, and its left neighbour
     A, B, C, D = 0, 1, 2, 3
-    for j in range(n_cells):
-        for h in (hx, hp):
-            h[ix(j, A), ix(j, B)] = c.v
-            h[ix(j, B), ix(j, A)] = -c.v
-            h[ix(j, C), ix(j, D)] = -c.v
-            h[ix(j, D), ix(j, C)] = c.v
-        if j > 0:
-            hx[ix(j, A), ix(j - 1, B)] = wp
-            hx[ix(j, A), ix(j - 1, D)] = wm
-            hx[ix(j, C), ix(j - 1, D)] = -wp
-            hx[ix(j, C), ix(j - 1, B)] = wm
-            hp[ix(j, A), ix(j - 1, B)] = wp
-            hp[ix(j, A), ix(j - 1, D)] = -wm
-            hp[ix(j, C), ix(j - 1, D)] = -wp
-            hp[ix(j, C), ix(j - 1, B)] = -wm
-        if j < n_cells - 1:
-            hx[ix(j, B), ix(j + 1, A)] = -wp
-            hx[ix(j, B), ix(j + 1, C)] = wm
-            hx[ix(j, D), ix(j + 1, C)] = wp
-            hx[ix(j, D), ix(j + 1, A)] = wm
-            hp[ix(j, B), ix(j + 1, A)] = -wp
-            hp[ix(j, B), ix(j + 1, C)] = -wm
-            hp[ix(j, D), ix(j + 1, C)] = wp
-            hp[ix(j, D), ix(j + 1, A)] = -wm
+    for h, s in ((hx, 1.0), (hp, -1.0)):
+        g = h.reshape(n_cells, 4, n_cells, 4)  # view: g[cell, sub, cell', sub']
+        g[j, A, j, B] = c.v
+        g[j, B, j, A] = -c.v
+        g[j, C, j, D] = -c.v
+        g[j, D, j, C] = c.v
+        g[i, A, o, B] = wp
+        g[i, A, o, D] = s * wm
+        g[i, C, o, D] = -wp
+        g[i, C, o, B] = s * wm
+        g[o, B, i, A] = -wp
+        g[o, B, i, C] = s * wm
+        g[o, D, i, C] = wp
+        g[o, D, i, A] = s * wm
     return hx, hp

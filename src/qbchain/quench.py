@@ -245,7 +245,9 @@ class PgpField:
     """log |g_k(t)|^2 and the Pancharatnam geometric phase over one protocol's grid."""
 
     protocol: QuenchProtocol
-    log_mag2: np.ndarray   # (n_t, n_k), time-major; -inf where g_k(t) = 0
+    # (n_t, n_k), time-major; -inf where g_k(t) = 0; only return_rate reads
+    # it, so a caller done with it may set it to None
+    log_mag2: np.ndarray | None
     phi_pgp: np.ndarray    # (n_k, n_t)
     workers: int           # threads that built the field
 

@@ -46,6 +46,7 @@ class PhaseLabel:
     tag: Phase
     boundaries: tuple  # delta thresholds used for classification
     nu: float | None = None
+    winding: WindingResult | None = None  # the numerical winding, where computed
 
 
 @dataclass(frozen=True)
@@ -90,20 +91,16 @@ def _phi_angles(bloch: BlochVector):
     return phi1, phi2
 
 
-def winding_pair(d_provider, grid: np.ndarray) -> WindingResult:
-    """Winding numbers (nu1, nu2, nu) via wrapped angle increments over the BZ.
+def _winding(phi1: np.ndarray, phi2: np.ndarray) -> WindingResult:
+    """Winding numbers (nu1, nu2, nu) of two angle sequences over the BZ.
 
-    ``d_provider`` maps momentum -> BlochVector.  Each consecutive wrapped
-    increment must stay within pi/2; larger jumps mean the grid cannot
-    distinguish a fast winding from an aliased one near an EP.
+    The angles are sampled on a closed momentum loop.  Each consecutive
+    wrapped increment, the closing one included, must stay within pi/2;
+    larger jumps mean the grid cannot distinguish a fast winding from an
+    aliased one near an EP.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 401:
-        raise DomainError(f"winding grids need >= 401 points, got {grid.size}")
-    phi1 = np.empty(grid.size)
-    phi2 = np.empty(grid.size)
-    for i, k in enumerate(grid):
-        phi1[i], phi2[i] = _phi_angles(d_provider(k))
+    if phi1.size < 401:
+        raise DomainError(f"winding grids need >= 401 points, got {phi1.size}")
     total = np.empty(2)
     for j, phi in enumerate((phi1, phi2)):
         inc = _wrap(np.diff(np.append(phi, phi[0])))  # includes closure step
@@ -121,9 +118,23 @@ def winding_pair(d_provider, grid: np.ndarray) -> WindingResult:
         nu1=float(total[0]),
         nu2=float(total[1]),
         nu=float(0.5 * (total[0] + total[1])),
-        grid_size=int(grid.size),
+        grid_size=int(phi1.size),
         imag_residual=residual,
     )
+
+
+def winding_pair(d_provider, grid: np.ndarray) -> WindingResult:
+    """Winding numbers (nu1, nu2, nu) via wrapped angle increments over the BZ.
+
+    ``d_provider`` maps one momentum -> BlochVector; see :func:`_winding`
+    for the resolution rule.
+    """
+    grid = np.asarray(grid, dtype=float)
+    phi1 = np.empty(grid.size)
+    phi2 = np.empty(grid.size)
+    for i, k in enumerate(grid):
+        phi1[i], phi2[i] = _phi_angles(d_provider(k))
+    return _winding(phi1, phi2)
 
 
 def winding_integral(d_provider, grid: np.ndarray) -> complex:
@@ -200,7 +211,8 @@ def classify_phase_imag(c: CouplingSet, grid: np.ndarray | None = None) -> Phase
     boundaries = (float(delta0),)
     if abs(c.delta - delta0) < CRITICAL_BAND:
         return PhaseLabel(tag=Phase.CRITICAL, boundaries=boundaries)
-    res = winding_pair(lambda k: bloch_nssh1(k, c), grid)
+    # bloch_nssh1 acts per element, so these are the per-momentum angles
+    res = _winding(*_phi_angles(bloch_nssh1(np.asarray(grid, dtype=float), c)))
     nu = res.nu
     tag = Phase.NONTRIVIAL if abs(nu - 1.0) < 0.25 else Phase.TRIVIAL
     # independent cross-check against the closed-form transition point
@@ -210,7 +222,7 @@ def classify_phase_imag(c: CouplingSet, grid: np.ndarray | None = None) -> Phase
             f"winding nu={nu:.4f} disagrees with delta0={delta0:.6f} "
             f"classification at delta={c.delta}"
         )
-    return PhaseLabel(tag=tag, boundaries=boundaries, nu=float(nu))
+    return PhaseLabel(tag=tag, boundaries=boundaries, nu=float(nu), winding=res)
 
 
 def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qbchain import amplification, model, topology
+from qbchain import amplification, cli, model, topology
 from qbchain.exceptions import DomainError, SingularityError
 from qbchain.model import OBC, Regime, derive_couplings
 
@@ -38,6 +39,45 @@ def reference_quadrature_n2(c):
     return hx, hp
 
 
+def reference_quadrature_loop(c, n_cells):
+    """The quadrature generators set cell by cell, one entry at a time."""
+    n = 4 * n_cells
+    hx = np.zeros((n, n))
+    hp = np.zeros((n, n))
+    wp = 0.5 * (c.w_r + c.w_l)
+    wm = 0.5 * (c.w_l - c.w_r)
+
+    def ix(cell, sub):
+        return 4 * cell + sub
+
+    A, B, C, D = 0, 1, 2, 3
+    for j in range(n_cells):
+        for h in (hx, hp):
+            h[ix(j, A), ix(j, B)] = c.v
+            h[ix(j, B), ix(j, A)] = -c.v
+            h[ix(j, C), ix(j, D)] = -c.v
+            h[ix(j, D), ix(j, C)] = c.v
+        if j > 0:
+            hx[ix(j, A), ix(j - 1, B)] = wp
+            hx[ix(j, A), ix(j - 1, D)] = wm
+            hx[ix(j, C), ix(j - 1, D)] = -wp
+            hx[ix(j, C), ix(j - 1, B)] = wm
+            hp[ix(j, A), ix(j - 1, B)] = wp
+            hp[ix(j, A), ix(j - 1, D)] = -wm
+            hp[ix(j, C), ix(j - 1, D)] = -wp
+            hp[ix(j, C), ix(j - 1, B)] = -wm
+        if j < n_cells - 1:
+            hx[ix(j, B), ix(j + 1, A)] = -wp
+            hx[ix(j, B), ix(j + 1, C)] = wm
+            hx[ix(j, D), ix(j + 1, C)] = wp
+            hx[ix(j, D), ix(j + 1, A)] = wm
+            hp[ix(j, B), ix(j + 1, A)] = -wp
+            hp[ix(j, B), ix(j + 1, C)] = -wm
+            hp[ix(j, D), ix(j + 1, C)] = wp
+            hp[ix(j, D), ix(j + 1, A)] = -wm
+    return hx, hp
+
+
 class TestQuadratureGenerators:
     def test_n2_fixture_exact(self):
         c = derive_couplings(1, 0.3, 0.7)
@@ -45,6 +85,16 @@ class TestQuadratureGenerators:
         rx, rp = reference_quadrature_n2(c)
         assert np.array_equal(hx, rx)
         assert np.array_equal(hp, rp)
+
+    @pytest.mark.parametrize("n_cells", [2, 3, 40])
+    @pytest.mark.parametrize("delta, theta", [(0.3, 0.7), (-0.5, 0.0), (0.9, 2.0)])
+    def test_matches_cell_loop(self, n_cells, delta, theta):
+        c = derive_couplings(1, delta, theta)
+        for h, ref in zip(model.quadrature_dynamical(c, n_cells),
+                          reference_quadrature_loop(c, n_cells)):
+            # bit for bit, signed zeros included (w- = 0 at theta = 0)
+            assert h.shape == ref.shape
+            assert np.array_equal(h.view(np.int64), ref.view(np.int64))
 
     def test_nambu_rotation_decouples_imaginary(self):
         c = derive_couplings(1, 0.5, 0.4)
@@ -235,3 +285,27 @@ class TestGain:
         with pytest.raises(DomainError):
             amplification.amplification_phase_scan(
                 1.0, 0.4, [delta0 + 5e-5], 6)
+
+
+class TestAmplifyOutputs:
+    """sha256 prefixes of the amplify data files at documented settings."""
+
+    @staticmethod
+    def _digests(out):
+        return {name: hashlib.sha256((out / f"{name}.csv").read_bytes())
+                .hexdigest()[:16] for name in ("amplification_scan", "chi_ac_x",
+                                               "chi_ac_p", "chi_bd_x", "chi_bd_p")}
+
+    @pytest.mark.parametrize("overrides, scan, ac, bd", [
+        ({}, "1d1092312d08be9b", "b2a3b4d7a0c14143", "5087230ed41971b2"),
+        ({"theta": "0", "delta": "0.5", "delta_min": "0.5", "delta_steps": "1",
+          "n_cells": "80"},
+         "66ec70bace83088b", "f67da9ad4fa0836b", "571ee1717d6db312"),
+    ])
+    def test_outputs_unchanged(self, tmp_path, overrides, scan, ac, bd):
+        cfg = cli.validate({"command": "amplify", "regime": "imaginary",
+                            "out": str(tmp_path), **overrides})
+        assert cli.run(cfg) == 0
+        assert self._digests(tmp_path) == {
+            "amplification_scan": scan, "chi_ac_x": ac, "chi_ac_p": ac,
+            "chi_bd_x": bd, "chi_bd_p": bd}

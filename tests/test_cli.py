@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import qbchain
-from qbchain import cli, model, quench
+from qbchain import cli, model, quench, topology
 
 
 def run_cli(tmp_path, args):
@@ -111,6 +112,43 @@ class TestCommands:
         lines = (out / "phase_diagram.csv").read_text().splitlines()
         labels = [l.split(",")[-1] for l in lines[1:]]
         assert labels == ["trivial", "moebius", "nontrivial"]
+
+    def test_phase_diagram_imaginary(self, tmp_path):
+        """The classifier's winding is reused, byte for byte."""
+        code, out, _ = run_cli(tmp_path, ["--config", str(self._imag_cfg(
+            tmp_path, "delta_steps=9\ntheta_steps=3\ngrid_points=401\n"))])
+        assert code == 0
+        grid = topology.default_bz_grid(401)
+        lines = ["delta,theta,nu1,nu2,nu,label"]
+        for th in np.linspace(0.0, 1.0, 3):
+            for d in np.linspace(-0.9, 0.9, 9):
+                c = model.derive_couplings(1.0, d, th)
+                tag = topology.classify_phase_imag(c, grid).tag
+                if tag is topology.Phase.CRITICAL:
+                    lines.append(f"{cli._fmt(d)},{cli._fmt(th)},nan,nan,nan,"
+                                 f"{tag.value}")
+                    continue
+                res = topology.winding_pair(lambda k: model.bloch_nssh1(k, c),
+                                            grid)
+                lines.append(",".join([cli._fmt(d), cli._fmt(th),
+                                       cli._fmt(res.nu1), cli._fmt(res.nu2),
+                                       cli._fmt(res.nu), tag.value]))
+        text = (out / "phase_diagram.csv").read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert text.count(",critical\n") == 1
+
+    def test_phase_diagram_imaginary_digest(self, tmp_path):
+        code, out, _ = run_cli(tmp_path, ["--config", str(self._imag_cfg(
+            tmp_path, "theta_steps=3\n"))])
+        assert code == 0
+        digest = hashlib.sha256((out / "phase_diagram.csv").read_bytes())
+        assert digest.hexdigest()[:16] == "2d77e572a5565117"
+
+    @staticmethod
+    def _imag_cfg(tmp_path, extra):
+        cfg = tmp_path / "pi.cfg"
+        cfg.write_text("command=phase-diagram\nregime=imaginary\n" + extra)
+        return cfg
 
     def test_quench_outputs(self, tmp_path):
         cfg = tmp_path / "q.cfg"
@@ -221,6 +259,18 @@ class TestCommands:
         first = (out / "chi_ac_x.csv").read_text().splitlines()[1]
         assert first.split(",")[0] == "1A" and first.split(",")[1] == "1B"
         assert manifest["tolerances"]["susceptibility_residual"] < 1e-10
+        stages = {s["name"]: s for s in manifest["stages"]}
+        writes = ["chi_ac_x.csv", "chi_ac_p.csv", "chi_bd_x.csv", "chi_bd_p.csv"]
+        assert list(stages) == ["susceptibility", *writes, "phase_scan"]
+        assert all(s["wall_s"] >= 0.0 for s in stages.values())
+        # chi_x, chi_p (16 x 16) and four 8 x 8 sector blocks
+        assert stages["susceptibility"]["shape"] == [16, 16]
+        assert stages["susceptibility"]["bytes"] == 8 * (2 * 256 + 4 * 64)
+        for name in writes:
+            assert stages[name]["shape"] == [64, 3]
+            assert stages[name]["bytes"] == (out / name).stat().st_size
+        assert stages["phase_scan"]["shape"] == [2, 7]
+        assert stages["phase_scan"]["bytes"] == 2 * 7 * 8
 
     def test_check_passes(self, tmp_path):
         code, out, manifest = run_cli(tmp_path, ["--command", "check"])
@@ -256,6 +306,8 @@ class TestCommands:
         assert env["cpus_available"] == len(os.sched_getaffinity(0))
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        # computed once per process
+        assert cli._environment() is cli._environment()
         # VmHWM of this process, which ran the command
         status = Path("/proc/self/status").read_text()
         hwm = int(status.split("VmHWM:")[1].split()[0]) / 1024.0

@@ -117,6 +117,7 @@ class TestClassification:
             assert lab.tag is tag
             assert lab.nu == nu
             assert lab.boundaries == (lower, 0.0)
+            assert lab.winding is None  # thresholds, no numerical winding
 
     def test_real_critical_band(self):
         lab = topology.classify_phase_real(derive_couplings(1, 1e-9, 0.4))
@@ -135,6 +136,60 @@ class TestClassification:
             assert abs(lab.nu - 1.0) < 1e-6
         lab = topology.classify_phase_imag(derive_couplings(1, delta0 + 1e-8, 0.4))
         assert lab.tag is Phase.CRITICAL
+
+
+def _near_ep_grid(c, half_width=1e-3, n_fine=2001):
+    """The default grid plus fine clusters around +-k* of the single EP."""
+    k_star = topology.ep_nssh1(c)[1]
+    fine = np.linspace(-half_width, half_width, n_fine)
+    extra = np.concatenate([k_star + fine, -k_star + fine])
+    extra = (extra + np.pi) % (2 * np.pi) - np.pi
+    return np.unique(np.concatenate([topology.default_bz_grid(), extra]))
+
+
+class TestArrayWinding:
+    """classify_phase_imag winds bloch_nssh1 on the whole grid at once."""
+
+    @staticmethod
+    def _per_k(c, grid):
+        return topology.winding_pair(lambda k: model.bloch_nssh1(k, c), grid)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 2.0])
+    def test_matches_per_momentum_winding(self, theta):
+        delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+        for delta in (-0.9, delta0 - 1e-5, delta0 + 1e-5, 0.5):
+            c = derive_couplings(1, delta, theta)
+            # the clustered grid resolves |delta - delta0| = 1e-5 at every theta
+            grid = _near_ep_grid(c)
+            ref = self._per_k(c, grid)
+            lab = topology.classify_phase_imag(c, grid)
+            assert lab.winding == ref
+            assert lab.nu == ref.nu
+            assert lab.tag is (Phase.NONTRIVIAL if delta > delta0 else Phase.TRIVIAL)
+            # on the default grid both paths agree, resolved or not
+            grid = topology.default_bz_grid()
+            try:
+                ref = self._per_k(c, grid)
+            except ResolutionError:
+                with pytest.raises(ResolutionError, match="grid too coarse"):
+                    topology.classify_phase_imag(c, grid)
+            else:
+                assert topology.classify_phase_imag(c, grid).winding == ref
+
+    @pytest.mark.parametrize("theta, n", [(0.0, 401), (0.4, 2001), (2.0, 2001)])
+    def test_coarse_grid_near_ep_raises(self, theta, n):
+        delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+        c = derive_couplings(1, delta0 + 1e-5, theta)
+        with pytest.raises(ResolutionError, match="grid too coarse"):
+            topology.classify_phase_imag(c, topology.default_bz_grid(n))
+
+    def test_grid_size_checked(self):
+        c = derive_couplings(1, 0.5, 0.4)
+        grid = np.linspace(-np.pi, np.pi, 400, endpoint=False)
+        with pytest.raises(DomainError):
+            topology.classify_phase_imag(c, grid)
+        with pytest.raises(DomainError):
+            self._per_k(c, grid)
 
 
 class TestEnergyLoops:
