@@ -1,14 +1,17 @@
-"""Timings of the default amplify scan and its winding, with pytest-benchmark.
+"""Timings of the default amplify scan, its winding and the chi CSV writes,
+with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_amplify.py \
-        --benchmark-json BENCH_10.json
+        --benchmark-json BENCH_11.json
 
 ``amplification_phase_scan`` runs the default scan (41 deltas at
-theta = 0.4, N = 40): per delta a winding, a susceptibility and its gain
-metrics.  ``classify_phase_imag`` winds the nSSH1 Bloch vector on the
-default 2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
-``winding_pair`` winds the same vector one momentum at a time, as a
-reference for that speed-up.  The file name is outside pytest's default
+theta = 0.4, N = 40): per delta a winding and the checked Neumann blocks
+of chi, with no dense chi.  ``classify_phase_imag`` winds the nSSH1 Bloch
+vector on the default 2001-point grid at (delta, theta) = (0.5, 0.4), all
+momenta at once; ``winding_pair`` winds the same vector one momentum at a
+time, as a reference for that speed-up.  ``chi_csv_writes`` writes the four
+``chi_*.csv`` files of the theta = 0, N = 80 run (4 x 25,600 rows) into a
+fresh directory each round.  The file name is outside pytest's default
 ``test_*.py`` pattern, so the test suite does not collect it; pass it to
 pytest by path.  Each record's ``extra_info`` holds the manifest's ``env``
 block (versions, BLAS, cores, thread settings).
@@ -57,3 +60,24 @@ def test_winding_pair_per_momentum(benchmark, couplings):
               topology.default_bz_grid()),
         rounds=ROUNDS, iterations=1)
     assert res == topology.classify_phase_imag(couplings).winding
+
+
+def test_chi_csv_writes(benchmark, tmp_path):
+    benchmark.extra_info["env"] = cli._environment()
+    rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.0), 80)
+    files = {"chi_ac_x": ("AC", "BD"), "chi_ac_p": ("AC", "BD"),
+             "chi_bd_x": ("BD", "AC"), "chi_bd_p": ("BD", "AC")}
+
+    def fresh_files():
+        for name in files:
+            (tmp_path / f"{name}.csv").unlink(missing_ok=True)
+        return (), {}
+
+    def write_all():
+        return sum(cli._write_chi(tmp_path / f"{name}.csv", getattr(rep, name),
+                                  *sectors) for name, sectors in files.items())
+
+    nbytes = benchmark.pedantic(write_all, setup=fresh_files, rounds=ROUNDS,
+                                iterations=1)
+    assert nbytes == sum((tmp_path / f"{name}.csv").stat().st_size
+                         for name in files)

@@ -20,6 +20,7 @@ from .topology import classify_phase_imag, ep_nssh1
 __all__ = [
     "SusceptibilityReport",
     "GainProfile",
+    "PhaseScan",
     "susceptibility",
     "closed_form_theta0",
     "gain_metrics",
@@ -67,30 +68,53 @@ def _sector_indices(n_cells: int):
     return ac, bd
 
 
-def _lower_blocks(d, w, n_cells: int) -> np.ndarray:
-    """Blocks of the inverse of the block-lower-bidiagonal I(x)d + S(x)w.
+#: (sector, quadrature) of each stack of Neumann blocks, in gain_metrics' order
+PAIRS = (("AC", "X"), ("AC", "P"), ("BD", "X"), ("BD", "P"))
 
-    d is diagonal, so the inverse is block-lower Toeplitz: block (i, j) is
-    B_(i-j), with B_0 = d^-1 and B_m = (-d^-1 w) B_(m-1).  Returns
-    B_0 .. B_(N-1) and a zero block at index N for the upper triangle.
+
+def _cell_bands(h: np.ndarray, n_cells: int):
+    """The 2x2 blocks of X = h[ac, bd] and Y = h[bd, ac] that h's bands hold.
+
+    Checks that every nonzero of h lies in X's diagonal and sub-diagonal
+    cell blocks or Y's diagonal and super-diagonal ones (so the AC x AC and
+    BD x BD parts, X's upper band and Y's lower band are zero), and that
+    each band is block-Toeplitz.  Returns (X_diag, X_sub, Y_diag, Y_super)
+    or None where h has another form.
     """
-    step = -w / np.diag(d)[:, None]
-    blocks = np.zeros((n_cells + 1, 2, 2))
-    blocks[0] = np.diag(1.0 / np.diag(d))
-    for m in range(1, n_cells):
-        blocks[m] = step @ blocks[m - 1]
-    return blocks
+    g = h.reshape(n_cells, 4, n_cells, 4)  # view: g[cell, sub, cell', sub']
+    j = np.arange(n_cells)
+    diag = g[j, :, j]                      # (N, 4, 4): cell j on cell j
+    lower = g[j[1:], :, j[:-1]]            # cell j + 1 on cell j
+    upper = g[j[:-1], :, j[1:]]            # cell j on cell j + 1
+    xs = (..., slice(0, None, 2), slice(1, None, 2))  # AC rows, BD columns
+    ys = (..., slice(1, None, 2), slice(0, None, 2))  # BD rows, AC columns
+    held = (diag[xs], lower[xs], diag[ys], upper[ys])
+    if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in held):
+        return None
+    if not all((b == b[0]).all() for b in held):
+        return None
+    return tuple(b[0] for b in held)
 
 
-def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
-    """Static susceptibilities chi_x = h_x^-1 and chi_p = h_p^-1.
+def _neumann_blocks(c: CouplingSet, n_cells: int):
+    """Blocks of chi_ac and chi_bd for both quadratures, checked against h.
 
     h is bipartite: its AC x AC and BD x BD blocks vanish, h[ac, bd] = X is
     block-lower bidiagonal, X = I(x)D + S(x)W with D = diag(v, -v) and
     W = [[w+, +-w-], [+-w-, -w+]], and h[bd, ac] = Y is its upper-shift
-    analogue.  So chi_bd = X^-1 and chi_ac = Y^-1 in closed form: a Neumann
-    series in -D^-1 W = -(v_crit/v) R(phi), a scaled rotation whose gain per
-    cell v_crit/|v| exceeds 1 exactly when delta > delta0.
+    analogue.  So chi_bd = X^-1 and chi_ac = Y^-1 = ((Y^T)^-1)^T, and both
+    X and Y^T are I(x)d + S(x)w with d diagonal: their inverses are
+    block-lower Toeplitz, with block B_m = (-d^-1 w)^m d^-1 at distance m.
+    -D^-1 W = -(v_crit/v) R(phi) is a scaled rotation whose gain per cell
+    v_crit/|v| exceeds 1 exactly when delta > delta0.
+
+    Returns (blocks, residual).  blocks has shape (4, N + 1, 2, 2), one
+    stack per entry of PAIRS: chi_bd's block (i, j) is blocks[BD, i - j]
+    and chi_ac's is blocks[AC, j - i]^T; blocks[:, N] is the zero block of
+    the other triangle.  residual is max|chi h - I| / max(1, max|chi|), the
+    larger of the two generators' values, computed from h's bands in O(N):
+    the block of chi_bd X at distance m is B_m X_diag + B_(m-1) X_sub, and
+    that of chi_ac Y is A_m^T Y_diag + A_(m-1)^T Y_super.
     """
     if c.v == 0.0:
         # X = S(x)W is then strictly block-lower: h is exactly singular
@@ -98,13 +122,68 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
             f"quadrature generators singular at v = 0 (delta={c.delta}): "
             f"no intracell coupling"
         )
-    hx, hp = quadrature_dynamical(c, n_cells)
+    gens = quadrature_dynamical(c, n_cells)
     _, _, delta0 = ep_nssh1(c)
     if abs(c.delta - delta0) < 1e-8:
         raise SingularityError(
             f"quadrature generators singular at the transition: delta={c.delta} "
             f"within 1e-8 of delta0={delta0:.8f}"
         )
+    wp = 0.5 * (c.w_r + c.w_l)
+    wm = 0.5 * (c.w_l - c.w_r)
+    # diagonals of d and the blocks w of Y^T (AC) and X (BD), per pair
+    d = np.array([[-c.v, c.v], [-c.v, c.v], [c.v, -c.v], [c.v, -c.v]])
+    w = np.empty((4, 2, 2))
+    w[:, 0, 0] = [-wp, -wp, wp, wp]
+    w[:, 1, 1] = [wp, wp, -wp, -wp]
+    w[:, 0, 1] = w[:, 1, 0] = [wm, -wm, wm, -wm]
+    blocks = np.zeros((4, n_cells + 1, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = -w / d[:, :, None]
+        blocks[:, 0, [0, 1], [0, 1]] = 1.0 / d
+        for m in range(1, n_cells):
+            blocks[:, m] = step @ blocks[:, m - 1]
+    if not np.isfinite(blocks).all():
+        raise SingularityError(
+            f"susceptibility overflows double precision at "
+            f"n_cells={n_cells}, delta={c.delta}: |chi| grows "
+            f"geometrically with n_cells"
+        )
+    prev = np.arange(n_cells) - 1  # index -1 is the zero block N
+    worst_res = 0.0
+    for q, h in enumerate(gens):
+        bands = _cell_bands(h, n_cells)
+        if bands is None:
+            raise SingularityError(
+                f"quadrature generator at delta={c.delta} is not the banded "
+                f"block-Toeplitz form that the closed form inverts"
+            )
+        x_diag, x_sub, y_diag, y_super = bands
+        left = np.stack([blocks[q].swapaxes(1, 2), blocks[2 + q]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (left[:, :n_cells] @ np.stack([y_diag, x_diag])[:, None]
+                 + left[:, prev] @ np.stack([y_super, x_sub])[:, None])
+            r[:, 0] -= np.eye(2)
+            res = np.abs(r).max()
+        # the residual floor scales with |chi| for strongly amplifying
+        # parameters; quality is judged relative to that scale
+        scale = max(1.0, np.abs(left).max())
+        if not np.isfinite(res) or res > 1e-10 * scale:
+            raise SingularityError(
+                f"inverse residual {res:.3e} too large at delta={c.delta} "
+                f"(transition at delta0={delta0:.6f})"
+            )
+        worst_res = max(worst_res, float(res / scale))
+    return blocks, worst_res
+
+
+def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
+    """Static susceptibilities chi_x = h_x^-1 and chi_p = h_p^-1.
+
+    Gathers the checked blocks of ``_neumann_blocks`` into the sector
+    sub-matrices and the dense 4N x 4N inverses, with no linear solve.
+    """
+    blocks, residual = _neumann_blocks(c, n_cells)
     ac, bd = _sector_indices(n_cells)
     # one gather index into the blocks: block distance (the zero block N
     # above the diagonal) and sublattice pair of each 2N x 2N entry
@@ -112,39 +191,14 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
     dist = cell[:, None] - cell[None, :]
     sub = np.arange(2 * n_cells) % 2
     idx = (np.where(dist >= 0, dist, n_cells), sub[:, None], sub[None, :])
-    wp = 0.5 * (c.w_r + c.w_l)
-    wm = 0.5 * (c.w_l - c.w_r)
-    dx = np.diag([c.v, -c.v])  # diagonal block of X; Y's is -dx
     n = 4 * n_cells
-    eye = np.eye(n)
     out = []
-    worst_res = 0.0
-    for h, s in ((hx, 1.0), (hp, -1.0)):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            chi_bd = _lower_blocks(
-                dx, np.array([[wp, s * wm], [s * wm, -wp]]), n_cells)[idx]
-            # Y^T = I(x)(-dx) + S(x)W', so Y^-1 is a transposed lower inverse
-            chi_ac = _lower_blocks(
-                -dx, np.array([[-wp, s * wm], [s * wm, wp]]), n_cells)[idx].T
-            chi = np.zeros((n, n))
-            chi[np.ix_(bd, ac)] = chi_bd
-            chi[np.ix_(ac, bd)] = chi_ac
-            if not np.isfinite(chi).all():
-                raise SingularityError(
-                    f"susceptibility overflows double precision at "
-                    f"n_cells={n_cells}, delta={c.delta}: |chi| grows "
-                    f"geometrically with n_cells"
-                )
-            # the residual floor scales with |chi| for strongly amplifying
-            # parameters; quality is judged relative to that scale
-            scale = max(1.0, np.abs(chi).max())
-            res = np.abs(chi @ h - eye).max()
-        if not np.isfinite(res) or res > 1e-10 * scale:
-            raise SingularityError(
-                f"inverse residual {res:.3e} too large at delta={c.delta} "
-                f"(transition at delta0={delta0:.6f})"
-            )
-        worst_res = max(worst_res, float(res / scale))
+    for q in range(2):
+        chi_bd = blocks[2 + q][idx]
+        chi_ac = blocks[q][idx].T
+        chi = np.zeros((n, n))
+        chi[np.ix_(bd, ac)] = chi_bd
+        chi[np.ix_(ac, bd)] = chi_ac
         out.append((chi, chi_ac, chi_bd))
     (chi_x, chi_ac_x, chi_bd_x), (chi_p, chi_ac_p, chi_bd_p) = out
     return SusceptibilityReport(
@@ -156,7 +210,7 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
         chi_bd_p=chi_bd_p,
         params=c,
         n_cells=n_cells,
-        residual=worst_res,
+        residual=residual,
     )
 
 
@@ -172,13 +226,12 @@ def closed_form_theta0(c: CouplingSet, n_cells: int):
     if c.v == 0.0:
         raise DomainError("closed form undefined at v=0")
     g0 = c.w_r / c.v
-    n = 2 * n_cells
-    ac = np.zeros((n, n))
-    for i in range(n_cells):
-        for j in range(i, n_cells):
-            val = abs(g0 ** (j - i) / c.v)
-            ac[2 * i, 2 * j] = val
-            ac[2 * i + 1, 2 * j + 1] = val
+    cell = np.repeat(np.arange(n_cells), 2)
+    m = cell[None, :] - cell[:, None]  # column cell minus row cell
+    sub = np.arange(2 * n_cells) % 2
+    entry = np.array([abs(g0 ** k / c.v) for k in range(n_cells)])
+    ac = np.where((m >= 0) & (sub[:, None] == sub[None, :]),
+                  entry[np.maximum(m, 0)], 0.0)
     return ac, ac.T.copy()
 
 
@@ -231,32 +284,50 @@ def gain_metrics(rep: SusceptibilityReport):
     return out
 
 
+class PhaseScan(list):
+    """Rows (delta, delta0, nu, {(sector, quadrature): end_to_end}) of a
+    scan; ``residual`` is the worst relative inverse residual over its
+    delta grid."""
+
+    def __init__(self, rows, residual: float):
+        super().__init__(rows)
+        self.residual = residual
+
+
 def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
     """Gain/topology table over a delta grid (imaginary regime).
 
-    Rows: (delta, delta0, nu, {(sector, quadrature): end_to_end}).  Points
-    too close to the transition are rejected up front.
+    Returns a ``PhaseScan``.  end_to_end, the largest |chi| entry between
+    the two end cells, is read from the checked Neumann blocks at distance
+    N - 1, with no dense chi; it equals ``gain_metrics``' value.  An empty
+    or non-finite grid and points too close to the transition are rejected
+    up front.
     """
     from .model import derive_couplings
 
-    rows = []
     deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.size == 0 or not np.isfinite(deltas).all():
+        raise DomainError(f"delta grid must be non-empty and finite, got {deltas}")
     _, _, delta0 = ep_nssh1(derive_couplings(J, 0.0, theta))
     if np.abs(deltas - delta0).min() < 1e-4:
         raise DomainError(
             f"delta grid must exclude |delta - delta0| < 1e-4 (delta0={delta0:.6f})"
         )
+    rows = []
+    worst_res = 0.0
     for d in deltas:
         c = derive_couplings(J, d, theta)
         label = classify_phase_imag(c)
         try:
-            rep = susceptibility(c, n_cells)
+            blocks, res = _neumann_blocks(c, n_cells)
         except SingularityError as exc:
             raise SingularityError(f"delta={d}: {exc}") from exc
-        gains = {(g.sector, g.quadrature): g.end_to_end
-                 for g in gain_metrics(rep)}
-        rows.append((float(d), float(delta0), label.nu, gains))
-    return rows
+        # the largest |chi| entry between the end cells: block N - 1
+        ends = np.abs(blocks[:, n_cells - 1]).max(axis=(1, 2))
+        rows.append((float(d), float(delta0), label.nu,
+                     dict(zip(PAIRS, ends.tolist()))))
+        worst_res = max(worst_res, res)
+    return PhaseScan(rows, worst_res)
 
 
 def nambu_to_quadrature(G_nambu: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -190,9 +191,11 @@ def validate(cfg: dict) -> dict:
                 "theta_max", "J_i", "delta_i", "theta_i", "J_f", "delta_f",
                 "theta_f", "t_max"):
         try:
-            float(full[key])
+            value = float(full[key])
         except ValueError:
             raise UsageError(f"{key} must be a number, got {full[key]!r}") from None
+        if not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {full[key]!r}")
     for key in ("n_cells", "k_points", "delta_steps", "theta_steps",
                 "grid_points", "n_half", "n_t", "n_max"):
         try:
@@ -250,6 +253,34 @@ def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> tuple[int, int]:
         workers = quench.map_chunks(block, -(-k_grid.size // _PGP_BLOCK),
                                     lambda text: written.append(fh.write(text)))
     return sum(written), workers
+
+
+def _ascii_rows(items) -> np.ndarray:
+    """str or bytes items as the rows of a uint8 array, zero-padded at the end."""
+    return np.array(items, dtype="S").view(np.uint8).reshape(len(items), -1)
+
+
+def _write_chi(path: Path, sub: np.ndarray, rows: str, cols: str) -> int:
+    """Write the ``row,col,abs_value`` rows of |sub|; returns the bytes written.
+
+    ``rows`` and ``cols`` name the sectors ("AC" or "BD") whose
+    cell-sublattice labels ("1A", "1C", "2A", ...) index sub's rows and
+    columns.  Each distinct |value| is formatted once with ``'%.16e'``.
+    Rows are assembled from fixed-width uint8 labels and values, the
+    padding is dropped by one mask, and the file is written in one call.
+    """
+    uniq, inv = np.unique(np.abs(sub).ravel(), return_inverse=True)
+    values = _ascii_rows([b"%.16e" % u for u in uniq.tolist()])
+    rl, cl = (_ascii_rows([f"{i // 2 + 1}{s[i % 2]}" for i in range(n)])
+              for s, n in zip((rows, cols), sub.shape))
+    a, b = rl.shape[1], rl.shape[1] + cl.shape[1] + 1
+    text = np.zeros(sub.shape + (b + values.shape[1] + 2,), dtype=np.uint8)
+    text[:, :, :a] = rl[:, None]
+    text[:, :, a] = text[:, :, b] = ord(",")
+    text[:, :, a + 1:b] = cl
+    text[:, :, b + 1:-1] = values[inv].reshape(sub.shape + (-1,))
+    text[:, :, -1] = ord("\n")
+    return path.write_bytes(b"row,col,abs_value\n" + text[text != 0].tobytes())
 
 
 def _write(outdir: Path, name: str, text: str, files: list) -> None:
@@ -410,22 +441,13 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
         rep.chi_x, rep.chi_p, rep.chi_ac_x, rep.chi_ac_p, rep.chi_bd_x,
         rep.chi_bd_p)))
     tolerances["susceptibility_residual"] = rep.residual
-    # cell-sublattice labels, e.g. "3C", per sector; each row's "row,col,"
-    # prefixes are built once and one % fills the row
-    labels = {s: [f"{i // 2 + 1}{s[i % 2]}" for i in range(2 * n_cells)]
-              for s in ("AC", "BD")}
-    col_cells = {s: [f",{cl},%.16e\n" for cl in labels[s]] for s in labels}
     subs = [("chi_ac_x", rep.chi_ac_x, "AC", "BD"),
             ("chi_ac_p", rep.chi_ac_p, "AC", "BD"),
             ("chi_bd_x", rep.chi_bd_x, "BD", "AC"),
             ("chi_bd_p", rep.chi_bd_p, "BD", "AC")]
     for name, sub, rows, cols in subs:
         t0 = time.perf_counter()
-        with (outdir / f"{name}.csv").open("w") as fh:
-            nbytes = fh.write("row,col,abs_value\n")
-            for rl, mag in zip(labels[rows], np.abs(sub)):
-                nbytes += fh.write(
-                    (rl + rl.join(col_cells[cols])) % tuple(mag.tolist()))
+        nbytes = _write_chi(outdir / f"{name}.csv", sub, rows, cols)
         _stage(stages, f"{name}.csv", t0, (sub.size, 3), nbytes)
         files.append({"name": f"{name}.csv", "rows": sub.size})
     lines = ["delta,delta0,nu,gain_ac_x,gain_ac_p,gain_bd_x,gain_bd_p"]
@@ -433,6 +455,7 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     scan = amplification.amplification_phase_scan(
         float(cfg["J"]), float(cfg["theta"]), _delta_grid(cfg), n_cells)
     _stage(stages, "phase_scan", t0, (len(scan), 7), 56 * len(scan))
+    tolerances["scan_residual"] = scan.residual
     for d, d0, nu, gains in scan:
         lines.append(",".join([
             _fmt(d), _fmt(d0), _fmt(nu if nu is not None else float("nan")),

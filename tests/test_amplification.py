@@ -78,6 +78,51 @@ def reference_quadrature_loop(c, n_cells):
     return hx, hp
 
 
+def reference_closed_form_loop(c, n_cells):
+    """|chi_ac| and |chi_bd| at theta = 0, set entry by entry."""
+    g0 = c.w_r / c.v
+    n = 2 * n_cells
+    ac = np.zeros((n, n))
+    for i in range(n_cells):
+        for j in range(i, n_cells):
+            val = abs(g0 ** (j - i) / c.v)
+            ac[2 * i, 2 * j] = val
+            ac[2 * i + 1, 2 * j + 1] = val
+    return ac, ac.T.copy()
+
+
+def reference_scan(J, theta, deltas, n_cells):
+    """The scan through dense chi: per delta, ``susceptibility`` and
+    ``gain_metrics``' end_to_end."""
+    delta0 = topology.ep_nssh1(derive_couplings(J, 0.0, theta))[2]
+    rows = []
+    for d in np.asarray(deltas, dtype=float):
+        c = derive_couplings(J, d, theta)
+        label = topology.classify_phase_imag(c)
+        rep = amplification.susceptibility(c, n_cells)
+        rows.append((float(d), float(delta0), label.nu,
+                     {(g.sector, g.quadrature): g.end_to_end
+                      for g in amplification.gain_metrics(rep)}))
+    return rows
+
+
+def dense_residual(rep):
+    """max|chi h - I| / max(1, max|chi|) over both generators, densely."""
+    worst = 0.0
+    for h, chi in zip(model.quadrature_dynamical(rep.params, rep.n_cells),
+                      (rep.chi_x, rep.chi_p)):
+        res = np.abs(chi @ h - np.eye(h.shape[0])).max()
+        worst = max(worst, res / max(1.0, np.abs(chi).max()))
+    return worst
+
+
+def scan_grid(theta):
+    """The default 41-point delta grid without points near delta0."""
+    delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+    deltas = np.linspace(-0.9, 0.9, 41)
+    return deltas[np.abs(deltas - delta0) >= 1e-4]
+
+
 class TestQuadratureGenerators:
     def test_n2_fixture_exact(self):
         c = derive_couplings(1, 0.3, 0.7)
@@ -150,6 +195,25 @@ class TestSusceptibility:
         for sub in (rep.chi_bd_x, rep.chi_bd_p):
             assert np.abs(np.abs(sub) - bd_ref).max() < 1e-10
 
+    @pytest.mark.parametrize("n_cells", [2, 5, 40])
+    @pytest.mark.parametrize("J, delta", [(1.5, 1.0 / 3.0), (1.0, -0.6),
+                                          (0.7, 0.9)])
+    def test_closed_form_matches_entry_loop(self, J, delta, n_cells):
+        c = derive_couplings(J, delta, 0.0)
+        for got, ref in zip(amplification.closed_form_theta0(c, n_cells),
+                            reference_closed_form_loop(c, n_cells)):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("delta,theta,n_cells", [
+        (0.5, 0.4, 8), (-0.5, 0.4, 8), (0.2, 0.0, 2), (0.8, 1.0, 40),
+        (-0.9, 2.0, 40), (0.9, 0.4, 200)])
+    def test_banded_residual_matches_dense(self, delta, theta, n_cells):
+        rep = amplification.susceptibility(derive_couplings(1, delta, theta),
+                                           n_cells)
+        # the same products, summed in another order
+        assert rep.residual < 1e-10
+        assert abs(rep.residual - dense_residual(rep)) <= 1e-15
+
     @pytest.mark.parametrize("delta,theta", [
         (0.5, 0.4), (0.8, 1.0), (0.2, 0.0),
         (-0.5, 0.4),  # trivial: delta < delta0
@@ -197,6 +261,30 @@ class TestSusceptibility:
             warnings.simplefilter("error")
             with pytest.raises(SingularityError, match="overflow.*n_cells=260"):
                 amplification.susceptibility(c, 260)
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.5])
+    @pytest.mark.parametrize("n_cells", [2, 4])
+    def test_corrupted_generator_rejected(self, monkeypatch, n_cells, delta):
+        # every single-entry corruption of h_x or h_p fails the dense check
+        # max|chi h - I| <= 1e-10 max(1, max|chi|), and so must fail the
+        # banded one, in susceptibility and in the scan
+        c = derive_couplings(1, delta, 0.4)
+        rep = amplification.susceptibility(c, n_cells)
+        clean = model.quadrature_dynamical(c, n_cells)
+        size = (4 * n_cells) ** 2
+        for which, chi in enumerate((rep.chi_x, rep.chi_p)):
+            for entry in range(size):
+                hs = [h.copy() for h in clean]
+                hs[which].flat[entry] += 1e-3
+                dense = np.abs(chi @ hs[which] - np.eye(4 * n_cells)).max()
+                assert dense > 1e-10 * max(1.0, np.abs(chi).max())
+                monkeypatch.setattr(amplification, "quadrature_dynamical",
+                                    lambda c, n, hs=hs: tuple(hs))
+                with pytest.raises(SingularityError):
+                    amplification.susceptibility(c, n_cells)
+                with pytest.raises(SingularityError):
+                    amplification.amplification_phase_scan(1.0, 0.4, [delta],
+                                                           n_cells)
 
     def test_closed_form_requires_theta0(self):
         with pytest.raises(DomainError):
@@ -279,6 +367,28 @@ class TestGain:
             assert abs(d0 - delta0) < 1e-12
             amplifying = all(v > 1.0 for v in gains.values())
             assert amplifying == (abs(nu - 1.0) < 0.25)
+
+    @pytest.mark.parametrize("n_cells", [2, 10, 40])
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0, 2.0])
+    def test_scan_matches_reference(self, theta, n_cells):
+        deltas = scan_grid(theta)
+        rows = amplification.amplification_phase_scan(1.0, theta, deltas, n_cells)
+        assert rows == reference_scan(1.0, theta, deltas, n_cells)
+        assert rows.residual == max(
+            amplification.susceptibility(derive_couplings(1, d, theta),
+                                         n_cells).residual for d in deltas)
+
+    def test_scan_overflow_is_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scan in (amplification.amplification_phase_scan, reference_scan):
+                with pytest.raises(SingularityError, match="overflow.*n_cells=260"):
+                    scan(1.0, 0.4, [0.9], 260)
+
+    @pytest.mark.parametrize("grid", [[], [np.nan], [0.5, np.inf], [-np.inf]])
+    def test_scan_rejects_empty_or_non_finite_grid(self, grid):
+        with pytest.raises(DomainError, match="non-empty and finite"):
+            amplification.amplification_phase_scan(1.0, 0.4, grid, 6)
 
     def test_scan_rejects_near_transition(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]

@@ -46,6 +46,13 @@ class TestValidation:
         with pytest.raises(cli.UsageError):
             cli.validate({"delta_min": "1", "delta_max": "0"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("delta_min", "nan"), ("delta", "inf"), ("theta", "-inf"),
+        ("t_max", "NaN"), ("J_f", "infinity")])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(cli.UsageError, match=f"{key} must be finite"):
+            cli.validate({key: value})
+
     def test_amplify_real_rejected(self):
         with pytest.raises(cli.UsageError, match="decouple"):
             cli.validate({"command": "amplify", "regime": "real"})
@@ -68,6 +75,17 @@ class TestCommands:
         code, _, _ = run_cli(tmp_path, ["--command", "amplify"])  # default regime=real
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        "command=amplify\nregime=imaginary\ndelta_min=nan\n",
+        "command=amplify\nregime=imaginary\ndelta=inf\n",
+        "command=winding\ndelta=nan\n"])
+    def test_non_finite_exit_1(self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 1 and manifest is None
+        assert "must be finite" in capsys.readouterr().err
 
     def test_computation_error_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -259,6 +277,7 @@ class TestCommands:
         first = (out / "chi_ac_x.csv").read_text().splitlines()[1]
         assert first.split(",")[0] == "1A" and first.split(",")[1] == "1B"
         assert manifest["tolerances"]["susceptibility_residual"] < 1e-10
+        assert manifest["tolerances"]["scan_residual"] < 1e-10
         stages = {s["name"]: s for s in manifest["stages"]}
         writes = ["chi_ac_x.csv", "chi_ac_p.csv", "chi_bd_x.csv", "chi_bd_p.csv"]
         assert list(stages) == ["susceptibility", *writes, "phase_scan"]
@@ -409,3 +428,24 @@ class TestFormatKernel:
             assert (tmp_path / "new.csv").read_bytes() == ref
             assert nbytes == len(ref)
             assert workers == min(cpus, 5)
+
+    def test_chi_writer_matches_per_entry_format(self, tmp_path):
+        # 101 x 12 cells: row labels up to "101C", column labels up to "12D"
+        rng = np.random.default_rng(11)
+        sub = rng.choice([0.5, -0.5, 3.0, np.pi, -2.0 ** -30], size=(202, 24))
+        sub[:3] *= rng.standard_normal((3, 24)) * 10.0 ** rng.integers(
+            -320, 300, (3, 24))
+        sub[3, :16] = [0.0, -0.0, 5e-324, -2.5e-310, 2.0 ** -1030, 1e-7,
+                       9.9999999999999995e-08, -1e-300, 1e17,
+                       -99999999999999984.0, 1e300, 1.7976931348623157e308,
+                       1e22, 1e23, -1e16, 123456.789]
+        labels = {s: [f"{i // 2 + 1}{s[i % 2]}" for i in range(n)]
+                  for s, n in (("BD", 202), ("AC", 24))}
+        expected = "row,col,abs_value\n" + "".join(
+            f"{r},{c},{'%.16e' % abs(v)}\n"
+            for r, line in zip(labels["BD"], sub.tolist())
+            for c, v in zip(labels["AC"], line))
+        assert "101D,12C," in expected
+        nbytes = cli._write_chi(tmp_path / "chi.csv", sub, "BD", "AC")
+        assert (tmp_path / "chi.csv").read_text() == expected
+        assert nbytes == len(expected)
