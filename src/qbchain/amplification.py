@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, SingularityError
+from .exceptions import DomainError, DoubleOverflowError, SingularityError
 from .model import CouplingSet, quadrature_dynamical
 from .topology import classify_phase_imag, ep_nssh1
 
@@ -219,7 +219,7 @@ def closed_form_theta0(c: CouplingSet, n_cells: int):
 
     |chi_ac| is block-upper-triangular with entry G0^m / v at block distance
     m = (column cell - row cell) >= 0, G0 = w/v; |chi_bd| is the transposed
-    pattern.
+    pattern.  An entry past the double range raises ``DoubleOverflowError``.
     """
     if c.theta != 0.0:
         raise DomainError(f"closed form requires theta=0, got theta={c.theta}")
@@ -229,7 +229,15 @@ def closed_form_theta0(c: CouplingSet, n_cells: int):
     cell = np.repeat(np.arange(n_cells), 2)
     m = cell[None, :] - cell[:, None]  # column cell minus row cell
     sub = np.arange(2 * n_cells) % 2
-    entry = np.array([abs(g0 ** k / c.v) for k in range(n_cells)])
+    try:
+        entry = np.array([abs(g0 ** k / c.v) for k in range(n_cells)])
+        finite = np.isfinite(entry).all()
+    except OverflowError:  # g0 ** k itself left the double range
+        finite = False
+    if not finite:
+        raise DoubleOverflowError(
+            f"|w/v|^m / |v| leaves the double range at n_cells={n_cells} "
+            f"(|w/v| = {abs(g0):.6g})")
     ac = np.where((m >= 0) & (sub[:, None] == sub[None, :]),
                   entry[np.maximum(m, 0)], 0.0)
     return ac, ac.T.copy()

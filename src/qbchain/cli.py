@@ -26,8 +26,6 @@ from . import __version__
 from .exceptions import QbChainError
 from . import amplification, model, quench, spectral, topology
 
-COMMANDS = ("spectrum", "winding", "phase-diagram", "quench", "amplify", "check")
-
 # documented defaults per configuration key (string form, as in config files)
 DEFAULTS = {
     "command": "check",
@@ -63,11 +61,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    """Scientific notation with 17 significant digits (round-trip exact)."""
-    return f"{x:.16e}"
-
-
 #: bytes per formatted value, len("-1.2345678901234567e-308")
 _CELL = 24
 #: 10^0 .. 10^22, each exact in double
@@ -78,6 +71,8 @@ _DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None]
             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 #: momenta per block of pgp_grid.csv rows
 _PGP_BLOCK = 16
+#: rows per block of every other table: bounds the text held in memory
+_TABLE_BLOCK = 8192
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -150,10 +145,9 @@ def _fmt_cells(x: np.ndarray) -> np.ndarray:
     tens, units = np.divmod(np.abs(ex), 10)
     cells[:, 21] = tens + ord("0")
     cells[:, 22] = units + ord("0")
-    for i in np.nonzero(slow)[0]:
-        text = b"%.16e" % x[i]
-        cells[i] = 0
-        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    if slow.any():
+        text = np.array([b"%.16e" % v for v in x[slow].tolist()], dtype=f"S{_CELL}")
+        cells[slow] = text.view(np.uint8).reshape(-1, _CELL)
     return cells
 
 
@@ -255,48 +249,66 @@ def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> tuple[int, int]:
     return sum(written), workers
 
 
-def _ascii_rows(items) -> np.ndarray:
-    """str or bytes items as the rows of a uint8 array, zero-padded at the end."""
-    return np.array(items, dtype="S").view(np.uint8).reshape(len(items), -1)
-
-
-def _write_chi(path: Path, sub: np.ndarray, rows: str, cols: str) -> int:
-    """Write the ``row,col,abs_value`` rows of |sub|; returns the bytes written.
-
-    ``rows`` and ``cols`` name the sectors ("AC" or "BD") whose
-    cell-sublattice labels ("1A", "1C", "2A", ...) index sub's rows and
-    columns.  Each distinct |value| is formatted once with ``'%.16e'``.
-    Rows are assembled from fixed-width uint8 labels and values, the
-    padding is dropped by one mask, and the file is written in one call.
-    """
-    uniq, inv = np.unique(np.abs(sub).ravel(), return_inverse=True)
-    values = _ascii_rows([b"%.16e" % u for u in uniq.tolist()])
-    rl, cl = (_ascii_rows([f"{i // 2 + 1}{s[i % 2]}" for i in range(n)])
-              for s, n in zip((rows, cols), sub.shape))
-    a, b = rl.shape[1], rl.shape[1] + cl.shape[1] + 1
-    text = np.zeros(sub.shape + (b + values.shape[1] + 2,), dtype=np.uint8)
-    text[:, :, :a] = rl[:, None]
-    text[:, :, a] = text[:, :, b] = ord(",")
-    text[:, :, a + 1:b] = cl
-    text[:, :, b + 1:-1] = values[inv].reshape(sub.shape + (-1,))
-    text[:, :, -1] = ord("\n")
-    return path.write_bytes(b"row,col,abs_value\n" + text[text != 0].tobytes())
-
-
-def _write(outdir: Path, name: str, text: str, files: list) -> None:
-    path = outdir / name
-    path.write_text(text)
-    rows = max(0, text.count("\n") - 1)
-    files.append({"name": name, "rows": rows})
-
-
 def _stage(stages: list, name: str, t0: float, shape, nbytes, **extra) -> None:
     """Record a manifest stage timed from ``t0`` (a ``perf_counter`` value)."""
     stages.append({"name": name, "wall_s": time.perf_counter() - t0,
                    "shape": list(shape), "bytes": int(nbytes), **extra})
 
 
-def _cmd_spectrum(cfg, outdir, files, tolerances):
+def _write_table(outdir: Path, files: list, stages: list, name: str,
+                 header: str, columns, t0: float | None = None) -> None:
+    """Write the CSV file ``name``: ``header``, then one row per column entry.
+
+    Float columns are formatted by ``_fmt_cells``; any other column is text
+    (``astype("S")``).  _TABLE_BLOCK rows at a time, the cells and
+    separators are laid out as fixed-width uint8 rows, one mask drops the
+    padding, and the block is written in one call.  Records the file under
+    ``files`` with its number of data rows, and a stage timed from ``t0``
+    (default: now) with shape (rows, columns) and the bytes written.
+    """
+    t0 = time.perf_counter() if t0 is None else t0
+    columns = [np.asarray(col) for col in columns]
+    n = len(columns[0])
+    with (outdir / name).open("wb") as fh:
+        nbytes = fh.write(header.encode() + b"\n")
+        for start in range(0, n, _TABLE_BLOCK):
+            parts = []
+            for col in columns:
+                col = col[start:start + _TABLE_BLOCK]
+                if col.dtype.kind == "f":
+                    parts.append(_fmt_cells(col))
+                else:
+                    text = col.astype("S", copy=False)
+                    parts.append(text.view(np.uint8).reshape(text.size, -1))
+                parts.append(np.full((len(col), 1), ord(","), dtype=np.uint8))
+            parts[-1][:] = ord("\n")
+            text = np.concatenate(parts, axis=1)
+            nbytes += fh.write(text[text != 0])
+    files.append({"name": name, "rows": n})
+    _stage(stages, name, t0, (n, len(columns)), nbytes)
+
+
+def _write_chi(outdir: Path, files: list, stages: list, name: str,
+               sub: np.ndarray, rows: str, cols: str) -> None:
+    """Write the ``row,col,abs_value`` rows of |sub| as ``name``.
+
+    ``rows`` and ``cols`` name the sectors ("AC" or "BD") whose
+    cell-sublattice labels ("1A", "1C", "2A", ...) index sub's rows and
+    columns.  Each distinct |value| is formatted once with ``'%.16e'``
+    (``np.unique``) and gathered into the value column: a sub-matrix holds
+    few distinct magnitudes, and this text has no padding byte for the row
+    mask to skip.
+    """
+    t0 = time.perf_counter()
+    uniq, inv = np.unique(np.abs(sub).ravel(), return_inverse=True)
+    rl, cl = (np.array([f"{i // 2 + 1}{s[i % 2]}" for i in range(n)], dtype="S")
+              for s, n in zip((rows, cols), sub.shape))
+    _write_table(outdir, files, stages, name, "row,col,abs_value",
+                 [np.repeat(rl, len(cl)), np.tile(cl, len(rl)),
+                  np.array([b"%.16e" % u for u in uniq.tolist()])[inv]], t0)
+
+
+def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
     regime = model.Regime(cfg["regime"])
     if cfg["boundary"] == "pbc":
         boundary = model.PBC.uniform(int(cfg["k_points"]))
@@ -304,10 +316,19 @@ def _cmd_spectrum(cfg, outdir, files, tolerances):
         boundary = model.OBC(int(cfg["n_cells"]))
     sweep = spectral.spectrum_sweep(float(cfg["J"]), float(cfg["theta"]),
                                     _delta_grid(cfg), regime, boundary)
-    _write(outdir, "spectrum.csv", sweep.to_csv(), files)
+    counts = [evs.size for evs in sweep.eigenvalues]
+    index = np.arange(max(counts)).astype("S")  # converted once, not per delta
+    evs = np.concatenate(sweep.eigenvalues)
+    preamble = "".join(f"# {key}={val}\n"
+                       for key, val in sorted(sweep.metadata.items()))
+    _write_table(outdir, files, stages, "spectrum.csv",
+                 preamble + "delta,index,re_lambda,im_lambda",
+                 [np.repeat(sweep.deltas, counts),
+                  np.concatenate([index[:n] for n in counts]),
+                  evs.real, evs.imag])
 
 
-def _cmd_winding(cfg, outdir, files, tolerances):
+def _cmd_winding(cfg, outdir, files, tolerances, stages):
     c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
                                float(cfg["theta"]))
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
@@ -323,24 +344,21 @@ def _cmd_winding(cfg, outdir, files, tolerances):
     integral = topology.winding_integral(provider, grid)
     tolerances["winding_quantization_residual"] = res.imag_residual
     tolerances["winding_integral_imag"] = abs(integral.imag)
-    lines = ["nu1,nu2,nu,integral_re,integral_im,grid_size"]
-    lines.append(",".join([_fmt(res.nu1), _fmt(res.nu2), _fmt(res.nu),
-                           _fmt(integral.real), _fmt(integral.imag),
-                           str(res.grid_size)]))
-    _write(outdir, "winding.csv", "\n".join(lines) + "\n", files)
+    _write_table(outdir, files, stages, "winding.csv",
+                 "nu1,nu2,nu,integral_re,integral_im,grid_size",
+                 [[res.nu1], [res.nu2], [res.nu], [integral.real],
+                  [integral.imag], [res.grid_size]])
     ep, em, merged = topology.parametric_energy_loops(c, grid, which=which)
-    loop = ["k,re_E_plus,im_E_plus,re_E_minus,im_E_minus"]
-    for k, p, m in zip(grid, ep, em):
-        loop.append(",".join([_fmt(k), _fmt(p.real), _fmt(p.imag),
-                              _fmt(m.real), _fmt(m.imag)]))
-    _write(outdir, "energy_loops.csv", "\n".join(loop) + "\n", files)
+    _write_table(outdir, files, stages, "energy_loops.csv",
+                 "k,re_E_plus,im_E_plus,re_E_minus,im_E_minus",
+                 [grid, ep.real, ep.imag, em.real, em.imag])
 
 
-def _cmd_phase_diagram(cfg, outdir, files, tolerances):
-    lines = ["delta,theta,nu1,nu2,nu,label"]
+def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
     thetas = np.linspace(float(cfg["theta_min"]), float(cfg["theta_max"]),
                          int(cfg["theta_steps"]))
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
+    rows, labels = [], []
     for th in thetas:
         for d in _delta_grid(cfg):
             c = model.derive_couplings(float(cfg["J"]), d, th)
@@ -348,17 +366,16 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances):
                 label = topology.classify_phase_real(c)
             else:
                 label = topology.classify_phase_imag(c, grid)
+            labels.append(label.tag.value)
             if label.tag is topology.Phase.CRITICAL:
-                lines.append(",".join([_fmt(d), _fmt(th), "nan", "nan", "nan",
-                                       label.tag.value]))
+                rows.append((d, th, np.nan, np.nan, np.nan))
                 continue
             res = label.winding
             if res is None:  # the real-regime label comes from thresholds
                 res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
-            lines.append(",".join([_fmt(d), _fmt(th), _fmt(res.nu1),
-                                   _fmt(res.nu2), _fmt(res.nu),
-                                   label.tag.value]))
-    _write(outdir, "phase_diagram.csv", "\n".join(lines) + "\n", files)
+            rows.append((d, th, res.nu1, res.nu2, res.nu))
+    _write_table(outdir, files, stages, "phase_diagram.csv",
+                 "delta,theta,nu1,nu2,nu,label", [*np.array(rows).T, labels])
 
 
 def _cmd_quench(cfg, outdir, files, tolerances, stages):
@@ -381,30 +398,24 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     rr = quench.return_rate(field)
     field.log_mag2 = None  # read by return_rate only: freed before the later stages
     _stage(stages, "return_rate", t0, rr.shape, rr.nbytes)
-    lines = ["t,return_rate"]
-    for t, r in zip(p.t_grid, rr):
-        lines.append(f"{_fmt(t)},{'inf' if np.isinf(r) else _fmt(r)}")
-    _write(outdir, "return_rate.csv", "\n".join(lines) + "\n", files)
+    _write_table(outdir, files, stages, "return_rate.csv", "t,return_rate",
+                 [p.t_grid, rr])
 
     t0 = time.perf_counter()
     ct = quench.critical_set(p, range(int(cfg["n_max"])))
     _stage(stages, "critical_set", t0, (len(ct.entries), 5),
            40 * len(ct.entries))
-    lines = ["n,side,k_c,t_c,residual"]
-    for n, side, kc, tc, resid in ct.entries:
-        lines.append(f"{n},{side},{_fmt(kc)},{_fmt(tc)},{_fmt(resid)}")
     tolerances["kc_equation_residual"] = max(
         (abs(e[4]) for e in ct.entries), default=0.0)
-    _write(outdir, "critical_times.csv", "\n".join(lines) + "\n", files)
+    _write_table(outdir, files, stages, "critical_times.csv",
+                 "n,side,k_c,t_c,residual",
+                 list(zip(*ct.entries)) or [[]] * 5)
     files[-1]["t_complete"] = ct.t_complete
 
     t0 = time.perf_counter()
     d = quench.dtop(field, ct)
     series = (d.dtop_plus, d.dtop_minus, d.drift_plus, d.drift_minus)
     _stage(stages, "dtop", t0, d.dtop_plus.shape, sum(a.nbytes for a in series))
-    lines = ["t,dtop_plus,dtop_minus,drift_plus,drift_minus,resolved"]
-    for ok, row in zip(d.resolved, zip(d.t, *series)):
-        lines.append(",".join(_fmt(x) for x in row) + f",{int(ok)}")
     windings = np.concatenate([d.dtop_plus, d.dtop_minus])
     tolerances["dtop_quantization_residual"] = float(
         np.abs(windings - np.rint(windings)).max())
@@ -420,7 +431,9 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
         np.abs(np.abs(np.rint(w)) - np.searchsorted(ct.times(side), d.t))[far]
         .max(initial=0.0)
         for side, w in (("+", d.dtop_plus), ("-", d.dtop_minus))))
-    _write(outdir, "dtop.csv", "\n".join(lines) + "\n", files)
+    _write_table(outdir, files, stages, "dtop.csv",
+                 "t,dtop_plus,dtop_minus,drift_plus,drift_minus,resolved",
+                 [d.t, *series, d.resolved.astype(int)])
     files[-1]["unresolved"] = int((~d.resolved).sum())
 
     t0 = time.perf_counter()
@@ -441,31 +454,26 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
         rep.chi_x, rep.chi_p, rep.chi_ac_x, rep.chi_ac_p, rep.chi_bd_x,
         rep.chi_bd_p)))
     tolerances["susceptibility_residual"] = rep.residual
-    subs = [("chi_ac_x", rep.chi_ac_x, "AC", "BD"),
-            ("chi_ac_p", rep.chi_ac_p, "AC", "BD"),
-            ("chi_bd_x", rep.chi_bd_x, "BD", "AC"),
-            ("chi_bd_p", rep.chi_bd_p, "BD", "AC")]
-    for name, sub, rows, cols in subs:
-        t0 = time.perf_counter()
-        nbytes = _write_chi(outdir / f"{name}.csv", sub, rows, cols)
-        _stage(stages, f"{name}.csv", t0, (sub.size, 3), nbytes)
-        files.append({"name": f"{name}.csv", "rows": sub.size})
-    lines = ["delta,delta0,nu,gain_ac_x,gain_ac_p,gain_bd_x,gain_bd_p"]
+    for name, sub, rows, cols in [("chi_ac_x", rep.chi_ac_x, "AC", "BD"),
+                                  ("chi_ac_p", rep.chi_ac_p, "AC", "BD"),
+                                  ("chi_bd_x", rep.chi_bd_x, "BD", "AC"),
+                                  ("chi_bd_p", rep.chi_bd_p, "BD", "AC")]:
+        _write_chi(outdir, files, stages, f"{name}.csv", sub, rows, cols)
     t0 = time.perf_counter()
     scan = amplification.amplification_phase_scan(
         float(cfg["J"]), float(cfg["theta"]), _delta_grid(cfg), n_cells)
     _stage(stages, "phase_scan", t0, (len(scan), 7), 56 * len(scan))
     tolerances["scan_residual"] = scan.residual
-    for d, d0, nu, gains in scan:
-        lines.append(",".join([
-            _fmt(d), _fmt(d0), _fmt(nu if nu is not None else float("nan")),
-            _fmt(gains[("AC", "X")]), _fmt(gains[("AC", "P")]),
-            _fmt(gains[("BD", "X")]), _fmt(gains[("BD", "P")]),
-        ]))
-    _write(outdir, "amplification_scan.csv", "\n".join(lines) + "\n", files)
+    table = np.array([(d, d0, np.nan if nu is None else nu,
+                       gains[("AC", "X")], gains[("AC", "P")],
+                       gains[("BD", "X")], gains[("BD", "P")])
+                      for d, d0, nu, gains in scan])
+    _write_table(outdir, files, stages, "amplification_scan.csv",
+                 "delta,delta0,nu,gain_ac_x,gain_ac_p,gain_bd_x,gain_bd_p",
+                 table.T)
 
 
-def _cmd_check(cfg, outdir, files, tolerances):
+def _cmd_check(cfg, outdir, files, tolerances, stages):
     """Invariant self-test; returns the number of failed checks."""
     rng = np.random.default_rng(12345)
     failures = []
@@ -522,14 +530,19 @@ def _cmd_check(cfg, outdir, files, tolerances):
         res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
         check(f"winding_delta_{d}", abs(res.nu - expected), 1e-3)
 
-    lines = ["check,value"]
-    for name, val in tolerances.items():
-        lines.append(f"{name},{_fmt(val)}")
-    lines.append(f"failures,{len(failures)}")
-    _write(outdir, "check_report.csv", "\n".join(lines) + "\n", files)
+    _write_table(outdir, files, stages, "check_report.csv", "check,value",
+                 [[*tolerances, "failures"],
+                  [*(b"%.16e" % v for v in tolerances.values()),
+                   b"%d" % len(failures)]])
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
     return len(failures)
+
+
+_RUNNERS = {"spectrum": _cmd_spectrum, "winding": _cmd_winding,
+            "phase-diagram": _cmd_phase_diagram, "quench": _cmd_quench,
+            "amplify": _cmd_amplify, "check": _cmd_check}
+COMMANDS = tuple(_RUNNERS)
 
 
 @functools.cache
@@ -584,19 +597,8 @@ def run(cfg: dict) -> int:
     status = 0
     error = None
     try:
-        if cfg["command"] == "spectrum":
-            _cmd_spectrum(cfg, outdir, files, tolerances)
-        elif cfg["command"] == "winding":
-            _cmd_winding(cfg, outdir, files, tolerances)
-        elif cfg["command"] == "phase-diagram":
-            _cmd_phase_diagram(cfg, outdir, files, tolerances)
-        elif cfg["command"] == "quench":
-            _cmd_quench(cfg, outdir, files, tolerances, stages)
-        elif cfg["command"] == "amplify":
-            _cmd_amplify(cfg, outdir, files, tolerances, stages)
-        elif cfg["command"] == "check":
-            if _cmd_check(cfg, outdir, files, tolerances):
-                status = 3
+        if _RUNNERS[cfg["command"]](cfg, outdir, files, tolerances, stages):
+            status = 3  # only check returns a count, of failed checks
     except UsageError:
         raise
     except (QbChainError, np.linalg.LinAlgError) as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,16 +184,6 @@ class SpectrumSweep:
     deltas: np.ndarray
     eigenvalues: list  # one complex array per delta
     metadata: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for key, val in sorted(self.metadata.items()):
-            buf.write(f"# {key}={val}\n")
-        buf.write("delta,index,re_lambda,im_lambda\n")
-        for d, evs in zip(self.deltas, self.eigenvalues):
-            for i, ev in enumerate(evs):
-                buf.write(f"{d:.17e},{i},{ev.real:.17e},{ev.imag:.17e}\n")
-        return buf.getvalue()
 
 
 def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,

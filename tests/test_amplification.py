@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from qbchain import amplification, cli, model, topology
-from qbchain.exceptions import DomainError, SingularityError
+from qbchain.exceptions import DomainError, DoubleOverflowError, SingularityError
 from qbchain.model import OBC, Regime, derive_couplings
 
 
@@ -285,6 +285,23 @@ class TestSusceptibility:
                 with pytest.raises(SingularityError):
                     amplification.amplification_phase_scan(1.0, 0.4, [delta],
                                                            n_cells)
+
+    @pytest.mark.parametrize("delta, n_cells", [
+        (0.9, 260),          # (w/v)^259 itself leaves the double range
+        (0.9, 242),          # (w/v)^241 is finite; divided by v = 0.1 it is not
+        (1.0 - 1e-6, 49)])   # the same at v = 1e-6
+    def test_closed_form_overflow_is_typed(self, delta, n_cells):
+        c = derive_couplings(1, delta, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DoubleOverflowError, match=f"n_cells={n_cells}"):
+                amplification.closed_form_theta0(c, n_cells)
+
+    @pytest.mark.parametrize("delta, n_cells", [(0.9, 241), (1.0 - 1e-6, 48)])
+    def test_closed_form_finite_below_overflow(self, delta, n_cells):
+        ac, bd = amplification.closed_form_theta0(derive_couplings(1, delta, 0.0),
+                                                  n_cells)
+        assert np.isfinite(ac).all() and ac.max() > 1e300
 
     def test_closed_form_requires_theta0(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qbchain
-from qbchain import cli, model, quench, topology
+from qbchain import cli, model, quench, spectral, topology
 
 
 def run_cli(tmp_path, args):
@@ -120,6 +120,28 @@ class TestCommands:
         rows = [l for l in text.splitlines() if not l.startswith(("#", "delta"))]
         assert len(rows) == 3 * 32
 
+    def test_spectrum_csv_round_trip(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("command=spectrum\nboundary=obc\nn_cells=2\ntheta=0\n"
+                       "delta_min=0.1\ndelta_max=0.2\ndelta_steps=2\n")
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        assert lines[:6] == ["# J=1.0", "# boundary=obc", "# n_cells=2",
+                             "# regime=real", "# theta=0.0",
+                             "delta,index,re_lambda,im_lambda"]
+        assert len(lines[6:]) == 2 * 16 == manifest["files"][0]["rows"]
+        sweep = spectral.spectrum_sweep(1.0, 0.0, [0.1, 0.2], model.Regime.REAL,
+                                        model.OBC(2))
+        expected = [(d, i, ev.real, ev.imag)
+                    for d, evs in zip(sweep.deltas, sweep.eigenvalues)
+                    for i, ev in enumerate(evs)]
+        parsed = [(float(d), int(i), float(re), float(im))
+                  for d, i, re, im in (line.split(",") for line in lines[6:])]
+        assert parsed == expected
+        # every float field is '%.16e': 17 significant digits
+        assert lines[6:] == ["%.16e,%d,%.16e,%.16e" % row for row in expected]
+
     def test_phase_diagram(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("command=phase-diagram\ndelta_min=-0.9\ndelta_max=0.7\n"
@@ -143,14 +165,13 @@ class TestCommands:
                 c = model.derive_couplings(1.0, d, th)
                 tag = topology.classify_phase_imag(c, grid).tag
                 if tag is topology.Phase.CRITICAL:
-                    lines.append(f"{cli._fmt(d)},{cli._fmt(th)},nan,nan,nan,"
+                    lines.append(f"{'%.16e' % d},{'%.16e' % th},nan,nan,nan,"
                                  f"{tag.value}")
                     continue
                 res = topology.winding_pair(lambda k: model.bloch_nssh1(k, c),
                                             grid)
-                lines.append(",".join([cli._fmt(d), cli._fmt(th),
-                                       cli._fmt(res.nu1), cli._fmt(res.nu2),
-                                       cli._fmt(res.nu), tag.value]))
+                lines.append(",".join(["%.16e" % x for x in (
+                    d, th, res.nu1, res.nu2, res.nu)] + [tag.value]))
         text = (out / "phase_diagram.csv").read_text()
         assert text == "\n".join(lines) + "\n"
         assert text.count(",critical\n") == 1
@@ -189,8 +210,9 @@ class TestCommands:
         # |DTOP_pm| counts the critical times on its side away from them
         assert manifest["tolerances"]["dtop_critical_count_mismatch"] == 0.0
         stages = {s["name"]: s for s in manifest["stages"]}
-        assert list(stages) == ["pgp_field", "return_rate", "critical_set",
-                                "dtop", "pgp_grid.csv"]
+        assert list(stages) == ["pgp_field", "return_rate", "return_rate.csv",
+                                "critical_set", "critical_times.csv", "dtop",
+                                "dtop.csv", "pgp_grid.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
         # 200 momenta: 7 row chunks of 32 and 13 blocks of 16
         cpus = len(os.sched_getaffinity(0))
@@ -213,7 +235,7 @@ class TestCommands:
         f = quench.pgp_field(p)
         lines = (out / "pgp_grid.csv").read_text().splitlines()
         assert lines[0] == "k,t,phi_pgp"
-        expected = [f"{cli._fmt(k)},{cli._fmt(t)},{cli._fmt(phi)}"
+        expected = ["%.16e,%.16e,%.16e" % (k, t, phi)
                     for k, row in zip(p.k_grid, f.phi_pgp)
                     for t, phi in zip(p.t_grid, row)]
         assert lines[1:] == expected
@@ -280,7 +302,8 @@ class TestCommands:
         assert manifest["tolerances"]["scan_residual"] < 1e-10
         stages = {s["name"]: s for s in manifest["stages"]}
         writes = ["chi_ac_x.csv", "chi_ac_p.csv", "chi_bd_x.csv", "chi_bd_p.csv"]
-        assert list(stages) == ["susceptibility", *writes, "phase_scan"]
+        assert list(stages) == ["susceptibility", *writes, "phase_scan",
+                                "amplification_scan.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
         # chi_x, chi_p (16 x 16) and four 8 x 8 sector blocks
         assert stages["susceptibility"]["shape"] == [16, 16]
@@ -363,6 +386,87 @@ class TestCommands:
         assert proc.stdout.strip() == "[]"
 
 
+# every command at small settings, both spectrum boundaries and regimes,
+# both winding models and both phase-diagram regimes
+SMALL_RUNS = {
+    "spectrum-pbc": {"command": "spectrum", "k_points": "11",
+                     "delta_steps": "5"},
+    "spectrum-obc-imag": {"command": "spectrum", "boundary": "obc",
+                          "regime": "imaginary", "n_cells": "4",
+                          "delta_steps": "3"},
+    "winding-nssh2": {"command": "winding", "grid_points": "401"},
+    "winding-nssh1": {"command": "winding", "model": "nssh1", "delta": "-0.1",
+                      "grid_points": "401"},
+    "phase-diagram-real": {"command": "phase-diagram", "delta_steps": "5",
+                           "theta_steps": "2", "grid_points": "401"},
+    "phase-diagram-imag": {"command": "phase-diagram", "regime": "imaginary",
+                           "delta_steps": "9", "theta_steps": "3",
+                           "grid_points": "401"},
+    "quench": {"command": "quench", "n_half": "100", "n_t": "60"},
+    "amplify": {"command": "amplify", "regime": "imaginary", "n_cells": "4",
+                "delta_steps": "3"},
+    "check": {"command": "check"},
+}
+
+# sha256 prefixes of every data file but spectrum.csv, as written by the
+# per-row formatting these files had before the common table writer
+SMALL_RUN_DIGESTS = {
+    "winding-nssh2": {"winding.csv": "7554060c6030e099",
+                      "energy_loops.csv": "57e61391847a7b8d"},
+    "winding-nssh1": {"winding.csv": "b4105cb89c464f4c",
+                      "energy_loops.csv": "91d1f5132890fa51"},
+    "phase-diagram-real": {"phase_diagram.csv": "fedb2bd65dd47c15"},
+    "phase-diagram-imag": {"phase_diagram.csv": "75790855180d1a92"},
+    "quench": {"return_rate.csv": "bf52052cd5a16b4b",
+               "critical_times.csv": "38837e7464a4e9de",
+               "dtop.csv": "ba5169227fc89505",
+               "pgp_grid.csv": "6d59becb0fe4a948"},
+    "amplify": {"chi_ac_x.csv": "ac6d75e009ccdb18",
+                "chi_ac_p.csv": "ac6d75e009ccdb18",
+                "chi_bd_x.csv": "5584f086a1645cca",
+                "chi_bd_p.csv": "5584f086a1645cca",
+                "amplification_scan.csv": "78598dcf1322daf7"},
+    "check": {"check_report.csv": "4444f0848574bde3"},
+}
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    manifests = {}
+    for label, cfg in SMALL_RUNS.items():
+        assert cli.run(cli.validate({**cfg, "out": str(root / label)})) == 0
+        manifests[label] = json.loads((root / label / "manifest.json").read_text())
+    return root, manifests
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("label", list(SMALL_RUNS))
+    def test_rows_and_write_stages(self, small_runs, label):
+        root, manifests = small_runs
+        manifest = manifests[label]
+        assert manifest["files"]
+        stages = [s["name"] for s in manifest["stages"]]
+        for entry in manifest["files"]:
+            path = root / label / entry["name"]
+            lines = path.read_text().splitlines()
+            data = [line for line in lines if not line.startswith("#")]
+            assert entry["rows"] == len(data) - 1, entry["name"]
+            assert stages.count(entry["name"]) == 1, entry["name"]
+            stage = manifest["stages"][stages.index(entry["name"])]
+            assert stage["bytes"] == path.stat().st_size
+            assert stage["shape"] == [entry["rows"], data[0].count(",") + 1]
+            assert stage["wall_s"] >= 0.0
+
+    @pytest.mark.parametrize("label", list(SMALL_RUN_DIGESTS))
+    def test_digests(self, small_runs, label):
+        root, manifests = small_runs
+        names = [f["name"] for f in manifests[label]["files"]]
+        assert sorted(names) == sorted(SMALL_RUN_DIGESTS[label])
+        assert {name: hashlib.sha256((root / label / name).read_bytes())
+                .hexdigest()[:16] for name in names} == SMALL_RUN_DIGESTS[label]
+
+
 def _cell_texts(cells):
     """The strings held by _fmt_cells rows, padding dropped."""
     rows = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)],
@@ -410,11 +514,11 @@ class TestFormatKernel:
 
         def percent_writer(path):
             # the per-row % writer that _write_pgp_grid replaced
-            t_cells = [f",{cli._fmt(t)},%.16e\n" for t in p.t_grid]
+            t_cells = [",%.16e,%%.16e\n" % t for t in p.t_grid]
             with path.open("w") as fh:
                 fh.write("k,t,phi_pgp\n")
                 for k, row in zip(p.k_grid, phi):
-                    kf = cli._fmt(k)
+                    kf = "%.16e" % k
                     fh.write((kf + kf.join(t_cells)) % tuple(row.tolist()))
 
         percent_writer(tmp_path / "ref.csv")
@@ -446,6 +550,36 @@ class TestFormatKernel:
             for r, line in zip(labels["BD"], sub.tolist())
             for c, v in zip(labels["AC"], line))
         assert "101D,12C," in expected
-        nbytes = cli._write_chi(tmp_path / "chi.csv", sub, "BD", "AC")
+        files, stages = [], []
+        cli._write_chi(tmp_path, files, stages, "chi.csv", sub, "BD", "AC")
         assert (tmp_path / "chi.csv").read_text() == expected
-        assert nbytes == len(expected)
+        assert files == [{"name": "chi.csv", "rows": 202 * 24}]
+        assert stages[0]["bytes"] == len(expected)
+        assert stages[0]["shape"] == [202 * 24, 3]
+
+    @pytest.mark.parametrize("block", [1, 7, cli._TABLE_BLOCK])
+    def test_table_matches_per_row_format(self, tmp_path, monkeypatch, block):
+        # float, integer, bytes and str columns, over one block or many
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
+        rng = np.random.default_rng(12)
+        x = np.concatenate([_edge_values(), rng.standard_normal(50)])
+        idx = np.arange(x.size) * 37 - 200
+        side = rng.choice(["+", "-", "critical"], x.size)
+        expected = "# n=3\nx,i,s,b\n" + "".join(
+            f"{'%.16e' % v},{i},{t},{i % 2}\n"
+            for v, i, t in zip(x.tolist(), idx.tolist(), side))
+        files, stages = [], []
+        cli._write_table(tmp_path, files, stages, "t.csv", "# n=3\nx,i,s,b",
+                         [x, idx, side, (idx % 2).astype("S")])
+        assert (tmp_path / "t.csv").read_text() == expected
+        assert files == [{"name": "t.csv", "rows": x.size}]
+        assert stages[0]["name"] == "t.csv"
+        assert stages[0]["shape"] == [x.size, 4]
+        assert stages[0]["bytes"] == len(expected)
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        files, stages = [], []
+        cli._write_table(tmp_path, files, stages, "e.csv", "a,b", [[], []])
+        assert (tmp_path / "e.csv").read_text() == "a,b\n"
+        assert files == [{"name": "e.csv", "rows": 0}]
+        assert stages[0]["shape"] == [0, 2] and stages[0]["bytes"] == 4

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qbchain import model, quench
+from qbchain import model, quench, spectral
 from qbchain.exceptions import (
     BranchCutError,
     DomainError,
@@ -62,6 +63,30 @@ class TestLoschmidtAmplitude:
                 g = quench.loschmidt_oracle(k, ci, cf, t, method)
                 worst = max(worst, abs(g - g0))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("cf", [CF5, CF4, CH],
+                             ids=["moebius", "nontrivial", "hermitian"])
+    def test_bosonic_realspace_evolution(self, cf):
+        # the paper's claim from the bosonic equations of motion: exp(-iGt) of
+        # the PBC 8N x 8N dynamical matrix, projected on momentum k and
+        # block-transformed, holds exp(-iH^f(k)t) as its first 2x2 block, and
+        # the initial biorthogonal pair contracts it to g_k(t)
+        n_cells = 12
+        G = model.realspace_dynamical(cf, n_cells, model.Regime.REAL,
+                                      model.PBC.uniform(n_cells))
+        ks = 2 * np.pi * np.arange(n_cells) / n_cells - np.pi
+        Q = spectral.BLOCK_Q_REAL
+        for t in (0.7, 2.3, 5.1):
+            U = scipy.linalg.expm(-1j * t * G)
+            for k in ks[ks != 0]:
+                B = Q.T @ model.fourier_project(U, n_cells, k) @ Q
+                assert max(np.abs(B[:2, 2:]).max(), np.abs(B[2:, :2]).max()) < 1e-12
+                ui, _ = quench._mode_parameter(model.hamiltonian_nssh2_k(k, CI))
+                psi = np.array([-ui, 1.0])            # lower-band right vector
+                chi = 0.5 * np.array([-1 / ui, 1.0])  # its left partner
+                assert chi @ psi == pytest.approx(1.0, abs=1e-14)
+                g = chi @ B[:2, :2] @ psi
+                assert abs(g - quench.loschmidt_gk(k, CI, cf, t)) < 1e-12
 
     def test_fq_identity(self):
         # (Q2^2 - Q1^2)(F2^2 - F1^2) = 1

@@ -119,16 +119,6 @@ class TestSpectrumSweep:
                                         OBC(30))
         assert min(abs(e) for e in sweep.eigenvalues[0]) < 1e-3
 
-    def test_csv_round_trip(self):
-        sweep = spectral.spectrum_sweep(1.0, 0.0, [0.1, 0.2], Regime.REAL,
-                                        OBC(2))
-        text = sweep.to_csv()
-        assert text.startswith("#")
-        header = [l for l in text.splitlines() if not l.startswith("#")][0]
-        assert header == "delta,index,re_lambda,im_lambda"
-        rows = [l for l in text.splitlines() if not l.startswith(("#", "delta"))]
-        assert len(rows) == 2 * 16
-
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             spectral.spectrum_sweep(1.0, 0.4, [], Regime.REAL, OBC(4))
