@@ -1,20 +1,26 @@
-"""Timings of the default amplify scan, its winding and the chi CSV writes,
-with pytest-benchmark.
+"""Timings of the default amplify scan, its winding, the manifest's env block
+and the chi CSV writes, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_amplify.py \
-        --benchmark-json BENCH_11.json
+        --benchmark-json BENCH_13.json
 
 ``amplification_phase_scan`` runs the default scan (41 deltas at
-theta = 0.4, N = 40): per delta a winding and the checked Neumann blocks
-of chi, with no dense chi.  ``classify_phase_imag`` winds the nSSH1 Bloch
-vector on the default 2001-point grid at (delta, theta) = (0.5, 0.4), all
-momenta at once; ``winding_pair`` winds the same vector one momentum at a
-time, as a reference for that speed-up.  ``chi_csv_writes`` writes the four
-``chi_*.csv`` files of the theta = 0, N = 80 run (4 x 25,600 rows) into a
-fresh directory each round.  The file name is outside pytest's default
-``test_*.py`` pattern, so the test suite does not collect it; pass it to
-pytest by path.  Each record's ``extra_info`` holds the manifest's ``env``
-block (versions, BLAS, cores, thread settings).
+theta = 0.4, N = 40) one block of ``topology.DELTA_BLOCK`` deltas at a
+time: the nSSH1 windings of the block as (delta, k) arrays, the 2x2
+Neumann recurrence with delta as a leading axis, and per delta the dense
+generators that check the blocks' form and residual, with no dense chi.
+``classify_phase_imag`` winds the nSSH1 Bloch vector on the default
+2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
+``winding_pair`` winds the same vector one momentum at a time, as a
+reference for that speed-up.  ``environment`` builds the manifest's ``env``
+block afresh (it is cached per process in a run).  ``chi_csv_writes``
+writes the four ``chi_*.csv`` files of the theta = 0, N = 80 run
+(4 x 25,600 rows) into a fresh directory each round.  The file name is
+outside pytest's default ``test_*.py`` pattern, so the test suite does not
+collect it; pass it to pytest by path.  Each record's ``extra_info`` holds
+the manifest's ``env`` block (versions, BLAS, cores, thread settings).
+Every test uses only names that earlier versions of ``qbchain`` also have,
+so the same file times an older checkout put first on ``PYTHONPATH``.
 """
 
 import pytest
@@ -60,6 +66,13 @@ def test_winding_pair_per_momentum(benchmark, couplings):
               topology.default_bz_grid()),
         rounds=ROUNDS, iterations=1)
     assert res == topology.classify_phase_imag(couplings).winding
+
+
+def test_environment(benchmark):
+    benchmark.extra_info["env"] = cli._environment()
+    env = benchmark.pedantic(cli._environment.__wrapped__, rounds=ROUNDS,
+                             iterations=1)
+    assert env == cli._environment()
 
 
 def test_chi_csv_writes(benchmark, tmp_path):

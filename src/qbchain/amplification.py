@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DomainError, DoubleOverflowError, SingularityError
 from .model import CouplingSet, quadrature_dynamical
-from .topology import classify_phase_imag, ep_nssh1
+from .topology import DELTA_BLOCK, classify_phases_imag, ep_nssh1
 
 __all__ = [
     "SusceptibilityReport",
@@ -96,7 +96,7 @@ def _cell_bands(h: np.ndarray, n_cells: int):
     return tuple(b[0] for b in held)
 
 
-def _neumann_blocks(c: CouplingSet, n_cells: int):
+def _neumann_blocks(cs: list, n_cells: int):
     """Blocks of chi_ac and chi_bd for both quadratures, checked against h.
 
     h is bipartite: its AC x AC and BD x BD blocks vanish, h[ac, bd] = X is
@@ -108,73 +108,86 @@ def _neumann_blocks(c: CouplingSet, n_cells: int):
     -D^-1 W = -(v_crit/v) R(phi) is a scaled rotation whose gain per cell
     v_crit/|v| exceeds 1 exactly when delta > delta0.
 
-    Returns (blocks, residual).  blocks has shape (4, N + 1, 2, 2), one
-    stack per entry of PAIRS: chi_bd's block (i, j) is blocks[BD, i - j]
-    and chi_ac's is blocks[AC, j - i]^T; blocks[:, N] is the zero block of
-    the other triangle.  residual is max|chi h - I| / max(1, max|chi|), the
-    larger of the two generators' values, computed from h's bands in O(N):
-    the block of chi_bd X at distance m is B_m X_diag + B_(m-1) X_sub, and
-    that of chi_ac Y is A_m^T Y_diag + A_(m-1)^T Y_super.
+    ``cs`` is a sequence of coupling sets; the recurrence runs for all of
+    them at once.  Returns (blocks, residuals).  blocks has shape
+    (len(cs), 4, N + 1, 2, 2): per coupling set, one stack per entry of
+    PAIRS, where chi_bd's block (i, j) is blocks[., BD, i - j] and chi_ac's
+    is blocks[., AC, j - i]^T; blocks[., :, N] is the zero block of the
+    other triangle.  residuals[i] is max|chi h - I| / max(1, max|chi|) of
+    cs[i], the larger of the two generators' values.  Each is checked
+    against that coupling set's own dense h, from its bands in O(N): the
+    block of chi_bd X at distance m is B_m X_diag + B_(m-1) X_sub, and that
+    of chi_ac Y is A_m^T Y_diag + A_(m-1)^T Y_super.  An error names the
+    first coupling set of the earliest failing check.
     """
-    if c.v == 0.0:
-        # X = S(x)W is then strictly block-lower: h is exactly singular
-        raise SingularityError(
-            f"quadrature generators singular at v = 0 (delta={c.delta}): "
-            f"no intracell coupling"
-        )
-    gens = quadrature_dynamical(c, n_cells)
-    _, _, delta0 = ep_nssh1(c)
-    if abs(c.delta - delta0) < 1e-8:
-        raise SingularityError(
-            f"quadrature generators singular at the transition: delta={c.delta} "
-            f"within 1e-8 of delta0={delta0:.8f}"
-        )
-    wp = 0.5 * (c.w_r + c.w_l)
-    wm = 0.5 * (c.w_l - c.w_r)
+    for c in cs:
+        if c.v == 0.0:
+            # X = S(x)W is then strictly block-lower: h is exactly singular
+            raise SingularityError(
+                f"quadrature generators singular at v = 0 (delta={c.delta}): "
+                f"no intracell coupling"
+            )
+        _, _, delta0 = ep_nssh1(c)
+        if abs(c.delta - delta0) < 1e-8:
+            raise SingularityError(
+                f"quadrature generators singular at the transition: "
+                f"delta={c.delta} within 1e-8 of delta0={delta0:.8f}"
+            )
+    v = np.array([c.v for c in cs])[:, None, None]
+    wp = np.array([0.5 * (c.w_r + c.w_l) for c in cs])[:, None]
+    wm = np.array([0.5 * (c.w_l - c.w_r) for c in cs])[:, None]
     # diagonals of d and the blocks w of Y^T (AC) and X (BD), per pair
-    d = np.array([[-c.v, c.v], [-c.v, c.v], [c.v, -c.v], [c.v, -c.v]])
-    w = np.empty((4, 2, 2))
-    w[:, 0, 0] = [-wp, -wp, wp, wp]
-    w[:, 1, 1] = [wp, wp, -wp, -wp]
-    w[:, 0, 1] = w[:, 1, 0] = [wm, -wm, wm, -wm]
-    blocks = np.zeros((4, n_cells + 1, 2, 2))
+    d = v * [[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]]
+    w = np.empty((len(cs), 4, 2, 2))
+    w[:, :, 0, 0] = wp * [-1.0, -1.0, 1.0, 1.0]
+    w[:, :, 1, 1] = wp * [1.0, 1.0, -1.0, -1.0]
+    w[:, :, 0, 1] = w[:, :, 1, 0] = wm * [1.0, -1.0, 1.0, -1.0]
+    blocks = np.zeros((len(cs), 4, n_cells + 1, 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        step = -w / d[:, :, None]
-        blocks[:, 0, [0, 1], [0, 1]] = 1.0 / d
+        step = -w / d[..., None]
+        blocks[:, :, 0, [0, 1], [0, 1]] = 1.0 / d
         for m in range(1, n_cells):
-            blocks[:, m] = step @ blocks[:, m - 1]
-    if not np.isfinite(blocks).all():
+            blocks[:, :, m] = step @ blocks[:, :, m - 1]
+    finite = np.isfinite(blocks).reshape(len(cs), -1).all(axis=1)
+    if not finite.all():
         raise SingularityError(
             f"susceptibility overflows double precision at "
-            f"n_cells={n_cells}, delta={c.delta}: |chi| grows "
-            f"geometrically with n_cells"
+            f"n_cells={n_cells}, delta={cs[np.argmin(finite)].delta}: |chi| "
+            f"grows geometrically with n_cells"
         )
+    # (X_diag, X_sub, Y_diag, Y_super) of each coupling set's h_x and h_p
+    bands = np.empty((len(cs), 2, 4, 2, 2))
+    for i, c in enumerate(cs):
+        for q, h in enumerate(quadrature_dynamical(c, n_cells)):
+            held = _cell_bands(h, n_cells)
+            if held is None:
+                raise SingularityError(
+                    f"quadrature generator at delta={c.delta} is not the "
+                    f"banded block-Toeplitz form that the closed form inverts"
+                )
+            bands[i, q] = held
+    # per coupling set and generator: the blocks A_m^T of chi_ac, which
+    # multiply (Y_diag, Y_super), and B_m of chi_bd, which multiply
+    # (X_diag, X_sub)
+    left = np.stack([blocks[:, :2].swapaxes(-1, -2), blocks[:, 2:]], axis=2)
     prev = np.arange(n_cells) - 1  # index -1 is the zero block N
-    worst_res = 0.0
-    for q, h in enumerate(gens):
-        bands = _cell_bands(h, n_cells)
-        if bands is None:
-            raise SingularityError(
-                f"quadrature generator at delta={c.delta} is not the banded "
-                f"block-Toeplitz form that the closed form inverts"
-            )
-        x_diag, x_sub, y_diag, y_super = bands
-        left = np.stack([blocks[q].swapaxes(1, 2), blocks[2 + q]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = (left[:, :n_cells] @ np.stack([y_diag, x_diag])[:, None]
-                 + left[:, prev] @ np.stack([y_super, x_sub])[:, None])
-            r[:, 0] -= np.eye(2)
-            res = np.abs(r).max()
-        # the residual floor scales with |chi| for strongly amplifying
-        # parameters; quality is judged relative to that scale
-        scale = max(1.0, np.abs(left).max())
-        if not np.isfinite(res) or res > 1e-10 * scale:
-            raise SingularityError(
-                f"inverse residual {res:.3e} too large at delta={c.delta} "
-                f"(transition at delta0={delta0:.6f})"
-            )
-        worst_res = max(worst_res, float(res / scale))
-    return blocks, worst_res
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (left[:, :, :, :n_cells] @ bands[:, :, [2, 0], None]
+             + left[:, :, :, prev] @ bands[:, :, [3, 1], None])
+        r[:, :, :, 0] -= np.eye(2)
+        res = np.abs(r).max(axis=(2, 3, 4, 5))
+    # the residual floor scales with |chi| for strongly amplifying
+    # parameters; quality is judged relative to that scale
+    scale = np.maximum(1.0, np.abs(left).max(axis=(2, 3, 4, 5)))
+    bad = ~np.isfinite(res) | (res > 1e-10 * scale)
+    if bad.any():
+        i, q = np.unravel_index(np.argmax(bad), bad.shape)
+        raise SingularityError(
+            f"inverse residual {res[i, q]:.3e} too large at delta={cs[i].delta} "
+            f"(transition at delta0={ep_nssh1(cs[i])[2]:.6f})"
+        )
+    residuals = (res / scale).max(axis=1)
+    return blocks, residuals
 
 
 def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
@@ -183,7 +196,8 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
     Gathers the checked blocks of ``_neumann_blocks`` into the sector
     sub-matrices and the dense 4N x 4N inverses, with no linear solve.
     """
-    blocks, residual = _neumann_blocks(c, n_cells)
+    blocks, residuals = _neumann_blocks([c], n_cells)
+    blocks, residual = blocks[0], float(residuals[0])
     ac, bd = _sector_indices(n_cells)
     # one gather index into the blocks: block distance (the zero block N
     # above the diagonal) and sublattice pair of each 2N x 2N entry
@@ -323,18 +337,16 @@ def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
         )
     rows = []
     worst_res = 0.0
-    for d in deltas:
-        c = derive_couplings(J, d, theta)
-        label = classify_phase_imag(c)
-        try:
-            blocks, res = _neumann_blocks(c, n_cells)
-        except SingularityError as exc:
-            raise SingularityError(f"delta={d}: {exc}") from exc
+    for start in range(0, deltas.size, DELTA_BLOCK):
+        block = deltas[start:start + DELTA_BLOCK].tolist()
+        labels = classify_phases_imag(J, theta, block)
+        blocks, res = _neumann_blocks(
+            [derive_couplings(J, d, theta) for d in block], n_cells)
         # the largest |chi| entry between the end cells: block N - 1
-        ends = np.abs(blocks[:, n_cells - 1]).max(axis=(1, 2))
-        rows.append((float(d), float(delta0), label.nu,
-                     dict(zip(PAIRS, ends.tolist()))))
-        worst_res = max(worst_res, res)
+        ends = np.abs(blocks[:, :, n_cells - 1]).max(axis=(2, 3))
+        rows.extend((d, float(delta0), label.nu, dict(zip(PAIRS, e)))
+                    for d, label, e in zip(block, labels, ends.tolist()))
+        worst_res = max(worst_res, *res.tolist())
     return PhaseScan(rows, worst_res)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -314,11 +315,13 @@ def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
         boundary = model.PBC.uniform(int(cfg["k_points"]))
     else:
         boundary = model.OBC(int(cfg["n_cells"]))
+    t0 = time.perf_counter()
     sweep = spectral.spectrum_sweep(float(cfg["J"]), float(cfg["theta"]),
                                     _delta_grid(cfg), regime, boundary)
     counts = [evs.size for evs in sweep.eigenvalues]
-    index = np.arange(max(counts)).astype("S")  # converted once, not per delta
     evs = np.concatenate(sweep.eigenvalues)
+    _stage(stages, "eigensolve", t0, (len(counts), max(counts)), evs.nbytes)
+    index = np.arange(max(counts)).astype("S")  # converted once, not per delta
     preamble = "".join(f"# {key}={val}\n"
                        for key, val in sorted(sweep.metadata.items()))
     _write_table(outdir, files, stages, "spectrum.csv",
@@ -340,40 +343,47 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
         which = "nssh1"
     else:
         raise UsageError(f"model must be nssh2 or nssh1, got {cfg['model']!r}")
+    t0 = time.perf_counter()
     res = topology.winding_pair(provider, grid)
     integral = topology.winding_integral(provider, grid)
+    ep, em, merged = topology.parametric_energy_loops(c, grid, which=which)
+    _stage(stages, "winding", t0, (grid.size, 2), ep.nbytes + em.nbytes)
     tolerances["winding_quantization_residual"] = res.imag_residual
     tolerances["winding_integral_imag"] = abs(integral.imag)
     _write_table(outdir, files, stages, "winding.csv",
                  "nu1,nu2,nu,integral_re,integral_im,grid_size",
                  [[res.nu1], [res.nu2], [res.nu], [integral.real],
                   [integral.imag], [res.grid_size]])
-    ep, em, merged = topology.parametric_energy_loops(c, grid, which=which)
     _write_table(outdir, files, stages, "energy_loops.csv",
                  "k,re_E_plus,im_E_plus,re_E_minus,im_E_minus",
                  [grid, ep.real, ep.imag, em.real, em.imag])
 
 
 def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
+    t0 = time.perf_counter()
+    J = float(cfg["J"])
     thetas = np.linspace(float(cfg["theta_min"]), float(cfg["theta_max"]),
                          int(cfg["theta_steps"]))
+    deltas = _delta_grid(cfg)
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
     rows, labels = [], []
     for th in thetas:
-        for d in _delta_grid(cfg):
-            c = model.derive_couplings(float(cfg["J"]), d, th)
-            if cfg["regime"] == "real":
-                label = topology.classify_phase_real(c)
-            else:
-                label = topology.classify_phase_imag(c, grid)
+        if cfg["regime"] == "real":
+            row = (topology.classify_phase_real(model.derive_couplings(J, d, th))
+                   for d in deltas)
+        else:
+            row = topology.classify_phases_imag(J, th, deltas, grid)
+        for d, label in zip(deltas, row):
             labels.append(label.tag.value)
             if label.tag is topology.Phase.CRITICAL:
                 rows.append((d, th, np.nan, np.nan, np.nan))
                 continue
             res = label.winding
             if res is None:  # the real-regime label comes from thresholds
+                c = model.derive_couplings(J, d, th)
                 res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
             rows.append((d, th, res.nu1, res.nu2, res.nu))
+    _stage(stages, "winding", t0, (len(rows), 5), 40 * len(rows))
     _write_table(outdir, files, stages, "phase_diagram.csv",
                  "delta,theta,nu1,nu2,nu,label", [*np.array(rows).T, labels])
 
@@ -475,6 +485,7 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
 
 def _cmd_check(cfg, outdir, files, tolerances, stages):
     """Invariant self-test; returns the number of failed checks."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(12345)
     failures = []
 
@@ -529,6 +540,7 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
         c = model.derive_couplings(1.0, d, 0.4)
         res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
         check(f"winding_delta_{d}", abs(res.nu - expected), 1e-3)
+    _stage(stages, "checks", t0, (len(tolerances),), 8 * len(tolerances))
 
     _write_table(outdir, files, stages, "check_report.csv", "check,value",
                  [[*tolerances, "failures"],
@@ -545,25 +557,33 @@ _RUNNERS = {"spectrum": _cmd_spectrum, "winding": _cmd_winding,
 COMMANDS = tuple(_RUNNERS)
 
 
+def _installed_version(package: str) -> str | None:
+    """The version in the name of the ``<package>-<version>.dist-info``
+    directory beside the installed package, or None where there is not
+    exactly one.  Imports neither the package nor ``importlib.metadata``
+    (about 30 ms between them)."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = Path(spec.submodule_search_locations[0]).parent
+    found = list(site.glob(f"{package}-*.dist-info"))
+    if len(found) != 1:
+        return None
+    return found[0].name[len(package) + 1:-len(".dist-info")]
+
+
 @functools.cache
 def _environment() -> dict:
     """Versions, BLAS, cores and thread settings behind a run's timings.
 
-    Computed once per process: the metadata lookup costs about 10 ms, and
-    BLAS reads its thread variables only when it is loaded.  Every caller
-    gets the same dict, so none may change it.
+    Computed once per process: BLAS reads its thread variables only when it
+    is loaded.  Every caller gets the same dict, so none may change it.
     """
-    import importlib.metadata  # 20 ms: kept off every command's start-up
-
-    try:  # the installed version, without importing scipy
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy_version = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy_version,
+        "scipy": _installed_version("scipy"),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
         "cpus_available": quench.cpus_available(),

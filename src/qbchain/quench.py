@@ -39,6 +39,8 @@ from .topology import _wrap
 _MAX_REFINE = 3
 #: momenta per chunk of ``pgp_field``'s rows
 _FIELD_ROWS = 32
+#: least times per block of ``dtop``'s half-zone k-increments
+_DTOP_COLS = 64
 
 __all__ = [
     "cpus_available",
@@ -436,34 +438,41 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     def half(side, rows):
         ks = p.k_grid[rows]
         phi = f.phi_pgp[rows]
-        inc = _wrap_in_place(np.diff(phi, axis=0))
-        total = inc.sum(axis=0)
-        for i, it in zip(*np.nonzero((inc > np.pi / 2) | (inc < -np.pi / 2))):
-            # re-difference this step over a locally refined sub-grid
-            a, b, t = ks[i], ks[i + 1], t_grid[it]
-            sub_ok = False
-            npts = 8
-            for _ in range(_MAX_REFINE):
-                sub = np.linspace(a, b, npts + 1)
-                sub_inc = _wrap(np.diff(phi_at(sub, t)))
-                if np.abs(sub_inc).max() <= np.pi / 2:
-                    sub_ok = True
-                    break
-                npts *= 8
-            if not sub_ok:
-                lo = t_grid[max(it - 1, 0)]
-                hi = t_grid[min(it + 1, t_grid.size - 1)]
-                if not any(s == side and a <= kc <= b and lo < tc < hi
-                           for _, s, kc, tc, _ in crossings):
-                    raise ResolutionError(
-                        f"phase slip at k in ({a:.6f}, {b:.6f}), t={t:.6f} "
-                        "not resolved by local refinement and at no critical "
-                        "point"
-                    )
-                resolved[it] = False
-            total[it] += sub_inc.sum() - inc[i, it]
+        total = np.empty(t_grid.size)
+        for cols in _column_blocks(t_grid.size):
+            inc = _wrap_in_place(np.diff(phi[:, cols], axis=0))
+            total[cols] = inc.sum(axis=0)
+            for i, j in zip(*np.nonzero((inc > np.pi / 2) | (inc < -np.pi / 2))):
+                it = cols.start + j
+                total[it] += refined(side, ks[i], ks[i + 1], it) - inc[i, j]
         drift = (phi[-1] - phi[0]) / (2 * np.pi)
         return total / (2 * np.pi) - drift, drift
+
+    def refined(side, a, b, it):
+        # the step (a, b) at time index it, re-differenced over a locally
+        # refined sub-grid
+        t = t_grid[it]
+        sub_ok = False
+        npts = 8
+        for _ in range(_MAX_REFINE):
+            sub = np.linspace(a, b, npts + 1)
+            sub_inc = _wrap(np.diff(phi_at(sub, t)))
+            if np.abs(sub_inc).max() <= np.pi / 2:
+                sub_ok = True
+                break
+            npts *= 8
+        if not sub_ok:
+            lo = t_grid[max(it - 1, 0)]
+            hi = t_grid[min(it + 1, t_grid.size - 1)]
+            if not any(s == side and a <= kc <= b and lo < tc < hi
+                       for _, s, kc, tc, _ in crossings):
+                raise ResolutionError(
+                    f"phase slip at k in ({a:.6f}, {b:.6f}), t={t:.6f} "
+                    "not resolved by local refinement and at no critical "
+                    "point"
+                )
+            resolved[it] = False
+        return sub_inc.sum()
 
     # the k grid is sorted with matched +-k: each half zone is a contiguous
     # block of rows (a k = 0 row may sit between them)
@@ -473,6 +482,16 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     return DtopSeries(t=t_grid.copy(), dtop_plus=dplus, dtop_minus=dminus,
                       drift_plus=drift_plus, drift_minus=drift_minus,
                       resolved=resolved)
+
+
+def _column_blocks(n: int):
+    """Slices covering range(n) in blocks of _DTOP_COLS to 2 _DTOP_COLS - 1,
+    or one block where n is smaller.  No block is one column unless n is 1:
+    numpy sums the columns of a wider block row by row, as it does over the
+    whole array, so the sums are the same bit for bit, but sums a single
+    column pairwise."""
+    edges = np.linspace(0, n, max(n // _DTOP_COLS, 1) + 1).astype(int).tolist()
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _wrap_in_place(a: np.ndarray) -> np.ndarray:

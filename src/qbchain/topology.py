@@ -13,6 +13,7 @@ from .model import (
     CouplingSet,
     bloch_nssh1,
     bloch_nssh2,
+    derive_couplings,
     energy_nssh1,
     energy_nssh2,
 )
@@ -28,10 +29,13 @@ __all__ = [
     "classify_phase_real",
     "ep_nssh1",
     "classify_phase_imag",
+    "classify_phases_imag",
     "parametric_energy_loops",
 ]
 
 CRITICAL_BAND = 1e-6
+#: deltas per block of ``classify_phases_imag``'s (delta, k) arrays
+DELTA_BLOCK = 32
 
 
 class Phase(enum.Enum):
@@ -91,42 +95,41 @@ def _phi_angles(bloch: BlochVector):
     return phi1, phi2
 
 
-def _winding(phi1: np.ndarray, phi2: np.ndarray) -> WindingResult:
-    """Winding numbers (nu1, nu2, nu) of two angle sequences over the BZ.
+def _windings(phi1: np.ndarray, phi2: np.ndarray, deltas=None) -> list:
+    """Winding numbers (nu1, nu2, nu) of each row of two (rows, k) angle arrays.
 
-    The angles are sampled on a closed momentum loop.  Each consecutive
+    Each row is sampled on a closed momentum loop.  Each consecutive
     wrapped increment, the closing one included, must stay within pi/2;
     larger jumps mean the grid cannot distinguish a fast winding from an
-    aliased one near an EP.
+    aliased one near an EP.  The error names the first such row, by its
+    entry of ``deltas`` where given.
     """
-    if phi1.size < 401:
-        raise DomainError(f"winding grids need >= 401 points, got {phi1.size}")
-    total = np.empty(2)
-    for j, phi in enumerate((phi1, phi2)):
-        inc = _wrap(np.diff(np.append(phi, phi[0])))  # includes closure step
-        if np.abs(inc).max() > np.pi / 2:
-            raise ResolutionError(
-                "wrapped angle increment exceeds pi/2; grid too coarse near an "
-                "exceptional point"
-            )
-        total[j] = inc.sum() / (2 * np.pi)
+    if phi1.shape[-1] < 401:
+        raise DomainError(f"winding grids need >= 401 points, got {phi1.shape[-1]}")
+    incs = [_wrap(np.diff(phi, axis=-1, append=phi[:, :1]))  # with closure step
+            for phi in (phi1, phi2)]
+    coarse = (np.abs(incs[0]).max(axis=-1) > np.pi / 2) | (
+        np.abs(incs[1]).max(axis=-1) > np.pi / 2)
+    if coarse.any():
+        where = "" if deltas is None else f" at delta={deltas[np.argmax(coarse)]}"
+        raise ResolutionError(
+            f"wrapped angle increment exceeds pi/2{where}; grid too coarse near "
+            "an exceptional point"
+        )
+    total = np.stack([inc.sum(axis=-1) for inc in incs]) / (2 * np.pi)
     # the closed-loop integral of each phase derivative has no imaginary part;
     # report how far each winding sits from the nearest quantized value
-    residual = float(max(abs(total[0] - round(total[0])),
-                         abs(total[1] - round(total[1]))))
-    return WindingResult(
-        nu1=float(total[0]),
-        nu2=float(total[1]),
-        nu=float(0.5 * (total[0] + total[1])),
-        grid_size=int(phi1.size),
-        imag_residual=residual,
-    )
+    residual = np.abs(total - np.rint(total)).max(axis=0)
+    nu = 0.5 * (total[0] + total[1])
+    return [WindingResult(nu1=float(a), nu2=float(b), nu=float(n),
+                          grid_size=int(phi1.shape[-1]), imag_residual=float(r))
+            for a, b, n, r in zip(total[0], total[1], nu, residual)]
 
 
 def winding_pair(d_provider, grid: np.ndarray) -> WindingResult:
     """Winding numbers (nu1, nu2, nu) via wrapped angle increments over the BZ.
 
-    ``d_provider`` maps one momentum -> BlochVector; see :func:`_winding`
+    ``d_provider`` maps one momentum -> BlochVector; see :func:`_windings`
     for the resolution rule.
     """
     grid = np.asarray(grid, dtype=float)
@@ -134,7 +137,7 @@ def winding_pair(d_provider, grid: np.ndarray) -> WindingResult:
     phi2 = np.empty(grid.size)
     for i, k in enumerate(grid):
         phi1[i], phi2[i] = _phi_angles(d_provider(k))
-    return _winding(phi1, phi2)
+    return _windings(phi1[None], phi2[None])[0]
 
 
 def winding_integral(d_provider, grid: np.ndarray) -> complex:
@@ -205,24 +208,50 @@ def ep_nssh1(c: CouplingSet):
 
 def classify_phase_imag(c: CouplingSet, grid: np.ndarray | None = None) -> PhaseLabel:
     """Phase of the imaginary-regime chain from the single-EP winding."""
+    return classify_phases_imag(c.J, c.theta, [c.delta], grid)[0]
+
+
+def classify_phases_imag(J: float, theta: float, deltas,
+                         grid: np.ndarray | None = None) -> list:
+    """Phase labels of the imaginary-regime chain at each delta, (J, theta) fixed.
+
+    A CouplingSet holding a column of deltas broadcasts through
+    ``bloch_nssh1``, so its expressions are evaluated as (delta, k) arrays,
+    DELTA_BLOCK deltas at a time, and each row is wound by ``_windings``.
+    A delta within CRITICAL_BAND of delta0 is CRITICAL, with no winding.
+    Every winding is cross-checked against the closed-form transition
+    point; an error names the first delta of its block that fails.
+    """
     if grid is None:
         grid = default_bz_grid()
-    _, _, delta0 = ep_nssh1(c)
+    grid = np.asarray(grid, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    _, _, delta0 = ep_nssh1(derive_couplings(J, 0.0, theta))
     boundaries = (float(delta0),)
-    if abs(c.delta - delta0) < CRITICAL_BAND:
-        return PhaseLabel(tag=Phase.CRITICAL, boundaries=boundaries)
-    # bloch_nssh1 acts per element, so these are the per-momentum angles
-    res = _winding(*_phi_angles(bloch_nssh1(np.asarray(grid, dtype=float), c)))
-    nu = res.nu
-    tag = Phase.NONTRIVIAL if abs(nu - 1.0) < 0.25 else Phase.TRIVIAL
-    # independent cross-check against the closed-form transition point
-    expected = Phase.NONTRIVIAL if c.delta > delta0 else Phase.TRIVIAL
-    if tag is not expected:
-        raise ResolutionError(
-            f"winding nu={nu:.4f} disagrees with delta0={delta0:.6f} "
-            f"classification at delta={c.delta}"
-        )
-    return PhaseLabel(tag=tag, boundaries=boundaries, nu=float(nu), winding=res)
+    labels = []
+    for start in range(0, deltas.size, DELTA_BLOCK):
+        block = deltas[start:start + DELTA_BLOCK]
+        critical = np.abs(block - delta0) < CRITICAL_BAND
+        wound = block[~critical]
+        rows = CouplingSet(J=float(J), delta=wound[:, None], theta=float(theta))
+        results = iter(_windings(*_phi_angles(bloch_nssh1(grid, rows)), wound)
+                       if wound.size else [])
+        for d, at_critical in zip(block.tolist(), critical):
+            if at_critical:
+                labels.append(PhaseLabel(tag=Phase.CRITICAL, boundaries=boundaries))
+                continue
+            res = next(results)
+            tag = Phase.NONTRIVIAL if abs(res.nu - 1.0) < 0.25 else Phase.TRIVIAL
+            # independent cross-check against the closed-form transition point
+            expected = Phase.NONTRIVIAL if d > delta0 else Phase.TRIVIAL
+            if tag is not expected:
+                raise ResolutionError(
+                    f"winding nu={res.nu:.4f} disagrees with delta0={delta0:.6f} "
+                    f"classification at delta={d}"
+                )
+            labels.append(PhaseLabel(tag=tag, boundaries=boundaries, nu=res.nu,
+                                     winding=res))
+    return labels
 
 
 def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,

@@ -395,6 +395,29 @@ class TestGain:
             amplification.susceptibility(derive_couplings(1, d, theta),
                                          n_cells).residual for d in deltas)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    def test_scan_over_several_blocks(self, theta):
+        # 150 deltas: several blocks of DELTA_BLOCK, the last one partial
+        deltas = np.linspace(-0.9, 0.9, 150)
+        assert np.abs(deltas - topology.ep_nssh1(
+            derive_couplings(1, 0, theta))[2]).min() >= 1e-4
+        assert deltas.size > topology.DELTA_BLOCK and deltas.size % topology.DELTA_BLOCK
+        rows = amplification.amplification_phase_scan(1.0, theta, deltas, 10)
+        assert rows == reference_scan(1.0, theta, deltas, 10)
+        assert rows.residual == max(
+            amplification.susceptibility(derive_couplings(1, d, theta),
+                                         10).residual for d in deltas)
+
+    def test_scan_error_names_first_failing_delta_of_its_block(self):
+        # at N = 260, delta = 0.9 and 0.85 overflow and 0.5 does not; the
+        # block's first failure is named, as one delta at a time would
+        for deltas, named in (([0.5, 0.9, 0.85], "0.9"), ([0.5, 0.85, 0.9], "0.85")):
+            for scan in (amplification.amplification_phase_scan, reference_scan):
+                with pytest.raises(SingularityError,
+                                   match=f"n_cells=260, delta={named}:"):
+                    scan(1.0, 0.4, deltas, 260)
+        amplification.amplification_phase_scan(1.0, 0.4, [0.5], 260)
+
     def test_scan_overflow_is_typed(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -359,7 +360,8 @@ class TestCommands:
     def test_commands_do_not_import_scipy(self, tmp_path):
         # only spectral.ipr_localization needs scipy, and imports it itself;
         # the quench's thread pool is plain threading, which numpy loads, not
-        # concurrent.futures (about 5 ms of start-up)
+        # concurrent.futures (about 5 ms of start-up); the manifest's scipy
+        # version comes without importlib.metadata (about 20 ms)
         configs = [
             {"command": "amplify", "regime": "imaginary", "n_cells": "4",
              "delta_steps": "3"},
@@ -375,7 +377,8 @@ class TestCommands:
             f"for cfg in {configs!r}:\n"
             "    assert cli.run(cli.validate(cfg)) == 0, cfg['command']\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('scipy', 'concurrent')))\n"
+            "             if m.split('.')[0] in ('scipy', 'concurrent')\n"
+            "             or m.startswith('importlib.metadata')))\n"
         )
         src = str(Path(qbchain.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -384,6 +387,24 @@ class TestCommands:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestInstalledVersion:
+    def test_scipy_matches_metadata(self):
+        assert cli._environment()["scipy"] == importlib.metadata.version("scipy")
+        assert cli._installed_version("scipy") == importlib.metadata.version("scipy")
+
+    def test_from_dist_info_name(self, tmp_path, monkeypatch):
+        (tmp_path / "qbfake").mkdir()
+        (tmp_path / "qbfake" / "__init__.py").write_text("")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        assert cli._installed_version("qbfake") is None  # no dist-info
+        (tmp_path / "qbfake-1.2.post3.dist-info").mkdir()
+        assert cli._installed_version("qbfake") == "1.2.post3"
+        (tmp_path / "qbfake-1.3.dist-info").mkdir()
+        assert cli._installed_version("qbfake") is None  # ambiguous
+        assert cli._installed_version("qbchain_no_such_package") is None
+        assert "qbfake" not in sys.modules
 
 
 # every command at small settings, both spectrum boundaries and regimes,
@@ -430,6 +451,20 @@ SMALL_RUN_DIGESTS = {
 }
 
 
+# the stages of each small run that write no file, in order
+COMPUTE_STAGES = {
+    "spectrum-pbc": ["eigensolve"],
+    "spectrum-obc-imag": ["eigensolve"],
+    "winding-nssh2": ["winding"],
+    "winding-nssh1": ["winding"],
+    "phase-diagram-real": ["winding"],
+    "phase-diagram-imag": ["winding"],
+    "quench": ["pgp_field", "return_rate", "critical_set", "dtop"],
+    "amplify": ["susceptibility", "phase_scan"],
+    "check": ["checks"],
+}
+
+
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
@@ -457,6 +492,12 @@ class TestOutputFiles:
             assert stage["bytes"] == path.stat().st_size
             assert stage["shape"] == [entry["rows"], data[0].count(",") + 1]
             assert stage["wall_s"] >= 0.0
+        written = {entry["name"] for entry in manifest["files"]}
+        compute = [s for s in manifest["stages"] if s["name"] not in written]
+        assert [s["name"] for s in compute] == COMPUTE_STAGES[label]
+        for stage in compute:
+            assert stage["wall_s"] >= 0.0 and stage["bytes"] > 0
+            assert all(n > 0 for n in stage["shape"])
 
     @pytest.mark.parametrize("label", list(SMALL_RUN_DIGESTS))
     def test_digests(self, small_runs, label):

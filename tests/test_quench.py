@@ -491,6 +491,45 @@ class TestFieldMemory:
         assert peaks["return_rate"] < 0.01 * f.log_mag2.nbytes
         assert peaks["dtop"] < 1.25 * f.phi_pgp.nbytes
 
+    def test_dtop_differences_in_time_blocks(self, default_field):
+        # the default quench's half zones are 999 x 800 increments (6.4 MB);
+        # in blocks of 64 to 127 times they stay below 2 MB
+        p, f = default_field
+        ct = quench.critical_set(p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            quench.dtop(f, ct)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("cols", [2, 3, 64, 1000])
+    def test_dtop_time_blocks_match_reference(self, monkeypatch, cols):
+        # 97 times in blocks of 2 or 3, of 3 to 5, or in one; with refinement
+        p = quench.QuenchProtocol(CI, CF4, np.linspace(-3.0, 3.0, 75),
+                                  np.linspace(0.0, 12.0, 97))
+        f = quench.pgp_field(p)
+        monkeypatch.setattr(quench, "_DTOP_COLS", cols)
+        d = quench.dtop(f)
+        for got, want in zip((d.dtop_plus, d.dtop_minus, d.drift_plus,
+                              d.drift_minus, d.resolved),
+                             reference_dtop(p, f.phi_pgp)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cols", [2, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 129, 800])
+    def test_column_blocks(self, monkeypatch, cols, n):
+        monkeypatch.setattr(quench, "_DTOP_COLS", cols)
+        blocks = quench._column_blocks(n)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+        widths = [b.stop - b.start for b in blocks]
+        if n < cols:
+            assert widths == [n]
+        else:
+            assert cols <= min(widths) and max(widths) < 2 * cols
+
 
 class TestOverflow:
     @pytest.mark.filterwarnings("error")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,40 @@ class TestArrayWinding:
             topology.classify_phase_imag(c, grid)
         with pytest.raises(DomainError):
             self._per_k(c, grid)
+
+
+class TestBatchedWinding:
+    """classify_phases_imag winds DELTA_BLOCK deltas at a time."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    def test_matches_one_delta_at_a_time(self, theta):
+        delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+        # three blocks, the last partial, with a delta at the transition
+        deltas = np.append(np.linspace(-0.9, 0.9, 2 * topology.DELTA_BLOCK + 5),
+                           delta0 + 1e-8)
+        grid = topology.default_bz_grid(801)
+        labels = topology.classify_phases_imag(1.0, theta, deltas, grid)
+        assert labels == [topology.classify_phase_imag(
+            derive_couplings(1, d, theta), grid) for d in deltas]
+        assert labels[-1].tag is Phase.CRITICAL and labels[-1].winding is None
+        for d, lab in zip(deltas[::9], labels[::9]):
+            c = derive_couplings(1, d, theta)
+            assert lab.winding == topology.winding_pair(
+                lambda k: model.bloch_nssh1(k, c), grid)
+
+    def test_error_names_first_failing_delta(self):
+        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        for first, second in ((delta0 + 1e-5, delta0 - 1e-5),
+                              (delta0 - 1e-5, delta0 + 1e-5)):
+            with pytest.raises(ResolutionError,
+                               match=re.escape(f"at delta={first};")):
+                topology.classify_phases_imag(1.0, 0.4, [0.5, first, second])
+
+    def test_empty_and_all_critical(self):
+        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        assert topology.classify_phases_imag(1.0, 0.4, []) == []
+        labels = topology.classify_phases_imag(1.0, 0.4, [delta0])
+        assert [lab.tag for lab in labels] == [Phase.CRITICAL]
 
 
 class TestEnergyLoops:
