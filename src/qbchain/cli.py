@@ -182,6 +182,8 @@ def validate(cfg: dict) -> dict:
         raise UsageError(f"regime must be real or imaginary, got {full['regime']!r}")
     if full["boundary"] not in ("pbc", "obc"):
         raise UsageError(f"boundary must be pbc or obc, got {full['boundary']!r}")
+    if full["model"] not in ("nssh2", "nssh1"):
+        raise UsageError(f"model must be nssh2 or nssh1, got {full['model']!r}")
     for key in ("J", "theta", "delta", "delta_min", "delta_max", "theta_min",
                 "theta_max", "J_i", "delta_i", "theta_i", "J_f", "delta_f",
                 "theta_f", "t_max"):
@@ -335,14 +337,9 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
     c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
                                float(cfg["theta"]))
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
-    if cfg["model"] == "nssh2":
-        provider = lambda k: model.bloch_nssh2(k, c)
-        which = "nssh2"
-    elif cfg["model"] == "nssh1":
-        provider = lambda k: model.bloch_nssh1(k, c)
-        which = "nssh1"
-    else:
-        raise UsageError(f"model must be nssh2 or nssh1, got {cfg['model']!r}")
+    which = cfg["model"]
+    bloch = model.bloch_nssh2 if which == "nssh2" else model.bloch_nssh1
+    provider = lambda k: bloch(k, c)
     t0 = time.perf_counter()
     res = topology.winding_pair(provider, grid)
     integral = topology.winding_integral(provider, grid)
@@ -357,6 +354,7 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
     _write_table(outdir, files, stages, "energy_loops.csv",
                  "k,re_E_plus,im_E_plus,re_E_minus,im_E_minus",
                  [grid, ep.real, ep.imag, em.real, em.imag])
+    files[-1]["merged"] = merged  # the two loops form one (Moebius exchange)
 
 
 def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):

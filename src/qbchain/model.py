@@ -210,65 +210,46 @@ def energy_nssh1(k, c: CouplingSet):
     return np.sqrt(x + 1j * y)
 
 
-def _pq_blocks(k: float, c: CouplingSet, regime: Regime):
+def _pq_blocks(k, c: CouplingSet, regime: Regime):
+    """Hopping block P(k) and pairing block Q(k), of shape k.shape + (4, 4).
+
+    Both regimes share one formula: every hopping and pairing amplitude is
+    z times its real coupling, with z = regime.factor (1 or i).
+    """
+    z = regime.factor
     f1, f2 = coupling_functions(k, c)
-    f1c = np.conj(f1)
-    f2c = np.conj(f2)
-    if regime is Regime.REAL:
-        P = np.array(
-            [
-                [0, f1, 0, 0],
-                [f1c, 0, 0, 0],
-                [0, 0, 0, -f1],
-                [0, 0, -f1c, 0],
-            ],
-            dtype=complex,
-        )
-        Q = np.array(
-            [
-                [0, 0, 0, -f2],
-                [0, 0, f2c, 0],
-                [0, f2, 0, 0],
-                [-f2c, 0, 0, 0],
-            ],
-            dtype=complex,
-        )
-    else:
-        # imaginary regime: couplings enter as iv, iw_r, iw_l
-        P = np.array(
-            [
-                [0, 1j * f1, 0, 0],
-                [-1j * f1c, 0, 0, 0],
-                [0, 0, 0, -1j * f1],
-                [0, 0, 1j * f1c, 0],
-            ],
-            dtype=complex,
-        )
-        Q = np.array(
-            [
-                [0, 0, 0, 1j * f2],
-                [0, 0, 1j * f2c, 0],
-                [0, 1j * f2, 0, 0],
-                [1j * f2c, 0, 0, 0],
-            ],
-            dtype=complex,
-        )
+    t = z * f1
+    P = np.zeros(np.shape(f1) + (4, 4), dtype=complex)
+    Q = np.zeros_like(P)
+    P[..., 0, 1] = t
+    P[..., 1, 0] = np.conj(t)
+    P[..., 2, 3] = -t
+    P[..., 3, 2] = -np.conj(t)
+    Q[..., 0, 3] = -np.conj(z) * f2
+    Q[..., 1, 2] = z * np.conj(f2)
+    Q[..., 2, 1] = z * f2
+    Q[..., 3, 0] = -np.conj(z) * np.conj(f2)
     return P, Q
 
 
-def hamiltonian_qb_k(k: float, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarray:
+def hamiltonian_qb_k(k, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarray:
     """Hermitian 8x8 Bogoliubov Hamiltonian in the Nambu basis.
 
     Basis ordering: (A_k, B_k, C_k, D_k, A_-k^dag, B_-k^dag, C_-k^dag, D_-k^dag).
+    ``k`` may be an array of momenta; the result then has shape
+    k.shape + (8, 8).  The hole rows carry conj(z)/z = z^2 = +-1 times the
+    particle blocks.
     """
     P, Q = _pq_blocks(k, c, regime)
-    if regime is Regime.REAL:
-        return np.block([[P, Q], [Q, P]])
-    return np.block([[P, Q], [-Q, -P]])
+    s = (regime.factor ** 2).real
+    return np.block([[P, Q], [s * Q, s * P]])
 
 
-def dynamical_qb_k(k: float, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarray:
-    """Non-Hermitian generator of Heisenberg evolution, tau_3 times the Hamiltonian."""
+def dynamical_qb_k(k, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarray:
+    """Non-Hermitian generator of Heisenberg evolution, tau_3 times the Hamiltonian.
+
+    Like :func:`hamiltonian_qb_k`, takes one momentum or an array of them.
+    """
     return TAU3 @ hamiltonian_qb_k(k, c, regime)
 
 
@@ -293,27 +274,27 @@ def realspace_hamiltonian_blocks(c: CouplingSet, n_cells: int, regime: Regime = 
     K = np.zeros((n, n), dtype=complex)
     D = np.zeros((n, n), dtype=complex)
 
-    def idx(cell, sub):
-        return 4 * (cell % n_cells) + sub
-
+    j = np.arange(n_cells)
+    o = np.arange(n_cells if pbc else n_cells - 1)  # left cell of each bond
+    i = (o + 1) % n_cells  # and its right neighbour
     A, B, C, Dd = 0, 1, 2, 3
-    for i in range(n_cells):
-        K[idx(i, A), idx(i, B)] += tv
-        K[idx(i, B), idx(i, A)] += np.conj(tv)
-        K[idx(i, C), idx(i, Dd)] += -tv
-        K[idx(i, Dd), idx(i, C)] += -np.conj(tv)
-    last = n_cells if pbc else n_cells - 1
-    for i in range(last):
-        K[idx(i + 1, A), idx(i, B)] += tw
-        K[idx(i, B), idx(i + 1, A)] += np.conj(tw)
-        K[idx(i + 1, C), idx(i, Dd)] += -tw
-        K[idx(i, Dd), idx(i + 1, C)] += -np.conj(tw)
-        # pairing g * B_i^dag C_{i+1}^dag + H.c.
-        D[idx(i, B), idx(i + 1, C)] += g
-        D[idx(i + 1, C), idx(i, B)] += g
-        # pairing -g * A_{i+1} D_i + H.c.  (creation part carries -conj(g))
-        D[idx(i + 1, A), idx(i, Dd)] += -np.conj(g)
-        D[idx(i, Dd), idx(i + 1, A)] += -np.conj(g)
+    Kv = K.reshape(n_cells, 4, n_cells, 4)  # view: Kv[cell, sub, cell', sub']
+    Dv = D.reshape(n_cells, 4, n_cells, 4)
+    # += onto the zeros stores a -0 amplitude as +0; no entry is set twice
+    Kv[j, A, j, B] += tv
+    Kv[j, B, j, A] += np.conj(tv)
+    Kv[j, C, j, Dd] += -tv
+    Kv[j, Dd, j, C] += -np.conj(tv)
+    Kv[i, A, o, B] += tw
+    Kv[o, B, i, A] += np.conj(tw)
+    Kv[i, C, o, Dd] += -tw
+    Kv[o, Dd, i, C] += -np.conj(tw)
+    # pairing g * B_o^dag C_i^dag + H.c.
+    Dv[o, B, i, C] += g
+    Dv[i, C, o, B] += g
+    # pairing -g * A_i D_o + H.c.  (creation part carries -conj(g))
+    Dv[i, A, o, Dd] += -np.conj(g)
+    Dv[o, Dd, i, A] += -np.conj(g)
     return K, D
 
 

@@ -190,8 +190,9 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
                    boundary) -> SpectrumSweep:
     """Spectrum of the dynamical matrix as a function of delta.
 
-    PBC: eigenvalues of the 8x8 k-space matrix collected over the momentum
-    grid.  OBC: eigenvalues of the 8N x 8N real-space matrix.
+    PBC: eigenvalues of the 8x8 k-space matrices of the whole momentum
+    grid, one stacked solve per delta.  OBC: eigenvalues of the 8N x 8N
+    real-space matrix.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
@@ -201,10 +202,8 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
         c = derive_couplings(J, d, theta)
         try:
             if isinstance(boundary, PBC):
-                evs = np.concatenate(
-                    [np.linalg.eigvals(dynamical_qb_k(k, c, regime))
-                     for k in boundary.k_grid]
-                )
+                evs = np.linalg.eigvals(
+                    dynamical_qb_k(boundary.k_grid, c, regime)).ravel()
             elif isinstance(boundary, OBC):
                 G = realspace_dynamical(c, boundary.n_cells, regime, boundary)
                 evs = np.linalg.eigvals(G)

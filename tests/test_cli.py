@@ -54,6 +54,10 @@ class TestValidation:
         with pytest.raises(cli.UsageError, match=f"{key} must be finite"):
             cli.validate({key: value})
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(cli.UsageError, match="model must be nssh2 or nssh1"):
+            cli.validate({"model": "bogus"})
+
     def test_amplify_real_rejected(self):
         with pytest.raises(cli.UsageError, match="decouple"):
             cli.validate({"command": "amplify", "regime": "real"})
@@ -110,6 +114,24 @@ class TestCommands:
         nu = float(row.split(",")[2])
         assert abs(nu - 1.0) < 1e-3
         assert manifest["tolerances"]["winding_quantization_residual"] < 1e-6
+
+    @pytest.mark.parametrize("command", ["winding", "check"])
+    def test_unknown_model_exit_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"command={command}\nmodel=bogus\n")
+        code, out, _ = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 1 and not out.exists()
+        assert "model must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta, merged", [(-0.1, True), (0.5, False)])
+    def test_winding_records_merged_loops(self, tmp_path, delta, merged):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"command=winding\ndelta={delta}\ntheta=0.4\n"
+                       "grid_points=401\n")
+        code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0
+        (entry,) = [f for f in manifest["files"] if f["name"] == "energy_loops.csv"]
+        assert entry["merged"] is merged
 
     def test_spectrum_obc(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -412,6 +434,8 @@ class TestInstalledVersion:
 SMALL_RUNS = {
     "spectrum-pbc": {"command": "spectrum", "k_points": "11",
                      "delta_steps": "5"},
+    "spectrum-pbc-imag": {"command": "spectrum", "regime": "imaginary",
+                          "k_points": "11", "delta_steps": "5"},
     "spectrum-obc-imag": {"command": "spectrum", "boundary": "obc",
                           "regime": "imaginary", "n_cells": "4",
                           "delta_steps": "3"},
@@ -429,9 +453,13 @@ SMALL_RUNS = {
     "check": {"command": "check"},
 }
 
-# sha256 prefixes of every data file but spectrum.csv, as written by the
-# per-row formatting these files had before the common table writer
+# sha256 prefixes of every data file, as written by the per-row formatting
+# these files had before the common table writer; spectrum.csv as written
+# with one eigensolve per momentum (PBC) and the per-cell real-space build
 SMALL_RUN_DIGESTS = {
+    "spectrum-pbc": {"spectrum.csv": "ff13c3186b931066"},
+    "spectrum-pbc-imag": {"spectrum.csv": "ee5792d23b7ad949"},
+    "spectrum-obc-imag": {"spectrum.csv": "b0a148c30e1a469e"},
     "winding-nssh2": {"winding.csv": "7554060c6030e099",
                       "energy_loops.csv": "57e61391847a7b8d"},
     "winding-nssh1": {"winding.csv": "b4105cb89c464f4c",
@@ -454,6 +482,7 @@ SMALL_RUN_DIGESTS = {
 # the stages of each small run that write no file, in order
 COMPUTE_STAGES = {
     "spectrum-pbc": ["eigensolve"],
+    "spectrum-pbc-imag": ["eigensolve"],
     "spectrum-obc-imag": ["eigensolve"],
     "winding-nssh2": ["winding"],
     "winding-nssh1": ["winding"],

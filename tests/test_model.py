@@ -112,7 +112,80 @@ class TestKSpace:
         assert b.dy == pytest.approx(1j * (H[0, 1] - H[1, 0]) / 2, abs=1e-12)
 
 
+def reference_pq_blocks(k, c, regime):
+    """P(k) and Q(k) as written out entry by entry, one copy per regime."""
+    f1, f2 = model.coupling_functions(k, c)
+    f1c, f2c = np.conj(f1), np.conj(f2)
+    if regime is Regime.REAL:
+        P = [[0, f1, 0, 0], [f1c, 0, 0, 0], [0, 0, 0, -f1], [0, 0, -f1c, 0]]
+        Q = [[0, 0, 0, -f2], [0, 0, f2c, 0], [0, f2, 0, 0], [-f2c, 0, 0, 0]]
+    else:  # couplings enter as iv, iw_r, iw_l
+        P = [[0, 1j * f1, 0, 0], [-1j * f1c, 0, 0, 0], [0, 0, 0, -1j * f1],
+             [0, 0, 1j * f1c, 0]]
+        Q = [[0, 0, 0, 1j * f2], [0, 0, 1j * f2c, 0], [0, 1j * f2, 0, 0],
+             [1j * f2c, 0, 0, 0]]
+    return np.array(P, dtype=complex), np.array(Q, dtype=complex)
+
+
+def reference_realspace_loop(c, n_cells, regime, pbc):
+    """K and Delta added up cell by cell, one entry at a time."""
+    z = regime.factor
+    tv, tw, g = z * c.v, z * 0.5 * (c.w_r + c.w_l), z * 0.5 * (c.w_l - c.w_r)
+    n = 4 * n_cells
+    K = np.zeros((n, n), dtype=complex)
+    D = np.zeros((n, n), dtype=complex)
+
+    def ix(cell, sub):
+        return 4 * (cell % n_cells) + sub
+
+    A, B, C, Dd = 0, 1, 2, 3
+    for i in range(n_cells):
+        K[ix(i, A), ix(i, B)] += tv
+        K[ix(i, B), ix(i, A)] += np.conj(tv)
+        K[ix(i, C), ix(i, Dd)] += -tv
+        K[ix(i, Dd), ix(i, C)] += -np.conj(tv)
+    for i in range(n_cells if pbc else n_cells - 1):
+        K[ix(i + 1, A), ix(i, B)] += tw
+        K[ix(i, B), ix(i + 1, A)] += np.conj(tw)
+        K[ix(i + 1, C), ix(i, Dd)] += -tw
+        K[ix(i, Dd), ix(i + 1, C)] += -np.conj(tw)
+        D[ix(i, B), ix(i + 1, C)] += g
+        D[ix(i + 1, C), ix(i, B)] += g
+        D[ix(i + 1, A), ix(i, Dd)] += -np.conj(g)
+        D[ix(i, Dd), ix(i + 1, A)] += -np.conj(g)
+    return K, D
+
+
+def bits(a):
+    """The raw bits of a complex array: equal bits mean equal signed zeros."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestNambuMatrices:
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("delta, theta", [(0.5, 0.4), (-0.1, 0.4),
+                                              (0.3, 0.0), (0.9, 1.0)])
+    def test_matches_hand_written_blocks(self, regime, delta, theta):
+        c = derive_couplings(1, delta, theta)
+        for k in np.linspace(-np.pi, np.pi, 9, endpoint=False):
+            P, Q = reference_pq_blocks(k, c, regime)
+            s = 1 if regime is Regime.REAL else -1
+            H = model.hamiltonian_qb_k(k, c, regime)
+            assert np.array_equal(H, np.block([[P, Q], [s * Q, s * P]]))
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    def test_momentum_array_matches_one_at_a_time(self, regime, theta):
+        c = derive_couplings(1, 0.5, theta)
+        grid = np.linspace(-np.pi, np.pi, 16, endpoint=False)  # holds k = 0
+        G = model.dynamical_qb_k(grid, c, regime)
+        H = model.hamiltonian_qb_k(grid.reshape(4, 4), c, regime)
+        assert G.shape == (16, 8, 8) and H.shape == (4, 4, 8, 8)
+        for i, k in enumerate(grid):
+            assert np.array_equal(G[i], model.dynamical_qb_k(k, c, regime))
+            assert np.array_equal(bits(H.reshape(16, 8, 8)[i]),
+                                  bits(model.hamiltonian_qb_k(k, c, regime)))
+
     @pytest.mark.parametrize("regime", list(Regime))
     def test_hermiticity(self, regime):
         rng = np.random.default_rng(1)
@@ -220,6 +293,18 @@ class TestRealSpace:
     def test_small_system_rejected(self):
         with pytest.raises(DomainError):
             model.realspace_dynamical(derive_couplings(1, 0, 0), 1)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("pbc", [False, True])
+    @pytest.mark.parametrize("n_cells, delta, theta", [
+        (2, 0.5, 0.4), (3, -0.1, 0.4), (7, 0.3, 0.0), (5, 1.0, 0.2)])
+    def test_blocks_match_cell_loop(self, regime, pbc, n_cells, delta, theta):
+        c = derive_couplings(1, delta, theta)
+        K, D = model.realspace_hamiltonian_blocks(c, n_cells, regime, pbc=pbc)
+        K0, D0 = reference_realspace_loop(c, n_cells, regime, pbc)
+        # bit for bit, signed zeros included (v = 0 at delta = 1)
+        assert np.array_equal(bits(K), bits(K0))
+        assert np.array_equal(bits(D), bits(D0))
 
 
 class TestQuadrature:

@@ -96,7 +96,30 @@ class TestBlockDiagonalization:
             assert np.abs(Ut @ Gt - Gt @ Ut).max() < 1e-12
 
 
+def reference_spectrum_loop(J, theta, deltas, regime, k_grid):
+    """PBC spectra with one 8x8 eigensolve per momentum, in k-major order."""
+    rows = []
+    for d in deltas:
+        c = derive_couplings(J, d, theta)
+        evs = np.concatenate([np.linalg.eigvals(model.dynamical_qb_k(k, c, regime))
+                              for k in k_grid])
+        rows.append(evs[np.lexsort((evs.imag, evs.real))])
+    return rows
+
+
 class TestSpectrumSweep:
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theta, n_k", [(0.4, 101), (0.0, 16), (1.0, 7)])
+    def test_pbc_matches_per_momentum_loop(self, regime, theta, n_k):
+        deltas = np.linspace(-0.9, 0.9, 7)
+        boundary = PBC.uniform(n_k)
+        sweep = spectral.spectrum_sweep(1.0, theta, deltas, regime, boundary)
+        ref = reference_spectrum_loop(1.0, theta, deltas, regime, boundary.k_grid)
+        assert len(sweep.eigenvalues) == len(ref)
+        for evs, expected in zip(sweep.eigenvalues, ref):
+            assert evs.shape == (8 * n_k,)
+            assert np.array_equal(evs, expected)
+
     def test_moebius_window_pbc(self):
         lower = (1 - np.exp(0.4)) / (1 + np.exp(0.4))
         deltas = np.round(np.linspace(-0.9, 0.9, 41), 12)  # snap 0.0 exactly
