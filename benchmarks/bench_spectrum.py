@@ -48,6 +48,6 @@ def test_realspace_dynamical(benchmark, cfg, regime):
     c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
                                float(cfg["theta"]))
     G = benchmark.pedantic(model.realspace_dynamical,
-                           args=(c, n_cells, regime, model.OBC(n_cells)),
+                           args=(c, n_cells, regime),
                            rounds=ROUNDS, iterations=1)
     assert G.shape == (8 * n_cells, 8 * n_cells)

@@ -258,7 +258,7 @@ def dynamical_qb_k(k, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def realspace_hamiltonian_blocks(c: CouplingSet, n_cells: int, regime: Regime = Regime.REAL,
-                                 pbc: bool = False):
+                                 *, pbc: bool = False):
     """Hopping block K (Hermitian) and pairing block Delta (symmetric), 4N x 4N.
 
     Mode ordering is cell-major (A, B, C, D).  Under OBC the intercell sums
@@ -317,19 +317,14 @@ def build_dynamical_from_blocks(K: np.ndarray, Delta: np.ndarray) -> np.ndarray:
 
 
 def realspace_dynamical(c: CouplingSet, n_cells: int, regime: Regime = Regime.REAL,
-                        boundary=None) -> np.ndarray:
-    """8N x 8N real-space dynamical matrix.
+                        *, pbc: bool = False) -> np.ndarray:
+    """8N x 8N real-space dynamical matrix, open or (``pbc``) periodic.
 
     Basis: (a_1..a_4N, a_1^dag..a_4N^dag) with modes ordered cell-major as
     (1A, 1B, 1C, 1D, 2A, ...).
     """
-    pbc = isinstance(boundary, PBC)
-    if boundary is not None and not isinstance(boundary, (PBC, OBC)):
-        raise DomainError(f"unknown boundary {boundary!r}")
-    if isinstance(boundary, OBC) and boundary.n_cells != n_cells:
-        raise DomainError("boundary.n_cells disagrees with n_cells argument")
-    K, D = realspace_hamiltonian_blocks(c, n_cells, regime, pbc=pbc)
-    return build_dynamical_from_blocks(K, D)
+    return build_dynamical_from_blocks(
+        *realspace_hamiltonian_blocks(c, n_cells, regime, pbc=pbc))
 
 
 def fourier_project(G: np.ndarray, n_cells: int, k: float) -> np.ndarray:
@@ -352,7 +347,7 @@ def fourier_project(G: np.ndarray, n_cells: int, k: float) -> np.ndarray:
 # quadrature basis (imaginary regime)
 # ---------------------------------------------------------------------------
 
-def quadrature_dynamical(c: CouplingSet, n_cells: int, boundary=None):
+def quadrature_dynamical(c: CouplingSet, n_cells: int):
     """OBC generators (h_x, h_p) of the decoupled X and P quadrature dynamics.
 
     Only the imaginary-parameter regime decouples the quadratures; these are
@@ -360,8 +355,6 @@ def quadrature_dynamical(c: CouplingSet, n_cells: int, boundary=None):
     """
     if n_cells < 2:
         raise DomainError(f"need at least 2 unit cells, got {n_cells}")
-    if isinstance(boundary, PBC):
-        raise DomainError("quadrature generators are defined here for OBC only")
     n = 4 * n_cells
     hx = np.zeros((n, n))
     hp = np.zeros((n, n))

@@ -33,7 +33,7 @@ from .exceptions import (
     ResolutionError,
 )
 from .model import CouplingSet, bloch_nssh2, hamiltonian_nssh2_k
-from .topology import _wrap
+from .topology import _bisect, _wrap
 
 #: refinement rounds of ``dtop`` per flagged step (8, 64, 512 sub-steps)
 _MAX_REFINE = 3
@@ -338,47 +338,41 @@ def _crossing_time(Ef, ov, n):
             - np.imag(np.conj(Ef) * np.arctanh(ov))) / abs(Ef) ** 2
 
 
-def _kc_equation(k, ci, cf, n):
+def _kc_value(Ef, ov, n):
     # real-time zero condition of g_k: from e^{2iE t} = -(1-ov)/(1+ov) the
     # time is real iff pi(n+1/2) Im E = Re(conj(E) atanh(ov)); the side label
     # then marks the half zone where g_k actually vanishes
-    _, Ef, ov = _overlap_fields(k, ci, cf)
     return -np.pi * (n + 0.5) * Ef.imag + np.real(np.conj(Ef) * np.arctanh(ov))
+
+
+def _kc_equation(k, ci, cf, n):
+    return _kc_value(*_overlap_fields(k, ci, cf)[1:], n)
 
 
 def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
     """Critical momenta/times from sign changes of the k_c equation.
 
-    Each half zone is scanned separately; brackets are refined by bisection
-    to 1e-12 in k, then the closed-form t_c is evaluated.  Times outside the
-    protocol's t span are discarded.  ``t_complete`` is the least crossing
-    time of the first order above n_range over the k grid: a crossing of a
-    higher order comes no earlier (while Re E^f > 0), so the list holds
-    every crossing before it.
+    Each half zone is scanned on the fields built once for the whole k grid;
+    brackets are refined by bisection to 1e-12 in k, then the closed-form
+    t_c is evaluated.  Times outside the protocol's t span are discarded.
+    ``t_complete`` is the least crossing time of the first order above
+    n_range over the k grid: a crossing of a higher order comes no earlier
+    (while Re E^f > 0), so the list holds every crossing before it.
     """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
     n_next = max(n_range, default=-1) + 1
     out = CriticalTimes([], float(_crossing_time(Ef, ov, n_next).min()))
     t_lo, t_hi = p.t_grid[0], p.t_grid[-1]
-    for side, ks in (("+", p.k_grid[p.k_grid > 0]), ("-", p.k_grid[p.k_grid < 0])):
+    for side, on in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
+        ks = p.k_grid[on]
         if ks.size < 2:
             continue
         for n in n_range:
-            vals = _kc_equation(ks, p.initial, p.final, n)
-            sign_flip = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-            for i in sign_flip:
-                a, b = ks[i], ks[i + 1]
-                fa = _kc_equation(a, p.initial, p.final, n)
-                while b - a > 1e-12:
-                    m = 0.5 * (a + b)
-                    fm = _kc_equation(m, p.initial, p.final, n)
-                    if fa * fm <= 0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                kc = 0.5 * (a + b)
-                _, Ef, ov = _overlap_fields(kc, p.initial, p.final)
-                tc = _crossing_time(Ef, ov, n)
+            vals = _kc_value(Ef[on], ov[on], n)
+            for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+                kc = _bisect(lambda k: _kc_equation(k, p.initial, p.final, n),
+                             ks[i], ks[i + 1])
+                tc = _crossing_time(*_overlap_fields(kc, p.initial, p.final)[1:], n)
                 if tc <= 0 or tc < t_lo or tc > t_hi:
                     continue
                 residual = float(_kc_equation(kc, p.initial, p.final, n))
@@ -440,7 +434,7 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
         phi = f.phi_pgp[rows]
         total = np.empty(t_grid.size)
         for cols in _column_blocks(t_grid.size):
-            inc = _wrap_in_place(np.diff(phi[:, cols], axis=0))
+            inc = _wrap(np.diff(phi[:, cols], axis=0))
             total[cols] = inc.sum(axis=0)
             for i, j in zip(*np.nonzero((inc > np.pi / 2) | (inc < -np.pi / 2))):
                 it = cols.start + j
@@ -493,11 +487,3 @@ def _column_blocks(n: int):
     edges = np.linspace(0, n, max(n // _DTOP_COLS, 1) + 1).astype(int).tolist()
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-
-def _wrap_in_place(a: np.ndarray) -> np.ndarray:
-    """topology._wrap, overwriting a: the same operations, bit for bit."""
-    np.negative(a, out=a)
-    a += np.pi
-    np.remainder(a, 2 * np.pi, out=a)
-    a -= np.pi
-    return np.negative(a, out=a)

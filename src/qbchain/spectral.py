@@ -23,10 +23,8 @@ __all__ = [
     "EigenSystem",
     "SpectrumSweep",
     "eig_general",
-    "block_transform_real",
-    "block_transform_imag",
-    "block_diagonalize_real",
-    "block_diagonalize_imag",
+    "block_transform",
+    "block_diagonalize",
     "spectrum_sweep",
     "ipr_localization",
 ]
@@ -61,6 +59,16 @@ BLOCK_Q_IMAG = (
     )
     / np.sqrt(2)
 ) @ np.diag([1, 1, 1, -1, 1, -1, 1, 1.0])
+
+#: per regime: Q (Q^dag = Q.conj().T serves both: the real Q is real), the
+#: two-band block H(k, c), and the (sign, dagger) of each of the four images
+#: of H on the diagonal of Q^dag G(k) Q
+_BLOCKS = {
+    Regime.REAL: (BLOCK_Q_REAL, hamiltonian_nssh2_k,
+                  ((1, False), (-1, True), (-1, False), (1, True))),
+    Regime.IMAGINARY: (BLOCK_Q_IMAG, nssh1_k,
+                       ((1, False), (-1, False), (1, True), (-1, True))),
+}
 
 # eig_general's cluster width (relative to max(1, max|w|)) and defect bound
 _CLUSTER_TOL = 1e-6
@@ -143,38 +151,24 @@ def eig_general(A: np.ndarray) -> EigenSystem:
                        defective=defective)
 
 
-def block_transform_real(k: float, c: CouplingSet) -> np.ndarray:
-    """Transformed real-regime dynamical matrix Q^dag G(k) Q (block diagonal)."""
-    G = dynamical_qb_k(k, c, Regime.REAL)
-    return BLOCK_Q_REAL.T @ G @ BLOCK_Q_REAL
+def block_transform(k, c: CouplingSet, regime: Regime, *, G=None) -> np.ndarray:
+    """Q^dag G Q (block diagonal), G = dynamical_qb_k(k, c, regime) unless given."""
+    if G is None:
+        G = dynamical_qb_k(k, c, regime)
+    Q = _BLOCKS[regime][0]
+    return Q.conj().T @ G @ Q
 
 
-def block_transform_imag(k: float, c: CouplingSet) -> np.ndarray:
-    """Transformed imaginary-regime dynamical matrix (block diagonal)."""
-    G = dynamical_qb_k(k, c, Regime.IMAGINARY)
-    return BLOCK_Q_IMAG.conj().T @ G @ BLOCK_Q_IMAG
-
-
-def block_diagonalize_real(k: float, c: CouplingSet) -> float:
-    """Max-abs deviation of Q^dag G(k) Q from diag(H, -H^dag, -H, H^dag)."""
-    H = hamiltonian_nssh2_k(k, c)
+def block_diagonalize(k: float, c: CouplingSet, regime: Regime, *, G=None) -> float:
+    """Max-abs deviation of :func:`block_transform` from its four images of H:
+    nSSH2 diag(H, -H^dag, -H, H^dag) (real), nSSH1 diag(H, -H, H^dag, -H^dag)."""
+    _, two_band, images = _BLOCKS[regime]
+    H = two_band(k, c)
     target = np.zeros((8, 8), dtype=complex)
-    target[0:2, 0:2] = H
-    target[2:4, 2:4] = -H.conj().T
-    target[4:6, 4:6] = -H
-    target[6:8, 6:8] = H.conj().T
-    return float(np.abs(block_transform_real(k, c) - target).max())
-
-
-def block_diagonalize_imag(k: float, c: CouplingSet) -> float:
-    """Max-abs deviation of the transformed matrix from diag(H, -H, H^dag, -H^dag)."""
-    H = nssh1_k(k, c)
-    target = np.zeros((8, 8), dtype=complex)
-    target[0:2, 0:2] = H
-    target[2:4, 2:4] = -H
-    target[4:6, 4:6] = H.conj().T
-    target[6:8, 6:8] = -H.conj().T
-    return float(np.abs(block_transform_imag(k, c) - target).max())
+    for b, (sign, dagger) in enumerate(images):
+        s = slice(2 * b, 2 * b + 2)
+        target[s, s] = sign * (H.conj().T if dagger else H)
+    return float(np.abs(block_transform(k, c, regime, G=G) - target).max())
 
 
 @dataclass
@@ -205,7 +199,7 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
                 evs = np.linalg.eigvals(
                     dynamical_qb_k(boundary.k_grid, c, regime)).ravel()
             elif isinstance(boundary, OBC):
-                G = realspace_dynamical(c, boundary.n_cells, regime, boundary)
+                G = realspace_dynamical(c, boundary.n_cells, regime)
                 evs = np.linalg.eigvals(G)
             else:
                 raise DomainError(f"unknown boundary {boundary!r}")

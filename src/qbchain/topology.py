@@ -82,8 +82,25 @@ def ep_locations_nssh2(c: CouplingSet):
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
-    """Map angles to (-pi, pi]."""
-    return -((-a + np.pi) % (2 * np.pi) - np.pi)
+    """Map angles to (-pi, pi] in place: overwrites the float array a, returns it."""
+    np.negative(a, out=a)
+    a += np.pi
+    np.remainder(a, 2 * np.pi, out=a)
+    a -= np.pi
+    return np.negative(a, out=a)
+
+
+def _bisect(f, a: float, b: float) -> float:
+    """Midpoint of f's scalar sign-change bracket [a, b], halved to width 1e-12."""
+    fa = f(a)
+    while b - a > 1e-12:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
 
 
 def _phi_angles(bloch: BlochVector):
@@ -261,9 +278,11 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     Returns (E_plus, E_minus, merged) where merged reports whether the two
     loops share a point within 1e-8 (single bigger loop).
     """
+    energy = {"nssh2": energy_nssh2, "nssh1": energy_nssh1}.get(which)
+    if energy is None:
+        raise DomainError(f"which must be nssh2 or nssh1, got {which!r}")
     if grid is None:
         grid = default_bz_grid()
-    energy = energy_nssh2 if which == "nssh2" else energy_nssh1
     grid = np.asarray(grid, dtype=float)
     e = np.asarray(energy(grid, c), dtype=complex)
     e_plus, e_minus = e, -e
@@ -275,16 +294,8 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     dd = np.append(e**2, e[0] ** 2)
     kk = np.append(grid, grid[0] + 2 * np.pi)
     for i in np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]:
-        a, b = kk[i], kk[i + 1]
-        fa = complex(energy(a, c)) ** 2
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = complex(energy(m, c)) ** 2
-            if fa.imag * fm.imag <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        z = complex(energy(0.5 * (a + b), c)) ** 2
+        k = _bisect(lambda k: (complex(energy(k, c)) ** 2).imag, kk[i], kk[i + 1])
+        z = complex(energy(k, c)) ** 2
         if abs(z.imag) < 1e-8 and z.real < -1e-12:
             merged = True
             break

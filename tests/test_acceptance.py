@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qbchain import amplification, model, quench, spectral, topology
-from qbchain.model import OBC, PBC, Regime, derive_couplings
+from qbchain.model import PBC, Regime, derive_couplings
 
 from test_amplification import reference_quadrature_n2
 
@@ -27,7 +27,7 @@ def test_criterion_01_block_equivalence_real():
     for _ in range(100):
         k = rng.uniform(-np.pi, np.pi)
         c = derive_couplings(1.0, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
-        worst = max(worst, spectral.block_diagonalize_real(k, c))
+        worst = max(worst, spectral.block_diagonalize(k, c, Regime.REAL))
     elapsed = time.time() - start
     report(1, worst < 1e-12 and elapsed < 1.0,
            f"max residual {worst:.2e} < 1e-12, runtime {elapsed:.2f}s < 1s")
@@ -39,7 +39,7 @@ def test_criterion_02_block_equivalence_imaginary():
     for _ in range(100):
         k = rng.uniform(-np.pi, np.pi)
         c = derive_couplings(1.0, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
-        worst = max(worst, spectral.block_diagonalize_imag(k, c))
+        worst = max(worst, spectral.block_diagonalize(k, c, Regime.IMAGINARY))
     report(2, worst < 1e-12, f"max residual {worst:.2e} < 1e-12")
 
 
@@ -79,8 +79,7 @@ def test_criterion_05_obc_reality_and_zero_modes():
     notes = []
     for d in np.round(np.linspace(-0.9, 0.9, 19), 12):
         c = derive_couplings(1.0, d, 0.4)
-        evs = np.linalg.eigvals(model.realspace_dynamical(c, 20, Regime.REAL,
-                                                          OBC(20)))
+        evs = np.linalg.eigvals(model.realspace_dynamical(c, 20, Regime.REAL))
         if np.abs(evs.imag).max() >= 1e-6 * np.abs(evs).max():
             ok = False
             notes.append(f"Im at delta={d}")
@@ -236,7 +235,7 @@ def test_criterion_11_nhse():
     n = 40
     fracs = {}
     for regime in (Regime.REAL, Regime.IMAGINARY):
-        G = model.realspace_dynamical(c, n, regime, OBC(n))
+        G = model.realspace_dynamical(c, n, regime)
         rows = spectral.ipr_localization(G, n_cells=n)
         pos = np.array([r[2] for r in rows])
         fracs[regime] = float(np.mean((pos < 0.2 * n) | (pos > 0.8 * n)))

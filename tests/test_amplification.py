@@ -8,7 +8,7 @@ import scipy.linalg
 
 from qbchain import amplification, cli, model, topology
 from qbchain.exceptions import DomainError, DoubleOverflowError, SingularityError
-from qbchain.model import OBC, Regime, derive_couplings
+from qbchain.model import Regime, derive_couplings
 
 
 def reference_quadrature_n2(c):
@@ -144,7 +144,7 @@ class TestQuadratureGenerators:
     def test_nambu_rotation_decouples_imaginary(self):
         c = derive_couplings(1, 0.5, 0.4)
         n = 6
-        G = model.realspace_dynamical(c, n, Regime.IMAGINARY, OBC(n))
+        G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
         M = amplification.nambu_to_quadrature(G)
         assert np.abs(M.imag).max() < 1e-12
         half = 4 * n
@@ -157,7 +157,7 @@ class TestQuadratureGenerators:
     def test_nambu_rotation_couples_real(self):
         c = derive_couplings(1, 0.5, 0.4)
         n = 4
-        G = model.realspace_dynamical(c, n, Regime.REAL, OBC(n))
+        G = model.realspace_dynamical(c, n, Regime.REAL)
         M = amplification.nambu_to_quadrature(G)
         half = 4 * n
         assert np.abs(M[:half, half:]).max() > 1e-3

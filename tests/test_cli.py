@@ -344,6 +344,21 @@ class TestCommands:
         report = (out / "check_report.csv").read_text()
         assert report.splitlines()[-1] == "failures,0"
 
+    def test_check_builds_each_sample_once(self, tmp_path, monkeypatch):
+        # G(k) and G(-k) of each of the 100 samples come from one stacked
+        # build per regime, which the block check reuses
+        shapes = []
+        build = model.dynamical_qb_k
+
+        def counted(k, *args, **kwargs):
+            shapes.append(np.shape(k))
+            return build(k, *args, **kwargs)
+        monkeypatch.setattr(model, "dynamical_qb_k", counted)
+        monkeypatch.setattr(spectral, "dynamical_qb_k", counted)
+        code, _, _ = run_cli(tmp_path, ["--command", "check"])
+        assert code == 0
+        assert shapes == [(2,)] * 200
+
     def test_determinism_byte_identical(self, tmp_path):
         texts = []
         for sub in ("r1", "r2"):

@@ -254,7 +254,7 @@ class TestRealSpace:
     def test_fourier_oracle(self, regime):
         n_cells = 8
         c = derive_couplings(1, 0.3, 0.5)
-        G = model.realspace_dynamical(c, n_cells, regime, PBC.uniform(n_cells))
+        G = model.realspace_dynamical(c, n_cells, regime, pbc=True)
         for m in range(n_cells):
             k = -np.pi + 2 * np.pi * m / n_cells
             Gk = model.fourier_project(G, n_cells, k)
@@ -262,7 +262,7 @@ class TestRealSpace:
 
     def test_obc_real_spectrum(self):
         c = derive_couplings(1, 0.3, 0.4)
-        G = model.realspace_dynamical(c, 20, Regime.REAL, OBC(20))
+        G = model.realspace_dynamical(c, 20, Regime.REAL)
         ev = np.linalg.eigvals(G)
         assert np.abs(ev.imag).max() < 1e-6 * np.abs(ev).max()
 
@@ -288,7 +288,21 @@ class TestRealSpace:
         for regime in Regime:
             K, D = model.realspace_hamiltonian_blocks(c, 5, regime)
             G = model.build_dynamical_from_blocks(K, D)
-            assert np.allclose(G, model.realspace_dynamical(c, 5, regime, OBC(5)))
+            assert np.allclose(G, model.realspace_dynamical(c, 5, regime))
+
+    def test_boundary_is_a_keyword_flag(self):
+        c = derive_couplings(1, 0.5, 0.4)
+        with pytest.raises(TypeError):
+            model.realspace_dynamical(c, 4, Regime.REAL, OBC(4))
+        with pytest.raises(TypeError):
+            model.realspace_hamiltonian_blocks(c, 4, Regime.REAL, True)
+        for pbc in (False, True):
+            K, D = model.realspace_hamiltonian_blocks(c, 4, Regime.REAL, pbc=pbc)
+            G = model.realspace_dynamical(c, 4, Regime.REAL, pbc=pbc)
+            assert np.array_equal(G, model.build_dynamical_from_blocks(K, D))
+        # the wrap bond couples the last cell to the first under PBC only
+        assert not model.realspace_dynamical(c, 4)[0:4, 12:16].any()
+        assert model.realspace_dynamical(c, 4, pbc=True)[0:4, 12:16].any()
 
     def test_small_system_rejected(self):
         with pytest.raises(DomainError):
@@ -323,6 +337,14 @@ class TestQuadrature:
         assert np.abs(np.abs(diff[np.nonzero(diff)]) - 2 * abs(wm)).max() < 1e-12
 
     def test_antisymmetric_pattern(self):
+        # the v and w+ couplings are antisymmetric and the w- cross terms
+        # symmetric: at theta = 0 (w- = 0) each generator is exactly -h^T
+        for h in model.quadrature_dynamical(derive_couplings(1, -0.2, 0.0), 6):
+            assert np.array_equal(h, -h.T)
+        # elsewhere h + h^T holds only the w- terms: 4 per bond, each +-2 w-
         c = derive_couplings(1, -0.2, 0.9)
-        hx, hp = model.quadrature_dynamical(c, 6)
-        assert np.abs(hx.imag).max() == 0 if np.iscomplexobj(hx) else True
+        wm = 0.5 * (c.w_l - c.w_r)
+        for h in model.quadrature_dynamical(c, 6):
+            sym = h + h.T
+            assert np.count_nonzero(sym) == 4 * (6 - 1)
+            assert np.array_equal(np.abs(sym[sym != 0]), np.full(20, 2 * wm))

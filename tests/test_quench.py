@@ -72,8 +72,7 @@ class TestLoschmidtAmplitude:
         # block-transformed, holds exp(-iH^f(k)t) as its first 2x2 block, and
         # the initial biorthogonal pair contracts it to g_k(t)
         n_cells = 12
-        G = model.realspace_dynamical(cf, n_cells, model.Regime.REAL,
-                                      model.PBC.uniform(n_cells))
+        G = model.realspace_dynamical(cf, n_cells, model.Regime.REAL, pbc=True)
         ks = 2 * np.pi * np.arange(n_cells) / n_cells - np.pi
         Q = spectral.BLOCK_Q_REAL
         for t in (0.7, 2.3, 5.1):
@@ -165,7 +164,45 @@ class TestFisherZeros:
             quench.fisher_zeros(1.0, c, c)
 
 
+def reference_critical_entries(p, n_range):
+    """critical_set's entries with the k_c equation rebuilt per half zone
+    and order, and a hand-written bisection: the reference for the scan on
+    the fields built once."""
+    entries = []
+    for side, ks in (("+", p.k_grid[p.k_grid > 0]), ("-", p.k_grid[p.k_grid < 0])):
+        for n in n_range:
+            vals = quench._kc_equation(ks, p.initial, p.final, n)
+            for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+                a, b = ks[i], ks[i + 1]
+                fa = quench._kc_equation(a, p.initial, p.final, n)
+                while b - a > 1e-12:
+                    m = 0.5 * (a + b)
+                    fm = quench._kc_equation(m, p.initial, p.final, n)
+                    if fa * fm <= 0:
+                        b = m
+                    else:
+                        a, fa = m, fm
+                kc = 0.5 * (a + b)
+                _, Ef, ov = quench._overlap_fields(kc, p.initial, p.final)
+                tc = quench._crossing_time(Ef, ov, n)
+                if tc <= 0 or tc < p.t_grid[0] or tc > p.t_grid[-1]:
+                    continue
+                residual = float(quench._kc_equation(kc, p.initial, p.final, n))
+                entries.append((int(n), side, float(kc), float(tc), residual))
+    return sorted(entries, key=lambda e: e[3])
+
+
 class TestCriticalSet:
+    @pytest.mark.parametrize("ci, cf", [
+        (CI, CF4), (CI, CF5), (CI, CH),
+        (derive_couplings(1, 0.9, 0.0), derive_couplings(1, -0.5, 0.8)),
+        (derive_couplings(1.2, 0.2, 0.1), derive_couplings(0.8, -0.7, 0.6))])
+    def test_matches_per_order_scan(self, ci, cf):
+        p = quench.QuenchProtocol.default(ci, cf)
+        ct = quench.critical_set(p)
+        assert ct.entries
+        assert ct.entries == reference_critical_entries(p, range(10))
+
     def test_residuals_and_zeros(self):
         p = quench.QuenchProtocol.default(CI, CF4, n_half=500, n_t=200)
         ct = quench.critical_set(p, range(6))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from qbchain import model, spectral
 from qbchain.exceptions import DomainError
@@ -58,13 +59,40 @@ class TestBlockDiagonalization:
         for _ in range(100):
             k = rng.uniform(-np.pi, np.pi)
             c = derive_couplings(1, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
-            assert spectral.block_diagonalize_real(k, c) < 1e-12
-            assert spectral.block_diagonalize_imag(k, c) < 1e-12
+            assert spectral.block_diagonalize(k, c, Regime.REAL) < 1e-12
+            assert spectral.block_diagonalize(k, c, Regime.IMAGINARY) < 1e-12
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_blocks_hold_the_four_images(self, regime):
+        # real: nSSH2 copies (H, -H^dag, -H, H^dag); imaginary: nSSH1 copies
+        # (H, -H, H^dag, -H^dag)
+        c = derive_couplings(1, -0.3, 0.7)
+        k = 1.1
+        if regime is Regime.REAL:
+            H = model.hamiltonian_nssh2_k(k, c)
+            images = [H, -H.conj().T, -H, H.conj().T]
+        else:
+            H = model.nssh1_k(k, c)
+            images = [H, -H, H.conj().T, -H.conj().T]
+        B = spectral.block_transform(k, c, regime)
+        assert np.abs(B - block_diag(*images)).max() < 1e-12
+        assert spectral.block_diagonalize(k, c, regime) < 1e-12
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_block_check_reuses_a_built_matrix(self, regime):
+        c = derive_couplings(1, 0.4, 0.3)
+        k = -2.2
+        G, _ = model.dynamical_qb_k(np.array([k, -k]), c, regime)
+        assert (spectral.block_diagonalize(k, c, regime, G=G)
+                == spectral.block_diagonalize(k, c, regime))
+        # a G of the other regime is checked, not rebuilt
+        other = model.dynamical_qb_k(k, c, next(r for r in Regime if r is not regime))
+        assert spectral.block_diagonalize(k, c, regime, G=other) > 0.1
 
     def test_theta0_blocks_hermitian(self):
         c = derive_couplings(1, 0.3, 0)
-        B = spectral.block_transform_real(0.9, c)
-        assert spectral.block_diagonalize_real(0.9, c) < 1e-12
+        B = spectral.block_transform(0.9, c, Regime.REAL)
+        assert spectral.block_diagonalize(0.9, c, Regime.REAL) < 1e-12
         assert np.abs(B - B.conj().T).max() < 1e-12
 
     def test_spectrum_union(self):
@@ -151,7 +179,7 @@ class TestIpr:
     def test_pbc_extended(self):
         c = derive_couplings(1, 0.5, 0.4)
         n = 16
-        G = model.realspace_dynamical(c, n, Regime.REAL, PBC.uniform(n))
+        G = model.realspace_dynamical(c, n, Regime.REAL, pbc=True)
         rows = spectral.ipr_localization(G, n_cells=n)
         iprs = [r[1] for r in rows]
         assert np.median(iprs) < 5.0 / n
@@ -159,7 +187,7 @@ class TestIpr:
     def test_nhse_real_obc(self):
         c = derive_couplings(1, 0.5, 0.4)
         n = 40
-        G = model.realspace_dynamical(c, n, Regime.REAL, OBC(n))
+        G = model.realspace_dynamical(c, n, Regime.REAL)
         rows = spectral.ipr_localization(G, n_cells=n)
         pos = np.array([r[2] for r in rows])
         edge = np.mean((pos < 0.2 * n) | (pos > 0.8 * n))
@@ -168,7 +196,7 @@ class TestIpr:
     def test_no_nhse_imaginary_obc(self):
         c = derive_couplings(1, 0.5, 0.4)
         n = 40
-        G = model.realspace_dynamical(c, n, Regime.IMAGINARY, OBC(n))
+        G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
         rows = spectral.ipr_localization(G, n_cells=n)
         pos = np.array([r[2] for r in rows])
         edge = np.mean((pos < 0.2 * n) | (pos > 0.8 * n))

@@ -228,7 +228,41 @@ class TestBatchedWinding:
         assert [lab.tag for lab in labels] == [Phase.CRITICAL]
 
 
+def reference_merged(c, grid, which):
+    """parametric_energy_loops' merged flag with its former stop rule: 80
+    halvings of each bracket in place of a 1e-12 width."""
+    energy = model.energy_nssh2 if which == "nssh2" else model.energy_nssh1
+    e = energy(grid, c)
+    dd = np.append(e**2, e[0] ** 2)
+    kk = np.append(grid, grid[0] + 2 * np.pi)
+    for i in np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]:
+        a, b = kk[i], kk[i + 1]
+        fa = complex(energy(a, c)) ** 2
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            fm = complex(energy(m, c)) ** 2
+            if fa.imag * fm.imag <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        z = complex(energy(0.5 * (a + b), c)) ** 2
+        if abs(z.imag) < 1e-8 and z.real < -1e-12:
+            return True
+    return False
+
+
 class TestEnergyLoops:
+    @pytest.mark.parametrize("which", ["nssh2", "nssh1"])
+    def test_merged_matches_fixed_halvings(self, which):
+        grid = topology.default_bz_grid()
+        flags = []
+        for th in (0.0, 0.4, 1.0, 2.0):
+            for d in np.linspace(-0.95, 0.95, 39):
+                c = derive_couplings(1, d, th)
+                merged = topology.parametric_energy_loops(c, grid, which=which)[2]
+                assert merged == reference_merged(c, grid, which), (d, th)
+                flags.append(merged)
+        assert any(flags) and not all(flags)
     def test_moebius_merged_loop(self):
         # band exchange in the Moebius phase: the two traces form one loop
         c = derive_couplings(1, -0.1, 0.4)
@@ -248,8 +282,39 @@ class TestEnergyLoops:
         assert np.abs(ep.imag).max() < 1e-12
         assert not merged
 
+    @pytest.mark.parametrize("which", ["bogus", "NSSH2", ""])
+    def test_unknown_model_rejected(self, which):
+        with pytest.raises(DomainError, match="nssh2 or nssh1"):
+            topology.parametric_energy_loops(derive_couplings(1, 0.5, 0.4),
+                                             which=which)
+
     def test_nssh1_branch(self):
         c = derive_couplings(1, 0.5, 0.4)
         ep, _, _ = topology.parametric_energy_loops(c, which="nssh1")
         grid = topology.default_bz_grid()
         assert np.abs(ep - model.energy_nssh1(grid, c)).max() < 1e-14
+
+
+class TestHelpers:
+    def test_wrap_overwrites_its_argument(self):
+        a = np.array([-7.0, -np.pi, -1.0, 0.0, -0.0, 1.0, np.pi, 3 * np.pi, 10.0])
+        expected = -((-a + np.pi) % (2 * np.pi) - np.pi)  # the textbook form
+        out = topology._wrap(a)
+        assert out is a
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+        assert np.all((out > -np.pi) & (out <= np.pi))
+        assert out[1] == np.pi and out[6] == np.pi  # -pi maps to +pi
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: x - 0.3, 0.3),
+        (lambda x: np.cos(x), np.pi / 2),
+        (lambda x: 0.7 - x**3, 0.7 ** (1 / 3)),
+    ])
+    def test_bisect_brackets_to_width(self, f, root):
+        k = topology._bisect(f, 0.0, 2.0)
+        assert abs(k - root) < 1e-12
+        assert isinstance(k, float)
+
+    def test_bisect_zero_at_left_end(self):
+        # f(a) = 0 counts as a sign change: every step keeps the left half
+        assert abs(topology._bisect(lambda x: x, 0.0, 1.0)) < 1e-12
