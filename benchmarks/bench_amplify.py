@@ -2,7 +2,7 @@
 and the chi CSV writes, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_amplify.py \
-        --benchmark-json BENCH_13.json
+        --benchmark-json BENCH_16.json
 
 ``amplification_phase_scan`` runs the default scan (41 deltas at
 theta = 0.4, N = 40) one block of ``topology.DELTA_BLOCK`` deltas at a
@@ -11,16 +11,19 @@ Neumann recurrence with delta as a leading axis, and per delta the dense
 generators that check the blocks' form and residual, with no dense chi.
 ``classify_phase_imag`` winds the nSSH1 Bloch vector on the default
 2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
-``winding_pair`` winds the same vector one momentum at a time, as a
-reference for that speed-up.  ``environment`` builds the manifest's ``env``
-block afresh (it is cached per process in a run).  ``chi_csv_writes``
+``winding_pair_per_momentum`` winds the Bloch vector of either regime
+there one momentum at a time: the imaginary case is the reference for that
+speed-up, and the real (nSSH2) case is the per-momentum winding that the
+``phase-diagram`` and ``check`` commands run.  ``environment`` builds the
+manifest's ``env`` block afresh (it is cached per process in a run).  ``chi_csv_writes``
 writes the four ``chi_*.csv`` files of the theta = 0, N = 80 run
 (4 x 25,600 rows) into a fresh directory each round.  The file name is
 outside pytest's default ``test_*.py`` pattern, so the test suite does not
 collect it; pass it to pytest by path.  Each record's ``extra_info`` holds
 the manifest's ``env`` block (versions, BLAS, cores, thread settings).
-Every test uses only names that earlier versions of ``qbchain`` also have,
-so the same file times an older checkout put first on ``PYTHONPATH``.
+The file calls ``model.bloch(k, c, regime)``, which older versions of
+``qbchain`` lack; time an older checkout with that checkout's own copy of
+this file.
 """
 
 import pytest
@@ -58,14 +61,17 @@ def test_classify_phase_imag(benchmark, couplings):
     assert label.tag is topology.Phase.NONTRIVIAL
 
 
-def test_winding_pair_per_momentum(benchmark, couplings):
+@pytest.mark.parametrize("regime", list(model.Regime), ids=lambda r: r.value)
+def test_winding_pair_per_momentum(benchmark, couplings, regime):
     benchmark.extra_info["env"] = cli._environment()
+    grid = topology.default_bz_grid()
     res = benchmark.pedantic(
         topology.winding_pair,
-        args=(lambda k: model.bloch_nssh1(k, couplings),
-              topology.default_bz_grid()),
+        args=(lambda k: model.bloch(k, couplings, regime), grid),
         rounds=ROUNDS, iterations=1)
-    assert res == topology.classify_phase_imag(couplings).winding
+    # the same vector wound on the whole grid at once
+    phi1, phi2 = topology._phi_angles(model.bloch(grid, couplings, regime))
+    assert res == topology._windings(phi1[None], phi2[None])[0]
 
 
 def test_environment(benchmark):

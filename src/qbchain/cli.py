@@ -57,6 +57,9 @@ DEFAULTS = {
     "n_max": "10",
 }
 
+#: the two-band model a ``winding`` run winds, by its config value
+_MODELS = {"nssh2": model.Regime.REAL, "nssh1": model.Regime.IMAGINARY}
+
 
 class UsageError(Exception):
     pass
@@ -182,7 +185,7 @@ def validate(cfg: dict) -> dict:
         raise UsageError(f"regime must be real or imaginary, got {full['regime']!r}")
     if full["boundary"] not in ("pbc", "obc"):
         raise UsageError(f"boundary must be pbc or obc, got {full['boundary']!r}")
-    if full["model"] not in ("nssh2", "nssh1"):
+    if full["model"] not in _MODELS:
         raise UsageError(f"model must be nssh2 or nssh1, got {full['model']!r}")
     for key in ("J", "theta", "delta", "delta_min", "delta_max", "theta_min",
                 "theta_max", "J_i", "delta_i", "theta_i", "J_f", "delta_f",
@@ -335,13 +338,12 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
     c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
                                float(cfg["theta"]))
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
-    which = cfg["model"]
-    bloch = model.bloch_nssh2 if which == "nssh2" else model.bloch_nssh1
-    provider = lambda k: bloch(k, c)
+    regime = _MODELS[cfg["model"]]
+    provider = lambda k: model.bloch(k, c, regime)
     t0 = time.perf_counter()
     res = topology.winding_pair(provider, grid)
     integral = topology.winding_integral(provider, grid)
-    ep, em, merged = topology.parametric_energy_loops(c, grid, which=which)
+    ep, em, merged = topology.parametric_energy_loops(c, grid, regime)
     _stage(stages, "winding", t0, (grid.size, 2), ep.nbytes + em.nbytes)
     tolerances["winding_quantization_residual"] = res.imag_residual
     tolerances["winding_integral_imag"] = abs(integral.imag)
@@ -377,7 +379,8 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
             res = label.winding
             if res is None:  # the real-regime label comes from thresholds
                 c = model.derive_couplings(J, d, th)
-                res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
+                res = topology.winding_pair(
+                    lambda k: model.bloch(k, c, model.Regime.REAL), grid)
             rows.append((d, th, res.nu1, res.nu2, res.nu))
     _stage(stages, "winding", t0, (len(rows), 5), 40 * len(rows))
     _write_table(outdir, files, stages, "phase_diagram.csv",
@@ -530,7 +533,8 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
     grid = topology.default_bz_grid()
     for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
         c = model.derive_couplings(1.0, d, 0.4)
-        res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
+        res = topology.winding_pair(
+            lambda k: model.bloch(k, c, model.Regime.REAL), grid)
         check(f"winding_delta_{d}", abs(res.nu - expected), 1e-3)
     _stage(stages, "checks", t0, (len(tolerances),), 8 * len(tolerances))
 

@@ -25,14 +25,11 @@ __all__ = [
     "BlochVector",
     "derive_couplings",
     "coupling_functions",
-    "hamiltonian_nssh2_k",
-    "bloch_nssh2",
-    "energy_nssh2",
+    "two_band",
+    "bloch",
+    "energy",
     "hamiltonian_qb_k",
     "dynamical_qb_k",
-    "nssh1_k",
-    "bloch_nssh1",
-    "energy_nssh1",
     "realspace_hamiltonian_blocks",
     "realspace_dynamical",
     "fourier_project",
@@ -133,11 +130,11 @@ class BlochVector:
     di: np.ndarray  # (d_x^i, d_y^i)
 
     @property
-    def dx(self) -> complex:
+    def dx(self) -> complex | np.ndarray:
         return self.dr[0] + 1j * self.di[0]
 
     @property
-    def dy(self) -> complex:
+    def dy(self) -> complex | np.ndarray:
         return self.dr[1] + 1j * self.di[1]
 
 
@@ -153,58 +150,60 @@ def coupling_functions(k, c: CouplingSet):
     return f1, f2
 
 
-def hamiltonian_nssh2_k(k: float, c: CouplingSet) -> np.ndarray:
-    """2x2 two-EP non-Hermitian SSH block (real-parameter regime)."""
-    return np.array(
-        [
-            [0.0, c.v + c.w_r * np.exp(-1j * k)],
-            [c.v + c.w_l * np.exp(1j * k), 0.0],
-        ],
-        dtype=complex,
-    )
+def _is_real(regime) -> bool:
+    """True for the real regime (nSSH2 block), False for the imaginary (nSSH1)."""
+    if regime is Regime.REAL:
+        return True
+    if regime is Regime.IMAGINARY:
+        return False
+    raise DomainError(
+        f"two-band model must be nssh2 or nssh1 (Regime.REAL or Regime.IMAGINARY), "
+        f"got {regime!r}")
 
 
-def bloch_nssh2(k: float, c: CouplingSet) -> BlochVector:
-    """Planar Bloch vector of the two-EP block, split into real/imaginary parts."""
-    wp = 0.5 * (c.w_l + c.w_r)
-    wm = 0.5 * (c.w_l - c.w_r)
-    dr = np.array([c.v + wp * np.cos(k), wp * np.sin(k)])
-    di = np.array([wm * np.sin(k), -wm * np.cos(k)])
-    return BlochVector(dr=dr, di=di)
+def two_band(k, c: CouplingSet, regime: Regime) -> np.ndarray:
+    """2x2 non-Hermitian SSH block, of shape k.shape + (2, 2).
+
+    Real regime: the two-EP nSSH2 block; imaginary regime: the single-EP
+    nSSH1 block.
+    """
+    H = np.zeros(np.shape(k) + (2, 2), dtype=complex)
+    if _is_real(regime):
+        H[..., 0, 1] = c.v + c.w_r * np.exp(-1j * k)
+        H[..., 1, 0] = c.v + c.w_l * np.exp(1j * k)
+    else:
+        H[..., 0, 1] = c.v + 0.5 * (1 + 1j) * (c.w_l - 1j * c.w_r) * np.exp(-1j * k)
+        H[..., 1, 0] = np.conj(
+            c.v + 0.5 * (1 - 1j) * (c.w_l + 1j * c.w_r) * np.exp(-1j * k))
+    return H
 
 
-def energy_nssh2(k, c: CouplingSet):
-    """Principal-branch quasiparticle energy; the band pair is (+E, -E)."""
-    k = np.asarray(k, dtype=float)
-    rad = c.v**2 + c.w_r * c.w_l + c.v * (
-        c.w_l * np.exp(1j * k) + c.w_r * np.exp(-1j * k)
-    )
-    return np.sqrt(rad)
-
-
-def nssh1_k(k: float, c: CouplingSet) -> np.ndarray:
-    """2x2 single-EP non-Hermitian SSH block (imaginary-parameter regime)."""
-    p1 = c.v + 0.5 * (1 + 1j) * (c.w_l - 1j * c.w_r) * np.exp(-1j * k)
-    p2 = c.v + 0.5 * (1 - 1j) * (c.w_l + 1j * c.w_r) * np.exp(-1j * k)
-    return np.array([[0.0, p1], [np.conj(p2), 0.0]], dtype=complex)
-
-
-def bloch_nssh1(k: float, c: CouplingSet) -> BlochVector:
-    """Planar Bloch vector of the single-EP block.
+def bloch(k, c: CouplingSet, regime: Regime) -> BlochVector:
+    """Planar Bloch vector of :func:`two_band`, split into real/imaginary parts.
 
     Components follow from decomposing the 2x2 block into Pauli matrices, so
-    that (dx^2 + dy^2) reproduces the band energies exactly.
+    that (dx^2 + dy^2) reproduces the band energies exactly.  The regimes
+    differ only in d^i: wm (sin k, -cos k) (nSSH2) or wm (cos k, sin k) (nSSH1).
     """
     wp = 0.5 * (c.w_l + c.w_r)
     wm = 0.5 * (c.w_l - c.w_r)
     dr = np.array([c.v + wp * np.cos(k), wp * np.sin(k)])
-    di = np.array([wm * np.cos(k), wm * np.sin(k)])
+    if _is_real(regime):
+        di = np.array([wm * np.sin(k), -wm * np.cos(k)])
+    else:
+        di = np.array([wm * np.cos(k), wm * np.sin(k)])
     return BlochVector(dr=dr, di=di)
 
 
-def energy_nssh1(k, c: CouplingSet):
-    """Principal-branch energy of the single-EP block."""
+def energy(k, c: CouplingSet, regime: Regime):
+    """Principal-branch quasiparticle energy of :func:`two_band`; the band
+    pair is (+E, -E)."""
     k = np.asarray(k, dtype=float)
+    if _is_real(regime):
+        rad = c.v**2 + c.w_r * c.w_l + c.v * (
+            c.w_l * np.exp(1j * k) + c.w_r * np.exp(-1j * k)
+        )
+        return np.sqrt(rad)
     x = c.v**2 + c.v * (c.w_r + c.w_l) * np.cos(k) + c.w_r * c.w_l
     y = (c.w_l - c.w_r) * (c.v * np.cos(k) + 0.5 * (c.w_r + c.w_l))
     return np.sqrt(x + 1j * y)

@@ -32,7 +32,7 @@ from .exceptions import (
     ExceptionalPointError,
     ResolutionError,
 )
-from .model import CouplingSet, bloch_nssh2, hamiltonian_nssh2_k
+from .model import CouplingSet, Regime, bloch, two_band
 from .topology import _bisect, _wrap
 
 #: refinement rounds of ``dtop`` per flagged step (8, 64, 512 sub-steps)
@@ -128,8 +128,8 @@ def map_chunks(fn, n_chunks: int, consume=None) -> int:
 def _overlap_fields(k, ci: CouplingSet, cf: CouplingSet):
     """(E^i, E^f, overlap) with bilinear-normalized Bloch vectors, vectorized in k."""
     k = np.asarray(k, dtype=float)
-    bi = bloch_nssh2(k, ci)
-    bf = bloch_nssh2(k, cf)
+    bi = bloch(k, ci, Regime.REAL)
+    bf = bloch(k, cf, Regime.REAL)
     ddi = bi.dx**2 + bi.dy**2
     ddf = bf.dx**2 + bf.dy**2
     if np.abs(ddi).min() < 1e-14 or np.abs(ddf).min() < 1e-14:
@@ -185,8 +185,8 @@ def loschmidt_oracle(k: float, ci: CouplingSet, cf: CouplingSet, t: float,
     the final 2x2 block through its biorthogonal eigendecomposition and
     contract with the matching left eigenvector.
     """
-    ui, _ = _mode_parameter(hamiltonian_nssh2_k(k, ci))
-    Hf = hamiltonian_nssh2_k(k, cf)
+    ui, _ = _mode_parameter(two_band(k, ci, Regime.REAL))
+    Hf = two_band(k, cf, Regime.REAL)
     uf, Ef = _mode_parameter(Hf)
     if method == "fq":
         rho = ui / uf

@@ -14,9 +14,8 @@ from .model import (
     Regime,
     derive_couplings,
     dynamical_qb_k,
-    hamiltonian_nssh2_k,
-    nssh1_k,
     realspace_dynamical,
+    two_band,
 )
 
 __all__ = [
@@ -60,14 +59,12 @@ BLOCK_Q_IMAG = (
     / np.sqrt(2)
 ) @ np.diag([1, 1, 1, -1, 1, -1, 1, 1.0])
 
-#: per regime: Q (Q^dag = Q.conj().T serves both: the real Q is real), the
-#: two-band block H(k, c), and the (sign, dagger) of each of the four images
-#: of H on the diagonal of Q^dag G(k) Q
+#: per regime: Q (Q^dag = Q.conj().T serves both: the real Q is real) and
+#: the (sign, dagger) of each of the four images of the two-band block H on
+#: the diagonal of Q^dag G(k) Q
 _BLOCKS = {
-    Regime.REAL: (BLOCK_Q_REAL, hamiltonian_nssh2_k,
-                  ((1, False), (-1, True), (-1, False), (1, True))),
-    Regime.IMAGINARY: (BLOCK_Q_IMAG, nssh1_k,
-                       ((1, False), (-1, False), (1, True), (-1, True))),
+    Regime.REAL: (BLOCK_Q_REAL, ((1, False), (-1, True), (-1, False), (1, True))),
+    Regime.IMAGINARY: (BLOCK_Q_IMAG, ((1, False), (-1, False), (1, True), (-1, True))),
 }
 
 # eig_general's cluster width (relative to max(1, max|w|)) and defect bound
@@ -162,10 +159,9 @@ def block_transform(k, c: CouplingSet, regime: Regime, *, G=None) -> np.ndarray:
 def block_diagonalize(k: float, c: CouplingSet, regime: Regime, *, G=None) -> float:
     """Max-abs deviation of :func:`block_transform` from its four images of H:
     nSSH2 diag(H, -H^dag, -H, H^dag) (real), nSSH1 diag(H, -H, H^dag, -H^dag)."""
-    _, two_band, images = _BLOCKS[regime]
-    H = two_band(k, c)
+    H = two_band(k, c, regime)
     target = np.zeros((8, 8), dtype=complex)
-    for b, (sign, dagger) in enumerate(images):
+    for b, (sign, dagger) in enumerate(_BLOCKS[regime][1]):
         s = slice(2 * b, 2 * b + 2)
         target[s, s] = sign * (H.conj().T if dagger else H)
     return float(np.abs(block_transform(k, c, regime, G=G) - target).max())

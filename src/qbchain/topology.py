@@ -8,15 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, ResolutionError, SingularityError
-from .model import (
-    BlochVector,
-    CouplingSet,
-    bloch_nssh1,
-    bloch_nssh2,
-    derive_couplings,
-    energy_nssh1,
-    energy_nssh2,
-)
+from .model import (PBC, BlochVector, CouplingSet, Regime, bloch, derive_couplings,
+                     energy)
 
 __all__ = [
     "Phase",
@@ -64,9 +57,21 @@ class WindingResult:
 
 def default_bz_grid(n_points: int = 2001) -> np.ndarray:
     """Uniform Brillouin-zone grid on [-pi, pi), endpoint excluded."""
-    if n_points < 401:
-        raise DomainError(f"winding grids need >= 401 points, got {n_points}")
-    return np.linspace(-np.pi, np.pi, n_points, endpoint=False)
+    # a negative count gives an empty grid, which _loop_grid rejects
+    return _loop_grid(np.linspace(-np.pi, np.pi, max(n_points, 0), endpoint=False))
+
+
+def _loop_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, checked to sample the Brillouin zone as a
+    closed loop: a PBC grid of >= 401 points whose closing step
+    k[0] + 2 pi - k[-1] is no wider than its widest interior step."""
+    k = PBC(grid).k_grid
+    if k.size < 401:
+        raise DomainError(f"winding grids need >= 401 points, got {k.size}")
+    if k[0] + 2 * np.pi - k[-1] > np.diff(k).max() + 1e-12:
+        raise DomainError("momentum grid does not close a loop over the Brillouin "
+                          "zone: its closing step is wider than every other step")
+    return k
 
 
 def ep_locations_nssh2(c: CouplingSet):
@@ -115,14 +120,12 @@ def _phi_angles(bloch: BlochVector):
 def _windings(phi1: np.ndarray, phi2: np.ndarray, deltas=None) -> list:
     """Winding numbers (nu1, nu2, nu) of each row of two (rows, k) angle arrays.
 
-    Each row is sampled on a closed momentum loop.  Each consecutive
-    wrapped increment, the closing one included, must stay within pi/2;
-    larger jumps mean the grid cannot distinguish a fast winding from an
-    aliased one near an EP.  The error names the first such row, by its
-    entry of ``deltas`` where given.
+    Each row is sampled on a closed momentum loop (see :func:`_loop_grid`).
+    Each consecutive wrapped increment, the closing one included, must stay
+    within pi/2; larger jumps mean the grid cannot distinguish a fast
+    winding from an aliased one near an EP.  The error names the first such
+    row, by its entry of ``deltas`` where given.
     """
-    if phi1.shape[-1] < 401:
-        raise DomainError(f"winding grids need >= 401 points, got {phi1.shape[-1]}")
     incs = [_wrap(np.diff(phi, axis=-1, append=phi[:, :1]))  # with closure step
             for phi in (phi1, phi2)]
     coarse = (np.abs(incs[0]).max(axis=-1) > np.pi / 2) | (
@@ -149,7 +152,7 @@ def winding_pair(d_provider, grid: np.ndarray) -> WindingResult:
     ``d_provider`` maps one momentum -> BlochVector; see :func:`_windings`
     for the resolution rule.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _loop_grid(grid)
     phi1 = np.empty(grid.size)
     phi2 = np.empty(grid.size)
     for i, k in enumerate(grid):
@@ -166,10 +169,8 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     are trigonometric polynomials), the quadrature is the periodic trapezoid
     rule, so the grid must be uniform over [-pi, pi).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _loop_grid(grid)
     n = grid.size
-    if n < 401:
-        raise DomainError(f"winding grids need >= 401 points, got {n}")
     steps = np.diff(grid)
     if np.abs(steps - steps[0]).max() > 1e-10:
         raise DomainError("winding_integral requires a uniform momentum grid")
@@ -232,16 +233,15 @@ def classify_phases_imag(J: float, theta: float, deltas,
                          grid: np.ndarray | None = None) -> list:
     """Phase labels of the imaginary-regime chain at each delta, (J, theta) fixed.
 
-    A CouplingSet holding a column of deltas broadcasts through
-    ``bloch_nssh1``, so its expressions are evaluated as (delta, k) arrays,
-    DELTA_BLOCK deltas at a time, and each row is wound by ``_windings``.
+    A CouplingSet holding a column of deltas broadcasts through the nSSH1
+    ``bloch``, so its expressions are evaluated as (delta, k) arrays,
+    DELTA_BLOCK deltas at a time, and each row is wound by ``_windings``
+    on the closed loop ``grid`` (the default Brillouin-zone grid if None).
     A delta within CRITICAL_BAND of delta0 is CRITICAL, with no winding.
     Every winding is cross-checked against the closed-form transition
     point; an error names the first delta of its block that fails.
     """
-    if grid is None:
-        grid = default_bz_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_bz_grid() if grid is None else _loop_grid(grid)
     deltas = np.asarray(deltas, dtype=float)
     _, _, delta0 = ep_nssh1(derive_couplings(J, 0.0, theta))
     boundaries = (float(delta0),)
@@ -251,7 +251,8 @@ def classify_phases_imag(J: float, theta: float, deltas,
         critical = np.abs(block - delta0) < CRITICAL_BAND
         wound = block[~critical]
         rows = CouplingSet(J=float(J), delta=wound[:, None], theta=float(theta))
-        results = iter(_windings(*_phi_angles(bloch_nssh1(grid, rows)), wound)
+        results = iter(_windings(*_phi_angles(bloch(grid, rows, Regime.IMAGINARY)),
+                                 wound)
                        if wound.size else [])
         for d, at_critical in zip(block.tolist(), critical):
             if at_critical:
@@ -272,19 +273,15 @@ def classify_phases_imag(J: float, theta: float, deltas,
 
 
 def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
-                            which: str = "nssh2"):
-    """Complex-energy traces of the +/- bands over the BZ.
+                            regime: Regime = Regime.REAL):
+    """Complex-energy traces of the +/- bands of the regime's two-band block
+    (nSSH2 real, nSSH1 imaginary) over the closed loop ``grid``.
 
     Returns (E_plus, E_minus, merged) where merged reports whether the two
     loops share a point within 1e-8 (single bigger loop).
     """
-    energy = {"nssh2": energy_nssh2, "nssh1": energy_nssh1}.get(which)
-    if energy is None:
-        raise DomainError(f"which must be nssh2 or nssh1, got {which!r}")
-    if grid is None:
-        grid = default_bz_grid()
-    grid = np.asarray(grid, dtype=float)
-    e = np.asarray(energy(grid, c), dtype=complex)
+    grid = default_bz_grid() if grid is None else _loop_grid(grid)
+    e = np.asarray(energy(grid, c, regime), dtype=complex)
     e_plus, e_minus = e, -e
     # the two loops share a point exactly where E^2 = d.d crosses the
     # negative real axis: there E = i sqrt(|d.d|) and the conjugation
@@ -294,8 +291,9 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     dd = np.append(e**2, e[0] ** 2)
     kk = np.append(grid, grid[0] + 2 * np.pi)
     for i in np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]:
-        k = _bisect(lambda k: (complex(energy(k, c)) ** 2).imag, kk[i], kk[i + 1])
-        z = complex(energy(k, c)) ** 2
+        k = _bisect(lambda k: (complex(energy(k, c, regime)) ** 2).imag,
+                    kk[i], kk[i + 1])
+        z = complex(energy(k, c, regime)) ** 2
         if abs(z.imag) < 1e-8 and z.real < -1e-12:
             merged = True
             break

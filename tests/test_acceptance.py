@@ -49,7 +49,7 @@ def test_criterion_03_phase_table():
     worst_res = 0.0
     for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
         c = derive_couplings(1.0, d, 0.4)
-        res = topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
+        res = topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), grid)
         worst_nu = max(worst_nu, abs(res.nu - expected))
         worst_res = max(worst_res, res.imag_residual)
     report(3, worst_nu < 1e-3 and worst_res < 1e-6,
@@ -127,8 +127,8 @@ def test_criterion_07_loschmidt_oracle():
         for method in ("fq", "biortho"):
             worst_g = max(worst_g,
                           abs(quench.loschmidt_oracle(k, ci, cf, t, method) - g0))
-        ui, _ = quench._mode_parameter(model.hamiltonian_nssh2_k(k, ci))
-        uf, _ = quench._mode_parameter(model.hamiltonian_nssh2_k(k, cf))
+        ui, _ = quench._mode_parameter(model.two_band(k, ci, Regime.REAL))
+        uf, _ = quench._mode_parameter(model.two_band(k, cf, Regime.REAL))
         rho = ui / uf
         F1, F2 = 0.5 * (1 + rho), 0.5 * (1 - rho)
         Q1, Q2 = 0.5 * (1 + 1 / rho), 0.5 * (1 - 1 / rho)

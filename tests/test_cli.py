@@ -191,8 +191,8 @@ class TestCommands:
                     lines.append(f"{'%.16e' % d},{'%.16e' % th},nan,nan,nan,"
                                  f"{tag.value}")
                     continue
-                res = topology.winding_pair(lambda k: model.bloch_nssh1(k, c),
-                                            grid)
+                res = topology.winding_pair(
+                    lambda k: model.bloch(k, c, model.Regime.IMAGINARY), grid)
                 lines.append(",".join(["%.16e" % x for x in (
                     d, th, res.nu1, res.nu2, res.nu)] + [tag.value]))
         text = (out / "phase_diagram.csv").read_text()

@@ -65,49 +65,50 @@ class TestKSpace:
 
     def test_nssh2_block(self):
         c = derive_couplings(1, 0.9, 0.4)
-        H = model.hamiltonian_nssh2_k(0.0, c)
+        H = model.two_band(0.0, c, Regime.REAL)
         assert H[0, 1] == pytest.approx(c.v + c.w_r)
         assert H[1, 0] == pytest.approx(c.v + c.w_l)
         assert H[0, 0] == H[1, 1] == 0
-        Hh = model.hamiltonian_nssh2_k(1.3, derive_couplings(1, 0.2, 0))
+        Hh = model.two_band(1.3, derive_couplings(1, 0.2, 0), Regime.REAL)
         assert np.abs(Hh - Hh.conj().T).max() < 1e-14
 
     def test_bloch_nssh2_properties(self):
         c = derive_couplings(1, 0.4, 0.6)
         for k in np.linspace(-np.pi, np.pi, 17):
-            b = model.bloch_nssh2(k, c)
+            b = model.bloch(k, c, Regime.REAL)
             assert np.hypot(*b.di) == pytest.approx(0.5 * (c.w_l - c.w_r))
             # d reconstructs the 2x2 block via the Pauli decomposition
-            H = model.hamiltonian_nssh2_k(k, c)
+            H = model.two_band(k, c, Regime.REAL)
             assert b.dx == pytest.approx((H[0, 1] + H[1, 0]) / 2, abs=1e-12)
             assert b.dy == pytest.approx(1j * (H[0, 1] - H[1, 0]) / 2, abs=1e-12)
-        b0 = model.bloch_nssh2(0.3, derive_couplings(1, 0.4, 0))
+        b0 = model.bloch(0.3, derive_couplings(1, 0.4, 0), Regime.REAL)
         assert np.allclose(b0.di, 0)
 
     def test_energy_nssh2(self):
-        assert model.energy_nssh2(0.0, derive_couplings(1, 0, 0)) == pytest.approx(2.0)
+        assert (model.energy(0.0, derive_couplings(1, 0, 0), Regime.REAL)
+                == pytest.approx(2.0))
         # EP parameters: v = w_r at k = pi
         c = derive_couplings(1, 0.0, 0.4)
         # square root halves the precision of the radicand's rounding at pi
-        assert abs(model.energy_nssh2(np.pi, c)) < 1e-7
+        assert abs(model.energy(np.pi, c, Regime.REAL)) < 1e-7
         # eigensolve oracle
         c = derive_couplings(1, -0.1, 0.4)
-        E = model.energy_nssh2(np.pi / 2, c)
-        ev = np.linalg.eigvals(model.hamiltonian_nssh2_k(np.pi / 2, c))
+        E = model.energy(np.pi / 2, c, Regime.REAL)
+        ev = np.linalg.eigvals(model.two_band(np.pi / 2, c, Regime.REAL))
         assert min(abs(ev - E)) < 1e-12 and min(abs(ev + E)) < 1e-12
 
     def test_nssh1_block(self):
         c = derive_couplings(1, 0.2, 0)
         for k in (0.0, 1.1, -2.0):
-            H = model.nssh1_k(k, c)
+            H = model.two_band(k, c, Regime.IMAGINARY)
             assert H[0, 0] == H[1, 1] == 0
             assert np.abs(H - H.conj().T).max() < 1e-14  # Hermitian at theta=0
         c = derive_couplings(1, 0.2, 0.5)
-        H = model.nssh1_k(0.8, c)
-        E = model.energy_nssh1(0.8, c)
+        H = model.two_band(0.8, c, Regime.IMAGINARY)
+        E = model.energy(0.8, c, Regime.IMAGINARY)
         ev = np.linalg.eigvals(H)
         assert min(abs(ev - E)) < 1e-12 and min(abs(ev + E)) < 1e-12
-        b = model.bloch_nssh1(0.8, c)
+        b = model.bloch(0.8, c, Regime.IMAGINARY)
         assert b.dx == pytest.approx((H[0, 1] + H[1, 0]) / 2, abs=1e-12)
         assert b.dy == pytest.approx(1j * (H[0, 1] - H[1, 0]) / 2, abs=1e-12)
 
@@ -159,6 +160,106 @@ def reference_realspace_loop(c, n_cells, regime, pbc):
 def bits(a):
     """The raw bits of a complex array: equal bits mean equal signed zeros."""
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def reference_hamiltonian_nssh2_k(k, c):
+    """The real-regime two-band block as it was written for one momentum."""
+    return np.array(
+        [
+            [0.0, c.v + c.w_r * np.exp(-1j * k)],
+            [c.v + c.w_l * np.exp(1j * k), 0.0],
+        ],
+        dtype=complex,
+    )
+
+
+def reference_bloch_nssh2(k, c):
+    wp = 0.5 * (c.w_l + c.w_r)
+    wm = 0.5 * (c.w_l - c.w_r)
+    dr = np.array([c.v + wp * np.cos(k), wp * np.sin(k)])
+    di = np.array([wm * np.sin(k), -wm * np.cos(k)])
+    return model.BlochVector(dr=dr, di=di)
+
+
+def reference_energy_nssh2(k, c):
+    k = np.asarray(k, dtype=float)
+    rad = c.v**2 + c.w_r * c.w_l + c.v * (
+        c.w_l * np.exp(1j * k) + c.w_r * np.exp(-1j * k)
+    )
+    return np.sqrt(rad)
+
+
+def reference_nssh1_k(k, c):
+    """The imaginary-regime two-band block as it was written for one momentum."""
+    p1 = c.v + 0.5 * (1 + 1j) * (c.w_l - 1j * c.w_r) * np.exp(-1j * k)
+    p2 = c.v + 0.5 * (1 - 1j) * (c.w_l + 1j * c.w_r) * np.exp(-1j * k)
+    return np.array([[0.0, p1], [np.conj(p2), 0.0]], dtype=complex)
+
+
+def reference_bloch_nssh1(k, c):
+    wp = 0.5 * (c.w_l + c.w_r)
+    wm = 0.5 * (c.w_l - c.w_r)
+    dr = np.array([c.v + wp * np.cos(k), wp * np.sin(k)])
+    di = np.array([wm * np.cos(k), wm * np.sin(k)])
+    return model.BlochVector(dr=dr, di=di)
+
+
+def reference_energy_nssh1(k, c):
+    k = np.asarray(k, dtype=float)
+    x = c.v**2 + c.v * (c.w_r + c.w_l) * np.cos(k) + c.w_r * c.w_l
+    y = (c.w_l - c.w_r) * (c.v * np.cos(k) + 0.5 * (c.w_r + c.w_l))
+    return np.sqrt(x + 1j * y)
+
+
+#: per regime: the (two_band, bloch, energy) closed forms, one copy each
+REFERENCE_TWO_BAND = {
+    Regime.REAL: (reference_hamiltonian_nssh2_k, reference_bloch_nssh2,
+                  reference_energy_nssh2),
+    Regime.IMAGINARY: (reference_nssh1_k, reference_bloch_nssh1,
+                       reference_energy_nssh1),
+}
+
+
+class TestTwoBand:
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("delta", [0.5, -0.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0])
+    def test_matches_closed_forms(self, regime, delta, theta):
+        c = derive_couplings(1, delta, theta)
+        ref_h, ref_b, ref_e = REFERENCE_TWO_BAND[regime]
+        grid = np.linspace(-np.pi, np.pi, 9)  # holds -pi, 0 and pi
+        for k in [*grid, *grid.tolist()]:  # numpy and Python floats
+            assert np.array_equal(bits(model.two_band(k, c, regime)),
+                                  bits(ref_h(k, c)))
+            b, ref = model.bloch(k, c, regime), ref_b(k, c)
+            assert np.array_equal(bits(b.dr), bits(ref.dr))
+            assert np.array_equal(bits(b.di), bits(ref.di))
+            assert np.array_equal(bits(model.energy(k, c, regime)), bits(ref_e(k, c)))
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("delta", [0.5, -0.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0])
+    def test_momentum_array_matches_one_at_a_time(self, regime, delta, theta):
+        c = derive_couplings(1, delta, theta)
+        grid = np.linspace(-np.pi, np.pi, 25)  # holds -pi, 0 and pi
+        H = model.two_band(grid.reshape(5, 5), c, regime)
+        b = model.bloch(grid, c, regime)
+        E = model.energy(grid, c, regime)
+        assert H.shape == (5, 5, 2, 2) and b.dr.shape == b.di.shape == (2, 25)
+        one = [(model.two_band(k, c, regime), model.bloch(k, c, regime),
+                model.energy(k, c, regime)) for k in grid]
+        assert np.array_equal(bits(b.dr), bits(np.stack([o[1].dr for o in one], 1)))
+        assert np.array_equal(bits(b.di), bits(np.stack([o[1].di for o in one], 1)))
+        assert np.array_equal(bits(E), bits(np.array([o[2] for o in one])))
+        ref = np.array([o[0] for o in one]).reshape(H.shape)
+        if regime is Regime.REAL:
+            assert np.array_equal(bits(H), bits(ref))
+        else:
+            # numpy's array complex multiply may round a product differently
+            # from its scalar one: allow one ulp of the largest entry per part
+            ulp = np.spacing(np.abs(ref).max())
+            assert np.abs(H.real - ref.real).max() <= ulp
+            assert np.abs(H.imag - ref.imag).max() <= ulp
 
 
 class TestNambuMatrices:

@@ -14,7 +14,7 @@ from qbchain.exceptions import (
     ExceptionalPointError,
     ResolutionError,
 )
-from qbchain.model import derive_couplings
+from qbchain.model import Regime, derive_couplings
 
 
 CI = derive_couplings(1, -0.9, 0.0)
@@ -32,7 +32,7 @@ class TestLoschmidtAmplitude:
         # quenching onto itself: overlap 1, g = e^{iEt}
         c = derive_couplings(1, 0.5, 0.4)
         for k in (0.3, 1.7, -2.2):
-            E = model.energy_nssh2(k, c)
+            E = model.energy(k, c, Regime.REAL)
             for t in (0.5, 2.0):
                 g = complex(quench.loschmidt_gk(k, c, c, t))
                 assert abs(g - np.exp(1j * E * t)) < 1e-12
@@ -80,7 +80,7 @@ class TestLoschmidtAmplitude:
             for k in ks[ks != 0]:
                 B = Q.T @ model.fourier_project(U, n_cells, k) @ Q
                 assert max(np.abs(B[:2, 2:]).max(), np.abs(B[2:, :2]).max()) < 1e-12
-                ui, _ = quench._mode_parameter(model.hamiltonian_nssh2_k(k, CI))
+                ui, _ = quench._mode_parameter(model.two_band(k, CI, Regime.REAL))
                 psi = np.array([-ui, 1.0])            # lower-band right vector
                 chi = 0.5 * np.array([-1 / ui, 1.0])  # its left partner
                 assert chi @ psi == pytest.approx(1.0, abs=1e-14)
@@ -94,8 +94,8 @@ class TestLoschmidtAmplitude:
             k = rng.uniform(-np.pi, np.pi)
             ci = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
             cf = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
-            ui, _ = quench._mode_parameter(model.hamiltonian_nssh2_k(k, ci))
-            uf, _ = quench._mode_parameter(model.hamiltonian_nssh2_k(k, cf))
+            ui, _ = quench._mode_parameter(model.two_band(k, ci, Regime.REAL))
+            uf, _ = quench._mode_parameter(model.two_band(k, cf, Regime.REAL))
             rho = ui / uf
             F1, F2 = 0.5 * (1 + rho), 0.5 * (1 - rho)
             Q1, Q2 = 0.5 * (1 + 1 / rho), 0.5 * (1 - 1 / rho)

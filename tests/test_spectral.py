@@ -38,7 +38,7 @@ class TestEigGeneral:
     def test_ep_flagged_defective(self):
         # v = w_r at k = pi makes the two-EP block defective (Jordan block)
         c = derive_couplings(1, 0.0, 0.4)
-        es = spectral.eig_general(model.hamiltonian_nssh2_k(np.pi, c))
+        es = spectral.eig_general(model.two_band(np.pi, c, Regime.REAL))
         assert es.any_defective
 
     def test_quadruple_symmetry(self):
@@ -69,10 +69,10 @@ class TestBlockDiagonalization:
         c = derive_couplings(1, -0.3, 0.7)
         k = 1.1
         if regime is Regime.REAL:
-            H = model.hamiltonian_nssh2_k(k, c)
+            H = model.two_band(k, c, Regime.REAL)
             images = [H, -H.conj().T, -H, H.conj().T]
         else:
-            H = model.nssh1_k(k, c)
+            H = model.two_band(k, c, Regime.IMAGINARY)
             images = [H, -H, H.conj().T, -H.conj().T]
         B = spectral.block_transform(k, c, regime)
         assert np.abs(B - block_diag(*images)).max() < 1e-12
@@ -100,7 +100,7 @@ class TestBlockDiagonalization:
         k = 1.2
         G = model.dynamical_qb_k(k, c, Regime.IMAGINARY)
         ev = np.linalg.eigvals(G)
-        E = model.energy_nssh1(k, c)
+        E = model.energy(k, c, Regime.IMAGINARY)
         blocks = np.array([E, -E, np.conj(E), -np.conj(E)])
         expect = np.concatenate([blocks, blocks])
         dist = np.abs(ev[:, None] - expect[None, :])

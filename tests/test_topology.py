@@ -5,7 +5,7 @@ import pytest
 
 from qbchain import model, topology
 from qbchain.exceptions import DomainError, ResolutionError, SingularityError
-from qbchain.model import derive_couplings
+from qbchain.model import Regime, derive_couplings
 from qbchain.topology import Phase
 
 
@@ -18,8 +18,9 @@ class TestGridAndEps:
         assert np.allclose(np.diff(g), np.diff(g)[0])
 
     def test_grid_too_coarse(self):
-        with pytest.raises(DomainError):
-            topology.default_bz_grid(101)
+        for n in (101, 0, -5):
+            with pytest.raises(DomainError):
+                topology.default_bz_grid(n)
 
     def test_ep_locations_nssh2(self):
         c = derive_couplings(1, 0.5, 0.4)
@@ -37,7 +38,7 @@ class TestGridAndEps:
         v_crit, k_star, delta0 = topology.ep_nssh1(c)
         assert abs(c.delta - delta0) < 1e-14
         assert abs(c.v - v_crit) < 1e-12
-        e = model.energy_nssh1(k_star, c)
+        e = model.energy(k_star, c, Regime.IMAGINARY)
         assert abs(e) ** 2 < 1e-12
 
     def test_delta0_theta0_is_zero(self):
@@ -48,7 +49,7 @@ class TestWinding:
     def _nu(self, delta, theta=0.4, n=2001):
         c = derive_couplings(1, delta, theta)
         grid = topology.default_bz_grid(n)
-        return topology.winding_pair(lambda k: model.bloch_nssh2(k, c), grid)
+        return topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), grid)
 
     def test_fig1_values(self):
         for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
@@ -64,7 +65,8 @@ class TestWinding:
         grid = topology.default_bz_grid()
         for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
             c = derive_couplings(1, d, 0.4)
-            z = topology.winding_integral(lambda k: model.bloch_nssh2(k, c), grid)
+            z = topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL),
+                                          grid)
             assert abs(z.real - expected) < 1e-10
             assert abs(z.imag) < 1e-10
 
@@ -76,7 +78,7 @@ class TestWinding:
             c = derive_couplings(1, d, 0.4)
             pts1, pts2 = [], []
             for k in grid:
-                b = model.bloch_nssh2(k, c)
+                b = model.bloch(k, c, Regime.REAL)
                 dxr, dyr = b.dr
                 dxi, dyi = b.di
                 pts1.append((dxr - dyi, dyr + dxi))
@@ -93,20 +95,53 @@ class TestWinding:
         grid = np.sort(np.random.default_rng(0).uniform(-np.pi, np.pi, 801))
         c = derive_couplings(1, 0.9, 0.4)
         with pytest.raises(DomainError):
-            topology.winding_integral(lambda k: model.bloch_nssh2(k, c), grid)
+            topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL), grid)
 
     def test_integral_singular_at_ep(self):
         # gapless point: v = w_r (delta = 0) at theta=0 puts d.d = 0 at k = pi
         c = derive_couplings(1, 0.0, 0.0)
         grid = topology.default_bz_grid(401)
         with pytest.raises(SingularityError):
-            topology.winding_integral(lambda k: model.bloch_nssh2(k, c), grid)
+            topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL), grid)
 
     def test_pair_coarse_grid_near_transition(self):
         with pytest.raises((ResolutionError, DomainError)):
             c = derive_couplings(1, 0.9, 0.4)
-            topology.winding_pair(lambda k: model.bloch_nssh2(k, c),
+            topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL),
                                   np.linspace(-np.pi, np.pi, 40, endpoint=False))
+
+
+#: uniform 2001-point grids that are not closed loops over the zone
+OPEN_GRIDS = {
+    "unit-interval": np.linspace(0.0, 1.0, 2001),
+    "half-zone": np.linspace(-np.pi, 0.0, 2001, endpoint=False),
+}
+
+
+@pytest.mark.parametrize("grid", OPEN_GRIDS.values(), ids=OPEN_GRIDS.keys())
+@pytest.mark.parametrize("call", [
+    lambda c, g: topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), g),
+    lambda c, g: topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL),
+                                           g),
+    lambda c, g: topology.classify_phases_imag(c.J, c.theta, [c.delta], g),
+    lambda c, g: topology.parametric_energy_loops(c, g),
+], ids=["winding_pair", "winding_integral", "classify_phases_imag",
+        "parametric_energy_loops"])
+def test_open_grid_rejected(call, grid):
+    # at (delta, theta) = (0.5, 0.4) nu = 1; unchecked, the pair reads 6e-16
+    # and the integral 0.0128 on [0, 1], and the integral 0.4999 on half the
+    # zone
+    with pytest.raises(DomainError, match="does not close a loop"):
+        call(derive_couplings(1, 0.5, 0.4), grid)
+
+
+@pytest.mark.parametrize("n", [1359, 1379, 1467])
+def test_closing_step_within_rounding_accepted(n):
+    # at these sizes linspace's closing step exceeds its widest interior
+    # step by rounding alone
+    grid = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    assert grid[0] + 2 * np.pi - grid[-1] > np.diff(grid).max()
+    assert np.array_equal(topology.default_bz_grid(n), grid)
 
 
 class TestClassification:
@@ -150,11 +185,12 @@ def _near_ep_grid(c, half_width=1e-3, n_fine=2001):
 
 
 class TestArrayWinding:
-    """classify_phase_imag winds bloch_nssh1 on the whole grid at once."""
+    """classify_phase_imag winds the nSSH1 bloch on the whole grid at once."""
 
     @staticmethod
     def _per_k(c, grid):
-        return topology.winding_pair(lambda k: model.bloch_nssh1(k, c), grid)
+        return topology.winding_pair(lambda k: model.bloch(k, c, Regime.IMAGINARY),
+                                     grid)
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, 2.0])
     def test_matches_per_momentum_winding(self, theta):
@@ -211,7 +247,7 @@ class TestBatchedWinding:
         for d, lab in zip(deltas[::9], labels[::9]):
             c = derive_couplings(1, d, theta)
             assert lab.winding == topology.winding_pair(
-                lambda k: model.bloch_nssh1(k, c), grid)
+                lambda k: model.bloch(k, c, Regime.IMAGINARY), grid)
 
     def test_error_names_first_failing_delta(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
@@ -228,10 +264,11 @@ class TestBatchedWinding:
         assert [lab.tag for lab in labels] == [Phase.CRITICAL]
 
 
-def reference_merged(c, grid, which):
+def reference_merged(c, grid, regime):
     """parametric_energy_loops' merged flag with its former stop rule: 80
     halvings of each bracket in place of a 1e-12 width."""
-    energy = model.energy_nssh2 if which == "nssh2" else model.energy_nssh1
+    def energy(k, c):
+        return model.energy(k, c, regime)
     e = energy(grid, c)
     dd = np.append(e**2, e[0] ** 2)
     kk = np.append(grid, grid[0] + 2 * np.pi)
@@ -252,15 +289,15 @@ def reference_merged(c, grid, which):
 
 
 class TestEnergyLoops:
-    @pytest.mark.parametrize("which", ["nssh2", "nssh1"])
-    def test_merged_matches_fixed_halvings(self, which):
+    @pytest.mark.parametrize("regime", list(Regime), ids=["nssh2", "nssh1"])
+    def test_merged_matches_fixed_halvings(self, regime):
         grid = topology.default_bz_grid()
         flags = []
         for th in (0.0, 0.4, 1.0, 2.0):
             for d in np.linspace(-0.95, 0.95, 39):
                 c = derive_couplings(1, d, th)
-                merged = topology.parametric_energy_loops(c, grid, which=which)[2]
-                assert merged == reference_merged(c, grid, which), (d, th)
+                merged = topology.parametric_energy_loops(c, grid, regime)[2]
+                assert merged == reference_merged(c, grid, regime), (d, th)
                 flags.append(merged)
         assert any(flags) and not all(flags)
     def test_moebius_merged_loop(self):
@@ -282,17 +319,23 @@ class TestEnergyLoops:
         assert np.abs(ep.imag).max() < 1e-12
         assert not merged
 
-    @pytest.mark.parametrize("which", ["bogus", "NSSH2", ""])
-    def test_unknown_model_rejected(self, which):
+    @pytest.mark.parametrize("fn, which", [
+        pytest.param(fn, which, id=which if fn == "loops" else f"{fn}-{which}")
+        for fn in ("loops", "two_band", "bloch", "energy")
+        for which in ("bogus", "NSSH2", "", "nssh2", "real", None)])
+    def test_unknown_model_rejected(self, fn, which):
+        c = derive_couplings(1, 0.5, 0.4)
         with pytest.raises(DomainError, match="nssh2 or nssh1"):
-            topology.parametric_energy_loops(derive_couplings(1, 0.5, 0.4),
-                                             which=which)
+            if fn == "loops":
+                topology.parametric_energy_loops(c, regime=which)
+            else:
+                getattr(model, fn)(0.3, c, which)
 
     def test_nssh1_branch(self):
         c = derive_couplings(1, 0.5, 0.4)
-        ep, _, _ = topology.parametric_energy_loops(c, which="nssh1")
+        ep, _, _ = topology.parametric_energy_loops(c, regime=Regime.IMAGINARY)
         grid = topology.default_bz_grid()
-        assert np.abs(ep - model.energy_nssh1(grid, c)).max() < 1e-14
+        assert np.abs(ep - model.energy(grid, c, Regime.IMAGINARY)).max() < 1e-14
 
 
 class TestHelpers:
