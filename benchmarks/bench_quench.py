@@ -1,16 +1,19 @@
 """Timings of the default quench's stages, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_quench.py \
-        --benchmark-json BENCH_9.json
+        --benchmark-json BENCH_17.json
 
 ``pgp_field`` builds the 2000 k x 800 t field (log |g_k|^2 and the PGP);
 ``return_rate`` and ``dtop`` read it, as the ``quench`` command does;
+``critical_set`` scans the k_c equation for Fisher-zero crossings of ten
+orders and bisects its 20 brackets to 1e-12 in k;
 ``pgp_grid.csv`` writes the PGP (1.6 M rows, 112 MB) into a fresh file each
 round.  The file name is outside pytest's default ``test_*.py`` pattern,
 so the test suite does not collect it; pass it to pytest by path.  Each
 record's ``extra_info`` holds the manifest's ``env`` block (versions,
 BLAS, cores, thread settings) and, for the threaded stages, the number of
-threads used.
+threads used.  The file reads nothing newer than ``critical_set``'s
+entries, so the same copy times an older checkout.
 """
 
 import pytest
@@ -48,6 +51,13 @@ def test_return_rate(benchmark, field):
     rr = benchmark.pedantic(quench.return_rate, args=(field,),
                             rounds=ROUNDS, iterations=1)
     assert rr.shape == (800,)
+
+
+def test_critical_set(benchmark, protocol):
+    benchmark.extra_info["env"] = cli._environment()
+    ct = benchmark.pedantic(quench.critical_set, args=(protocol,),
+                            rounds=ROUNDS, iterations=1)
+    assert len(ct.entries) == 18
 
 
 def test_dtop(benchmark, protocol, field):

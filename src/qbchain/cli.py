@@ -69,10 +69,18 @@ class UsageError(Exception):
 _CELL = 24
 #: 10^0 .. 10^22, each exact in double
 _POW10 = np.array([float(10**s) for s in range(23)])
-#: the ASCII text "0000" .. "9999" of each 4-digit group, as one uint32
-_DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None]
-            // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
-            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+#: the 4-byte words of a fast cell, as uint32: _WORDS[_HEAD + 10 s + d] is
+#: "\0", the sign ("-" where s = 1, else "\0"), lead digit d and ".";
+#: _WORDS[_GROUP + g] is the 4-digit group g, "0000" .. "9999";
+#: _WORDS[_EXPONENT + E] is the exponent text "e-06" .. "e+16"
+_WORDS = np.concatenate([
+    np.array([b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)]),
+    (np.arange(10000, dtype=np.uint16)[:, None]
+     // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+     + ord("0")).astype(np.uint8).view("S4").ravel(),
+    np.array([b"e%+03d" % s for s in range(-6, 17)]),
+]).view(np.uint32)
+_HEAD, _GROUP, _EXPONENT = 0, 20, 10020 + 6
 #: momenta per block of pgp_grid.csv rows
 _PGP_BLOCK = 16
 #: rows per block of every other table: bounds the text held in memory
@@ -80,14 +88,23 @@ _TABLE_BLOCK = 8192
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
-    """(p, e) with p + e = a * b exactly (Dekker, with Veltkamp splits)."""
+    """(p, e) with p + e = a * b exactly (Dekker, with Veltkamp splits):
+    e = (((ah bh - p) + ah bl) + al bh) + al bl, in place where it can be."""
     p = a * b
     ah = a * 134217729.0
-    ah = ah - (ah - a)
+    ah -= ah - a
     bh = b * 134217729.0
-    bh = bh - (bh - b)
+    bh -= bh - b
     al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh
+    e -= p
+    ah *= bl
+    e += ah
+    bh *= al
+    e += bh
+    al *= bl
+    e += al
+    return p, e
 
 
 def _off_decade(p: np.ndarray, e: np.ndarray):
@@ -107,7 +124,10 @@ def _fmt_cells(x: np.ndarray) -> np.ndarray:
     no double in the window lies within the half unit 5e-18 (relative) below
     a power of ten; the nearest lie 8e-17 below.  Other values (tiny, huge,
     non-finite) go through Python's ``'%.16e'``.  Returns an array of shape
-    (x.size, 24) in which byte 0 is padding.
+    (x.size, 24) of six 4-byte words, each looked up in _WORDS: a fast cell
+    is "\0", its sign ("-" or "\0"), the lead digit and ".", four 4-digit
+    groups and the exponent.  A slow cell starts at byte 0; zero bytes are
+    padding.
     """
     x = np.ravel(np.asarray(x, dtype=float))
     a = np.abs(x)
@@ -134,21 +154,23 @@ def _fmt_cells(x: np.ndarray) -> np.ndarray:
     m[zero | slow] = 0
     ex[zero | slow] = 0
 
-    cells = np.zeros((x.size, _CELL), dtype=np.uint8)
-    cells[np.signbit(x), 0] = ord("-")
-    hi, lo = np.divmod(m, 10**8)
-    lead, hi = np.divmod(hi, 10**8)
-    groups = np.empty((x.size, 4), dtype=np.int64)
-    groups[:, 0], groups[:, 1] = np.divmod(hi, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(lo, 10**4)
-    cells[:, 1] = lead + ord("0")
-    cells[:, 2] = ord(".")
-    cells[:, 3:19] = _DIGITS4[groups].view(np.uint8)
-    cells[:, 19] = ord("e")
-    cells[:, 20] = np.where(ex < 0, ord("-"), ord("+"))
-    tens, units = np.divmod(np.abs(ex), 10)
-    cells[:, 21] = tens + ord("0")
-    cells[:, 22] = units + ord("0")
+    # 0 <= m < 10^17: split it into the lead digit and four 4-digit groups
+    # in uint64, which numpy divides by a constant faster than int64
+    m = m.view(np.uint64)
+    hi = m // 10**8
+    lo = m - hi * 10**8
+    lead = hi // 10**8
+    hi -= lead * 10**8
+    words = np.empty((x.size, 6), dtype=np.uint64)
+    np.multiply(np.signbit(x), np.uint64(10), out=words[:, 0])
+    words[:, 0] += lead
+    for col, g in ((1, hi), (3, lo)):
+        q = g // 10**4
+        np.add(q, _GROUP, out=words[:, col])
+        g -= q * 10**4
+        np.add(g, _GROUP, out=words[:, col + 1])
+    np.add(ex, _EXPONENT, out=words[:, 5].view(np.int64))
+    cells = _WORDS.take(words.view(np.intp)).view(np.uint8)
     if slow.any():
         text = np.array([b"%.16e" % v for v in x[slow].tolist()], dtype=f"S{_CELL}")
         cells[slow] = text.view(np.uint8).reshape(-1, _CELL)
@@ -220,31 +242,44 @@ def _delta_grid(cfg: dict) -> np.ndarray:
                        int(cfg["delta_steps"]))
 
 
+def _used(cells: np.ndarray) -> np.ndarray:
+    """cells without its leading columns that no cell uses (a view): for fast
+    cells, byte 0 and, where no value is negative, the sign byte."""
+    lo = 0
+    while lo < cells.shape[1] - 1 and not cells[:, lo].any():
+        lo += 1
+    return cells[:, lo:]
+
+
 def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> tuple[int, int]:
     """Write the k-major ``k,t,phi_pgp`` rows of phi.
 
     Returns the bytes written and the number of formatting threads.  Each
-    k and t is formatted once.  Rows are assembled from fixed-width
-    ``_fmt_cells``, _PGP_BLOCK momenta at a time on ``quench.map_chunks``'
-    threads, and the padding is dropped by one mask per block; this thread
-    writes the blocks in order.
+    k and t is formatted once, each phi in its block: rows are assembled
+    from ``_fmt_cells``, _PGP_BLOCK momenta at a time on
+    ``quench.map_chunks``' threads, and this thread writes the blocks in
+    order.  A block keeps only the leading cell columns that some cell in
+    it uses, so padding is left only in a sign column of mixed signs (or in
+    slow cells), and ``bytes.replace`` drops it.
     """
-    w = _CELL
     k_cells = _fmt_cells(k_grid)
-    template = np.zeros((min(_PGP_BLOCK, k_grid.size), t_grid.size, 3 * w + 3),
-                        dtype=np.uint8)
-    template[:, :, w] = template[:, :, 2 * w + 1] = ord(",")
-    template[:, :, w + 1:2 * w + 1] = _fmt_cells(t_grid)
-    template[:, :, -1] = ord("\n")
+    t_cells = _used(_fmt_cells(t_grid))
+    wt = t_cells.shape[1] + 2
+    t_part = np.full((t_grid.size, wt), ord(","), dtype=np.uint8)  # ",t," per t
+    t_part[:, 1:-1] = t_cells
 
     def block(i):
         start = i * _PGP_BLOCK
         stop = min(start + _PGP_BLOCK, k_grid.size)
-        rows = template[:stop - start].copy()
-        rows[:, :, :w] = k_cells[start:stop, None]
-        rows[:, :, 2 * w + 2:-1] = _fmt_cells(phi[start:stop]).reshape(
-            stop - start, -1, w)
-        return rows[rows != 0]
+        ks = _used(k_cells[start:stop])
+        ps = _used(_fmt_cells(phi[start:stop]))
+        wk, wp = ks.shape[1], ps.shape[1]
+        rows = np.empty((stop - start, t_grid.size, wk + wt + wp + 1), dtype=np.uint8)
+        rows[:, :, :wk] = ks[:, None]
+        rows[:, :, wk:wk + wt] = t_part
+        rows[:, :, wk + wt:-1] = ps.reshape(stop - start, -1, wp)
+        rows[:, :, -1] = ord("\n")
+        return rows.tobytes().replace(b"\0", b"")
 
     with path.open("wb") as fh:
         written = [fh.write(b"k,t,phi_pgp\n")]
@@ -413,7 +448,8 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     t0 = time.perf_counter()
     ct = quench.critical_set(p, range(int(cfg["n_max"])))
     _stage(stages, "critical_set", t0, (len(ct.entries), 5),
-           40 * len(ct.entries))
+           40 * len(ct.entries), brackets=ct.brackets, halvings=ct.halvings,
+           scalar_checks=ct.scalar_checks)
     tolerances["kc_equation_residual"] = max(
         (abs(e[4]) for e in ct.entries), default=0.0)
     _write_table(outdir, files, stages, "critical_times.csv",
@@ -444,6 +480,7 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
                  "t,dtop_plus,dtop_minus,drift_plus,drift_minus,resolved",
                  [d.t, *series, d.resolved.astype(int)])
     files[-1]["unresolved"] = int((~d.resolved).sum())
+    files[-1]["refined"] = d.refined
 
     t0 = time.perf_counter()
     nbytes, workers = _write_pgp_grid(outdir / "pgp_grid.csv", p.k_grid,

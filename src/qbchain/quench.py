@@ -33,7 +33,7 @@ from .exceptions import (
     ResolutionError,
 )
 from .model import CouplingSet, Regime, bloch, two_band
-from .topology import _bisect, _wrap
+from .topology import _bisect_all, _wrap
 
 #: refinement rounds of ``dtop`` per flagged step (8, 64, 512 sub-steps)
 _MAX_REFINE = 3
@@ -41,6 +41,9 @@ _MAX_REFINE = 3
 _FIELD_ROWS = 32
 #: least times per block of ``dtop``'s half-zone k-increments
 _DTOP_COLS = 64
+#: ``critical_set`` re-evaluates the k_c equation at one momentum where its
+#: array value lies within this multiple of ``_kc_scale`` of zero
+_KC_GUARD = 1e-13
 
 __all__ = [
     "cpus_available",
@@ -141,6 +144,26 @@ def _overlap_fields(k, ci: CouplingSet, cf: CouplingSet):
     Ef = np.sqrt(ddf)
     ov = (bi.dx * bf.dx + bi.dy * bf.dy) / (Ei * Ef)
     return Ei, Ef, ov
+
+
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p, axis=1) in place: overwrites the float array p, returns it.
+
+    np.unwrap corrects each increment d along a row by mod(d + pi, 2 pi) -
+    pi - d (pi, not -pi, where that is -pi and d > 0) where |d| < pi fails,
+    NaN included, and by 0 elsewhere, then adds the cumulative sum of the
+    corrections.  Here the modulo is taken at those jumps only; the
+    corrections and their sum are the same, so are the bits.
+    """
+    d = np.diff(p, axis=1)
+    jump = ~(np.abs(d) < np.pi)
+    dj = d[jump]
+    fix = np.mod(dj + np.pi, 2 * np.pi) - np.pi
+    fix[(fix == -np.pi) & (dj > 0)] = np.pi
+    d[:] = 0.0  # d now holds the corrections
+    d[jump] = fix - dj
+    p[:, 1:] += np.cumsum(d, axis=1)
+    return p
 
 
 def _gk_and_dyn(Ef, ov, t):
@@ -257,8 +280,9 @@ class PgpField:
 def pgp_field(p: QuenchProtocol) -> PgpField:
     """Loschmidt amplitude and Pancharatnam geometric phase over the (k, t) grid.
 
-    The total phase arg g_k(t) is unwrapped along t per momentum; the
-    dynamical phase is the real part of E^f (d^i_hat . d^f_hat) t.  Of
+    The total phase arg g_k(t) is unwrapped along t per momentum (by
+    ``_unwrap``, with the bits of ``np.unwrap``); the dynamical phase is the
+    real part of E^f (d^i_hat . d^f_hat) t.  Of
     g_k(t) itself only log |g_k(t)|^2 is kept, stored time-major so that
     each time's row is contiguous.  Rows are built _FIELD_ROWS momenta at a
     time on ``map_chunks``' threads.  Every operation acts per element or
@@ -276,7 +300,7 @@ def pgp_field(p: QuenchProtocol) -> PgpField:
         s = slice(i * _FIELD_ROWS, (i + 1) * _FIELD_ROWS)
         with np.errstate(all="ignore"):  # -inf marks a zero; overflow raises below
             g, phi_dyn = _gk_and_dyn(Ef[s, None], ov[s, None], t)
-            np.subtract(np.unwrap(np.angle(g), axis=1), phi_dyn, out=phi_pgp[s])
+            np.subtract(_unwrap(np.angle(g)), phi_dyn, out=phi_pgp[s])
             lm = np.log(np.abs(g) ** 2)
         log_mag2[:, s] = lm.T
         return lm.max()
@@ -323,6 +347,9 @@ class CriticalTimes:
 
     entries: list          # (n, side, k_c, t_c, residual)
     t_complete: float
+    brackets: int = 0      # sign changes of the k_c equation on the grid
+    halvings: int = 0      # bisection steps over all brackets
+    scalar_checks: int = 0  # k_c values near zero re-evaluated at one momentum
 
     def times(self, side: str | None = None):
         sel = [e[3] for e in self.entries if side is None or e[1] == side]
@@ -349,34 +376,81 @@ def _kc_equation(k, ci, cf, n):
     return _kc_value(*_overlap_fields(k, ci, cf)[1:], n)
 
 
+def _kc_scale(k, ci, cf, Ef, ov, n):
+    # first-order change of the k_c equation under a unit relative error in
+    # each of d^i.d^i, d^f.d^f and d^i.d^f, each weighted by its condition
+    # number: numpy rounds complex products on arrays and on scalars
+    # differently, so the array and one-momentum values differ by a few ulps
+    # of this (at most 2.2e-16 of it over 72 000 sampled values, random and
+    # near exceptional points).  It is inf or NaN where a product vanishes
+    bi, bf = bloch(k, ci, Regime.REAL), bloch(k, cf, Regime.REAL)
+    xi, yi, xf, yf = bi.dx, bi.dy, bf.dx, bf.dy
+
+    def cond(x1, y1, x2, y2):
+        return (np.abs(x1 * x2) + np.abs(y1 * y2)) / np.abs(x1 * x2 + y1 * y2)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_i, c_f, c_if = cond(xi, yi, xi, yi), cond(xf, yf, xf, yf), cond(xi, yi, xf, yf)
+        return np.abs(Ef) * ((np.pi * (n + 0.5) + np.abs(np.arctanh(ov))) * c_f
+                             + np.abs(ov) * (c_i + c_f + c_if) / np.abs(1 - ov**2))
+
+
 def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
     """Critical momenta/times from sign changes of the k_c equation.
 
-    Each half zone is scanned on the fields built once for the whole k grid;
-    brackets are refined by bisection to 1e-12 in k, then the closed-form
-    t_c is evaluated.  Times outside the protocol's t span are discarded.
-    ``t_complete`` is the least crossing time of the first order above
-    n_range over the k grid: a crossing of a higher order comes no earlier
-    (while Re E^f > 0), so the list holds every crossing before it.
+    Each half zone is scanned on the fields built once for the whole k grid.
+    All brackets are then refined together by ``topology._bisect_all`` to
+    1e-12 in k, with the halvings of the scalar ``_bisect``, and the
+    closed-form t_c and the residual are evaluated at each k_c.  A k_c value
+    computed on an array can differ from the one-momentum value by a few
+    ulps of ``_kc_scale``; where it lies within _KC_GUARD of that of zero it
+    is re-evaluated at its momentum alone, so every step takes the side the
+    scalar bisection takes, and each k_c keeps its bits.  Times outside the
+    protocol's t span are discarded.  ``t_complete`` is the least crossing
+    time of the first order above n_range over the k grid: a crossing of a
+    higher order comes no earlier (while Re E^f > 0), so the list holds
+    every crossing before it.
     """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
     n_next = max(n_range, default=-1) + 1
-    out = CriticalTimes([], float(_crossing_time(Ef, ov, n_next).min()))
-    t_lo, t_hi = p.t_grid[0], p.t_grid[-1]
+    # (n, side, left end, right end) of each bracket, in scan order
+    found = []
     for side, on in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
         ks = p.k_grid[on]
         if ks.size < 2:
             continue
         for n in n_range:
             vals = _kc_value(Ef[on], ov[on], n)
-            for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
-                kc = _bisect(lambda k: _kc_equation(k, p.initial, p.final, n),
-                             ks[i], ks[i + 1])
-                tc = _crossing_time(*_overlap_fields(kc, p.initial, p.final)[1:], n)
-                if tc <= 0 or tc < t_lo or tc > t_hi:
-                    continue
-                residual = float(_kc_equation(kc, p.initial, p.final, n))
-                out.entries.append((int(n), side, float(kc), float(tc), residual))
+            found += [(n, side, ks[i], ks[i + 1])
+                      for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]]
+    orders = np.array([b[0] for b in found], dtype=int)
+    checks = 0
+
+    def kc_values(k, i):
+        nonlocal checks
+        n = orders[i]
+        _, Ef, ov = _overlap_fields(k, p.initial, p.final)
+        vals = _kc_value(Ef, ov, n)
+        # a NaN scale (or value) counts as near zero
+        far = np.abs(vals) >= _KC_GUARD * _kc_scale(k, p.initial, p.final, Ef, ov, n)
+        for j in np.nonzero(~far)[0]:
+            vals[j] = _kc_equation(k[j], p.initial, p.final, n[j])
+            checks += 1
+        return vals
+
+    kcs, halvings = _bisect_all(kc_values, [b[2] for b in found],
+                                [b[3] for b in found])
+    out = CriticalTimes([], float(_crossing_time(Ef, ov, n_next).min()),
+                        brackets=len(found), halvings=halvings,
+                        scalar_checks=checks)
+    t_lo, t_hi = p.t_grid[0], p.t_grid[-1]
+    for (n, side, _, _), kc in zip(found, kcs):
+        _, Ef_c, ov_c = _overlap_fields(kc, p.initial, p.final)
+        tc = _crossing_time(Ef_c, ov_c, n)
+        if tc <= 0 or tc < t_lo or tc > t_hi:
+            continue
+        residual = float(_kc_value(Ef_c, ov_c, n))
+        out.entries.append((int(n), side, float(kc), float(tc), residual))
     out.entries.sort(key=lambda e: e[3])
     return out
 
@@ -389,7 +463,8 @@ class DtopSeries:
     dtop + drift is the raw half-zone sum of wrapped k-increments of phi_pgp.
     resolved is False at the times where a phase slip at a critical point
     could not be resolved; the DTOPs there are still the integer winding of
-    the finest sub-grid tried.
+    the finest sub-grid tried.  refined counts the (step, time) pairs
+    re-differenced over a sub-grid, resolved or not.
     """
 
     t: np.ndarray
@@ -398,6 +473,7 @@ class DtopSeries:
     drift_plus: np.ndarray
     drift_minus: np.ndarray
     resolved: np.ndarray
+    refined: int = 0
 
 
 def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
@@ -423,6 +499,7 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     t_grid = p.t_grid
     resolved = np.ones(t_grid.size, dtype=bool)
     crossings = critical.entries if critical is not None else []
+    n_refined = 0
 
     def phi_at(k_vals, t):
         _, Ef, ov = _overlap_fields(k_vals, p.initial, p.final)
@@ -445,6 +522,8 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     def refined(side, a, b, it):
         # the step (a, b) at time index it, re-differenced over a locally
         # refined sub-grid
+        nonlocal n_refined
+        n_refined += 1
         t = t_grid[it]
         sub_ok = False
         npts = 8
@@ -475,7 +554,7 @@ def dtop(f: PgpField, critical: CriticalTimes | None = None) -> DtopSeries:
     dminus, drift_minus = half("-", slice(0, n))
     return DtopSeries(t=t_grid.copy(), dtop_plus=dplus, dtop_minus=dminus,
                       drift_plus=drift_plus, drift_minus=drift_minus,
-                      resolved=resolved)
+                      resolved=resolved, refined=n_refined)
 
 
 def _column_blocks(n: int):

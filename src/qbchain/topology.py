@@ -87,10 +87,16 @@ def ep_locations_nssh2(c: CouplingSet):
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
-    """Map angles to (-pi, pi] in place: overwrites the float array a, returns it."""
+    """Map angles to (-pi, pi] in place: overwrites the float array a, returns it.
+
+    -(((-a + pi) mod 2 pi) - pi).  The remainder runs only where -a + pi
+    lies outside [0, 2 pi): inside, it returns its argument unchanged (and
+    -a + pi is never -0.0), so the bits are those of the remainder taken
+    everywhere.
+    """
     np.negative(a, out=a)
     a += np.pi
-    np.remainder(a, 2 * np.pi, out=a)
+    np.remainder(a, 2 * np.pi, out=a, where=(a < 0) | (a >= 2 * np.pi))
     a -= np.pi
     return np.negative(a, out=a)
 
@@ -106,6 +112,35 @@ def _bisect(f, a: float, b: float) -> float:
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def _bisect_all(f, a, b):
+    """``_bisect`` on every bracket [a[i], b[i]] at once: (midpoints, halvings).
+
+    f(m, i) returns f_i at the midpoints m of the brackets i still open (index
+    arrays; i = all brackets for the left ends).  Each bracket takes the same
+    halvings as ``_bisect(f_i, a[i], b[i])``, so it ends at the same midpoint
+    wherever f(m, i) has the sign of the scalar f_i(m).  ``halvings`` counts
+    the f_i evaluations at midpoints over all brackets.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    if not a.size:
+        return a, 0
+    fa = f(a, np.arange(a.size))
+    halvings = 0
+    open_ = np.nonzero(b - a > 1e-12)[0]
+    while open_.size:
+        m = 0.5 * (a[open_] + b[open_])
+        fm = f(m, open_)
+        left = fa[open_] * fm <= 0
+        b[open_[left]] = m[left]
+        right = ~left
+        a[open_[right]] = m[right]
+        fa[open_[right]] = fm[right]
+        halvings += open_.size
+        open_ = open_[b[open_] - a[open_] > 1e-12]
+    return 0.5 * (a + b), halvings
 
 
 def _phi_angles(bloch: BlochVector):

@@ -268,6 +268,34 @@ class TestCommands:
         assert np.array_equal(parsed[:, 1], np.tile(p.t_grid, 200))
         assert np.array_equal(parsed[:, 2], f.phi_pgp.ravel())
 
+    def test_default_quench_digests(self, tmp_path):
+        # the default 2000 k x 800 t quench: its pgp_grid.csv has blocks of
+        # 16 momenta with phi of both signs and of one sign, and a block
+        # whose momenta have both signs
+        code, out, manifest = run_cli(tmp_path, ["--command", "quench"])
+        assert code == 0
+        digests = {}
+        for name in ("return_rate.csv", "critical_times.csv", "dtop.csv",
+                     "pgp_grid.csv"):
+            h = hashlib.sha256()
+            with (out / name).open("rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    h.update(chunk)
+            digests[name] = h.hexdigest()[:16]
+            (out / name).unlink()  # 112 MB for pgp_grid.csv
+        assert digests == {"return_rate.csv": "2aa77ac88acfd6e3",
+                           "critical_times.csv": "636c26805602e489",
+                           "dtop.csv": "877e4a7f9cd355cd",
+                           "pgp_grid.csv": "d1147a1153864628"}
+        stages = {s["name"]: s for s in manifest["stages"]}
+        # 20 brackets, each halved 32 times from pi/1000 to 1e-12
+        assert stages["critical_set"]["brackets"] == 20
+        assert stages["critical_set"]["halvings"] == 640
+        assert 0 < stages["critical_set"]["scalar_checks"] < 640
+        entries = {f["name"]: f for f in manifest["files"]}
+        assert entries["dtop.csv"]["refined"] == 2
+        assert entries["dtop.csv"]["unresolved"] == 0
+
     def test_overflow_writes_no_csv(self, tmp_path):
         # |g_k(t)|^2 leaves the double range from t = 1667: a typed error
         # before any file, not inf in return_rate.csv and a misleading
@@ -617,6 +645,34 @@ class TestFormatKernel:
             assert (tmp_path / "new.csv").read_bytes() == ref
             assert nbytes == len(ref)
             assert workers == min(cpus, 5)
+
+    @pytest.mark.parametrize("t_grid", [
+        np.linspace(0.0, 12.0, 7),
+        np.array([-0.0, 1e-300, 0.5, 1e17, 2.0, -3.0, 7.0])])
+    def test_pgp_grid_edge_blocks(self, tmp_path, monkeypatch, t_grid):
+        # 4 blocks of 16 momenta: phi all positive; k of both signs with slow
+        # cells of both signs; phi all negative; only short slow texts
+        rng = np.random.default_rng(17)
+        k_grid = np.linspace(-1.25, 1.9, 64)
+        assert k_grid[16] < 0 < k_grid[31]
+        phi = rng.uniform(-4.0, 4.0, (64, t_grid.size))
+        phi[:16] = np.abs(phi[:16]) + 1e-3
+        phi[16, :] = [1e-300, -1e-300, 1e17, -1e17, np.inf, -np.inf, np.nan]
+        phi[17, :] = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1.7976931348623157e308,
+                      9.9999999999999995e-07]
+        phi[32:48] = -np.abs(phi[32:48]) - 1e-3
+        phi[48:] = rng.choice([np.nan, np.inf, -np.inf], phi[48:].shape)
+        expected = ("k,t,phi_pgp\n" + "".join(
+            "%.16e,%.16e,%.16e\n" % (k, t, v)
+            for k, row in zip(k_grid.tolist(), phi.tolist())
+            for t, v in zip(t_grid.tolist(), row))).encode()
+        monkeypatch.setattr(cli, "_PGP_BLOCK", 16)
+        for cpus in (1, 2):
+            monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
+            nbytes, workers = cli._write_pgp_grid(tmp_path / "grid.csv", k_grid,
+                                                  t_grid, phi)
+            assert (tmp_path / "grid.csv").read_bytes() == expected
+            assert (nbytes, workers) == (len(expected), cpus)
 
     def test_chi_writer_matches_per_entry_format(self, tmp_path):
         # 101 x 12 cells: row labels up to "101C", column labels up to "12D"

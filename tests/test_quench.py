@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qbchain import model, quench, spectral
+from qbchain import model, quench, spectral, topology
 from qbchain.exceptions import (
     BranchCutError,
     DomainError,
@@ -192,6 +192,50 @@ def reference_critical_entries(p, n_range):
     return sorted(entries, key=lambda e: e[3])
 
 
+def reference_scalar_critical_set(p, n_range):
+    """critical_set as it was before the array bisection: each bracket
+    halved by the scalar topology._bisect.  Returns (entries, t_complete)."""
+    _, Ef, ov = quench._overlap_fields(p.k_grid, p.initial, p.final)
+    n_next = max(n_range, default=-1) + 1
+    t_complete = float(quench._crossing_time(Ef, ov, n_next).min())
+    entries = []
+    for side, on in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
+        ks = p.k_grid[on]
+        for n in n_range:
+            vals = quench._kc_value(Ef[on], ov[on], n)
+            for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+                kc = topology._bisect(
+                    lambda k: quench._kc_equation(k, p.initial, p.final, n),
+                    ks[i], ks[i + 1])
+                tc = quench._crossing_time(
+                    *quench._overlap_fields(kc, p.initial, p.final)[1:], n)
+                if tc <= 0 or tc < p.t_grid[0] or tc > p.t_grid[-1]:
+                    continue
+                residual = float(quench._kc_equation(kc, p.initial, p.final, n))
+                entries.append((int(n), side, float(kc), float(tc), residual))
+    entries.sort(key=lambda e: e[3])
+    return entries, t_complete
+
+
+def random_quenches(n, seed):
+    """n (initial, final) coupling pairs; every other final delta lies within
+    1e-6 .. 1e-2 of a phase boundary, near an exceptional point of H_f."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(n):
+        theta = rng.uniform(0.05, 1.0)
+        if i % 2:
+            lower = (1 - np.exp(theta)) / (1 + np.exp(theta))
+            delta = (rng.choice([lower, 0.0])
+                     + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, -2))
+        else:
+            delta = rng.uniform(-0.95, 0.95)
+        pairs.append((derive_couplings(1, rng.uniform(-0.95, 0.95),
+                                       rng.uniform(0, 0.5)),
+                      derive_couplings(1, delta, theta)))
+    return pairs
+
+
 class TestCriticalSet:
     @pytest.mark.parametrize("ci, cf", [
         (CI, CF4), (CI, CF5), (CI, CH),
@@ -202,6 +246,28 @@ class TestCriticalSet:
         ct = quench.critical_set(p)
         assert ct.entries
         assert ct.entries == reference_critical_entries(p, range(10))
+
+    @pytest.mark.parametrize("ci, cf", random_quenches(24, 20261019) + [
+        # near an exceptional point of H_f: without the one-momentum
+        # re-evaluation near zero (_KC_GUARD = 0), numpy 2.4's FMA array
+        # loops put one k_c 9e-13 from the scalar bisection's
+        (derive_couplings(1, -0.05436705625586025, 0.4358511987592625),
+         derive_couplings(1, -8.70238058964953e-05, 0.7466969142964084))])
+    def test_matches_scalar_bisection(self, ci, cf):
+        p = quench.QuenchProtocol.default(ci, cf, n_half=200, n_t=50)
+        ct = quench.critical_set(p)
+        assert (ct.entries, ct.t_complete) == reference_scalar_critical_set(
+            p, range(10))
+        assert ct.brackets >= len(ct.entries)
+        assert 0 <= ct.scalar_checks <= ct.halvings + ct.brackets
+
+    def test_counts(self):
+        # 20 brackets of width pi/1000 halved to 1e-12: 32 halvings each
+        p = quench.QuenchProtocol.default(CI, CF4)
+        ct = quench.critical_set(p)
+        assert (ct.brackets, ct.halvings) == (20, 640)
+        assert 0 < ct.scalar_checks < ct.halvings
+        assert quench.critical_set(p, range(0)).brackets == 0
 
     def test_residuals_and_zeros(self):
         p = quench.QuenchProtocol.default(CI, CF4, n_half=500, n_t=200)
@@ -334,7 +400,7 @@ class TestPgpAndDtop:
         d = quench.dtop(f, ct)
         assert np.nonzero(~d.resolved)[0].tolist() == [166]
         for got, want in zip((d.dtop_plus, d.dtop_minus, d.drift_plus,
-                              d.drift_minus, d.resolved),
+                              d.drift_minus, d.resolved, d.refined),
                              reference_dtop(p, f.phi_pgp, ct)):
             assert np.array_equal(got, want)
         assert abs(d.t[166] - 10.010050) < 1e-6
@@ -367,24 +433,32 @@ def reference_return_rate(gk):
     return rr
 
 
+def textbook_wrap(a):
+    """Angles mapped to (-pi, pi]: the operations of topology._wrap, in a
+    new array and with the remainder taken everywhere."""
+    return -((-a + np.pi) % (2 * np.pi) - np.pi)
+
+
 def reference_dtop(p, phi_pgp, critical=None):
     """dtop on masked copies of each half zone, as before the views."""
     crossings = critical.entries if critical is not None else []
     resolved = np.ones(p.t_grid.size, dtype=bool)
     halves = []
+    refined = 0
     for side, mask in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
         ks = p.k_grid[mask]
         phi = phi_pgp[mask]
-        inc = quench._wrap(np.diff(phi, axis=0))
+        inc = textbook_wrap(np.diff(phi, axis=0))
         total = inc.sum(axis=0)
         for i, it in zip(*np.nonzero(np.abs(inc) > np.pi / 2)):
+            refined += 1
             a, b, t = ks[i], ks[i + 1], p.t_grid[it]
             npts = 8
             for _ in range(quench._MAX_REFINE):
                 _, Ef, ov = quench._overlap_fields(np.linspace(a, b, npts + 1),
                                                    p.initial, p.final)
                 g, phi_dyn = quench._gk_and_dyn(Ef, ov, t)
-                sub_inc = quench._wrap(np.diff(np.angle(g) - phi_dyn))
+                sub_inc = textbook_wrap(np.diff(np.angle(g) - phi_dyn))
                 if np.abs(sub_inc).max() <= np.pi / 2:
                     break
                 npts *= 8
@@ -398,7 +472,7 @@ def reference_dtop(p, phi_pgp, critical=None):
         drift = (phi[-1] - phi[0]) / (2 * np.pi)
         halves.append((total / (2 * np.pi) - drift, drift))
     (dplus, drift_plus), (dminus, drift_minus) = halves
-    return dplus, dminus, drift_plus, drift_minus, resolved
+    return dplus, dminus, drift_plus, drift_minus, resolved, refined
 
 
 def assert_matches_references(p, f, gk, phi_pgp, critical=None):
@@ -408,7 +482,7 @@ def assert_matches_references(p, f, gk, phi_pgp, critical=None):
     d = quench.dtop(f, critical)
     ref = reference_dtop(p, phi_pgp, critical)
     for got, want in zip((d.dtop_plus, d.dtop_minus, d.drift_plus,
-                          d.drift_minus, d.resolved), ref):
+                          d.drift_minus, d.resolved, d.refined), ref):
         assert np.array_equal(got, want)
 
 
@@ -416,6 +490,30 @@ def assert_matches_references(p, f, gk, phi_pgp, critical=None):
 def default_field():
     p = quench.QuenchProtocol.default(CI, CF4)
     return p, quench.pgp_field(p)
+
+
+class TestUnwrap:
+    def test_matches_numpy_unwrap(self):
+        rng = np.random.default_rng(3)
+        pi = np.pi
+        rows = np.angle(rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12)))
+        special = np.array([
+            [0.0, pi, 0.0, -pi, 0.0, pi, 2 * pi, pi, 0.0, -pi, -2 * pi, -pi],
+            [0.0, 3.5, -3.0, 0.1, 7.0, -7.0, 100.0, -100.0, 0.0, 4.0, 0.5, 0.5],
+            [0.0, 1.0, np.nan, 2.0, 5.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            [-0.0, -0.0, 0.5, -0.0, -0.0, 4.0, -0.0, -0.0, -0.0, 1.0, -0.0, -0.0],
+            [0.0, np.inf, 0.0, -np.inf, 1.0, 2.0, 3.0, 1e300, -1e300, 0.0, 0.0, 0.0],
+            [np.nextafter(pi, 0), 0.0, -np.nextafter(pi, 4), 0.0, pi, 2 * pi,
+             np.nextafter(2 * pi, 0), 0.0, -pi, 0.0, 5e-324, -5e-324],
+        ])
+        for p in (rows, special, np.angle(np.exp(1j * np.linspace(0, 40, 800)))[None]):
+            with np.errstate(invalid="ignore"):
+                expected = np.unwrap(p, axis=1)
+                got = quench._unwrap(p.copy())
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        p = special.copy()
+        with np.errstate(invalid="ignore"):
+            assert quench._unwrap(p) is p
 
 
 class TestChunkedField:
@@ -551,7 +649,7 @@ class TestFieldMemory:
         monkeypatch.setattr(quench, "_DTOP_COLS", cols)
         d = quench.dtop(f)
         for got, want in zip((d.dtop_plus, d.dtop_minus, d.drift_plus,
-                              d.drift_minus, d.resolved),
+                              d.drift_minus, d.resolved, d.refined),
                              reference_dtop(p, f.phi_pgp)):
             assert np.array_equal(got, want)
 

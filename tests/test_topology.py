@@ -338,7 +338,28 @@ class TestEnergyLoops:
         assert np.abs(ep - model.energy(grid, c, Regime.IMAGINARY)).max() < 1e-14
 
 
+def reference_wrap(a):
+    """topology._wrap as it was: the remainder taken at every element."""
+    np.negative(a, out=a)
+    a += np.pi
+    np.remainder(a, 2 * np.pi, out=a)
+    a -= np.pi
+    return np.negative(a, out=a)
+
+
 class TestHelpers:
+    def test_wrap_matches_remainder_everywhere(self):
+        pi = np.pi
+        edges = np.array([pi, 2 * pi, 3 * pi, 0.0, 1e-20, 5e-324, 1e300, np.inf,
+                          np.nextafter(pi, 0), np.nextafter(pi, 4),
+                          np.nextafter(2 * pi, 0), np.nextafter(2 * pi, 7)])
+        a = np.concatenate([edges, -edges, [np.nan],
+                            np.random.default_rng(5).uniform(-50, 50, 10000)])
+        with np.errstate(invalid="ignore"):  # inf has no remainder
+            expected = reference_wrap(a.copy())
+            got = topology._wrap(a.copy())
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_wrap_overwrites_its_argument(self):
         a = np.array([-7.0, -np.pi, -1.0, 0.0, -0.0, 1.0, np.pi, 3 * np.pi, 10.0])
         expected = -((-a + np.pi) % (2 * np.pi) - np.pi)  # the textbook form
@@ -361,3 +382,24 @@ class TestHelpers:
     def test_bisect_zero_at_left_end(self):
         # f(a) = 0 counts as a sign change: every step keeps the left half
         assert abs(topology._bisect(lambda x: x, 0.0, 1.0)) < 1e-12
+
+    def test_bisect_all_matches_scalar(self):
+        # brackets of several widths (one already below 1e-12), a zero at a
+        # left end, and roots at a midpoint
+        fs = [lambda x: x - 0.3, np.cos, lambda x: 0.7 - x**3, lambda x: x,
+              lambda x: x - 0.5, lambda x: np.sin(40 * x), lambda x: x - 1.0]
+        a = [0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 1.0 - 4e-13]
+        b = [2.0, 2.0, 1e-3 + 0.7 ** (1 / 3), 1.0, 1.0, 0.1, 1.0 + 4e-13]
+        calls = []
+
+        def f(m, i):
+            calls.append(len(i))
+            return np.array([fs[j](x) for j, x in zip(i, m)])
+
+        mid, halvings = topology._bisect_all(f, a, b)
+        assert mid.tolist() == [topology._bisect(fj, aj, bj)
+                                for fj, aj, bj in zip(fs, a, b)]
+        assert halvings == sum(calls[1:])
+        assert calls[0] == len(fs) and calls[-1] >= 1
+        mid, halvings = topology._bisect_all(f, [], [])
+        assert mid.size == 0 and halvings == 0
