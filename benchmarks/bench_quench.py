@@ -1,7 +1,7 @@
 """Timings of the default quench's stages, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_quench.py \
-        --benchmark-json BENCH_17.json
+        --benchmark-json BENCH_19.json
 
 ``pgp_field`` builds the 2000 k x 800 t field (log |g_k|^2 and the PGP);
 ``return_rate`` and ``dtop`` read it, as the ``quench`` command does;

@@ -437,7 +437,7 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
             (("phi_pgp", field.phi_pgp), ("log_mag2", field.log_mag2))}
     _stage(stages, "pgp_field", t0, field.phi_pgp.shape,
            field.phi_pgp.nbytes + field.log_mag2.nbytes, workers=field.workers,
-           arrays=held)
+           mirrored=field.mirrored, arrays=held)
     t0 = time.perf_counter()
     rr = quench.return_rate(field)
     field.log_mag2 = None  # read by return_rate only: freed before the later stages

@@ -15,6 +15,13 @@ w_m = (w_l - w_r)/2 nonzero whenever theta_f != 0.  Then the PGP is not
 pinned at k = 0, pi, and the raw half-zone sum of k-increments carries a
 smooth endpoint term that grows with t.  ``dtop`` returns that term
 separately as the drift.
+
+The real-regime blocks are conjugation-symmetric: E^f(-k) = conj E^f(k)
+and d^i_hat . d^f_hat (-k) = conj of its value at k.  ``pgp_field`` builds
+each -k row of the (k, t) field from the cos and sin of its +k row, with
+the bits of the direct evaluation.  The two can differ only in the sign
+of an exact zero; the field evaluates those elements directly.  Every
+imaginary part at t = 0 is such a zero.
 """
 
 from __future__ import annotations
@@ -135,7 +142,9 @@ def _overlap_fields(k, ci: CouplingSet, cf: CouplingSet):
     bf = bloch(k, cf, Regime.REAL)
     ddi = bi.dx**2 + bi.dy**2
     ddf = bf.dx**2 + bf.dy**2
-    if np.abs(ddi).min() < 1e-14 or np.abs(ddf).min() < 1e-14:
+    # d.d is an energy squared: the threshold scales with J^2
+    if (np.abs(ddi).min() < 1e-14 * ci.J**2
+            or np.abs(ddf).min() < 1e-14 * cf.J**2):
         raise ExceptionalPointError(
             "d.d vanishes: Bloch-vector normalization undefined at an "
             "exceptional point"
@@ -166,10 +175,20 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _gk_parts(Ef, ov, t):
+    """cos(E^f t), i ov sin(E^f t) and the dynamical phase Re(E^f ov) t.
+
+    g_k(t) is the sum of the first two.  At -k, where E^f and ov are their
+    conjugates, it is the conjugate of their difference (see ``pgp_field``).
+    """
+    phase = Ef * t
+    return np.cos(phase), 1j * ov * np.sin(phase), np.real(Ef * ov) * t
+
+
 def _gk_and_dyn(Ef, ov, t):
     """g_k(t) = cos(E^f t) + i ov sin(E^f t) and the dynamical phase Re(E^f ov) t."""
-    phase = Ef * t
-    return np.cos(phase) + 1j * ov * np.sin(phase), np.real(Ef * ov) * t
+    c, a, dyn = _gk_parts(Ef, ov, t)
+    return c + a, dyn
 
 
 def loschmidt_gk(k, ci: CouplingSet, cf: CouplingSet, t):
@@ -179,15 +198,18 @@ def loschmidt_gk(k, ci: CouplingSet, cf: CouplingSet, t):
     return _gk_and_dyn(Ef, ov, t)[0]
 
 
-def _mode_parameter(H: np.ndarray):
-    """(u, E) with eigenvectors (pm u, 1) of the 2x2 block and b*u = +E.
+def _mode_parameter(k: float, c: CouplingSet):
+    """(u, E) with eigenvectors (pm u, 1) of the real-regime 2x2 block
+    [[0, a], [b, 0]] at momentum k and b*u = +E.
 
     The two principal square roots sqrt(a/b) and sqrt(ab) can land on
     inconsistent sheets for complex entries; the sign of u is fixed so the
     pair multiplies back to the principal E.
     """
+    H = two_band(k, c, Regime.REAL)
     a, b = H[0, 1], H[1, 0]
-    if min(abs(a), abs(b)) < 1e-14:
+    # a and b are energies: the threshold scales with J
+    if min(abs(a), abs(b)) < 1e-14 * c.J:
         raise ExceptionalPointError("2x2 block is defective (off-diagonal vanishes)")
     E = np.sqrt(a * b)
     u = np.sqrt(a / b)
@@ -208,9 +230,8 @@ def loschmidt_oracle(k: float, ci: CouplingSet, cf: CouplingSet, t: float,
     the final 2x2 block through its biorthogonal eigendecomposition and
     contract with the matching left eigenvector.
     """
-    ui, _ = _mode_parameter(two_band(k, ci, Regime.REAL))
-    Hf = two_band(k, cf, Regime.REAL)
-    uf, Ef = _mode_parameter(Hf)
+    ui, _ = _mode_parameter(k, ci)
+    uf, Ef = _mode_parameter(k, cf)
     if method == "fq":
         rho = ui / uf
         F1, F2 = 0.5 * (1 + rho), 0.5 * (1 - rho)
@@ -275,6 +296,24 @@ class PgpField:
     log_mag2: np.ndarray | None
     phi_pgp: np.ndarray    # (n_k, n_t)
     workers: int           # threads that built the field
+    mirrored: int = 0      # -k rows built from the cos and sin of their +k row
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The 64-bit words of each element of a 1-d float or complex array, one
+    row per element: equal rows mean equal bits, -0.0 and NaN included."""
+    return np.ascontiguousarray(a).view(np.int64).reshape(a.size, -1)
+
+
+def _mirror_pairs(k, Ef, ov):
+    """Rows (i, j) with k_i > 0 and k_j = -k_i bit for bit, and E^f and ov
+    at k_j the bitwise conjugates of those at k_i; i ascending."""
+    i = np.nonzero(k > 0)[0]
+    j = np.minimum(np.searchsorted(k, -k[i]), k.size - 1)
+    same = ((_bits(k[j]) == _bits(-k[i]))
+            & (_bits(Ef[j]) == _bits(np.conj(Ef[i])))
+            & (_bits(ov[j]) == _bits(np.conj(ov[i])))).all(axis=1)
+    return i[same], j[same]
 
 
 def pgp_field(p: QuenchProtocol) -> PgpField:
@@ -284,28 +323,59 @@ def pgp_field(p: QuenchProtocol) -> PgpField:
     ``_unwrap``, with the bits of ``np.unwrap``); the dynamical phase is the
     real part of E^f (d^i_hat . d^f_hat) t.  Of
     g_k(t) itself only log |g_k(t)|^2 is kept, stored time-major so that
-    each time's row is contiguous.  Rows are built _FIELD_ROWS momenta at a
-    time on ``map_chunks``' threads.  Every operation acts per element or
-    per row, so the field is the same, bit for bit, for any chunking and
-    any number of threads.  |g_k(t)|^2 grows like exp(2 |Im E^f| t); where
-    it leaves the double range a DoubleOverflowError is raised.
+    each time's row is contiguous.  |g_k(t)|^2 grows like exp(2 |Im E^f| t);
+    where it leaves the double range a DoubleOverflowError is raised.
+
+    In the real regime E^f(-k) = conj E^f(k) and ov(-k) = conj ov(k).  With
+    C = cos(E^f t) and A = i ov sin(E^f t) at +k, g(k) = C + A and
+    g(-k) = conj(C - A), and the dynamical phase is the same at +-k.  Each
+    step of the two is the same IEEE operation on the same magnitudes, so
+    they agree bit for bit except in the sign of an exact zero.  Only the
+    imaginary part's sign can reach the field: it decides arg g where
+    Re g <= 0, and in the first time column, which ``_unwrap`` leaves
+    as it is.  So the cos and sin are taken at the +k row of each pair of
+    ``_mirror_pairs`` and at each unpaired row, and each element of a
+    mirrored row whose imaginary part is zero (every one at t = 0) is
+    evaluated directly.  Chunks of _FIELD_ROWS / 2 pairs, then of
+    _FIELD_ROWS unpaired rows, are built on ``map_chunks``' threads.  Every
+    other operation acts per element or per row, so the field is that of
+    ``_gk_and_dyn`` over the whole grid, bit for bit, for any chunking and
+    any number of threads.
     """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
     t = p.t_grid[None, :]
     phi_pgp = np.empty((Ef.size, t.size))
     log_mag2 = np.empty((t.size, Ef.size))
+    src, mir = _mirror_pairs(p.k_grid, Ef, ov)
+    alone = np.setdiff1d(np.arange(Ef.size), np.concatenate([src, mir]))
+    half = _FIELD_ROWS // 2
+    chunks = ([(src[a:a + half], mir[a:a + half]) for a in range(0, src.size, half)]
+              + [(alone[a:a + _FIELD_ROWS], mir[:0])
+                 for a in range(0, alone.size, _FIELD_ROWS)])
     tops = []
 
     def rows(i):
-        s = slice(i * _FIELD_ROWS, (i + 1) * _FIELD_ROWS)
+        # the chunk's rows are its +k (or unpaired) rows s, then their mirrors m
+        s, m = chunks[i]
         with np.errstate(all="ignore"):  # -inf marks a zero; overflow raises below
-            g, phi_dyn = _gk_and_dyn(Ef[s, None], ov[s, None], t)
-            np.subtract(_unwrap(np.angle(g)), phi_dyn, out=phi_pgp[s])
+            c, a, phi_dyn = _gk_parts(Ef[s, None], ov[s, None], t)
+            g = np.empty((s.size + m.size, t.size), dtype=complex)
+            np.add(c, a, out=g[:s.size])
+            gm = np.subtract(c[:m.size], a[:m.size], out=g[s.size:])
+            np.conjugate(gm, out=gm)
+            z = np.flatnonzero(gm.imag == 0)
+            zm = m[z // t.size]
+            gm.flat[z] = _gk_and_dyn(Ef[zm], ov[zm], t[0, z % t.size])[0]
+            phi = _unwrap(np.angle(g))
+            phi[:s.size] -= phi_dyn
+            phi[s.size:] -= phi_dyn[:m.size]
             lm = np.log(np.abs(g) ** 2)
-        log_mag2[:, s] = lm.T
+        out = np.concatenate([s, m])
+        phi_pgp[out] = phi
+        log_mag2[:, out] = lm.T
         return lm.max()
 
-    workers = map_chunks(rows, -(-Ef.size // _FIELD_ROWS), tops.append)
+    workers = map_chunks(rows, len(chunks), tops.append)
     if not np.max(tops) < np.inf:  # +inf or NaN somewhere
         it = np.argmin((log_mag2 < np.inf).all(axis=1))
         reach = np.abs(Ef.imag).max() * p.t_grid[it]
@@ -315,7 +385,7 @@ def pgp_field(p: QuenchProtocol) -> PgpField:
             "exp(2 |Im E^f| t) and the double range ends at exp(709.8)"
         )
     return PgpField(protocol=p, log_mag2=log_mag2, phi_pgp=phi_pgp,
-                    workers=workers)
+                    workers=workers, mirrored=mir.size)
 
 
 def return_rate(f: PgpField) -> np.ndarray:

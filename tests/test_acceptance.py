@@ -127,8 +127,8 @@ def test_criterion_07_loschmidt_oracle():
         for method in ("fq", "biortho"):
             worst_g = max(worst_g,
                           abs(quench.loschmidt_oracle(k, ci, cf, t, method) - g0))
-        ui, _ = quench._mode_parameter(model.two_band(k, ci, Regime.REAL))
-        uf, _ = quench._mode_parameter(model.two_band(k, cf, Regime.REAL))
+        ui, _ = quench._mode_parameter(k, ci)
+        uf, _ = quench._mode_parameter(k, cf)
         rho = ui / uf
         F1, F2 = 0.5 * (1 + rho), 0.5 * (1 - rho)
         Q1, Q2 = 0.5 * (1 + 1 / rho), 0.5 * (1 - 1 / rho)

@@ -288,6 +288,8 @@ class TestCommands:
                            "dtop.csv": "877e4a7f9cd355cd",
                            "pgp_grid.csv": "d1147a1153864628"}
         stages = {s["name"]: s for s in manifest["stages"]}
+        # every -k row is built from its +k mirror
+        assert stages["pgp_field"]["mirrored"] == 1000
         # 20 brackets, each halved 32 times from pi/1000 to 1e-12
         assert stages["critical_set"]["brackets"] == 20
         assert stages["critical_set"]["halvings"] == 640

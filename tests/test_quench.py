@@ -50,6 +50,38 @@ class TestLoschmidtAmplitude:
         with pytest.raises(ExceptionalPointError):
             quench.loschmidt_gk(np.pi, ci, CF5, 1.0)
 
+    def test_energy_scale_invariance(self):
+        # g_k(t) depends on J and t through J t only: a quench at J = 1e-8
+        # over t_max = 12e8 is the J = 1 quench over t_max = 12.  The
+        # exceptional-point thresholds scale with J, so it is not rejected
+        J = 1e-8
+        runs = []
+        for scale in (1.0, J):
+            ci, cf = (derive_couplings(scale, c.delta, c.theta) for c in (CI, CF5))
+            p = quench.QuenchProtocol.default(ci, cf, t_max=12 / scale,
+                                              n_half=100, n_t=200)
+            runs.append((quench.return_rate(quench.pgp_field(p)),
+                         quench.critical_set(p)))
+        (rr1, ct1), (rr, ct) = runs
+        assert np.abs(rr - rr1).max() < 1e-13 * rr1.max()
+        assert len(ct.entries) == len(ct1.entries) == 7
+        for (n, side, kc, tc, _), (n1, side1, kc1, tc1, _) in zip(ct.entries, ct1.entries):
+            assert (n, side, kc) == (n1, side1, kc1)
+            assert tc * J == pytest.approx(tc1, rel=1e-14)
+        assert ct.t_complete * J == pytest.approx(ct1.t_complete, rel=1e-14)
+        # the oracle's mode parameters, at an energy scale of 1e-16
+        small = [derive_couplings(1e-16, c.delta, c.theta) for c in (CI, CF5)]
+        for method in ("fq", "biortho"):
+            g = quench.loschmidt_oracle(0.3, *small, 2e16, method)
+            assert abs(g - quench.loschmidt_oracle(0.3, CI, CF5, 2.0, method)) < 1e-13
+        # an exceptional point is still one at a small energy scale
+        gapless = derive_couplings(J, 0.0, 0.0)  # at k = pi
+        cf = derive_couplings(J, CF5.delta, CF5.theta)
+        with pytest.raises(ExceptionalPointError):
+            quench.loschmidt_gk(np.pi, gapless, cf, 1.0)
+        with pytest.raises(ExceptionalPointError):
+            quench.loschmidt_oracle(np.pi, gapless, cf, 1.0)
+
     def test_three_way_oracle(self):
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -80,7 +112,7 @@ class TestLoschmidtAmplitude:
             for k in ks[ks != 0]:
                 B = Q.T @ model.fourier_project(U, n_cells, k) @ Q
                 assert max(np.abs(B[:2, 2:]).max(), np.abs(B[2:, :2]).max()) < 1e-12
-                ui, _ = quench._mode_parameter(model.two_band(k, CI, Regime.REAL))
+                ui, _ = quench._mode_parameter(k, CI)
                 psi = np.array([-ui, 1.0])            # lower-band right vector
                 chi = 0.5 * np.array([-1 / ui, 1.0])  # its left partner
                 assert chi @ psi == pytest.approx(1.0, abs=1e-14)
@@ -94,8 +126,8 @@ class TestLoschmidtAmplitude:
             k = rng.uniform(-np.pi, np.pi)
             ci = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
             cf = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
-            ui, _ = quench._mode_parameter(model.two_band(k, ci, Regime.REAL))
-            uf, _ = quench._mode_parameter(model.two_band(k, cf, Regime.REAL))
+            ui, _ = quench._mode_parameter(k, ci)
+            uf, _ = quench._mode_parameter(k, cf)
             rho = ui / uf
             F1, F2 = 0.5 * (1 + rho), 0.5 * (1 - rho)
             Q1, Q2 = 0.5 * (1 + 1 / rho), 0.5 * (1 - 1 / rho)
@@ -475,9 +507,14 @@ def reference_dtop(p, phi_pgp, critical=None):
     return dplus, dminus, drift_plus, drift_minus, resolved, refined
 
 
+def same_bits(a, b):
+    """Equal shapes and equal 64-bit words: -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def assert_matches_references(p, f, gk, phi_pgp, critical=None):
-    assert np.array_equal(f.log_mag2, np.log(np.abs(gk) ** 2).T)
-    assert np.array_equal(f.phi_pgp, phi_pgp)
+    assert same_bits(f.log_mag2, np.log(np.abs(gk) ** 2).T)
+    assert same_bits(f.phi_pgp, phi_pgp)
     assert np.array_equal(quench.return_rate(f), reference_return_rate(gk))
     d = quench.dtop(f, critical)
     ref = reference_dtop(p, phi_pgp, critical)
@@ -518,13 +555,14 @@ class TestUnwrap:
 
 class TestChunkedField:
     @pytest.mark.parametrize("rows, cpus, workers", [
-        (8, 2, 2),      # 75 momenta: ten chunks, the last of 3 rows
+        (8, 2, 2),      # 75 momenta: 3 chunks of pairs, 7 of unpaired rows
         (7, 1, 1),      # one thread
-        (1000, 2, 1),   # a single chunk
-        (30, 16, 3),    # more CPUs than chunks
+        (1000, 2, 2),   # one chunk of pairs, one of unpaired rows
+        (30, 16, 3),    # more CPUs than chunks (one of pairs, two unpaired)
     ])
     def test_matches_serial_body(self, monkeypatch, rows, cpus, workers):
-        # an odd number of momenta (k = 0 included) that no chunk size divides
+        # an odd number of momenta (k = 0 included) that no chunk size
+        # divides; 12 of the 37 +-k pairs are exact negatives, bit for bit
         p = quench.QuenchProtocol(CI, CF4, np.linspace(-3.0, 3.0, 75),
                                   np.linspace(0.0, 12.0, 97))
         monkeypatch.setattr(quench, "_FIELD_ROWS", rows)
@@ -532,6 +570,7 @@ class TestChunkedField:
         f = quench.pgp_field(p)
         gk, phi_pgp = serial_field(p)
         assert f.workers == workers
+        assert f.mirrored == 12
         # 468 steps of this coarse grid's + half zone go through refinement
         assert_matches_references(p, f, gk, phi_pgp)
 
@@ -555,17 +594,18 @@ class TestChunkedField:
     def test_worker_error_reaches_caller(self, monkeypatch):
         p = quench.QuenchProtocol.default(CI, CF4, n_half=100, n_t=20)
         err = ExceptionalPointError("d.d vanishes in chunk 4")
-        real = quench._gk_and_dyn
+        real = quench._gk_parts
 
         def failing(Ef, ov, t):
-            if Ef.shape[0] == 8 and Ef[0, 0] == first_of_chunk_4:
+            if Ef.shape == (4, 1) and Ef[0, 0] == first_of_chunk_4:
                 raise err
             return real(Ef, ov, t)
 
-        first_of_chunk_4 = quench._overlap_fields(p.k_grid, CI, CF4)[1][32]
+        # chunk 4 computes the +k rows 116 to 119 and builds their mirrors
+        first_of_chunk_4 = quench._overlap_fields(p.k_grid, CI, CF4)[1][116]
         monkeypatch.setattr(quench, "_FIELD_ROWS", 8)
         monkeypatch.setattr(quench, "cpus_available", lambda: 2)
-        monkeypatch.setattr(quench, "_gk_and_dyn", failing)
+        monkeypatch.setattr(quench, "_gk_parts", failing)
         with pytest.raises(ExceptionalPointError) as info:
             quench.pgp_field(p)
         assert info.value is err
@@ -605,6 +645,66 @@ class TestChunkedField:
         assert seen == list(range(400))
         assert count["started"] == 400
         assert count["ahead"] <= 12
+
+
+def mirrored_matching_serial(p):
+    """pgp_field's mirrored-row count, once its field has serial_field's bits."""
+    f = quench.pgp_field(p)
+    gk, phi_pgp = serial_field(p)
+    assert same_bits(f.phi_pgp, phi_pgp)
+    with np.errstate(divide="ignore"):
+        assert same_bits(f.log_mag2, np.log(np.abs(gk) ** 2).T)
+    return f.mirrored
+
+
+class TestMirroredRows:
+    # the -k rows built from their +k mirror hold the bits that the whole
+    # grid's cos and sin give, including the sign of each zero
+
+    @pytest.mark.parametrize("ci, cf, t", [
+        (CI, CF4, np.linspace(0.0, 12.0, 97)),
+        (CI, CF4, np.linspace(0.5, 12.0, 97)),
+        (CI, CF4, np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 3.0])),
+        # Im g_k(0) = 0: taken as conj(C - A), one row's phi_pgp(t = 0)
+        # would be -0.0 where the direct value is 0.0
+        (derive_couplings(1, -0.5, 0.6), derive_couplings(1, 0.1, -0.2),
+         np.linspace(0.0, 12.0, 97)),
+        # a first time so small that Im g_k(t) = 0 past t = 0: 11 rows
+        # would differ in the sign of phi_pgp's zero
+        (CI, derive_couplings(1, -0.1, 1.0), np.array([5e-324, 1e-300, 1e-8, 1.0])),
+    ])
+    def test_time_grids(self, ci, cf, t):
+        k = quench.QuenchProtocol.default(ci, cf, n_half=100).k_grid
+        assert mirrored_matching_serial(quench.QuenchProtocol(ci, cf, k, t)) == 100
+
+    def test_near_pairs_are_built_directly(self):
+        # +-k pairs that match within 1e-12 only: no row is mirrored
+        k = quench.QuenchProtocol.default(CI, CF4, n_half=100).k_grid
+        k[k > 0] += 1e-13
+        p = quench.QuenchProtocol(CI, CF4, k, np.linspace(0.0, 12.0, 97))
+        assert mirrored_matching_serial(p) == 0
+
+    @pytest.mark.parametrize("ci, mirrored", [
+        (CI, 0),  # both Hermitian: E^f's imaginary zero has one sign at +-k
+        (derive_couplings(1, -0.5, 0.7), 48),
+    ])
+    def test_hermitian_final(self, ci, mirrored):
+        p = quench.QuenchProtocol.default(ci, CH, n_half=100, n_t=97)
+        assert mirrored_matching_serial(p) == mirrored
+
+    def test_random_quenches(self):
+        # theta_i = 0 in four quenches, theta_f = 0 in four others
+        rng = np.random.default_rng(19)
+        mirrored = 0
+        for i in range(24):
+            ci, cf = (derive_couplings(rng.uniform(0.5, 2.0), rng.uniform(-0.9, 0.9),
+                                       0.0 if (i + j) % 6 == 0 else rng.uniform(-1.0, 1.0))
+                      for j in (0, 3))
+            p = quench.QuenchProtocol.default(ci, cf, t_max=rng.uniform(1.0, 20.0),
+                                              n_half=int(rng.integers(20, 80)),
+                                              n_t=int(rng.integers(20, 120)))
+            mirrored += mirrored_matching_serial(p)
+        assert mirrored > 0
 
 
 class TestFieldMemory:
