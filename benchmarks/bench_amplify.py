@@ -9,8 +9,8 @@ theta = 0.4, N = 40) one block of ``topology.DELTA_BLOCK`` deltas at a
 time: the nSSH1 windings of the block as (delta, k) arrays, the 2x2
 Neumann recurrence with delta as a leading axis, and per delta the dense
 generators that check the blocks' form and residual, with no dense chi.
-``classify_phase_imag`` winds the nSSH1 Bloch vector on the default
-2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
+``classify_phases`` (imaginary regime) winds the nSSH1 Bloch vector on the
+default 2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
 ``winding_pair_per_momentum`` winds the Bloch vector of either regime
 there one momentum at a time: the imaginary case is the reference for that
 speed-up, and the real (nSSH2) case is the per-momentum winding that the
@@ -56,9 +56,11 @@ def test_amplification_phase_scan(benchmark, cfg):
 
 def test_classify_phase_imag(benchmark, couplings):
     benchmark.extra_info["env"] = cli._environment()
-    label = benchmark.pedantic(topology.classify_phase_imag, args=(couplings,),
-                               rounds=ROUNDS, iterations=1)
-    assert label.tag is topology.Phase.NONTRIVIAL
+    labels = benchmark.pedantic(
+        topology.classify_phases,
+        args=(couplings.J, couplings.theta, [couplings.delta], model.Regime.IMAGINARY),
+        rounds=ROUNDS, iterations=1)
+    assert labels[0].tag is topology.Phase.NONTRIVIAL
 
 
 @pytest.mark.parametrize("regime", list(model.Regime), ids=lambda r: r.value)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, DoubleOverflowError, SingularityError
-from .model import CouplingSet, quadrature_dynamical
-from .topology import DELTA_BLOCK, classify_phases_imag, ep_nssh1
+from .model import CouplingSet, Regime, quadrature_dynamical
+from .topology import DELTA_BLOCK, classify_phases, ep_nssh1
 
 __all__ = [
     "SusceptibilityReport",
@@ -339,7 +339,7 @@ def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
     worst_res = 0.0
     for start in range(0, deltas.size, DELTA_BLOCK):
         block = deltas[start:start + DELTA_BLOCK].tolist()
-        labels = classify_phases_imag(J, theta, block)
+        labels = classify_phases(J, theta, block, Regime.IMAGINARY)
         blocks, res = _neumann_blocks(
             [derive_couplings(J, d, theta) for d in block], n_cells)
         # the largest |chi| entry between the end cells: block N - 1

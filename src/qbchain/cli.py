@@ -57,6 +57,23 @@ DEFAULTS = {
     "n_max": "10",
 }
 
+
+def _number_type(text: str):
+    """int or float, the first that parses ``text``; None for neither."""
+    for kind in (int, float):
+        try:
+            kind(text)
+        except ValueError:
+            continue
+        return kind
+    return None
+
+
+#: the type of each numeric key, read off its default: "40" parses as an
+#: int, "0.4" only as a float
+_NUMERIC = {key: kind for key, text in DEFAULTS.items()
+            if (kind := _number_type(text)) is not None}
+
 #: the two-band model a ``winding`` run winds, by its config value
 _MODELS = {"nssh2": model.Regime.REAL, "nssh1": model.Regime.IMAGINARY}
 
@@ -209,21 +226,14 @@ def validate(cfg: dict) -> dict:
         raise UsageError(f"boundary must be pbc or obc, got {full['boundary']!r}")
     if full["model"] not in _MODELS:
         raise UsageError(f"model must be nssh2 or nssh1, got {full['model']!r}")
-    for key in ("J", "theta", "delta", "delta_min", "delta_max", "theta_min",
-                "theta_max", "J_i", "delta_i", "theta_i", "J_f", "delta_f",
-                "theta_f", "t_max"):
+    for key, kind in _NUMERIC.items():
         try:
-            value = float(full[key])
+            value = kind(full[key])
         except ValueError:
-            raise UsageError(f"{key} must be a number, got {full[key]!r}") from None
-        if not math.isfinite(value):
+            what = "an integer" if kind is int else "a number"
+            raise UsageError(f"{key} must be {what}, got {full[key]!r}") from None
+        if kind is float and not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {full[key]!r}")
-    for key in ("n_cells", "k_points", "delta_steps", "theta_steps",
-                "grid_points", "n_half", "n_t", "n_max"):
-        try:
-            int(full[key])
-        except ValueError:
-            raise UsageError(f"{key} must be an integer, got {full[key]!r}") from None
     if int(full["delta_steps"]) < 1 or int(full["theta_steps"]) < 1:
         raise UsageError("delta_steps and theta_steps must be >= 1")
     if (int(full["delta_steps"]) > 1
@@ -234,6 +244,8 @@ def validate(cfg: dict) -> dict:
             "quadratures do not decouple in the real regime; "
             "amplify requires regime=imaginary"
         )
+    if full["command"] == "quench" and full["regime"] == "imaginary":
+        raise UsageError("quench runs the real regime only; it requires regime=real")
     return full
 
 
@@ -399,13 +411,10 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
                          int(cfg["theta_steps"]))
     deltas = _delta_grid(cfg)
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
+    regime = model.Regime(cfg["regime"])
     rows, labels = [], []
     for th in thetas:
-        if cfg["regime"] == "real":
-            row = (topology.classify_phase_real(model.derive_couplings(J, d, th))
-                   for d in deltas)
-        else:
-            row = topology.classify_phases_imag(J, th, deltas, grid)
+        row = topology.classify_phases(J, th, deltas, regime, grid)
         for d, label in zip(deltas, row):
             labels.append(label.tag.value)
             if label.tag is topology.Phase.CRITICAL:
@@ -414,8 +423,7 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
             res = label.winding
             if res is None:  # the real-regime label comes from thresholds
                 c = model.derive_couplings(J, d, th)
-                res = topology.winding_pair(
-                    lambda k: model.bloch(k, c, model.Regime.REAL), grid)
+                res = topology.winding_pair(lambda k: model.bloch(k, c, regime), grid)
             rows.append((d, th, res.nu1, res.nu2, res.nu))
     _stage(stages, "winding", t0, (len(rows), 5), 40 * len(rows))
     _write_table(outdir, files, stages, "phase_diagram.csv",
@@ -654,7 +662,7 @@ def run(cfg: dict) -> int:
             status = 3  # only check returns a count, of failed checks
     except UsageError:
         raise
-    except (QbChainError, np.linalg.LinAlgError) as exc:
+    except (QbChainError, np.linalg.LinAlgError, OverflowError) as exc:
         error = f"{type(exc).__name__}: {exc}"
         status = 2
     manifest = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .exceptions import DomainError, DoubleOverflowError, ValidationError
 
 __all__ = [
     "CouplingSet",
@@ -66,7 +66,8 @@ class Regime(enum.Enum):
 class CouplingSet:
     """Physical parameters (J, delta, theta) plus derived couplings.
 
-    Invariants: v = J(1-delta), w_r = J(1+delta), w_l = w_r * exp(theta).
+    Invariants: v = J(1-delta), w_r = J(1+delta), w_l = w_r * exp(theta);
+    a DoubleOverflowError where e^theta or a coupling is not finite.
     Construct through :func:`derive_couplings`.
     """
 
@@ -80,9 +81,18 @@ class CouplingSet:
     def __post_init__(self):
         if self.J <= 0:
             raise DomainError(f"energy scale J must be positive, got {self.J}")
+        try:
+            growth = math.exp(self.theta)
+        except OverflowError:
+            raise DoubleOverflowError(
+                f"e^theta leaves the double range at theta={self.theta}") from None
         object.__setattr__(self, "v", self.J * (1.0 - self.delta))
         object.__setattr__(self, "w_r", self.J * (1.0 + self.delta))
-        object.__setattr__(self, "w_l", self.w_r * math.exp(self.theta))
+        object.__setattr__(self, "w_l", self.w_r * growth)
+        if not np.isfinite((self.v, self.w_r, self.w_l)).all():
+            raise DoubleOverflowError(
+                f"couplings v, w_r, w_l leave the double range at J={self.J}, "
+                f"theta={self.theta}")
 
 
 def derive_couplings(J: float, delta: float, theta: float) -> CouplingSet:

@@ -307,12 +307,16 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 def _mirror_pairs(k, Ef, ov):
     """Rows (i, j) with k_i > 0 and k_j = -k_i bit for bit, and E^f and ov
-    at k_j the bitwise conjugates of those at k_i; i ascending."""
+    at k_j the bitwise conjugates of those at k_i up to the sign of a zero
+    (``x + 0.0`` makes each -0.0 part +0.0); i ascending.  A Hermitian final
+    block has real E^f and ov with an imaginary +0.0 at both +-k, whose
+    conjugate is -0.0: a zero's sign reaches the field only where Im g = 0,
+    and ``pgp_field`` evaluates those elements directly."""
     i = np.nonzero(k > 0)[0]
     j = np.minimum(np.searchsorted(k, -k[i]), k.size - 1)
     same = ((_bits(k[j]) == _bits(-k[i]))
-            & (_bits(Ef[j]) == _bits(np.conj(Ef[i])))
-            & (_bits(ov[j]) == _bits(np.conj(ov[i])))).all(axis=1)
+            & (_bits(Ef[j] + 0.0) == _bits(np.conj(Ef[i]) + 0.0))
+            & (_bits(ov[j] + 0.0) == _bits(np.conj(ov[i]) + 0.0))).all(axis=1)
     return i[same], j[same]
 
 

@@ -19,15 +19,13 @@ __all__ = [
     "ep_locations_nssh2",
     "winding_pair",
     "winding_integral",
-    "classify_phase_real",
     "ep_nssh1",
-    "classify_phase_imag",
-    "classify_phases_imag",
+    "classify_phases",
     "parametric_energy_loops",
 ]
 
 CRITICAL_BAND = 1e-6
-#: deltas per block of ``classify_phases_imag``'s (delta, k) arrays
+#: deltas per block of ``classify_phases``' (delta, k) arrays
 DELTA_BLOCK = 32
 
 
@@ -102,7 +100,8 @@ def _wrap(a: np.ndarray) -> np.ndarray:
 
 
 def _bisect(f, a: float, b: float) -> float:
-    """Midpoint of f's scalar sign-change bracket [a, b], halved to width 1e-12."""
+    """Midpoint of f's scalar sign-change bracket [a, b], halved to width 1e-12:
+    the tests' reference for ``_bisect_all`` and ``quench.critical_set``."""
     fa = f(a)
     while b - a > 1e-12:
         m = 0.5 * (a + b)
@@ -229,19 +228,6 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     return complex(integrand.mean())
 
 
-def classify_phase_real(c: CouplingSet) -> PhaseLabel:
-    """Phase of the real-regime chain from the delta thresholds."""
-    lower = (1.0 - np.exp(c.theta)) / (1.0 + np.exp(c.theta))
-    boundaries = (float(lower), 0.0)
-    if min(abs(c.delta - lower), abs(c.delta - 0.0)) < CRITICAL_BAND:
-        return PhaseLabel(tag=Phase.CRITICAL, boundaries=boundaries)
-    if c.delta < lower:
-        return PhaseLabel(tag=Phase.TRIVIAL, boundaries=boundaries, nu=0.0)
-    if c.delta < 0.0:
-        return PhaseLabel(tag=Phase.MOEBIUS, boundaries=boundaries, nu=0.5)
-    return PhaseLabel(tag=Phase.NONTRIVIAL, boundaries=boundaries, nu=1.0)
-
-
 def ep_nssh1(c: CouplingSet):
     """Exceptional-point data of the single-EP block.
 
@@ -259,50 +245,60 @@ def ep_nssh1(c: CouplingSet):
     return float(v_crit), k_star, float(delta0)
 
 
-def classify_phase_imag(c: CouplingSet, grid: np.ndarray | None = None) -> PhaseLabel:
-    """Phase of the imaginary-regime chain from the single-EP winding."""
-    return classify_phases_imag(c.J, c.theta, [c.delta], grid)[0]
+#: per regime, the closed-form delta boundaries at couplings of (J, theta),
+#: and the (tag, nu) of the interval below each boundary, then above the last
+_PHASES = {
+    Regime.REAL: (lambda c: ((1.0 - np.exp(c.theta)) / (1.0 + np.exp(c.theta)), 0.0),
+                  ((Phase.TRIVIAL, 0.0), (Phase.MOEBIUS, 0.5),
+                   (Phase.NONTRIVIAL, 1.0))),
+    Regime.IMAGINARY: (lambda c: (ep_nssh1(c)[2],),
+                       ((Phase.TRIVIAL, 0.0), (Phase.NONTRIVIAL, 1.0))),
+}
 
 
-def classify_phases_imag(J: float, theta: float, deltas,
-                         grid: np.ndarray | None = None) -> list:
-    """Phase labels of the imaginary-regime chain at each delta, (J, theta) fixed.
+def classify_phases(J: float, theta: float, deltas, regime: Regime,
+                    grid: np.ndarray | None = None) -> list:
+    """Phase labels of the regime's chain at each delta, (J, theta) fixed.
 
-    A CouplingSet holding a column of deltas broadcasts through the nSSH1
-    ``bloch``, so its expressions are evaluated as (delta, k) arrays,
-    DELTA_BLOCK deltas at a time, and each row is wound by ``_windings``
-    on the closed loop ``grid`` (the default Brillouin-zone grid if None).
-    A delta within CRITICAL_BAND of delta0 is CRITICAL, with no winding.
-    Every winding is cross-checked against the closed-form transition
-    point; an error names the first delta of its block that fails.
+    Tags come from ``_PHASES``; a delta within CRITICAL_BAND of a boundary
+    is CRITICAL, with no nu.  Real-regime labels are threshold-only.  In the
+    imaginary regime a CouplingSet holding a column of deltas broadcasts
+    through the nSSH1 ``bloch``, DELTA_BLOCK deltas at a time, and each
+    (delta, k) row is wound by ``_windings`` on the closed loop ``grid``
+    (the default Brillouin-zone grid if None); the label carries that
+    winding and its nu, cross-checked against the closed-form tag.  An
+    error names the first delta of its block that fails.
     """
     grid = default_bz_grid() if grid is None else _loop_grid(grid)
     deltas = np.asarray(deltas, dtype=float)
-    _, _, delta0 = ep_nssh1(derive_couplings(J, 0.0, theta))
-    boundaries = (float(delta0),)
+    if regime not in _PHASES:
+        raise DomainError(f"regime must be a Regime, got {regime!r}")
+    bounds, intervals = _PHASES[regime]
+    boundaries = tuple(float(b) for b in bounds(derive_couplings(J, 0.0, theta)))
     labels = []
     for start in range(0, deltas.size, DELTA_BLOCK):
         block = deltas[start:start + DELTA_BLOCK]
-        critical = np.abs(block - delta0) < CRITICAL_BAND
+        critical = np.abs(block[:, None] - boundaries).min(axis=1) < CRITICAL_BAND
         wound = block[~critical]
-        rows = CouplingSet(J=float(J), delta=wound[:, None], theta=float(theta))
-        results = iter(_windings(*_phi_angles(bloch(grid, rows, Regime.IMAGINARY)),
-                                 wound)
-                       if wound.size else [])
+        results = iter([])
+        if regime is Regime.IMAGINARY and wound.size:
+            rows = CouplingSet(J=float(J), delta=wound[:, None], theta=float(theta))
+            results = iter(_windings(*_phi_angles(bloch(grid, rows, regime)), wound))
         for d, at_critical in zip(block.tolist(), critical):
             if at_critical:
                 labels.append(PhaseLabel(tag=Phase.CRITICAL, boundaries=boundaries))
                 continue
-            res = next(results)
-            tag = Phase.NONTRIVIAL if abs(res.nu - 1.0) < 0.25 else Phase.TRIVIAL
-            # independent cross-check against the closed-form transition point
-            expected = Phase.NONTRIVIAL if d > delta0 else Phase.TRIVIAL
-            if tag is not expected:
-                raise ResolutionError(
-                    f"winding nu={res.nu:.4f} disagrees with delta0={delta0:.6f} "
-                    f"classification at delta={d}"
-                )
-            labels.append(PhaseLabel(tag=tag, boundaries=boundaries, nu=res.nu,
+            tag, nu = intervals[next((i for i, b in enumerate(boundaries) if d < b),
+                                     len(boundaries))]
+            res = next(results, None)  # None in the real regime
+            if res is not None:
+                nu = res.nu
+                if tag is not (Phase.NONTRIVIAL if abs(nu - 1.0) < 0.25
+                               else Phase.TRIVIAL):
+                    raise ResolutionError(
+                        f"winding nu={nu:.4f} disagrees with "
+                        f"delta0={boundaries[0]:.6f} classification at delta={d}")
+            labels.append(PhaseLabel(tag=tag, boundaries=boundaries, nu=nu,
                                      winding=res))
     return labels
 
@@ -322,14 +318,10 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     # negative real axis: there E = i sqrt(|d.d|) and the conjugation
     # symmetry d.d(-k) = conj(d.d(k)) puts -E on the same band's trace;
     # scan for sign changes of Im(d.d) and refine the crossing by bisection
-    merged = False
     dd = np.append(e**2, e[0] ** 2)
     kk = np.append(grid, grid[0] + 2 * np.pi)
-    for i in np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]:
-        k = _bisect(lambda k: (complex(energy(k, c, regime)) ** 2).imag,
-                    kk[i], kk[i + 1])
-        z = complex(energy(k, c, regime)) ** 2
-        if abs(z.imag) < 1e-8 and z.real < -1e-12:
-            merged = True
-            break
+    i = np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]
+    ks, _ = _bisect_all(lambda m, _: (energy(m, c, regime) ** 2).imag, kk[i], kk[i + 1])
+    z = energy(ks, c, regime) ** 2
+    merged = ((np.abs(z.imag) < 1e-8) & (z.real < -1e-12)).any()
     return e_plus, e_minus, bool(merged)

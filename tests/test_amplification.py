@@ -98,7 +98,7 @@ def reference_scan(J, theta, deltas, n_cells):
     rows = []
     for d in np.asarray(deltas, dtype=float):
         c = derive_couplings(J, d, theta)
-        label = topology.classify_phase_imag(c)
+        label = topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY)[0]
         rep = amplification.susceptibility(c, n_cells)
         rows.append((float(d), float(delta0), label.nu,
                      {(g.sector, g.quadrature): g.end_to_end

@@ -62,6 +62,23 @@ class TestValidation:
         with pytest.raises(cli.UsageError, match="decouple"):
             cli.validate({"command": "amplify", "regime": "real"})
 
+    def test_quench_imaginary_rejected(self):
+        # the quench layer builds the real-regime (nSSH2) block only
+        with pytest.raises(cli.UsageError, match="quench runs the real regime only"):
+            cli.validate({"command": "quench", "regime": "imaginary"})
+
+    @pytest.mark.parametrize("key, kind", [
+        *((key, "a number") for key in (
+            "J", "theta", "delta", "delta_min", "delta_max", "theta_min",
+            "theta_max", "J_i", "delta_i", "theta_i", "J_f", "delta_f", "theta_f",
+            "t_max")),
+        *((key, "an integer") for key in (
+            "n_cells", "k_points", "delta_steps", "theta_steps", "grid_points",
+            "n_half", "n_t", "n_max"))])
+    def test_numeric_key_rejects_text(self, key, kind):
+        with pytest.raises(cli.UsageError, match=f"^{key} must be {kind}, got 'x'$"):
+            cli.validate({key: "x"})
+
     def test_config_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\n[run]\ncommand = winding\ndelta=0.9\n; also\n")
@@ -101,6 +118,29 @@ class TestCommands:
         assert code == 2
         assert manifest["status"] == 2
         assert "error" in manifest
+
+    @pytest.mark.parametrize("config, name", [
+        ("command=winding\ntheta=800\n", "theta=800"),
+        ("command=quench\ntheta_f=800\n", "theta=800"),
+        ("command=spectrum\ntheta=710\n", "theta=710"),
+        # finite couplings whose squares overflow in model.energy
+        ("command=winding\nJ=1e155\n", "OverflowError"),
+    ])
+    def test_overflow_exit_2(self, tmp_path, config, name):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(config)
+        code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 2
+        assert manifest["status"] == 2
+        assert name in manifest["error"]
+
+    def test_winding_large_J(self, tmp_path):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("command=winding\nJ=1e150\n")
+        code, out, _ = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0
+        nu = float((out / "winding.csv").read_text().splitlines()[1].split(",")[2])
+        assert abs(nu - 1.0) < 1e-12
 
     def test_winding_outputs(self, tmp_path):
         cfg = tmp_path / "w.cfg"
@@ -186,7 +226,8 @@ class TestCommands:
         for th in np.linspace(0.0, 1.0, 3):
             for d in np.linspace(-0.9, 0.9, 9):
                 c = model.derive_couplings(1.0, d, th)
-                tag = topology.classify_phase_imag(c, grid).tag
+                tag = topology.classify_phases(1.0, th, [d], model.Regime.IMAGINARY,
+                                               grid)[0].tag
                 if tag is topology.Phase.CRITICAL:
                     lines.append(f"{'%.16e' % d},{'%.16e' % th},nan,nan,nan,"
                                  f"{tag.value}")

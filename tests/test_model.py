@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qbchain import model
-from qbchain.exceptions import DomainError, ValidationError
+from qbchain.exceptions import DomainError, DoubleOverflowError, ValidationError
 from qbchain.model import OBC, PBC, Regime, derive_couplings
 
 
@@ -36,6 +38,20 @@ class TestCouplings:
             derive_couplings(0, 0.1, 0.1)
         with pytest.raises(DomainError):
             derive_couplings(-1, 0.1, 0.1)
+
+    @pytest.mark.parametrize("J, delta, theta, name", [
+        (1, 0, 800, "theta=800"),      # e^theta itself overflows
+        (1, 0.5, 709.5, "theta=709.5"),  # e^theta is finite, w_l is not
+        (1e308, 0.9, 0, "J=1e+308"),     # w_r = 1.9e308
+    ])
+    def test_overflowing_couplings_typed(self, J, delta, theta, name):
+        with pytest.raises(DoubleOverflowError, match=re.escape(name)):
+            derive_couplings(J, delta, theta)
+
+    @pytest.mark.parametrize("J, theta", [(1e155, 0.4), (1.0, 400.0), (1.0, -800.0)])
+    def test_finite_couplings_with_overflowing_squares_kept(self, J, theta):
+        c = derive_couplings(J, 0.5, theta)
+        assert np.isfinite([c.v, c.w_r, c.w_l]).all()
 
 
 class TestBoundaries:

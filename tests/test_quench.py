@@ -672,6 +672,9 @@ class TestMirroredRows:
         # a first time so small that Im g_k(t) = 0 past t = 0: 11 rows
         # would differ in the sign of phi_pgp's zero
         (CI, derive_couplings(1, -0.1, 1.0), np.array([5e-324, 1e-300, 1e-8, 1.0])),
+        # a Hermitian quench: E^f and ov are real, their imaginary zeros +0.0
+        # at both +-k and -0.0 in the conjugates
+        (CI, CH, np.array([5e-324, 1e-300, 1e-8, 1.0])),
     ])
     def test_time_grids(self, ci, cf, t):
         k = quench.QuenchProtocol.default(ci, cf, n_half=100).k_grid
@@ -685,8 +688,10 @@ class TestMirroredRows:
         assert mirrored_matching_serial(p) == 0
 
     @pytest.mark.parametrize("ci, mirrored", [
-        (CI, 0),  # both Hermitian: E^f's imaginary zero has one sign at +-k
-        (derive_couplings(1, -0.5, 0.7), 48),
+        # both Hermitian: E^f's imaginary zero has one sign at +-k, paired
+        # up to the sign of that zero
+        (CI, 100),
+        (derive_couplings(1, -0.5, 0.7), 100),
     ])
     def test_hermitian_final(self, ci, mirrored):
         p = quench.QuenchProtocol.default(ci, CH, n_half=100, n_t=97)

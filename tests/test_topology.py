@@ -123,10 +123,12 @@ OPEN_GRIDS = {
     lambda c, g: topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), g),
     lambda c, g: topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL),
                                            g),
-    lambda c, g: topology.classify_phases_imag(c.J, c.theta, [c.delta], g),
+    lambda c, g: topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY,
+                                          g),
     lambda c, g: topology.parametric_energy_loops(c, g),
+    lambda c, g: topology.classify_phases(c.J, c.theta, [c.delta], Regime.REAL, g),
 ], ids=["winding_pair", "winding_integral", "classify_phases_imag",
-        "parametric_energy_loops"])
+        "parametric_energy_loops", "classify_phases_real"])
 def test_open_grid_rejected(call, grid):
     # at (delta, theta) = (0.5, 0.4) nu = 1; unchecked, the pair reads 6e-16
     # and the integral 0.0128 on [0, 1], and the integral 0.4999 on half the
@@ -144,34 +146,72 @@ def test_closing_step_within_rounding_accepted(n):
     assert np.array_equal(topology.default_bz_grid(n), grid)
 
 
+def reference_phase_real(c):
+    """The real-regime label of one coupling set from its delta thresholds,
+    one comparison at a time (the former ``classify_phase_real``)."""
+    lower = (1.0 - np.exp(c.theta)) / (1.0 + np.exp(c.theta))
+    boundaries = (float(lower), 0.0)
+    if min(abs(c.delta - lower), abs(c.delta - 0.0)) < topology.CRITICAL_BAND:
+        return topology.PhaseLabel(tag=Phase.CRITICAL, boundaries=boundaries)
+    if c.delta < lower:
+        return topology.PhaseLabel(tag=Phase.TRIVIAL, boundaries=boundaries, nu=0.0)
+    if c.delta < 0.0:
+        return topology.PhaseLabel(tag=Phase.MOEBIUS, boundaries=boundaries, nu=0.5)
+    return topology.PhaseLabel(tag=Phase.NONTRIVIAL, boundaries=boundaries, nu=1.0)
+
+
+def imag_label(c, grid=None):
+    """The imaginary-regime label of one coupling set."""
+    return topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY, grid)[0]
+
+
 class TestClassification:
     def test_real_phases(self):
         lower = (1 - np.exp(0.4)) / (1 + np.exp(0.4))
         for d, tag, nu in ((-0.9, Phase.TRIVIAL, 0.0),
                            (-0.1, Phase.MOEBIUS, 0.5),
                            (0.9, Phase.NONTRIVIAL, 1.0)):
-            lab = topology.classify_phase_real(derive_couplings(1, d, 0.4))
+            lab = topology.classify_phases(1, 0.4, [d], Regime.REAL)[0]
             assert lab.tag is tag
             assert lab.nu == nu
             assert lab.boundaries == (lower, 0.0)
             assert lab.winding is None  # thresholds, no numerical winding
 
     def test_real_critical_band(self):
-        lab = topology.classify_phase_real(derive_couplings(1, 1e-9, 0.4))
+        lab = topology.classify_phases(1, 0.4, [1e-9], Regime.REAL)[0]
         assert lab.tag is Phase.CRITICAL
         assert lab.nu is None
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0, 3.0])
+    def test_real_matches_one_delta_reference(self, theta):
+        # more than DELTA_BLOCK deltas, with points 1e-7 and 2e-6 on either
+        # side of each boundary: inside and just outside the critical band
+        lower = (1.0 - np.exp(theta)) / (1.0 + np.exp(theta))
+        near = [b + s for b in (lower, 0.0) for s in (-2e-6, -1e-7, 0.0, 1e-7, 2e-6)]
+        deltas = np.concatenate([np.linspace(-0.95, 0.95, topology.DELTA_BLOCK + 7),
+                                 near])
+        labels = topology.classify_phases(1.0, theta, deltas, Regime.REAL)
+        refs = [reference_phase_real(derive_couplings(1.0, d, theta)) for d in deltas]
+        assert [(lab.tag, lab.nu, lab.boundaries) for lab in labels] == [
+            (ref.tag, ref.nu, ref.boundaries) for ref in refs]
+        assert all(lab.winding is None for lab in labels)
+
+    @pytest.mark.parametrize("regime", ["real", None])
+    def test_unknown_regime_rejected(self, regime):
+        with pytest.raises(DomainError, match="regime must be a Regime"):
+            topology.classify_phases(1.0, 0.4, [0.5], regime)
 
     def test_imag_phases(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
         for d in (-0.5, -0.2):
-            lab = topology.classify_phase_imag(derive_couplings(1, d, 0.4))
+            lab = imag_label(derive_couplings(1, d, 0.4))
             assert lab.tag is Phase.TRIVIAL
             assert abs(lab.nu - 0.0) < 1e-6
         for d in (-0.05, 0.5):
-            lab = topology.classify_phase_imag(derive_couplings(1, d, 0.4))
+            lab = imag_label(derive_couplings(1, d, 0.4))
             assert lab.tag is Phase.NONTRIVIAL
             assert abs(lab.nu - 1.0) < 1e-6
-        lab = topology.classify_phase_imag(derive_couplings(1, delta0 + 1e-8, 0.4))
+        lab = imag_label(derive_couplings(1, delta0 + 1e-8, 0.4))
         assert lab.tag is Phase.CRITICAL
 
 
@@ -185,7 +225,7 @@ def _near_ep_grid(c, half_width=1e-3, n_fine=2001):
 
 
 class TestArrayWinding:
-    """classify_phase_imag winds the nSSH1 bloch on the whole grid at once."""
+    """classify_phases winds the nSSH1 bloch on the whole grid at once."""
 
     @staticmethod
     def _per_k(c, grid):
@@ -200,7 +240,7 @@ class TestArrayWinding:
             # the clustered grid resolves |delta - delta0| = 1e-5 at every theta
             grid = _near_ep_grid(c)
             ref = self._per_k(c, grid)
-            lab = topology.classify_phase_imag(c, grid)
+            lab = imag_label(c, grid)
             assert lab.winding == ref
             assert lab.nu == ref.nu
             assert lab.tag is (Phase.NONTRIVIAL if delta > delta0 else Phase.TRIVIAL)
@@ -210,28 +250,28 @@ class TestArrayWinding:
                 ref = self._per_k(c, grid)
             except ResolutionError:
                 with pytest.raises(ResolutionError, match="grid too coarse"):
-                    topology.classify_phase_imag(c, grid)
+                    imag_label(c, grid)
             else:
-                assert topology.classify_phase_imag(c, grid).winding == ref
+                assert imag_label(c, grid).winding == ref
 
     @pytest.mark.parametrize("theta, n", [(0.0, 401), (0.4, 2001), (2.0, 2001)])
     def test_coarse_grid_near_ep_raises(self, theta, n):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
         c = derive_couplings(1, delta0 + 1e-5, theta)
         with pytest.raises(ResolutionError, match="grid too coarse"):
-            topology.classify_phase_imag(c, topology.default_bz_grid(n))
+            imag_label(c, topology.default_bz_grid(n))
 
     def test_grid_size_checked(self):
         c = derive_couplings(1, 0.5, 0.4)
         grid = np.linspace(-np.pi, np.pi, 400, endpoint=False)
         with pytest.raises(DomainError):
-            topology.classify_phase_imag(c, grid)
+            imag_label(c, grid)
         with pytest.raises(DomainError):
             self._per_k(c, grid)
 
 
 class TestBatchedWinding:
-    """classify_phases_imag winds DELTA_BLOCK deltas at a time."""
+    """classify_phases winds DELTA_BLOCK deltas at a time."""
 
     @pytest.mark.parametrize("theta", [0.0, 0.4])
     def test_matches_one_delta_at_a_time(self, theta):
@@ -240,9 +280,9 @@ class TestBatchedWinding:
         deltas = np.append(np.linspace(-0.9, 0.9, 2 * topology.DELTA_BLOCK + 5),
                            delta0 + 1e-8)
         grid = topology.default_bz_grid(801)
-        labels = topology.classify_phases_imag(1.0, theta, deltas, grid)
-        assert labels == [topology.classify_phase_imag(
-            derive_couplings(1, d, theta), grid) for d in deltas]
+        labels = topology.classify_phases(1.0, theta, deltas, Regime.IMAGINARY, grid)
+        assert labels == [imag_label(derive_couplings(1, d, theta), grid)
+                          for d in deltas]
         assert labels[-1].tag is Phase.CRITICAL and labels[-1].winding is None
         for d, lab in zip(deltas[::9], labels[::9]):
             c = derive_couplings(1, d, theta)
@@ -255,12 +295,13 @@ class TestBatchedWinding:
                               (delta0 - 1e-5, delta0 + 1e-5)):
             with pytest.raises(ResolutionError,
                                match=re.escape(f"at delta={first};")):
-                topology.classify_phases_imag(1.0, 0.4, [0.5, first, second])
+                topology.classify_phases(1.0, 0.4, [0.5, first, second],
+                                         Regime.IMAGINARY)
 
     def test_empty_and_all_critical(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
-        assert topology.classify_phases_imag(1.0, 0.4, []) == []
-        labels = topology.classify_phases_imag(1.0, 0.4, [delta0])
+        assert topology.classify_phases(1.0, 0.4, [], Regime.IMAGINARY) == []
+        labels = topology.classify_phases(1.0, 0.4, [delta0], Regime.IMAGINARY)
         assert [lab.tag for lab in labels] == [Phase.CRITICAL]
 
 
