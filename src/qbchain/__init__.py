@@ -29,7 +29,7 @@ from .model import (
     Regime,
     derive_couplings,
 )
-from .spectral import EigenSystem, SpectrumSweep, eig_general, spectrum_sweep
+from .spectral import SpectrumSweep, spectrum_sweep
 from .topology import Phase, PhaseLabel, WindingResult
 from .quench import (
     CriticalTimes,
@@ -56,9 +56,7 @@ __all__ = [
     "OBC",
     "BlochVector",
     "derive_couplings",
-    "EigenSystem",
     "SpectrumSweep",
-    "eig_general",
     "spectrum_sweep",
     "Phase",
     "PhaseLabel",

@@ -388,9 +388,10 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
     regime = _MODELS[cfg["model"]]
     provider = lambda k: model.bloch(k, c, regime)
     t0 = time.perf_counter()
+    # the energy loops first: past the double range their error names J
+    ep, em, merged = topology.parametric_energy_loops(c, grid, regime)
     res = topology.winding_pair(provider, grid)
     integral = topology.winding_integral(provider, grid)
-    ep, em, merged = topology.parametric_energy_loops(c, grid, regime)
     _stage(stages, "winding", t0, (grid.size, 2), ep.nbytes + em.nbytes)
     tolerances["winding_quantization_residual"] = res.imag_residual
     tolerances["winding_integral_imag"] = abs(integral.imag)

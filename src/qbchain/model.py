@@ -50,6 +50,9 @@ TAU3 = np.kron(_SZ, np.eye(4))
 #: relative bound on the non-Hermiticity of K and the asymmetry of Delta
 _SYMMETRY_TOL = 1e-12
 
+#: largest magnitude whose square, four times over, stays in the double range
+_SQUARE_SAFE = 0.5 * math.sqrt(np.finfo(float).max)
+
 
 class Regime(enum.Enum):
     """Whether hopping/pairing amplitudes enter as real or purely imaginary."""
@@ -207,8 +210,13 @@ def bloch(k, c: CouplingSet, regime: Regime) -> BlochVector:
 
 def energy(k, c: CouplingSet, regime: Regime):
     """Principal-branch quasiparticle energy of :func:`two_band`; the band
-    pair is (+E, -E)."""
+    pair is (+E, -E).  A DoubleOverflowError where E^2 could leave the
+    double range."""
     k = np.asarray(k, dtype=float)
+    if not np.abs((c.v, c.w_r, c.w_l)).max() <= _SQUARE_SAFE:
+        raise DoubleOverflowError(
+            f"squared couplings leave the double range at J={c.J}, "
+            f"theta={c.theta}")
     if _is_real(regime):
         rad = c.v**2 + c.w_r * c.w_l + c.v * (
             c.w_l * np.exp(1j * k) + c.w_r * np.exp(-1j * k)

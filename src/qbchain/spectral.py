@@ -1,4 +1,4 @@
-"""Complex eigendecompositions, block-diagonalization checks and spectra sweeps."""
+"""Block-diagonalization checks, spectra sweeps and eigenvector localization."""
 
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from .model import (
 )
 
 __all__ = [
-    "EigenSystem",
     "SpectrumSweep",
-    "eig_general",
     "block_transform",
     "block_diagonalize",
     "spectrum_sweep",
@@ -66,87 +64,6 @@ _BLOCKS = {
     Regime.REAL: (BLOCK_Q_REAL, ((1, False), (-1, True), (-1, False), (1, True))),
     Regime.IMAGINARY: (BLOCK_Q_IMAG, ((1, False), (-1, False), (1, True), (-1, True))),
 }
-
-# eig_general's cluster width (relative to max(1, max|w|)) and defect bound
-_CLUSTER_TOL = 1e-6
-_DEFECT_TOL = 1e-10
-
-
-@dataclass
-class EigenSystem:
-    """Eigenvalues with biorthonormal left/right eigenvector pairs.
-
-    ``right`` holds right eigenvectors as columns, ``left`` left eigenvectors
-    as rows, normalized so that left @ right = identity wherever the matrix is
-    diagonalizable.  ``condition`` is the per-eigenvalue condition estimate
-    1/|<l|r>| for unit-norm vectors; ``defective`` flags eigenvalues whose
-    biorthogonal normalization collapsed (exceptional points).
-    """
-
-    values: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    condition: np.ndarray
-    defective: np.ndarray
-
-    @property
-    def any_defective(self) -> bool:
-        return bool(self.defective.any())
-
-
-def eig_general(A: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a general complex matrix.
-
-    Left eigenvectors come from an independent decomposition of the transpose
-    and are biorthonormalized against the right ones per degenerate cluster.
-    Eigenvalues are ordered lexicographically (real part, then imaginary).
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {A.shape}")
-    n = A.shape[0]
-    try:
-        w, vr = np.linalg.eig(A)
-        wt, vlt = np.linalg.eig(A.T)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vr = vr[:, order]
-    ordt = np.lexsort((wt.imag, wt.real))
-    vl = vlt[:, ordt].T  # rows l satisfy l @ A = lambda * l
-
-    scale = max(1.0, np.abs(w).max())
-    condition = np.ones(n)
-    defective = np.zeros(n, dtype=bool)
-
-    # cluster nearly-degenerate eigenvalues and biorthonormalize jointly
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(w[stop] - w[stop - 1]) <= _CLUSTER_TOL * scale:
-            stop += 1
-        sl = slice(start, stop)
-        R = vr[:, sl]
-        L = vl[sl, :]
-        M = L @ R
-        for i in range(start, stop):
-            condition[i] = 1.0 / max(abs(vl[i] @ vr[:, i]), 1e-300)
-        svals = np.linalg.svd(M, compute_uv=False)
-        # a cluster is defective when its biorthogonal normalization collapses
-        # or its right eigenvectors are numerically linearly dependent
-        # (machine-precision perturbations split an exact EP into eigenvalues
-        # ~sqrt(eps) apart with nearly parallel eigenvectors)
-        sr = np.linalg.svd(R, compute_uv=False)
-        if svals.min() < _DEFECT_TOL or sr.min() < 1e-7 * sr.max():
-            defective[sl] = True
-        else:
-            vl[sl, :] = np.linalg.solve(M, L)
-        start = stop
-    return EigenSystem(values=w, right=vr, left=vl, condition=condition,
-                       defective=defective)
-
 
 def block_transform(k, c: CouplingSet, regime: Regime, *, G=None) -> np.ndarray:
     """Q^dag G Q (block diagonal), G = dynamical_qb_k(k, c, regime) unless given."""
@@ -218,11 +135,14 @@ def ipr_localization(A: np.ndarray, n_cells: int | None = None):
 
     For an 8N x 8N Nambu matrix pass ``n_cells``; the 8 internal components
     of each unit cell (4 particle + 4 hole) are aggregated, positions are
-    unit-cell indices 1..N.  Returns a list of (eigenvalue, ipr, mean_position).
+    unit-cell indices 1..N.  Returns a list of (eigenvalue, ipr, mean_position),
+    ordered lexicographically by eigenvalue (real part, then imaginary).
     """
     import scipy.linalg  # only this generalized eigensolve needs scipy
 
-    es = eig_general(A)
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DomainError(f"matrix must be square, got shape {A.shape}")
     dim = A.shape[0]
     if n_cells is not None:
         if dim != 8 * n_cells:
@@ -230,25 +150,34 @@ def ipr_localization(A: np.ndarray, n_cells: int | None = None):
         positions = np.tile(np.repeat(np.arange(1, n_cells + 1), 4), 2)
     else:
         positions = np.arange(1, dim + 1)
+    try:
+        w, vr = np.linalg.eig(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    order = np.lexsort((w.imag, w.real))
+    w = w[order]
+    vr = vr[:, order]
 
     # within a degenerate cluster any linear combination is an eigenvector;
     # diagonalize the position expectation there so the reported states are
     # the extremally localized representatives instead of solver-dependent
-    # left/right mixtures
-    vr = es.right.copy()
-    w = es.values
+    # mixtures.  A cluster whose right eigenvectors are numerically dependent
+    # is left alone: rounding splits an exceptional point into eigenvalues
+    # ~sqrt(eps) apart with nearly parallel eigenvectors.
     scale = max(1.0, np.abs(w).max())
     start = 0
     while start < dim:
         stop = start + 1
         while stop < dim and abs(w[stop] - w[stop - 1]) <= 1e-8 * scale:
             stop += 1
-        if stop - start > 1 and not es.defective[start:stop].any():
+        if stop - start > 1:
             R = vr[:, start:stop]
-            G = R.conj().T @ R
-            X = R.conj().T @ (positions[:, None] * R)
-            _, rot = scipy.linalg.eig(X, G)
-            vr[:, start:stop] = R @ rot
+            sr =np.linalg.svd(R, compute_uv=False)
+            if sr.min() >= 1e-7 * sr.max():
+                G = R.conj().T @ R
+                X = R.conj().T @ (positions[:, None] * R)
+                _, rot = scipy.linalg.eig(X, G)
+                vr[:, start:stop] = R @ rot
         start = stop
 
     out = []

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ResolutionError, SingularityError
-from .model import (PBC, BlochVector, CouplingSet, Regime, bloch, derive_couplings,
-                     energy)
+from .exceptions import (DomainError, DoubleOverflowError, ResolutionError,
+                         SingularityError)
+from .model import (_SQUARE_SAFE, PBC, BlochVector, CouplingSet, Regime, bloch,
+                     derive_couplings, energy)
 
 __all__ = [
     "Phase",
@@ -106,7 +107,7 @@ def _bisect(f, a: float, b: float) -> float:
     while b - a > 1e-12:
         m = 0.5 * (a + b)
         fm = f(m)
-        if fa * fm <= 0:
+        if np.sign(fa) * np.sign(fm) <= 0:  # a product of f's could over/underflow
             b = m
         else:
             a, fa = m, fm
@@ -132,7 +133,7 @@ def _bisect_all(f, a, b):
     while open_.size:
         m = 0.5 * (a[open_] + b[open_])
         fm = f(m, open_)
-        left = fa[open_] * fm <= 0
+        left = np.sign(fa[open_]) * np.sign(fm) <= 0
         b[open_[left]] = m[left]
         right = ~left
         a[open_[right]] = m[right]
@@ -201,7 +202,8 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     the real part is the invariant, the imaginary part a residual that must
     vanish over the closed loop.  Derivatives are spectral (the components
     are trigonometric polynomials), the quadrature is the periodic trapezoid
-    rule, so the grid must be uniform over [-pi, pi).
+    rule, so the grid must be uniform over [-pi, pi).  A DoubleOverflowError
+    where a product of two components could leave the double range.
     """
     grid = _loop_grid(grid)
     n = grid.size
@@ -213,17 +215,21 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     for i, k in enumerate(grid):
         b = d_provider(k)
         dx[i], dy[i] = b.dx, b.dy
+    m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
+    if n % 2 == 0:
+        m[n // 2] = 0.0  # drop the unpaired Nyquist mode
+    ddx = np.fft.ifft(1j * m * np.fft.fft(dx))
+    ddy = np.fft.ifft(1j * m * np.fft.fft(dy))
+    big = max(np.abs(z).max() for z in (dx, dy, ddx, ddy))
+    if not big <= _SQUARE_SAFE:
+        raise DoubleOverflowError(
+            f"Bloch vector components up to {big:.3g} square past the double range")
     denom = dx**2 + dy**2
     if np.abs(denom).min() < 1e-12:
         raise SingularityError(
             "d_x^2 + d_y^2 vanishes on the grid: parameters at/near an "
             "exceptional point"
         )
-    m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-    if n % 2 == 0:
-        m[n // 2] = 0.0  # drop the unpaired Nyquist mode
-    ddx = np.fft.ifft(1j * m * np.fft.fft(dx))
-    ddy = np.fft.ifft(1j * m * np.fft.fft(dy))
     integrand = (dx * ddy - dy * ddx) / denom
     return complex(integrand.mean())
 
@@ -245,8 +251,9 @@ def ep_nssh1(c: CouplingSet):
     return float(v_crit), k_star, float(delta0)
 
 
-#: per regime, the closed-form delta boundaries at couplings of (J, theta),
-#: and the (tag, nu) of the interval below each boundary, then above the last
+#: per regime, the closed-form delta boundaries at couplings of (J, theta)
+#: (in any order: the real pair descends for theta < 0), and the (tag, nu)
+#: of the interval below each sorted boundary, then above the last
 _PHASES = {
     Regime.REAL: (lambda c: ((1.0 - np.exp(c.theta)) / (1.0 + np.exp(c.theta)), 0.0),
                   ((Phase.TRIVIAL, 0.0), (Phase.MOEBIUS, 0.5),
@@ -274,7 +281,8 @@ def classify_phases(J: float, theta: float, deltas, regime: Regime,
     if regime not in _PHASES:
         raise DomainError(f"regime must be a Regime, got {regime!r}")
     bounds, intervals = _PHASES[regime]
-    boundaries = tuple(float(b) for b in bounds(derive_couplings(J, 0.0, theta)))
+    boundaries = tuple(sorted(float(b)
+                              for b in bounds(derive_couplings(J, 0.0, theta))))
     labels = []
     for start in range(0, deltas.size, DELTA_BLOCK):
         block = deltas[start:start + DELTA_BLOCK]
@@ -309,7 +317,7 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     (nSSH2 real, nSSH1 imaginary) over the closed loop ``grid``.
 
     Returns (E_plus, E_minus, merged) where merged reports whether the two
-    loops share a point within 1e-8 (single bigger loop).
+    loops share a point within 1e-8 J^2 of E^2 (single bigger loop).
     """
     grid = default_bz_grid() if grid is None else _loop_grid(grid)
     e = np.asarray(energy(grid, c, regime), dtype=complex)
@@ -323,5 +331,6 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     i = np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]
     ks, _ = _bisect_all(lambda m, _: (energy(m, c, regime) ** 2).imag, kk[i], kk[i + 1])
     z = energy(ks, c, regime) ** 2
-    merged = ((np.abs(z.imag) < 1e-8) & (z.real < -1e-12)).any()
+    e2 = c.J**2  # thresholds scale with E^2
+    merged = ((np.abs(z.imag) < 1e-8 * e2) & (z.real < -1e-12 * e2)).any()
     return e_plus, e_minus, bool(merged)

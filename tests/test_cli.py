@@ -125,6 +125,7 @@ class TestCommands:
         ("command=spectrum\ntheta=710\n", "theta=710"),
         # finite couplings whose squares overflow in model.energy
         ("command=winding\nJ=1e155\n", "OverflowError"),
+        ("command=winding\nJ=1e155\n", "J="),
     ])
     def test_overflow_exit_2(self, tmp_path, config, name):
         cfg = tmp_path / "big.cfg"

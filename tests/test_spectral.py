@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import block_diag
 
 from qbchain import model, spectral
@@ -7,49 +8,13 @@ from qbchain.exceptions import DomainError
 from qbchain.model import OBC, PBC, Regime, derive_couplings
 
 
-class TestEigGeneral:
-    def test_diagonal(self):
-        es = spectral.eig_general(np.diag([1.0, 2.0j]))
-        assert np.allclose(es.values, [2.0j, 1.0])  # lexicographic (Re, Im)
-        assert np.abs(es.left @ es.right - np.eye(2)).max() < 1e-12
-        assert not es.any_defective
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DomainError):
-            spectral.eig_general(np.zeros((2, 3)))
-
-    def test_biorthonormality_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            es = spectral.eig_general(A)
-            assert np.abs(es.left @ es.right - np.eye(8)).max() < 1e-8
-            res = np.abs(A @ es.right - es.right * es.values[None, :]).max()
-            assert res < 1e-10 * max(1.0, es.condition.max())
-
-    def test_hermitian_input(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        A = A + A.conj().T
-        es = spectral.eig_general(A)
-        assert np.abs(es.values.imag).max() < 1e-10
-        assert np.abs(es.left - es.right.conj().T).max() < 1e-8
-
-    def test_ep_flagged_defective(self):
-        # v = w_r at k = pi makes the two-EP block defective (Jordan block)
-        c = derive_couplings(1, 0.0, 0.4)
-        es = spectral.eig_general(model.two_band(np.pi, c, Regime.REAL))
-        assert es.any_defective
-
+class TestBlockDiagonalization:
     def test_quadruple_symmetry(self):
         c = derive_couplings(1, 0.35, 0.75)
-        es = spectral.eig_general(model.dynamical_qb_k(0.4, c, Regime.REAL))
-        ev = es.values
+        ev = np.linalg.eigvals(model.dynamical_qb_k(0.4, c, Regime.REAL))
         for target in (-ev, ev.conj()):
             assert np.abs(ev[:, None] - target[None, :]).min(axis=1).max() < 1e-9
 
-
-class TestBlockDiagonalization:
     def test_unitarity(self):
         for Q in (spectral.BLOCK_Q_REAL, spectral.BLOCK_Q_IMAG):
             assert np.abs(Q.conj().T @ Q - np.eye(8)).max() < 1e-14
@@ -175,7 +140,68 @@ class TestSpectrumSweep:
             spectral.spectrum_sweep(1.0, 0.4, [], Regime.REAL, OBC(4))
 
 
+def reference_ipr(A, n_cells):
+    """ipr_localization as it was: a cluster was left unrotated when a
+    biorthogonality test, against left eigenvectors paired by sorting a
+    second eigensolve of A^T, flagged one of its members as defective."""
+    A = np.asarray(A, dtype=complex)
+    w, vr = np.linalg.eig(A)
+    wt, vlt = np.linalg.eig(A.T)
+    order = np.lexsort((w.imag, w.real))
+    w, vr = w[order], vr[:, order]
+    vl = vlt[:, np.lexsort((wt.imag, wt.real))].T
+    dim = w.size
+    scale = max(1.0, np.abs(w).max())
+
+    def clusters(width):
+        start = 0
+        while start < dim:
+            stop = start + 1
+            while stop < dim and abs(w[stop] - w[stop - 1]) <= width * scale:
+                stop += 1
+            yield slice(start, stop)
+            start = stop
+
+    defective = np.zeros(dim, dtype=bool)
+    for sl in clusters(1e-6):
+        sm = np.linalg.svd(vl[sl] @ vr[:, sl], compute_uv=False)
+        sr = np.linalg.svd(vr[:, sl], compute_uv=False)
+        defective[sl] = sm.min() < 1e-10 or sr.min() < 1e-7 * sr.max()
+    positions = np.tile(np.repeat(np.arange(1, n_cells + 1), 4), 2)
+    for sl in clusters(1e-8):
+        if sl.stop - sl.start > 1 and not defective[sl].any():
+            R = vr[:, sl]
+            G = R.conj().T @ R
+            X = R.conj().T @ (positions[:, None] * R)
+            vr[:, sl] = R @ scipy.linalg.eig(X, G)[1]
+    out = []
+    for i in range(dim):
+        psi = vr[:, i] / np.linalg.norm(vr[:, i])
+        out.append((w[i], float(np.sum(np.abs(psi) ** 4)),
+                    float(np.sum(positions * np.abs(psi) ** 2))))
+    return out
+
+
 class TestIpr:
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError):
+            spectral.ipr_localization(np.zeros((2, 3)))
+
+    def test_exceptional_point_rows_finite(self):
+        # v = w_r at k = pi makes the two-EP block a Jordan block
+        c = derive_couplings(1, 0.0, 0.4)
+        rows = spectral.ipr_localization(model.two_band(np.pi, c, Regime.REAL))
+        assert len(rows) == 2
+        assert np.isfinite(np.array(rows)).all()
+
+    def test_real_obc_matches_biorthogonal_reference(self):
+        # one eigensolve gives the former rows bit for bit on a real-regime
+        # chain, whose clusters the biorthogonal test never flagged
+        c = derive_couplings(1, 0.5, 0.4)
+        n = 40
+        G = model.realspace_dynamical(c, n, Regime.REAL)
+        assert spectral.ipr_localization(G, n_cells=n) == reference_ipr(G, n)
+
     def test_pbc_extended(self):
         c = derive_couplings(1, 0.5, 0.4)
         n = 16

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qbchain import model, topology
-from qbchain.exceptions import DomainError, ResolutionError, SingularityError
+from qbchain.exceptions import (DomainError, DoubleOverflowError, ResolutionError,
+                                SingularityError)
 from qbchain.model import Regime, derive_couplings
 from qbchain.topology import Phase
 
@@ -104,6 +105,18 @@ class TestWinding:
         with pytest.raises(SingularityError):
             topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL), grid)
 
+    @pytest.mark.parametrize("regime", list(Regime), ids=["nssh2", "nssh1"])
+    def test_squares_past_double_range_typed(self, regime):
+        # finite couplings whose squares overflow: a typed error, no nan
+        c = derive_couplings(1e155, 0.5, 0.4)
+        grid = topology.default_bz_grid(401)
+        with pytest.raises(DoubleOverflowError):
+            topology.winding_integral(lambda k: model.bloch(k, c, regime), grid)
+        with pytest.raises(DoubleOverflowError, match="J=1e\\+155"):
+            topology.parametric_energy_loops(c, grid, regime)
+        res = topology.winding_pair(lambda k: model.bloch(k, c, regime), grid)
+        assert abs(res.nu - 1.0) < 1e-12  # the angles alone stay finite
+
     def test_pair_coarse_grid_near_transition(self):
         with pytest.raises((ResolutionError, DomainError)):
             c = derive_couplings(1, 0.9, 0.4)
@@ -195,6 +208,22 @@ class TestClassification:
         assert [(lab.tag, lab.nu, lab.boundaries) for lab in labels] == [
             (ref.tag, ref.nu, ref.boundaries) for ref in refs]
         assert all(lab.winding is None for lab in labels)
+
+    @pytest.mark.parametrize("theta", [-0.4, -1.0, -2.0])
+    def test_real_negative_theta_matches_winding(self, theta):
+        # for theta < 0 the closed-form boundaries (-tanh(theta/2), 0) come
+        # in descending order; the Moebius window is 0 < delta < -tanh(theta/2)
+        b = -np.tanh(theta / 2)
+        deltas = [-0.5, -0.05, 0.02, b / 2, b - 0.02, b + 0.02, 0.9]
+        grid = topology.default_bz_grid()
+        labels = topology.classify_phases(1.0, theta, deltas, Regime.REAL, grid)
+        tags = {0.0: Phase.TRIVIAL, 0.5: Phase.MOEBIUS, 1.0: Phase.NONTRIVIAL}
+        for d, lab in zip(deltas, labels):
+            c = derive_couplings(1.0, d, theta)
+            res = topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), grid)
+            assert abs(lab.nu - res.nu) < 1e-9, d
+            assert lab.tag is tags[lab.nu], d
+            assert lab.boundaries[0] < lab.boundaries[1]
 
     @pytest.mark.parametrize("regime", ["real", None])
     def test_unknown_regime_rejected(self, regime):
@@ -341,6 +370,19 @@ class TestEnergyLoops:
                 assert merged == reference_merged(c, grid, regime), (d, th)
                 flags.append(merged)
         assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=["nssh2", "nssh1"])
+    def test_merged_independent_of_J(self, regime):
+        # E^2 scales with J^2, and so do the thresholds of the merged test
+        grid = topology.default_bz_grid()
+        for d in (-0.15, -0.1, 0.05, 0.5):
+            flags = [topology.parametric_energy_loops(derive_couplings(J, d, 0.4),
+                                                      grid, regime)[2]
+                     for J in (1.0, 1e-150, 1e-30, 1e3, 1e6, 1e150)]
+            assert flags == flags[:1] * len(flags), d
+            if regime is Regime.REAL and d in (-0.15, -0.1):
+                assert flags[0]  # inside the Moebius window at theta = 0.4
+
     def test_moebius_merged_loop(self):
         # band exchange in the Moebius phase: the two traces form one loop
         c = derive_couplings(1, -0.1, 0.4)
@@ -423,6 +465,17 @@ class TestHelpers:
     def test_bisect_zero_at_left_end(self):
         # f(a) = 0 counts as a sign change: every step keeps the left half
         assert abs(topology._bisect(lambda x: x, 0.0, 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_bisect_sign_test_ignores_scale(self, scale):
+        # a product of two values of f would underflow to 0 (a false left
+        # step) or overflow; their signs do neither
+        def f(x):
+            return np.float64(scale) * (x - 0.3)
+
+        assert abs(topology._bisect(f, 0.0, 1.0) - 0.3) < 1e-12
+        mid, _ = topology._bisect_all(lambda m, i: f(m), [0.0, 0.2], [1.0, 0.9])
+        assert np.abs(mid - 0.3).max() < 1e-12
 
     def test_bisect_all_matches_scalar(self):
         # brackets of several widths (one already below 1e-12), a zero at a
