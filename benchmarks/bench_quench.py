@@ -7,13 +7,14 @@
 ``return_rate`` and ``dtop`` read it, as the ``quench`` command does;
 ``critical_set`` scans the k_c equation for Fisher-zero crossings of ten
 orders and bisects its 20 brackets to 1e-12 in k;
-``pgp_grid.csv`` writes the PGP (1.6 M rows, 112 MB) into a fresh file each
-round.  The file name is outside pytest's default ``test_*.py`` pattern,
-so the test suite does not collect it; pass it to pytest by path.  Each
-record's ``extra_info`` holds the manifest's ``env`` block (versions,
-BLAS, cores, thread settings) and, for the threaded stages, the number of
-threads used.  The file reads nothing newer than ``critical_set``'s
-entries, so the same copy times an older checkout.
+``pgp_grid.csv`` writes the PGP (1.6 M rows, 112 MB) through
+``cli._write_table``, as the command does, into a fresh file each round.
+The file name is outside pytest's default ``test_*.py`` pattern, so the
+test suite does not collect it; pass it to pytest by path.  Each record's
+``extra_info`` holds the manifest's ``env`` block (versions, BLAS, cores,
+thread settings) and, for the threaded stages, the number of threads used.
+Checkouts whose ``pgp_grid.csv`` has its own writer (``_write_pgp_grid``)
+are timed with their own copy of this file.
 """
 
 import pytest
@@ -71,12 +72,14 @@ def test_dtop(benchmark, protocol, field):
 def test_pgp_grid_write(benchmark, protocol, field, tmp_path):
     benchmark.extra_info["env"] = cli._environment()
     path = tmp_path / "pgp_grid.csv"
+    stages = []
 
     def fresh_file():
         path.unlink(missing_ok=True)
-        return (path, protocol.k_grid, protocol.t_grid, field.phi_pgp), {}
+        return (tmp_path, [], stages, path.name, "k,t,phi_pgp",
+                [protocol.k_grid[:, None], protocol.t_grid, field.phi_pgp]), {}
 
-    nbytes, workers = benchmark.pedantic(cli._write_pgp_grid, setup=fresh_file,
-                                         rounds=ROUNDS, iterations=1)
-    benchmark.extra_info["workers"] = workers
-    assert nbytes == path.stat().st_size == 111959589
+    benchmark.pedantic(cli._write_table, setup=fresh_file, rounds=ROUNDS,
+                       iterations=1)
+    benchmark.extra_info["workers"] = stages[-1]["workers"]
+    assert stages[-1]["bytes"] == path.stat().st_size == 111959589

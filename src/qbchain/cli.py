@@ -98,10 +98,11 @@ _WORDS = np.concatenate([
     np.array([b"e%+03d" % s for s in range(-6, 17)]),
 ]).view(np.uint32)
 _HEAD, _GROUP, _EXPONENT = 0, 20, 10020 + 6
-#: momenta per block of pgp_grid.csv rows
-_PGP_BLOCK = 16
-#: rows per block of every other table: bounds the text held in memory
-_TABLE_BLOCK = 8192
+#: the separators after a cell: "," and, after a row's last cell, "\n"
+_COMMA, _NEWLINE = np.frombuffer(b",\n", dtype=np.uint8)[:, None]
+#: rows per block of a table (16 momenta of the default pgp_grid.csv):
+#: bounds the text held in memory
+_TABLE_BLOCK = 12800
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -234,6 +235,8 @@ def validate(cfg: dict) -> dict:
             raise UsageError(f"{key} must be {what}, got {full[key]!r}") from None
         if kind is float and not math.isfinite(value):
             raise UsageError(f"{key} must be finite, got {full[key]!r}")
+        if kind is int and value < 0:
+            raise UsageError(f"{key} must be >= 0, got {full[key]!r}")
     if int(full["delta_steps"]) < 1 or int(full["theta_steps"]) < 1:
         raise UsageError("delta_steps and theta_steps must be >= 1")
     if (int(full["delta_steps"]) > 1
@@ -255,49 +258,25 @@ def _delta_grid(cfg: dict) -> np.ndarray:
 
 
 def _used(cells: np.ndarray) -> np.ndarray:
-    """cells without its leading columns that no cell uses (a view): for fast
-    cells, byte 0 and, where no value is negative, the sign byte."""
-    lo = 0
-    while lo < cells.shape[1] - 1 and not cells[:, lo].any():
+    """cells without the leading and trailing columns that no cell uses (a
+    view): for fast cells, byte 0 and, where no value is negative, the sign
+    byte; for text, the padding right of the longest entry."""
+    lo, hi = 0, cells.shape[-1]
+    if not cells[..., -1].any():  # text padding, found in one pass
+        used = cells.any(axis=tuple(range(cells.ndim - 1)))
+        hi = 1 + max(np.flatnonzero(used), default=0)
+    while lo < hi - 1 and not cells[..., lo].any():
         lo += 1
-    return cells[:, lo:]
+    return cells[..., lo:hi]
 
 
-def _write_pgp_grid(path: Path, k_grid, t_grid, phi) -> tuple[int, int]:
-    """Write the k-major ``k,t,phi_pgp`` rows of phi.
-
-    Returns the bytes written and the number of formatting threads.  Each
-    k and t is formatted once, each phi in its block: rows are assembled
-    from ``_fmt_cells``, _PGP_BLOCK momenta at a time on
-    ``quench.map_chunks``' threads, and this thread writes the blocks in
-    order.  A block keeps only the leading cell columns that some cell in
-    it uses, so padding is left only in a sign column of mixed signs (or in
-    slow cells), and ``bytes.replace`` drops it.
-    """
-    k_cells = _fmt_cells(k_grid)
-    t_cells = _used(_fmt_cells(t_grid))
-    wt = t_cells.shape[1] + 2
-    t_part = np.full((t_grid.size, wt), ord(","), dtype=np.uint8)  # ",t," per t
-    t_part[:, 1:-1] = t_cells
-
-    def block(i):
-        start = i * _PGP_BLOCK
-        stop = min(start + _PGP_BLOCK, k_grid.size)
-        ks = _used(k_cells[start:stop])
-        ps = _used(_fmt_cells(phi[start:stop]))
-        wk, wp = ks.shape[1], ps.shape[1]
-        rows = np.empty((stop - start, t_grid.size, wk + wt + wp + 1), dtype=np.uint8)
-        rows[:, :, :wk] = ks[:, None]
-        rows[:, :, wk:wk + wt] = t_part
-        rows[:, :, wk + wt:-1] = ps.reshape(stop - start, -1, wp)
-        rows[:, :, -1] = ord("\n")
-        return rows.tobytes().replace(b"\0", b"")
-
-    with path.open("wb") as fh:
-        written = [fh.write(b"k,t,phi_pgp\n")]
-        workers = quench.map_chunks(block, -(-k_grid.size // _PGP_BLOCK),
-                                    lambda text: written.append(fh.write(text)))
-    return sum(written), workers
+def _cells(col: np.ndarray) -> np.ndarray:
+    """The zero-padded uint8 text of each entry of col, one row per entry, in
+    C order: ``_fmt_cells`` for floats, ``astype("S")`` for anything else."""
+    if col.dtype.kind == "f":
+        return _used(_fmt_cells(col))
+    text = np.ascontiguousarray(col.astype("S", copy=False))
+    return _used(text.view(np.uint8).reshape(text.size, text.itemsize))
 
 
 def _stage(stages: list, name: str, t0: float, shape, nbytes, **extra) -> None:
@@ -308,35 +287,59 @@ def _stage(stages: list, name: str, t0: float, shape, nbytes, **extra) -> None:
 
 def _write_table(outdir: Path, files: list, stages: list, name: str,
                  header: str, columns, t0: float | None = None) -> None:
-    """Write the CSV file ``name``: ``header``, then one row per column entry.
+    """Write the CSV file ``name``: ``header``, then one row per entry of the
+    columns broadcast together, in C order.
 
-    Float columns are formatted by ``_fmt_cells``; any other column is text
-    (``astype("S")``).  _TABLE_BLOCK rows at a time, the cells and
-    separators are laid out as fixed-width uint8 rows, one mask drops the
-    padding, and the block is written in one call.  Records the file under
-    ``files`` with its number of data rows, and a stage timed from ``t0``
-    (default: now) with shape (rows, columns) and the bytes written.
+    A column smaller than the table is formatted once, with its separator; a
+    full-size column is formatted in each block.  A block is whole entries
+    of the leading axis, _TABLE_BLOCK rows or fewer (at least one entry),
+    laid out as fixed-width uint8 rows on ``quench.map_chunks``' threads.
+    Each column of a block keeps only the cell bytes that some cell in it
+    uses (``_used``), and ``bytearray.replace`` drops the padding left; this
+    thread writes the blocks in order.  Records the file under ``files``
+    with its number of data rows, and a stage timed from ``t0`` (default:
+    now) with shape (rows, columns), the bytes written and the number of
+    formatting ``workers``.
     """
     t0 = time.perf_counter() if t0 is None else t0
     columns = [np.asarray(col) for col in columns]
-    n = len(columns[0])
+    shape = np.broadcast(*columns).shape
+    n, entry = math.prod(shape), math.prod(shape[1:])
+    step = max(1, _TABLE_BLOCK // max(entry, 1))  # leading entries per block
+    seps = [_COMMA] * (len(columns) - 1) + [_NEWLINE]
+    fixed = []  # per column: its cells and separator, or None (full size)
+    for col, sep in zip(columns, seps):
+        if col.shape == shape:
+            fixed.append(None)
+            continue
+        cells = _cells(col)
+        joined = np.concatenate([cells, np.broadcast_to(sep, (len(cells), 1))], 1)
+        fixed.append(joined.reshape(
+            (1,) * (len(shape) - col.ndim) + col.shape + joined.shape[1:]))
+
+    def block(i):
+        a, b = i * step, min(i * step + step, shape[0])
+        parts = []
+        for col, sep, part in zip(columns, seps, fixed):
+            if part is None:
+                parts += [_cells(col[a:b]).reshape(b - a, *shape[1:], -1), sep]
+            else:
+                parts.append(_used(part[a:b]) if len(part) > 1 else part)
+        width = sum(part.shape[-1] for part in parts)
+        text = bytearray((b - a) * entry * width)  # the rows, then compacted
+        rows = np.frombuffer(text, dtype=np.uint8).reshape(b - a, *shape[1:], width)
+        at = 0
+        for part in parts:
+            rows[..., at:at + part.shape[-1]] = part
+            at += part.shape[-1]
+        return text.replace(b"\0", b"")
+
     with (outdir / name).open("wb") as fh:
-        nbytes = fh.write(header.encode() + b"\n")
-        for start in range(0, n, _TABLE_BLOCK):
-            parts = []
-            for col in columns:
-                col = col[start:start + _TABLE_BLOCK]
-                if col.dtype.kind == "f":
-                    parts.append(_fmt_cells(col))
-                else:
-                    text = col.astype("S", copy=False)
-                    parts.append(text.view(np.uint8).reshape(text.size, -1))
-                parts.append(np.full((len(col), 1), ord(","), dtype=np.uint8))
-            parts[-1][:] = ord("\n")
-            text = np.concatenate(parts, axis=1)
-            nbytes += fh.write(text[text != 0])
+        written = [fh.write(header.encode() + b"\n")]
+        workers = quench.map_chunks(block, -(-shape[0] // step) if n else 0,
+                                    lambda text: written.append(fh.write(text)))
     files.append({"name": name, "rows": n})
-    _stage(stages, name, t0, (n, len(columns)), nbytes)
+    _stage(stages, name, t0, (n, len(columns)), sum(written), workers=workers)
 
 
 def _write_chi(outdir: Path, files: list, stages: list, name: str,
@@ -347,16 +350,15 @@ def _write_chi(outdir: Path, files: list, stages: list, name: str,
     cell-sublattice labels ("1A", "1C", "2A", ...) index sub's rows and
     columns.  Each distinct |value| is formatted once with ``'%.16e'``
     (``np.unique``) and gathered into the value column: a sub-matrix holds
-    few distinct magnitudes, and this text has no padding byte for the row
-    mask to skip.
+    few distinct magnitudes.
     """
     t0 = time.perf_counter()
     uniq, inv = np.unique(np.abs(sub).ravel(), return_inverse=True)
     rl, cl = (np.array([f"{i // 2 + 1}{s[i % 2]}" for i in range(n)], dtype="S")
               for s, n in zip((rows, cols), sub.shape))
+    text = np.array([b"%.16e" % u for u in uniq.tolist()])[inv]
     _write_table(outdir, files, stages, name, "row,col,abs_value",
-                 [np.repeat(rl, len(cl)), np.tile(cl, len(rl)),
-                  np.array([b"%.16e" % u for u in uniq.tolist()])[inv]], t0)
+                 [rl[:, None], cl, text.reshape(sub.shape)], t0)
 
 
 def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
@@ -368,17 +370,14 @@ def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
     t0 = time.perf_counter()
     sweep = spectral.spectrum_sweep(float(cfg["J"]), float(cfg["theta"]),
                                     _delta_grid(cfg), regime, boundary)
-    counts = [evs.size for evs in sweep.eigenvalues]
-    evs = np.concatenate(sweep.eigenvalues)
-    _stage(stages, "eigensolve", t0, (len(counts), max(counts)), evs.nbytes)
-    index = np.arange(max(counts)).astype("S")  # converted once, not per delta
+    evs = sweep.eigenvalues
+    _stage(stages, "eigensolve", t0, evs.shape, evs.nbytes)
     preamble = "".join(f"# {key}={val}\n"
                        for key, val in sorted(sweep.metadata.items()))
     _write_table(outdir, files, stages, "spectrum.csv",
                  preamble + "delta,index,re_lambda,im_lambda",
-                 [np.repeat(sweep.deltas, counts),
-                  np.concatenate([index[:n] for n in counts]),
-                  evs.real, evs.imag])
+                 [sweep.deltas[:, None], np.arange(evs.shape[1]), evs.real,
+                  evs.imag])
 
 
 def _cmd_winding(cfg, outdir, files, tolerances, stages):
@@ -490,13 +489,8 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
                  [d.t, *series, d.resolved.astype(int)])
     files[-1]["unresolved"] = int((~d.resolved).sum())
     files[-1]["refined"] = d.refined
-
-    t0 = time.perf_counter()
-    nbytes, workers = _write_pgp_grid(outdir / "pgp_grid.csv", p.k_grid,
-                                      p.t_grid, field.phi_pgp)
-    _stage(stages, "pgp_grid.csv", t0, (field.phi_pgp.size, 3), nbytes,
-           workers=workers)
-    files.append({"name": "pgp_grid.csv", "rows": field.phi_pgp.size})
+    _write_table(outdir, files, stages, "pgp_grid.csv", "k,t,phi_pgp",
+                 [p.k_grid[:, None], p.t_grid, field.phi_pgp])
 
 
 def _cmd_amplify(cfg, outdir, files, tolerances, stages):

@@ -77,7 +77,7 @@ def cpus_available() -> int:
     return os.cpu_count() or 1
 
 
-def map_chunks(fn, n_chunks: int, consume=None) -> int:
+def map_chunks(fn, n_chunks: int, consume) -> int:
     """Run fn(0), ..., fn(n_chunks - 1) on a thread pool; returns its size.
 
     The pool has min(cpus_available(), n_chunks) threads, which overlap
@@ -86,9 +86,13 @@ def map_chunks(fn, n_chunks: int, consume=None) -> int:
     No chunk is started more than 2 x (pool size) chunks ahead of the next
     one to consume, which bounds the results held at once.  An exception
     raised by fn is raised here, unchanged, when its chunk is next, and no
-    further chunk is started.
+    further chunk is started.  A pool of one thread is this thread.
     """
     workers = max(1, min(cpus_available(), n_chunks))
+    if workers == 1:
+        for i in range(n_chunks):
+            consume(fn(i))
+        return 1
     slots = threading.Semaphore(2 * workers)
     done = threading.Condition()
     results = {}
@@ -122,8 +126,7 @@ def map_chunks(fn, n_chunks: int, consume=None) -> int:
                 out, exc = results.pop(i)
             if exc is not None:
                 raise exc
-            if consume is not None:
-                consume(out)
+            consume(out)
             slots.release()
     finally:
         with done:

@@ -89,7 +89,7 @@ class SpectrumSweep:
     """Eigenvalues of the dynamical matrix over a grid of delta values."""
 
     deltas: np.ndarray
-    eigenvalues: list  # one complex array per delta
+    eigenvalues: np.ndarray  # complex, (deltas, m): one sorted row per delta
     metadata: dict = field(default_factory=dict)
 
 
@@ -127,7 +127,7 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
     else:
         meta["boundary"] = "obc"
         meta["n_cells"] = boundary.n_cells
-    return SpectrumSweep(deltas=deltas, eigenvalues=rows, metadata=meta)
+    return SpectrumSweep(deltas=deltas, eigenvalues=np.array(rows), metadata=meta)
 
 
 def ipr_localization(A: np.ndarray, n_cells: int | None = None):
@@ -161,9 +161,7 @@ def ipr_localization(A: np.ndarray, n_cells: int | None = None):
     # within a degenerate cluster any linear combination is an eigenvector;
     # diagonalize the position expectation there so the reported states are
     # the extremally localized representatives instead of solver-dependent
-    # mixtures.  A cluster whose right eigenvectors are numerically dependent
-    # is left alone: rounding splits an exceptional point into eigenvalues
-    # ~sqrt(eps) apart with nearly parallel eigenvectors.
+    # mixtures
     scale = max(1.0, np.abs(w).max())
     start = 0
     while start < dim:
@@ -172,12 +170,10 @@ def ipr_localization(A: np.ndarray, n_cells: int | None = None):
             stop += 1
         if stop - start > 1:
             R = vr[:, start:stop]
-            sr =np.linalg.svd(R, compute_uv=False)
-            if sr.min() >= 1e-7 * sr.max():
-                G = R.conj().T @ R
-                X = R.conj().T @ (positions[:, None] * R)
-                _, rot = scipy.linalg.eig(X, G)
-                vr[:, start:stop] = R @ rot
+            G = R.conj().T @ R
+            X = R.conj().T @ (positions[:, None] * R)
+            _, rot = scipy.linalg.eig(X, G)
+            vr[:, start:stop] = R @ rot
         start = stop
 
     out = []

@@ -79,6 +79,13 @@ class TestValidation:
         with pytest.raises(cli.UsageError, match=f"^{key} must be {kind}, got 'x'$"):
             cli.validate({key: "x"})
 
+    @pytest.mark.parametrize("key", [
+        "n_cells", "k_points", "delta_steps", "theta_steps", "grid_points",
+        "n_half", "n_t", "n_max"])
+    def test_negative_count_rejected(self, key):
+        with pytest.raises(cli.UsageError, match=f"^{key} must be >= 0, got '-1'$"):
+            cli.validate({key: "-1"})
+
     def test_config_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("# comment\n[run]\ncommand = winding\ndelta=0.9\n; also\n")
@@ -108,6 +115,20 @@ class TestCommands:
         code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
         assert code == 1 and manifest is None
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ("command=quench\nn_t=-5\n", "n_t"),
+        ("command=spectrum\nk_points=-3\n", "k_points"),
+        ("command=amplify\nregime=imaginary\nn_cells=-2\n", "n_cells")])
+    def test_negative_count_exit_1(self, tmp_path, capsys, config, key):
+        # these once passed validate and crashed in numpy with no manifest
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 1 and manifest is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {key} must be >= 0")
+        assert "Traceback" not in err
 
     def test_computation_error_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -279,10 +300,12 @@ class TestCommands:
                                 "critical_set", "critical_times.csv", "dtop",
                                 "dtop.csv", "pgp_grid.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
-        # 200 momenta: 7 row chunks of 32 and 13 blocks of 16
+        # 200 momenta: 7 row chunks of 32, and one write block, since a
+        # block of _TABLE_BLOCK = 12,800 rows holds 213 momenta of 60 times
         cpus = len(os.sched_getaffinity(0))
         assert stages["pgp_field"]["workers"] == min(cpus, 7)
-        assert stages["pgp_grid.csv"]["workers"] == min(cpus, 13)
+        assert -(-200 // (cli._TABLE_BLOCK // 60)) == 1
+        assert stages["pgp_grid.csv"]["workers"] == 1
         assert stages["pgp_field"]["shape"] == [200, 60]
         assert stages["pgp_field"]["arrays"] == {
             "phi_pgp": {"shape": [200, 60], "bytes": 96000},
@@ -670,7 +693,7 @@ class TestFormatKernel:
                             1e300, 5e-324, 1e17, -9.9999999999999995e-07, 1e-5]
 
         def percent_writer(path):
-            # the per-row % writer that _write_pgp_grid replaced
+            # a per-row % writer
             t_cells = [",%.16e,%%.16e\n" % t for t in p.t_grid]
             with path.open("w") as fh:
                 fh.write("k,t,phi_pgp\n")
@@ -679,16 +702,18 @@ class TestFormatKernel:
                     fh.write((kf + kf.join(t_cells)) % tuple(row.tolist()))
 
         percent_writer(tmp_path / "ref.csv")
-        monkeypatch.setattr(cli, "_PGP_BLOCK", 16)  # 74 momenta: a partial block
+        # blocks of 16 momenta x 23 times; 74 momenta: a partial block
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 16 * 23)
         ref = (tmp_path / "ref.csv").read_bytes()
         # one thread, two, and more CPUs than the 5 blocks
         for cpus in (1, 2, 16):
             monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
-            nbytes, workers = cli._write_pgp_grid(tmp_path / "new.csv", p.k_grid,
-                                                  p.t_grid, phi)
+            stages = []
+            cli._write_table(tmp_path, [], stages, "new.csv", "k,t,phi_pgp",
+                             [p.k_grid[:, None], p.t_grid, phi])
             assert (tmp_path / "new.csv").read_bytes() == ref
-            assert nbytes == len(ref)
-            assert workers == min(cpus, 5)
+            assert stages[0]["bytes"] == len(ref)
+            assert stages[0]["workers"] == min(cpus, 5)
 
     @pytest.mark.parametrize("t_grid", [
         np.linspace(0.0, 12.0, 7),
@@ -710,13 +735,14 @@ class TestFormatKernel:
             "%.16e,%.16e,%.16e\n" % (k, t, v)
             for k, row in zip(k_grid.tolist(), phi.tolist())
             for t, v in zip(t_grid.tolist(), row))).encode()
-        monkeypatch.setattr(cli, "_PGP_BLOCK", 16)
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 16 * t_grid.size)
         for cpus in (1, 2):
             monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
-            nbytes, workers = cli._write_pgp_grid(tmp_path / "grid.csv", k_grid,
-                                                  t_grid, phi)
+            stages = []
+            cli._write_table(tmp_path, [], stages, "grid.csv", "k,t,phi_pgp",
+                             [k_grid[:, None], t_grid, phi])
             assert (tmp_path / "grid.csv").read_bytes() == expected
-            assert (nbytes, workers) == (len(expected), cpus)
+            assert (stages[0]["bytes"], stages[0]["workers"]) == (len(expected), cpus)
 
     def test_chi_writer_matches_per_entry_format(self, tmp_path):
         # 101 x 12 cells: row labels up to "101C", column labels up to "12D"
@@ -761,6 +787,39 @@ class TestFormatKernel:
         assert stages[0]["name"] == "t.csv"
         assert stages[0]["shape"] == [x.size, 4]
         assert stages[0]["bytes"] == len(expected)
+
+    @pytest.mark.parametrize("block, blocks", [(3 * 5, 4), (cli._TABLE_BLOCK, 1)])
+    def test_broadcast_table_matches_per_row_format(self, tmp_path, monkeypatch,
+                                                    block, blocks):
+        # a (10, 5) table: (10, 1) labels, some shorter than their S4 dtype, a
+        # (5,) float column and full (10, 5) values with slow cells; blocks of
+        # 3 labels (the last partial), or one block on this thread
+        labels = np.array([b"a", b"bb", b"ccc", b"dddd", b"e", b"ff", b"g",
+                           b"hhh", b"i", b"jj"])[:, None]
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-2.0, 2.0, 5)
+        v = rng.standard_normal((10, 5))
+        v[2] = [1e-300, -np.inf, np.nan, 1e17, -5e-324]
+        v[9, :2] = [0.0, -0.0]
+        expected = "l,x,v\n" + "".join(
+            f"{label.decode()},{'%.16e' % xv},{'%.16e' % vv}\n"
+            for label, row in zip(labels[:, 0], v.tolist())
+            for xv, vv in zip(x.tolist(), row))
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-block table started a thread")
+
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
+        monkeypatch.setattr(quench, "cpus_available", lambda: 2)
+        if blocks == 1:
+            monkeypatch.setattr(quench.threading, "Thread", no_thread)
+        files, stages = [], []
+        cli._write_table(tmp_path, files, stages, "b.csv", "l,x,v", [labels, x, v])
+        assert (tmp_path / "b.csv").read_text() == expected
+        assert files == [{"name": "b.csv", "rows": 50}]
+        assert stages[0]["shape"] == [50, 3]
+        assert stages[0]["bytes"] == len(expected)
+        assert stages[0]["workers"] == min(2, blocks)
 
     def test_empty_table_is_its_header(self, tmp_path):
         files, stages = [], []

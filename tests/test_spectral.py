@@ -194,6 +194,14 @@ class TestIpr:
         assert len(rows) == 2
         assert np.isfinite(np.array(rows)).all()
 
+    @pytest.mark.parametrize("eps", [1e-18, 1e-20, 1e-30, 0.0])
+    def test_nearly_dependent_cluster(self, eps):
+        # eigenvalues +-sqrt(eps), within one cluster, with right eigenvectors
+        # parallel to rounding (exactly, at eps = 0): the cluster is rotated,
+        # and both rows are the second site's
+        rows = spectral.ipr_localization(np.array([[0.0, eps], [1.0, 0.0]]))
+        assert [row[1:] for row in rows] == [(1.0, 2.0), (1.0, 2.0)]
+
     def test_real_obc_matches_biorthogonal_reference(self):
         # one eigensolve gives the former rows bit for bit on a real-regime
         # chain, whose clusters the biorthogonal test never flagged
