@@ -55,9 +55,10 @@ def _fresh(path, *args):
 
 
 def per_row_spectrum(path, sweep):
+    cfg = cli.validate({"command": "spectrum"})
     buf = io.StringIO()
-    for key, val in sorted(sweep.metadata.items()):
-        buf.write(f"# {key}={val}\n")
+    for key in ("J", "boundary", "k_points", "regime", "theta"):
+        buf.write(f"# {key}={cfg[key]}\n")
     buf.write("delta,index,re_lambda,im_lambda\n")
     for d, evs in zip(sweep.deltas, sweep.eigenvalues):
         for i, ev in enumerate(evs):

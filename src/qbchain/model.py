@@ -60,10 +60,6 @@ class Regime(enum.Enum):
     REAL = "real"
     IMAGINARY = "imaginary"
 
-    @property
-    def factor(self) -> complex:
-        return 1.0 if self is Regime.REAL else 1.0j
-
 
 @dataclass(frozen=True)
 class CouplingSet:
@@ -164,14 +160,14 @@ def coupling_functions(k, c: CouplingSet):
 
 
 def _is_real(regime) -> bool:
-    """True for the real regime (nSSH2 block), False for the imaginary (nSSH1)."""
+    """True for REAL (nSSH2 block), False for IMAGINARY (nSSH1), else a DomainError."""
     if regime is Regime.REAL:
         return True
     if regime is Regime.IMAGINARY:
         return False
     raise DomainError(
-        f"two-band model must be nssh2 or nssh1 (Regime.REAL or Regime.IMAGINARY), "
-        f"got {regime!r}")
+        f"regime must be a Regime, Regime.REAL or Regime.IMAGINARY (two-band "
+        f"model nssh2 or nssh1), got {regime!r}")
 
 
 def two_band(k, c: CouplingSet, regime: Regime) -> np.ndarray:
@@ -231,9 +227,9 @@ def _pq_blocks(k, c: CouplingSet, regime: Regime):
     """Hopping block P(k) and pairing block Q(k), of shape k.shape + (4, 4).
 
     Both regimes share one formula: every hopping and pairing amplitude is
-    z times its real coupling, with z = regime.factor (1 or i).
+    z times its real coupling, with z = 1 (real regime) or i (imaginary).
     """
-    z = regime.factor
+    z = 1.0 if _is_real(regime) else 1.0j
     f1, f2 = coupling_functions(k, c)
     t = z * f1
     P = np.zeros(np.shape(f1) + (4, 4), dtype=complex)
@@ -258,7 +254,7 @@ def hamiltonian_qb_k(k, c: CouplingSet, regime: Regime = Regime.REAL) -> np.ndar
     particle blocks.
     """
     P, Q = _pq_blocks(k, c, regime)
-    s = (regime.factor ** 2).real
+    s = 1.0 if _is_real(regime) else -1.0
     return np.block([[P, Q], [s * Q, s * P]])
 
 
@@ -283,7 +279,7 @@ def realspace_hamiltonian_blocks(c: CouplingSet, n_cells: int, regime: Regime = 
     """
     if n_cells < 2:
         raise DomainError(f"need at least 2 unit cells, got {n_cells}")
-    z = regime.factor
+    z = 1.0 if _is_real(regime) else 1.0j
     tv = z * c.v
     tw = z * 0.5 * (c.w_r + c.w_l)
     g = z * 0.5 * (c.w_l - c.w_r)

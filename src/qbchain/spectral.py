@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from .model import (
     PBC,
     CouplingSet,
     Regime,
+    _is_real,
     derive_couplings,
     dynamical_qb_k,
     realspace_dynamical,
@@ -57,19 +58,18 @@ BLOCK_Q_IMAG = (
     / np.sqrt(2)
 ) @ np.diag([1, 1, 1, -1, 1, -1, 1, 1.0])
 
-#: per regime: Q (Q^dag = Q.conj().T serves both: the real Q is real) and
-#: the (sign, dagger) of each of the four images of the two-band block H on
-#: the diagonal of Q^dag G(k) Q
-_BLOCKS = {
-    Regime.REAL: (BLOCK_Q_REAL, ((1, False), (-1, True), (-1, False), (1, True))),
-    Regime.IMAGINARY: (BLOCK_Q_IMAG, ((1, False), (-1, False), (1, True), (-1, True))),
+#: per regime: the (sign, dagger) of each of the four images of the
+#: two-band block H on the diagonal of Q^dag G(k) Q
+_IMAGES = {
+    Regime.REAL: ((1, False), (-1, True), (-1, False), (1, True)),
+    Regime.IMAGINARY: ((1, False), (-1, False), (1, True), (-1, True)),
 }
 
 def block_transform(k, c: CouplingSet, regime: Regime, *, G=None) -> np.ndarray:
     """Q^dag G Q (block diagonal), G = dynamical_qb_k(k, c, regime) unless given."""
+    Q = BLOCK_Q_REAL if _is_real(regime) else BLOCK_Q_IMAG
     if G is None:
         G = dynamical_qb_k(k, c, regime)
-    Q = _BLOCKS[regime][0]
     return Q.conj().T @ G @ Q
 
 
@@ -78,7 +78,7 @@ def block_diagonalize(k: float, c: CouplingSet, regime: Regime, *, G=None) -> fl
     nSSH2 diag(H, -H^dag, -H, H^dag) (real), nSSH1 diag(H, -H, H^dag, -H^dag)."""
     H = two_band(k, c, regime)
     target = np.zeros((8, 8), dtype=complex)
-    for b, (sign, dagger) in enumerate(_BLOCKS[regime][1]):
+    for b, (sign, dagger) in enumerate(_IMAGES[regime]):
         s = slice(2 * b, 2 * b + 2)
         target[s, s] = sign * (H.conj().T if dagger else H)
     return float(np.abs(block_transform(k, c, regime, G=G) - target).max())
@@ -90,7 +90,7 @@ class SpectrumSweep:
 
     deltas: np.ndarray
     eigenvalues: np.ndarray  # complex, (deltas, m): one sorted row per delta
-    metadata: dict = field(default_factory=dict)
+    reality_residual: float | None = None  # real OBC: worst max|Im| / max|lambda|
 
 
 def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
@@ -99,12 +99,14 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
 
     PBC: eigenvalues of the 8x8 k-space matrices of the whole momentum
     grid, one stacked solve per delta.  OBC: eigenvalues of the 8N x 8N
-    real-space matrix.
+    real-space matrix, whose real-regime spectrum is exactly real (+-sigma_i):
+    a ConvergenceError where dense eigvals puts max|Im| / max|lambda| past 1e-8.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise DomainError("delta grid must be non-empty")
-    rows = []
+    real_obc = isinstance(boundary, OBC) and _is_real(regime)
+    rows, worst = [], 0.0
     for d in deltas:
         c = derive_couplings(J, d, theta)
         try:
@@ -118,16 +120,17 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
                 raise DomainError(f"unknown boundary {boundary!r}")
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver failed at delta={d}: {exc}") from exc
+        if real_obc:
+            residual = float(np.abs(evs.imag).max() / np.abs(evs).max())
+            if residual > 1e-8:  # the default sweep reads about 1e-13
+                raise ConvergenceError(
+                    f"real-regime OBC spectrum leaves the real axis at delta={d}, "
+                    f"theta={theta}, N={boundary.n_cells}: {residual:.2e} > 1e-8")
+            worst = max(worst, residual)
         evs = evs[np.lexsort((evs.imag, evs.real))]
         rows.append(evs)
-    meta = {"J": J, "theta": theta, "regime": regime.value}
-    if isinstance(boundary, PBC):
-        meta["boundary"] = "pbc"
-        meta["k_points"] = boundary.k_grid.size
-    else:
-        meta["boundary"] = "obc"
-        meta["n_cells"] = boundary.n_cells
-    return SpectrumSweep(deltas=deltas, eigenvalues=np.array(rows), metadata=meta)
+    return SpectrumSweep(deltas=deltas, eigenvalues=np.array(rows),
+                         reality_residual=worst if real_obc else None)
 
 
 def ipr_localization(A: np.ndarray, n_cells: int | None = None):

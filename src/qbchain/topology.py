@@ -9,8 +9,8 @@ import numpy as np
 
 from .exceptions import (DomainError, DoubleOverflowError, ResolutionError,
                          SingularityError)
-from .model import (_SQUARE_SAFE, PBC, BlochVector, CouplingSet, Regime, bloch,
-                     derive_couplings, energy)
+from .model import (_SQUARE_SAFE, PBC, BlochVector, CouplingSet, Regime, _is_real,
+                     bloch, derive_couplings, energy)
 
 __all__ = [
     "Phase",
@@ -278,8 +278,7 @@ def classify_phases(J: float, theta: float, deltas, regime: Regime,
     """
     grid = default_bz_grid() if grid is None else _loop_grid(grid)
     deltas = np.asarray(deltas, dtype=float)
-    if regime not in _PHASES:
-        raise DomainError(f"regime must be a Regime, got {regime!r}")
+    _is_real(regime)  # a DomainError for anything but a Regime
     bounds, intervals = _PHASES[regime]
     boundaries = tuple(sorted(float(b)
                               for b in bounds(derive_couplings(J, 0.0, theta))))

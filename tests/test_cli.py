@@ -55,7 +55,7 @@ class TestValidation:
             cli.validate({key: value})
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(cli.UsageError, match="model must be nssh2 or nssh1"):
+        with pytest.raises(cli.UsageError, match=r"unknown config keys \['model'\]"):
             cli.validate({"model": "bogus"})
 
     def test_amplify_real_rejected(self):
@@ -183,7 +183,7 @@ class TestCommands:
         cfg.write_text(f"command={command}\nmodel=bogus\n")
         code, out, _ = run_cli(tmp_path, ["--config", str(cfg)])
         assert code == 1 and not out.exists()
-        assert "model must be" in capsys.readouterr().err
+        assert "unknown config keys ['model']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delta, merged", [(-0.1, True), (0.5, False)])
     def test_winding_records_merged_loops(self, tmp_path, delta, merged):
@@ -226,6 +226,50 @@ class TestCommands:
         assert parsed == expected
         # every float field is '%.16e': 17 significant digits
         assert lines[6:] == ["%.16e,%d,%.16e,%.16e" % row for row in expected]
+
+    def test_winding_imaginary_winds_nssh1(self, tmp_path):
+        # regime alone picks the block: these are the nSSH1 files, and the
+        # manifest records the block as a derived model
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("command=winding\nregime=imaginary\n")
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                for name in ("winding.csv", "energy_loops.csv")} == {
+            "winding.csv": "4f0a074db54a40d9", "energy_loops.csv": "ad837db8a8248f13"}
+        assert manifest["config"]["model"] == "nssh1"
+
+    def test_default_obc_spectrum_records_reality_residual(self, tmp_path):
+        # the real-regime OBC spectrum is exactly real; dense eigvals at the
+        # defaults (N = 40, theta = 0.4) leaves it by about 1e-13
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("command=spectrum\nboundary=obc\n")
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0 and "error" not in manifest
+        assert manifest["tolerances"]["obc_reality_residual"] < 1e-12
+        assert hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()[
+            :16] == "f9219322b9b48391"
+
+    @pytest.mark.parametrize("settings, where", [
+        ("n_cells=80\ntheta=1\ndelta=0.5\ndelta_min=0.5\ndelta_steps=1\n",
+         "delta=0.5, theta=1.0, N=80"),
+        ("n_cells=40\ntheta=2\n", "delta=-0.9, theta=2.0, N=40")])
+    def test_obc_spectrum_off_the_real_axis_exit_2(self, tmp_path, settings, where):
+        # max|Im| / max|lambda| reads about 1e-2 at either; the first default
+        # delta already fails at theta = 2
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("command=spectrum\nboundary=obc\n" + settings)
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 2 and not (out / "spectrum.csv").exists()
+        assert manifest["error"].startswith("ConvergenceError: real-regime OBC")
+        assert where in manifest["error"]
+
+    def test_imaginary_spectrum_records_no_reality_residual(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("command=spectrum\nboundary=obc\nregime=imaginary\n"
+                       "n_cells=4\ndelta_steps=3\n")
+        code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 0 and "obc_reality_residual" not in manifest["tolerances"]
 
     def test_phase_diagram(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -550,7 +594,7 @@ SMALL_RUNS = {
                           "regime": "imaginary", "n_cells": "4",
                           "delta_steps": "3"},
     "winding-nssh2": {"command": "winding", "grid_points": "401"},
-    "winding-nssh1": {"command": "winding", "model": "nssh1", "delta": "-0.1",
+    "winding-nssh1": {"command": "winding", "regime": "imaginary", "delta": "-0.1",
                       "grid_points": "401"},
     "phase-diagram-real": {"command": "phase-diagram", "delta_steps": "5",
                            "theta_steps": "2", "grid_points": "401"},

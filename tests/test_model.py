@@ -3,9 +3,40 @@ import re
 import numpy as np
 import pytest
 
-from qbchain import model
+from qbchain import model, spectral, topology
 from qbchain.exceptions import DomainError, DoubleOverflowError, ValidationError
 from qbchain.model import OBC, PBC, Regime, derive_couplings
+
+
+# every public function that takes a regime, called with the regime r
+_C = derive_couplings(1.0, 0.5, 0.4)
+_G = model.dynamical_qb_k(0.3, _C, Regime.REAL)
+REGIME_TAKERS = {
+    "two_band": lambda r: model.two_band(0.3, _C, r),
+    "bloch": lambda r: model.bloch(0.3, _C, r),
+    "energy": lambda r: model.energy(0.3, _C, r),
+    "hamiltonian_qb_k": lambda r: model.hamiltonian_qb_k(0.3, _C, r),
+    "dynamical_qb_k": lambda r: model.dynamical_qb_k(0.3, _C, r),
+    "realspace_hamiltonian_blocks":
+        lambda r: model.realspace_hamiltonian_blocks(_C, 4, r),
+    "realspace_dynamical": lambda r: model.realspace_dynamical(_C, 4, r),
+    "block_transform": lambda r: spectral.block_transform(0.3, _C, r),
+    "block_transform-G": lambda r: spectral.block_transform(0.3, _C, r, G=_G),
+    "block_diagonalize": lambda r: spectral.block_diagonalize(0.3, _C, r),
+    "spectrum_sweep-pbc":
+        lambda r: spectral.spectrum_sweep(1.0, 0.4, [0.5], r, PBC.uniform(8)),
+    "spectrum_sweep-obc": lambda r: spectral.spectrum_sweep(1.0, 0.4, [0.5], r, OBC(4)),
+    "classify_phases": lambda r: topology.classify_phases(1.0, 0.4, [0.5], r),
+    "parametric_energy_loops": lambda r: topology.parametric_energy_loops(_C, None, r),
+}
+
+
+class TestRegimeArgument:
+    @pytest.mark.parametrize("name", list(REGIME_TAKERS))
+    @pytest.mark.parametrize("regime", ["real", None, 1])
+    def test_non_regime_rejected(self, name, regime):
+        with pytest.raises(DomainError, match="regime must be a Regime"):
+            REGIME_TAKERS[name](regime)
 
 
 class TestCouplings:
@@ -146,7 +177,7 @@ def reference_pq_blocks(k, c, regime):
 
 def reference_realspace_loop(c, n_cells, regime, pbc):
     """K and Delta added up cell by cell, one entry at a time."""
-    z = regime.factor
+    z = 1.0 if regime is Regime.REAL else 1.0j
     tv, tw, g = z * c.v, z * 0.5 * (c.w_r + c.w_l), z * 0.5 * (c.w_l - c.w_r)
     n = 4 * n_cells
     K = np.zeros((n, n), dtype=complex)
