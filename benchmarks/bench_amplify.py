@@ -86,22 +86,21 @@ def test_environment(benchmark):
 def test_chi_csv_writes(benchmark, tmp_path):
     benchmark.extra_info["env"] = cli._environment()
     rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.0), 80)
-    files = {"chi_ac_x": ("AC", "BD"), "chi_ac_p": ("AC", "BD"),
-             "chi_bd_x": ("BD", "AC"), "chi_bd_p": ("BD", "AC")}
-
     def fresh_files():
-        for name in files:
-            (tmp_path / f"{name}.csv").unlink(missing_ok=True)
+        for path in tmp_path.glob("chi_*.csv"):
+            path.unlink()
         return (), {}
 
     def write_all():
         stages = []
-        for name, sectors in files.items():
-            cli._write_chi(tmp_path, [], stages, f"{name}.csv",
-                           getattr(rep, name), *sectors)
+        for (sector, quad), sub in rep.sectors.items():
+            name = f"chi_{sector}_{quad}.csv".lower()
+            cli._write_chi(tmp_path, [], stages, name, sub,
+                           *amplification.SECTOR_AXES[sector])
         return sum(s["bytes"] for s in stages)
 
     nbytes = benchmark.pedantic(write_all, setup=fresh_files, rounds=ROUNDS,
                                 iterations=1)
-    assert nbytes == sum((tmp_path / f"{name}.csv").stat().st_size
-                         for name in files)
+    written = list(tmp_path.glob("chi_*.csv"))
+    assert len(written) == len(amplification.PAIRS)
+    assert nbytes == sum(path.stat().st_size for path in written)

@@ -21,6 +21,7 @@ __all__ = [
     "SusceptibilityReport",
     "GainProfile",
     "PhaseScan",
+    "sector_labels",
     "susceptibility",
     "closed_form_theta0",
     "gain_metrics",
@@ -35,18 +36,16 @@ DIRECTION_GAIN_THRESHOLD = 1.02
 class SusceptibilityReport:
     """Inverse quadrature generators with their sublattice sub-matrices.
 
-    AC sub-matrices have rows (1A, 1C, 2A, 2C, ...) and columns
-    (1B, 1D, 2B, 2D, ...); BD sub-matrices the reverse pairing.
-    ``residual`` is max|chi h - I| / max(1, max|chi|), the larger of the
+    ``sectors`` maps each (sector, quadrature) of PAIRS, in that order, to
+    its 2N x 2N sub-matrix of chi_x or chi_p, with rows and columns on the
+    sublattices of the two sectors of ``SECTOR_AXES[sector]``.
+    ``residual`` is max|chi h - I| / max(1, J max|chi|), the larger of the
     two generators' values; ``susceptibility`` rejects any above 1e-10.
     """
 
     chi_x: np.ndarray
     chi_p: np.ndarray
-    chi_ac_x: np.ndarray
-    chi_ac_p: np.ndarray
-    chi_bd_x: np.ndarray
-    chi_bd_p: np.ndarray
+    sectors: dict
     params: CouplingSet
     n_cells: int
     residual: float
@@ -61,14 +60,26 @@ class GainProfile:
     quadrature: str      # "X" or "P"
 
 
+#: the sectors on the rows and on the columns of each sector's sub-matrices
+SECTOR_AXES = {"AC": ("AC", "BD"), "BD": ("BD", "AC")}
+
+
 def _sector_indices(n_cells: int):
+    """chi's indices of each sector's sublattices, in SECTOR_AXES order."""
     cells = 4 * np.arange(n_cells)
     ac = np.stack([cells + 0, cells + 2], axis=1).ravel()  # 1A,1C,2A,2C,...
     bd = np.stack([cells + 1, cells + 3], axis=1).ravel()  # 1B,1D,2B,2D,...
     return ac, bd
 
 
-#: (sector, quadrature) of each stack of Neumann blocks, in gain_metrics' order
+def sector_labels(sector: str, n_cells: int) -> np.ndarray:
+    """Cell-sublattice labels ("1A", "1C", "2A", ...), as bytes, of
+    ``sector``'s indices in ``_sector_indices``."""
+    idx = dict(zip(SECTOR_AXES, _sector_indices(n_cells)))[sector]
+    return np.array([f"{i // 4 + 1}{'ABCD'[i % 4]}" for i in idx], dtype="S")
+
+
+#: (sector, quadrature) of each Neumann stack, and of sectors, gains and scan rows
 PAIRS = (("AC", "X"), ("AC", "P"), ("BD", "X"), ("BD", "P"))
 
 
@@ -113,7 +124,7 @@ def _neumann_blocks(cs: list, n_cells: int):
     (len(cs), 4, N + 1, 2, 2): per coupling set, one stack per entry of
     PAIRS, where chi_bd's block (i, j) is blocks[., BD, i - j] and chi_ac's
     is blocks[., AC, j - i]^T; blocks[., :, N] is the zero block of the
-    other triangle.  residuals[i] is max|chi h - I| / max(1, max|chi|) of
+    other triangle.  residuals[i] is max|chi h - I| / max(1, J max|chi|) of
     cs[i], the larger of the two generators' values.  Each is checked
     against that coupling set's own dense h, from its bands in O(N): the
     block of chi_bd X at distance m is B_m X_diag + B_(m-1) X_sub, and that
@@ -177,8 +188,10 @@ def _neumann_blocks(cs: list, n_cells: int):
         r[:, :, :, 0] -= np.eye(2)
         res = np.abs(r).max(axis=(2, 3, 4, 5))
     # the residual floor scales with |chi| for strongly amplifying
-    # parameters; quality is judged relative to that scale
-    scale = np.maximum(1.0, np.abs(left).max(axis=(2, 3, 4, 5)))
+    # parameters; quality is judged relative to that scale, with chi in
+    # units of 1/J
+    J = np.array([c.J for c in cs])[:, None]
+    scale = np.maximum(1.0, J * np.abs(left).max(axis=(2, 3, 4, 5)))
     bad = ~np.isfinite(res) | (res > 1e-10 * scale)
     if bad.any():
         i, q = np.unravel_index(np.argmax(bad), bad.shape)
@@ -197,35 +210,23 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
     sub-matrices and the dense 4N x 4N inverses, with no linear solve.
     """
     blocks, residuals = _neumann_blocks([c], n_cells)
-    blocks, residual = blocks[0], float(residuals[0])
-    ac, bd = _sector_indices(n_cells)
     # one gather index into the blocks: block distance (the zero block N
     # above the diagonal) and sublattice pair of each 2N x 2N entry
     cell = np.repeat(np.arange(n_cells), 2)
     dist = cell[:, None] - cell[None, :]
     sub = np.arange(2 * n_cells) % 2
-    idx = (np.where(dist >= 0, dist, n_cells), sub[:, None], sub[None, :])
+    lower = blocks[0][:, np.where(dist >= 0, dist, n_cells), sub[:, None],
+                      sub[None, :]]
+    # chi_bd is block-lower Toeplitz, chi_ac the transpose of one
+    sectors = dict(zip(PAIRS, [*lower[:2].swapaxes(1, 2), *lower[2:]]))
     n = 4 * n_cells
-    out = []
-    for q in range(2):
-        chi_bd = blocks[2 + q][idx]
-        chi_ac = blocks[q][idx].T
-        chi = np.zeros((n, n))
-        chi[np.ix_(bd, ac)] = chi_bd
-        chi[np.ix_(ac, bd)] = chi_ac
-        out.append((chi, chi_ac, chi_bd))
-    (chi_x, chi_ac_x, chi_bd_x), (chi_p, chi_ac_p, chi_bd_p) = out
-    return SusceptibilityReport(
-        chi_x=chi_x,
-        chi_p=chi_p,
-        chi_ac_x=chi_ac_x,
-        chi_ac_p=chi_ac_p,
-        chi_bd_x=chi_bd_x,
-        chi_bd_p=chi_bd_p,
-        params=c,
-        n_cells=n_cells,
-        residual=residual,
-    )
+    chi = {q: np.zeros((n, n)) for _, q in PAIRS}
+    idx = dict(zip(SECTOR_AXES, _sector_indices(n_cells)))
+    for (sector, q), block in sectors.items():
+        chi[q][np.ix_(*(idx[s] for s in SECTOR_AXES[sector]))] = block
+    return SusceptibilityReport(chi_x=chi["X"], chi_p=chi["P"], sectors=sectors,
+                                params=c, n_cells=n_cells,
+                                residual=float(residuals[0]))
 
 
 def closed_form_theta0(c: CouplingSet, n_cells: int):
@@ -265,18 +266,12 @@ def gain_metrics(rep: SusceptibilityReport):
     mean log-magnitude against block distance.
     """
     out = []
-    subs = [
-        ("AC", "X", rep.chi_ac_x),
-        ("AC", "P", rep.chi_ac_p),
-        ("BD", "X", rep.chi_bd_x),
-        ("BD", "P", rep.chi_bd_p),
-    ]
     n_cells = rep.n_cells
     # block distance between the column cell and the row cell
     cell_r = np.repeat(np.arange(n_cells), 2)
     dist = cell_r[None, :] - cell_r[:, None]  # cols minus rows
     far = np.abs(dist) == n_cells - 1
-    for sector, quad, sub in subs:
+    for (sector, quad), sub in rep.sectors.items():
         mag = np.abs(sub)
         upper = mag[dist > 0]
         lower = mag[dist < 0]
@@ -307,9 +302,9 @@ def gain_metrics(rep: SusceptibilityReport):
 
 
 class PhaseScan(list):
-    """Rows (delta, delta0, nu, {(sector, quadrature): end_to_end}) of a
-    scan; ``residual`` is the worst relative inverse residual over its
-    delta grid."""
+    """Rows (delta, delta0, nu, *end_to_end) of a scan, one end_to_end per
+    (sector, quadrature) in PAIRS order; ``residual`` is the worst relative
+    inverse residual over its delta grid."""
 
     def __init__(self, rows, residual: float):
         super().__init__(rows)
@@ -344,7 +339,7 @@ def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
             [derive_couplings(J, d, theta) for d in block], n_cells)
         # the largest |chi| entry between the end cells: block N - 1
         ends = np.abs(blocks[:, :, n_cells - 1]).max(axis=(2, 3))
-        rows.extend((d, float(delta0), label.nu, dict(zip(PAIRS, e)))
+        rows.extend((d, float(delta0), label.nu, *e)
                     for d, label, e in zip(block, labels, ends.tolist()))
         worst_res = max(worst_res, *res.tolist())
     return PhaseScan(rows, worst_res)

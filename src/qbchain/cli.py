@@ -342,15 +342,15 @@ def _write_chi(outdir: Path, files: list, stages: list, name: str,
                sub: np.ndarray, rows: str, cols: str) -> None:
     """Write the ``row,col,abs_value`` rows of |sub| as ``name``.
 
-    ``rows`` and ``cols`` name the sectors ("AC" or "BD") whose
-    cell-sublattice labels ("1A", "1C", "2A", ...) index sub's rows and
-    columns.  Each distinct |value| is formatted once with ``'%.16e'``
-    (``np.unique``) and gathered into the value column: a sub-matrix holds
-    few distinct magnitudes.
+    ``rows`` and ``cols`` name the sectors whose
+    ``amplification.sector_labels`` index sub's rows and columns.  Each
+    distinct |value| is formatted once with ``'%.16e'`` (``np.unique``) and
+    gathered into the value column: a sub-matrix holds few distinct
+    magnitudes.
     """
     t0 = time.perf_counter()
     uniq, inv = np.unique(np.abs(sub).ravel(), return_inverse=True)
-    rl, cl = (np.array([f"{i // 2 + 1}{s[i % 2]}" for i in range(n)], dtype="S")
+    rl, cl = (amplification.sector_labels(s, n // 2)
               for s, n in zip((rows, cols), sub.shape))
     text = np.array([b"%.16e" % u for u in uniq.tolist()])[inv]
     _write_table(outdir, files, stages, name, "row,col,abs_value",
@@ -461,7 +461,8 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     _write_table(outdir, files, stages, "critical_times.csv",
                  "n,side,k_c,t_c,residual",
                  list(zip(*ct.entries)) or [[]] * 5)
-    files[-1]["t_complete"] = ct.t_complete
+    # null where no momentum crosses: +inf is not JSON
+    files[-1]["t_complete"] = ct.t_complete if ct.t_complete < np.inf else None
 
     t0 = time.perf_counter()
     d = quench.dtop(field, ct)
@@ -498,25 +499,20 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     t0 = time.perf_counter()
     rep = amplification.susceptibility(c, n_cells)
     _stage(stages, "susceptibility", t0, rep.chi_x.shape, sum(a.nbytes for a in (
-        rep.chi_x, rep.chi_p, rep.chi_ac_x, rep.chi_ac_p, rep.chi_bd_x,
-        rep.chi_bd_p)))
+        rep.chi_x, rep.chi_p, *rep.sectors.values())))
     tolerances["susceptibility_residual"] = rep.residual
-    for name, sub, rows, cols in [("chi_ac_x", rep.chi_ac_x, "AC", "BD"),
-                                  ("chi_ac_p", rep.chi_ac_p, "AC", "BD"),
-                                  ("chi_bd_x", rep.chi_bd_x, "BD", "AC"),
-                                  ("chi_bd_p", rep.chi_bd_p, "BD", "AC")]:
-        _write_chi(outdir, files, stages, f"{name}.csv", sub, rows, cols)
+    for (sector, quad), sub in rep.sectors.items():
+        _write_chi(outdir, files, stages, f"chi_{sector}_{quad}.csv".lower(), sub,
+                   *amplification.SECTOR_AXES[sector])
     t0 = time.perf_counter()
     scan = amplification.amplification_phase_scan(
         float(cfg["J"]), float(cfg["theta"]), _delta_grid(cfg), n_cells)
-    _stage(stages, "phase_scan", t0, (len(scan), 7), 56 * len(scan))
+    table = np.array(scan)
+    _stage(stages, "phase_scan", t0, table.shape, table.nbytes)
     tolerances["scan_residual"] = scan.residual
-    table = np.array([(d, d0, nu, gains[("AC", "X")], gains[("AC", "P")],
-                       gains[("BD", "X")], gains[("BD", "P")])
-                      for d, d0, nu, gains in scan])
+    gains = (f"gain_{sector}_{quad}".lower() for sector, quad in amplification.PAIRS)
     _write_table(outdir, files, stages, "amplification_scan.csv",
-                 "delta,delta0,nu,gain_ac_x,gain_ac_p,gain_bd_x,gain_bd_p",
-                 table.T)
+                 ",".join(["delta,delta0,nu", *gains]), table.T)
 
 
 def _cmd_check(cfg, outdir, files, tolerances, stages):
@@ -538,7 +534,7 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
                                    rng.uniform(0.0, 1.0))
         for r in model.Regime:
             G, Gm = model.dynamical_qb_k(np.array([k, -k]), c, r)  # G(k), G(-k)
-            block[r] = max(block[r], spectral.block_diagonalize(k, c, r, G=G))
+            block[r] = max(block[r], spectral.block_diagonalize(k, c, r))
             worst["phs1"] = max(worst["phs1"], float(np.abs(
                 model.TAU1 @ Gm.conj() @ model.TAU1 + G).max()))
             worst["pseudo"] = max(worst["pseudo"], float(np.abs(
@@ -695,10 +691,7 @@ def main(argv=None) -> int:
                 cfg[key] = str(val)
         cfg = validate(cfg)
         return run(cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

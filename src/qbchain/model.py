@@ -52,6 +52,8 @@ _SYMMETRY_TOL = 1e-12
 
 #: largest magnitude whose square, four times over, stays in the double range
 _SQUARE_SAFE = 0.5 * math.sqrt(np.finfo(float).max)
+#: least magnitude whose square, a quarter of it, is still a normal double
+_SQUARE_TINY = 2.0 * math.sqrt(np.finfo(float).tiny)
 
 
 class Regime(enum.Enum):
@@ -204,15 +206,22 @@ def bloch(k, c: CouplingSet, regime: Regime) -> BlochVector:
     return BlochVector(dr=dr, di=di)
 
 
-def energy(k, c: CouplingSet, regime: Regime):
-    """Principal-branch quasiparticle energy of :func:`two_band`; the band
-    pair is (+E, -E).  A DoubleOverflowError where E^2 could leave the
-    double range."""
-    k = np.asarray(k, dtype=float)
-    if not np.abs((c.v, c.w_r, c.w_l)).max() <= _SQUARE_SAFE:
+def _check_squares(c: CouplingSet) -> None:
+    """A DoubleOverflowError, naming J, where the square of the largest
+    coupling leaves [_SQUARE_TINY^2, _SQUARE_SAFE^2]: past the double range,
+    or below its normal numbers."""
+    if not _SQUARE_TINY <= np.abs((c.v, c.w_r, c.w_l)).max() <= _SQUARE_SAFE:
         raise DoubleOverflowError(
             f"squared couplings leave the double range at J={c.J}, "
             f"theta={c.theta}")
+
+
+def energy(k, c: CouplingSet, regime: Regime):
+    """Principal-branch quasiparticle energy of :func:`two_band`; the band
+    pair is (+E, -E).  A DoubleOverflowError where E^2 could leave the
+    double range (``_check_squares``)."""
+    k = np.asarray(k, dtype=float)
+    _check_squares(c)
     if _is_real(regime):
         rad = c.v**2 + c.w_r * c.w_l + c.v * (
             c.w_l * np.exp(1j * k) + c.w_r * np.exp(-1j * k)

@@ -39,7 +39,7 @@ from .exceptions import (
     ExceptionalPointError,
     ResolutionError,
 )
-from .model import CouplingSet, Regime, bloch, two_band
+from .model import CouplingSet, Regime, _check_squares, bloch, two_band
 from .topology import _bisect_all, _wrap
 
 #: refinement rounds of ``dtop`` per flagged step (8, 64, 512 sub-steps)
@@ -51,6 +51,10 @@ _DTOP_COLS = 64
 #: ``critical_set`` re-evaluates the k_c equation at one momentum where its
 #: array value lies within this multiple of ``_kc_scale`` of zero
 _KC_GUARD = 1e-13
+#: ov = d^i_hat . d^f_hat is +-1 to rounding where |1 - ov^2| is at most
+#: this: g_k = exp(+-i E^f t) never vanishes there (at every k of a
+#: self-quench), so the momentum has no crossing
+_OV_UNIT = 1e-13
 
 __all__ = [
     "cpus_available",
@@ -139,7 +143,12 @@ def map_chunks(fn, n_chunks: int, consume) -> int:
 
 
 def _overlap_fields(k, ci: CouplingSet, cf: CouplingSet):
-    """(E^i, E^f, overlap) with bilinear-normalized Bloch vectors, vectorized in k."""
+    """(E^i, E^f, overlap) with bilinear-normalized Bloch vectors, vectorized in k.
+
+    A DoubleOverflowError, naming J, where d.d could leave the double range.
+    """
+    _check_squares(ci)
+    _check_squares(cf)
     k = np.asarray(k, dtype=float)
     bi = bloch(k, ci, Regime.REAL)
     bf = bloch(k, cf, Regime.REAL)
@@ -486,13 +495,15 @@ def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
     protocol's t span are discarded.  ``t_complete`` is the least crossing
     time of the first order above n_range over the k grid: a crossing of a
     higher order comes no earlier (while Re E^f > 0), so the list holds
-    every crossing before it.
+    every crossing before it.  Momenta where ov = +-1 (``_OV_UNIT``) are
+    left out of both, so t_complete is +inf where every momentum is one.
     """
     _, Ef, ov = _overlap_fields(p.k_grid, p.initial, p.final)
+    live = np.abs(1 - ov**2) > _OV_UNIT
     n_next = max(n_range, default=-1) + 1
     # (n, side, left end, right end) of each bracket, in scan order
     found = []
-    for side, on in (("+", p.k_grid > 0), ("-", p.k_grid < 0)):
+    for side, on in (("+", live & (p.k_grid > 0)), ("-", live & (p.k_grid < 0))):
         ks = p.k_grid[on]
         if ks.size < 2:
             continue
@@ -517,7 +528,8 @@ def critical_set(p: QuenchProtocol, n_range=range(10)) -> CriticalTimes:
 
     kcs, halvings = _bisect_all(kc_values, [b[2] for b in found],
                                 [b[3] for b in found])
-    out = CriticalTimes([], float(_crossing_time(Ef, ov, n_next).min()),
+    out = CriticalTimes([], float(_crossing_time(Ef[live], ov[live], n_next)
+                                  .min(initial=np.inf)),
                         brackets=len(found), halvings=halvings,
                         scalar_checks=checks)
     t_lo, t_hi = p.t_grid[0], p.t_grid[-1]

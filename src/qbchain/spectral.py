@@ -65,15 +65,13 @@ _IMAGES = {
     Regime.IMAGINARY: ((1, False), (-1, False), (1, True), (-1, True)),
 }
 
-def block_transform(k, c: CouplingSet, regime: Regime, *, G=None) -> np.ndarray:
-    """Q^dag G Q (block diagonal), G = dynamical_qb_k(k, c, regime) unless given."""
+def block_transform(k, c: CouplingSet, regime: Regime) -> np.ndarray:
+    """Q^dag G Q (block diagonal), G = dynamical_qb_k(k, c, regime)."""
     Q = BLOCK_Q_REAL if _is_real(regime) else BLOCK_Q_IMAG
-    if G is None:
-        G = dynamical_qb_k(k, c, regime)
-    return Q.conj().T @ G @ Q
+    return Q.conj().T @ dynamical_qb_k(k, c, regime) @ Q
 
 
-def block_diagonalize(k: float, c: CouplingSet, regime: Regime, *, G=None) -> float:
+def block_diagonalize(k: float, c: CouplingSet, regime: Regime) -> float:
     """Max-abs deviation of :func:`block_transform` from its four images of H:
     nSSH2 diag(H, -H^dag, -H, H^dag) (real), nSSH1 diag(H, -H, H^dag, -H^dag)."""
     H = two_band(k, c, regime)
@@ -81,7 +79,7 @@ def block_diagonalize(k: float, c: CouplingSet, regime: Regime, *, G=None) -> fl
     for b, (sign, dagger) in enumerate(_IMAGES[regime]):
         s = slice(2 * b, 2 * b + 2)
         target[s, s] = sign * (H.conj().T if dagger else H)
-    return float(np.abs(block_transform(k, c, regime, G=G) - target).max())
+    return float(np.abs(block_transform(k, c, regime) - target).max())
 
 
 @dataclass

@@ -9,8 +9,8 @@ import numpy as np
 
 from .exceptions import (DomainError, DoubleOverflowError, ResolutionError,
                          SingularityError)
-from .model import (_SQUARE_SAFE, PBC, BlochVector, CouplingSet, Regime, _is_real,
-                     bloch, derive_couplings, energy)
+from .model import (_SQUARE_SAFE, _SQUARE_TINY, PBC, BlochVector, CouplingSet,
+                     Regime, _is_real, bloch, derive_couplings, energy)
 
 __all__ = [
     "Phase",
@@ -203,7 +203,8 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     vanish over the closed loop.  Derivatives are spectral (the components
     are trigonometric polynomials), the quadrature is the periodic trapezoid
     rule, so the grid must be uniform over [-pi, pi).  A DoubleOverflowError
-    where a product of two components could leave the double range.
+    where a product of two components could leave the double range or its
+    normal numbers.
     """
     grid = _loop_grid(grid)
     n = grid.size
@@ -221,11 +222,13 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     ddx = np.fft.ifft(1j * m * np.fft.fft(dx))
     ddy = np.fft.ifft(1j * m * np.fft.fft(dy))
     big = max(np.abs(z).max() for z in (dx, dy, ddx, ddy))
-    if not big <= _SQUARE_SAFE:
+    if not _SQUARE_TINY <= big <= _SQUARE_SAFE:
         raise DoubleOverflowError(
-            f"Bloch vector components up to {big:.3g} square past the double range")
+            f"Bloch vector components up to {big:.3g} square outside the "
+            f"double range")
     denom = dx**2 + dy**2
-    if np.abs(denom).min() < 1e-12:
+    # d.d is a component squared: the threshold scales with the largest one's
+    if not np.abs(denom).min() > 1e-12 * big**2:
         raise SingularityError(
             "d_x^2 + d_y^2 vanishes on the grid: parameters at/near an "
             "exceptional point"
@@ -241,8 +244,11 @@ def ep_nssh1(c: CouplingSet):
     the momentum where both X(k) and Y(k) vanish, and the transition value
     of delta at the given theta.
     """
-    v_crit = np.sqrt(0.5 * (c.w_r**2 + c.w_l**2))
-    arg = -(c.w_r + c.w_l) / np.sqrt(2.0 * (c.w_r**2 + c.w_l**2))
+    # k_star and delta0 are dimensionless: from the couplings in units of J,
+    # whose squares stay in the double range at any J
+    wr, wl = c.w_r / c.J, c.w_l / c.J
+    v_crit = c.J * np.sqrt(0.5 * (wr**2 + wl**2))
+    arg = -(wr + wl) / np.sqrt(2.0 * (wr**2 + wl**2))
     if abs(arg) > 1.0 + 1e-12:
         raise DomainError(f"arccos argument {arg} outside [-1, 1]")
     k_star = float(np.arccos(np.clip(arg, -1.0, 1.0)))

@@ -101,8 +101,7 @@ def reference_scan(J, theta, deltas, n_cells):
         label = topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY)[0]
         rep = amplification.susceptibility(c, n_cells)
         rows.append((float(d), float(delta0), label.nu,
-                     {(g.sector, g.quadrature): g.end_to_end
-                      for g in amplification.gain_metrics(rep)}))
+                     *(g.end_to_end for g in amplification.gain_metrics(rep))))
     return rows
 
 
@@ -182,7 +181,7 @@ class TestSusceptibility:
         assert rep.residual < 1e-10 * max(1.0, np.abs(rep.chi_x).max())
         hx, hp = model.quadrature_dynamical(c, 8)
         assert np.abs(rep.chi_x @ hx - np.eye(32)).max() < 1e-6
-        assert rep.chi_ac_x.shape == (16, 16)
+        assert rep.sectors[("AC", "X")].shape == (16, 16)
 
     def test_closed_form_match(self):
         # symmetric limit with (v, w) = (1, 2): J(1-delta)=1, J(1+delta)=2
@@ -190,10 +189,10 @@ class TestSusceptibility:
         assert abs(c.v - 1.0) < 1e-12 and abs(c.w_r - 2.0) < 1e-12
         rep = amplification.susceptibility(c, 4)
         ac_ref, bd_ref = amplification.closed_form_theta0(c, 4)
-        for sub in (rep.chi_ac_x, rep.chi_ac_p):
-            assert np.abs(np.abs(sub) - ac_ref).max() < 1e-10
-        for sub in (rep.chi_bd_x, rep.chi_bd_p):
-            assert np.abs(np.abs(sub) - bd_ref).max() < 1e-10
+        assert list(rep.sectors) == list(amplification.PAIRS)
+        for (sector, _), sub in rep.sectors.items():
+            ref = ac_ref if sector == "AC" else bd_ref
+            assert np.abs(np.abs(sub) - ref).max() < 1e-10
 
     @pytest.mark.parametrize("n_cells", [2, 5, 40])
     @pytest.mark.parametrize("J, delta", [(1.5, 1.0 / 3.0), (1.0, -0.6),
@@ -360,8 +359,8 @@ class TestGain:
         cell = np.repeat(np.arange(20), 2)
         dist = cell[None, :] - cell[:, None]
         gains = amplification.gain_metrics(rep)
-        for g, sub in zip(gains, (rep.chi_ac_x, rep.chi_ac_p,
-                                  rep.chi_bd_x, rep.chi_bd_p)):
+        for g, (pair, sub) in zip(gains, rep.sectors.items(), strict=True):
+            assert (g.sector, g.quadrature) == pair
             mag = np.abs(sub)
             tri_sign = 1 if g.sector == "AC" else -1
             xs, ys = [], []
@@ -380,9 +379,10 @@ class TestGain:
         deltas = np.linspace(-0.9, 0.9, 50)
         deltas = deltas[np.abs(deltas - delta0) > 1e-3]
         rows = amplification.amplification_phase_scan(1.0, 0.4, deltas, 10)
-        for d, d0, nu, gains in rows:
+        for d, d0, nu, *ends in rows:
             assert abs(d0 - delta0) < 1e-12
-            amplifying = all(v > 1.0 for v in gains.values())
+            assert len(ends) == len(amplification.PAIRS)
+            amplifying = all(v > 1.0 for v in ends)
             assert amplifying == (abs(nu - 1.0) < 0.25)
 
     @pytest.mark.parametrize("n_cells", [2, 10, 40])

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,13 @@ def run_cli(tmp_path, args):
     if mpath.exists():
         manifest = json.loads(mpath.read_text())
     return code, out, manifest
+
+
+# quenches whose initial couplings equal the final ones: g_k = exp(iEt)
+SELF_QUENCHES = {
+    "non-hermitian": {"delta_i": "0.9", "theta_i": "0.4"},  # the default final
+    "hermitian": {"theta_i": "0", "theta_f": "0", "delta_i": "0.5", "delta_f": "0.5"},
+}
 
 
 class TestValidation:
@@ -163,6 +171,88 @@ class TestCommands:
         assert code == 0
         nu = float((out / "winding.csv").read_text().splitlines()[1].split(",")[2])
         assert abs(nu - 1.0) < 1e-12
+
+    def test_windings_do_not_depend_on_J(self, tmp_path):
+        # nu and the winding integral are dimensionless: at J = 1e-150, 1e-7
+        # and 1e150 both regimes read their J = 1 values
+        for regime in ("real", "imaginary"):
+            read = {}
+            for J in ("1", "1e-150", "1e-7", "1e150"):
+                out = tmp_path / f"{regime}-{J}"
+                assert cli.run(cli.validate({"command": "winding", "regime": regime,
+                                             "J": J, "out": str(out)})) == 0
+                row = (out / "winding.csv").read_text().splitlines()[1].split(",")
+                read[J] = np.array([float(row[2]), float(row[3])])  # nu, integral
+            for J, got in read.items():
+                assert np.abs(got - read["1"]).max() < 1e-12, (regime, J)
+
+    @pytest.mark.parametrize("config, files", [
+        ({"command": "amplify", "regime": "imaginary", "J": "1e160"},
+         ["amplification_scan.csv"]),
+        ({"command": "phase-diagram", "regime": "imaginary", "J": "1e160",
+          "grid_points": "401", "theta_steps": "3"}, ["phase_diagram.csv"]),
+        ({"command": "phase-diagram", "regime": "imaginary", "J": "1e-160",
+          "grid_points": "401", "theta_steps": "3"}, ["phase_diagram.csv"]),
+        ({"command": "winding", "J": "1e-160"}, []),
+        ({"command": "quench", "J_i": "1e160", "J_f": "1e160", "n_half": "100",
+          "n_t": "60"}, []),
+        ({"command": "quench", "J_i": "1e-160", "J_f": "1e-160", "n_half": "100",
+          "n_t": "60"}, []),
+    ], ids=["amplify-1e160", "phase-diagram-1e160", "phase-diagram-1e-160",
+            "winding-1e-160", "quench-1e160", "quench-1e-160"])
+    def test_extreme_J_runs_or_names_J(self, tmp_path, config, files):
+        # a run at an extreme J either reads as at J = 1 (delta0, nu and the
+        # labels; the gains scale as 1/J) or exits 2 with a typed error that
+        # names J, with no RuntimeWarning on the way
+        J = config.get("J", config.get("J_i"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli.run(cli.validate({**config, "out": str(tmp_path / "x")}))
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        if not files:
+            assert status == 2
+            assert manifest["error"].startswith("DoubleOverflowError: ")
+            assert f"J={float(J)}" in manifest["error"]
+            return
+        assert status == 0
+        unit = {**config, "J": "1", "out": str(tmp_path / "unit")}
+        assert cli.run(cli.validate(unit)) == 0
+        for name in files:
+            got, ref = ([line.split(",") for line in (tmp_path / d / name)
+                         .read_text().splitlines()[1:]] for d in ("x", "unit"))
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                if name == "phase_diagram.csv":  # delta, theta, nu1, nu2, nu, label
+                    assert a[:2] == b[:2] and a[5] == b[5]
+                    assert np.allclose(np.array(a[2:5], float), np.array(b[2:5], float),
+                                       rtol=0, atol=1e-12, equal_nan=True)
+                else:  # delta, delta0, nu, then four gains
+                    a, b = np.array(a, float), np.array(b, float)
+                    assert np.abs(a[:3] - b[:3]).max() < 1e-12
+                    assert np.abs(a[3:] * float(J) / b[3:] - 1).max() < 1e-12
+
+    @pytest.mark.parametrize("label", list(SELF_QUENCHES))
+    def test_self_quench_has_no_crossing(self, tmp_path, label):
+        # g_k never vanishes: no critical time, t_complete +inf (null in the
+        # manifest), and the count oracle reads the whole grid
+        cfg = cli.validate({"command": "quench", "n_half": "100", "n_t": "60",
+                            **SELF_QUENCHES[label], "out": str(tmp_path)})
+        ci, cf = (model.derive_couplings(float(cfg[f"J_{s}"]), float(cfg[f"delta_{s}"]),
+                                         float(cfg[f"theta_{s}"])) for s in "if")
+        assert ci == cf
+        ct = quench.critical_set(quench.QuenchProtocol.default(ci, cf, n_half=100,
+                                                               n_t=60))
+        assert (ct.entries, ct.t_complete, ct.brackets) == ([], np.inf, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(cfg) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        entries = {f["name"]: f for f in manifest["files"]}
+        assert entries["critical_times.csv"]["rows"] == 0
+        assert entries["critical_times.csv"]["t_complete"] is None
+        assert manifest["tolerances"]["dtop_critical_count_mismatch"] == 0.0
+        dtop = np.loadtxt(tmp_path / "dtop.csv", delimiter=",", skiprows=1)
+        assert not np.rint(dtop[:, 1:3]).any()  # no slip on either half zone
 
     def test_winding_outputs(self, tmp_path):
         cfg = tmp_path / "w.cfg"
@@ -485,7 +575,7 @@ class TestCommands:
 
     def test_check_builds_each_sample_once(self, tmp_path, monkeypatch):
         # G(k) and G(-k) of each of the 100 samples come from one stacked
-        # build per regime, which the block check reuses
+        # build per regime; the block check builds its own G(k)
         shapes = []
         build = model.dynamical_qb_k
 
@@ -496,7 +586,7 @@ class TestCommands:
         monkeypatch.setattr(spectral, "dynamical_qb_k", counted)
         code, _, _ = run_cli(tmp_path, ["--command", "check"])
         assert code == 0
-        assert shapes == [(2,)] * 200
+        assert shapes == [(2,), ()] * 200
 
     def test_determinism_byte_identical(self, tmp_path):
         texts = []
@@ -681,6 +771,21 @@ class TestOutputFiles:
         for stage in compute:
             assert stage["wall_s"] >= 0.0 and stage["bytes"] > 0
             assert all(n > 0 for n in stage["shape"])
+
+    def test_manifests_are_strict_json(self, small_runs, tmp_path):
+        # every small run and two self-quenches (t_complete +inf); NaN and
+        # +-Infinity are not JSON
+        def reject(name):
+            raise ValueError(f"{name} in a manifest")
+        root, _ = small_runs
+        paths = [root / label / "manifest.json" for label in SMALL_RUNS]
+        for label, config in SELF_QUENCHES.items():
+            out = tmp_path / label
+            assert cli.run(cli.validate({"command": "quench", "n_half": "100",
+                                         "n_t": "60", **config, "out": str(out)})) == 0
+            paths.append(out / "manifest.json")
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
 
     @pytest.mark.parametrize("label", list(SMALL_RUN_DIGESTS))
     def test_digests(self, small_runs, label):

@@ -10,7 +10,6 @@ from qbchain.model import OBC, PBC, Regime, derive_couplings
 
 # every public function that takes a regime, called with the regime r
 _C = derive_couplings(1.0, 0.5, 0.4)
-_G = model.dynamical_qb_k(0.3, _C, Regime.REAL)
 REGIME_TAKERS = {
     "two_band": lambda r: model.two_band(0.3, _C, r),
     "bloch": lambda r: model.bloch(0.3, _C, r),
@@ -21,7 +20,6 @@ REGIME_TAKERS = {
         lambda r: model.realspace_hamiltonian_blocks(_C, 4, r),
     "realspace_dynamical": lambda r: model.realspace_dynamical(_C, 4, r),
     "block_transform": lambda r: spectral.block_transform(0.3, _C, r),
-    "block_transform-G": lambda r: spectral.block_transform(0.3, _C, r, G=_G),
     "block_diagonalize": lambda r: spectral.block_diagonalize(0.3, _C, r),
     "spectrum_sweep-pbc":
         lambda r: spectral.spectrum_sweep(1.0, 0.4, [0.5], r, PBC.uniform(8)),

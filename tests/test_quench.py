@@ -102,13 +102,18 @@ class TestLoschmidtAmplitude:
         # the paper's claim from the bosonic equations of motion: exp(-iGt) of
         # the PBC 8N x 8N dynamical matrix, projected on momentum k and
         # block-transformed, holds exp(-iH^f(k)t) as its first 2x2 block, and
-        # the initial biorthogonal pair contracts it to g_k(t)
+        # the initial biorthogonal pair contracts it to g_k(t); the return
+        # rate of those g_k at the +-k pairs is that of the PGP field
         n_cells = 12
         G = model.realspace_dynamical(cf, n_cells, model.Regime.REAL, pbc=True)
         ks = 2 * np.pi * np.arange(n_cells) / n_cells - np.pi
         Q = spectral.BLOCK_Q_REAL
-        for t in (0.7, 2.3, 5.1):
+        times = (0.7, 2.3, 5.1)
+        pairs = ks[(ks != 0) & (ks != -np.pi)]  # 10 momenta, matched +-k
+        rate = []
+        for t in times:
             U = scipy.linalg.expm(-1j * t * G)
+            log_mag2 = []
             for k in ks[ks != 0]:
                 B = Q.T @ model.fourier_project(U, n_cells, k) @ Q
                 assert max(np.abs(B[:2, 2:]).max(), np.abs(B[2:, :2]).max()) < 1e-12
@@ -118,6 +123,11 @@ class TestLoschmidtAmplitude:
                 assert chi @ psi == pytest.approx(1.0, abs=1e-14)
                 g = chi @ B[:2, :2] @ psi
                 assert abs(g - quench.loschmidt_gk(k, CI, cf, t)) < 1e-12
+                if k in pairs:
+                    log_mag2.append(np.log(abs(g) ** 2))
+            rate.append(-np.mean(log_mag2))
+        field = quench.pgp_field(quench.QuenchProtocol(CI, cf, pairs, np.array(times)))
+        assert np.abs(quench.return_rate(field) - rate).max() < 1e-12
 
     def test_fq_identity(self):
         # (Q2^2 - Q1^2)(F2^2 - F1^2) = 1

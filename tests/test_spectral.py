@@ -43,17 +43,6 @@ class TestBlockDiagonalization:
         assert np.abs(B - block_diag(*images)).max() < 1e-12
         assert spectral.block_diagonalize(k, c, regime) < 1e-12
 
-    @pytest.mark.parametrize("regime", list(Regime))
-    def test_block_check_reuses_a_built_matrix(self, regime):
-        c = derive_couplings(1, 0.4, 0.3)
-        k = -2.2
-        G, _ = model.dynamical_qb_k(np.array([k, -k]), c, regime)
-        assert (spectral.block_diagonalize(k, c, regime, G=G)
-                == spectral.block_diagonalize(k, c, regime))
-        # a G of the other regime is checked, not rebuilt
-        other = model.dynamical_qb_k(k, c, next(r for r in Regime if r is not regime))
-        assert spectral.block_diagonalize(k, c, regime, G=other) > 0.1
-
     def test_theta0_blocks_hermitian(self):
         c = derive_couplings(1, 0.3, 0)
         B = spectral.block_transform(0.9, c, Regime.REAL)
