@@ -2,13 +2,16 @@
 and the chi CSV writes, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_amplify.py \
-        --benchmark-json BENCH_16.json
+        --benchmark-json BENCH_26.json
 
 ``amplification_phase_scan`` runs the default scan (41 deltas at
 theta = 0.4, N = 40) one block of ``topology.DELTA_BLOCK`` deltas at a
 time: the nSSH1 windings of the block as (delta, k) arrays, the 2x2
-Neumann recurrence with delta as a leading axis, and per delta the dense
-generators that check the blocks' form and residual, with no dense chi.
+Neumann recurrence with delta as a leading axis, and its residual checked
+against each delta's ``model.quadrature_cells``, with no dense matrix.
+``amplification_phase_scan_n2000`` runs the same scan at the one trivial
+delta = -0.5 with N = 2000, where time and memory show how the scan grows
+with the chain.
 ``classify_phases`` (imaginary regime) winds the nSSH1 Bloch vector on the
 default 2001-point grid at (delta, theta) = (0.5, 0.4), all momenta at once;
 ``winding_pair_per_momentum`` winds the Bloch vector of either regime
@@ -52,6 +55,14 @@ def test_amplification_phase_scan(benchmark, cfg):
               int(cfg["n_cells"])),
         rounds=ROUNDS, iterations=1)
     assert len(rows) == 41
+
+
+def test_amplification_phase_scan_n2000(benchmark):
+    benchmark.extra_info["env"] = cli._environment()
+    rows = benchmark.pedantic(amplification.amplification_phase_scan,
+                              args=(1.0, 0.4, [-0.5], 2000),
+                              rounds=ROUNDS, iterations=1)
+    assert rows.residual < 1e-10
 
 
 def test_classify_phase_imag(benchmark, couplings):

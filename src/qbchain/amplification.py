@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, DoubleOverflowError, SingularityError
-from .model import CouplingSet, Regime, quadrature_dynamical
+from .model import CouplingSet, Regime, derive_couplings, quadrature_cells
 from .topology import DELTA_BLOCK, classify_phases, ep_nssh1
 
 __all__ = [
@@ -34,17 +34,16 @@ DIRECTION_GAIN_THRESHOLD = 1.02
 
 @dataclass
 class SusceptibilityReport:
-    """Inverse quadrature generators with their sublattice sub-matrices.
+    """The nonzero sublattice sub-matrices of the susceptibilities chi = h^-1.
 
     ``sectors`` maps each (sector, quadrature) of PAIRS, in that order, to
-    its 2N x 2N sub-matrix of chi_x or chi_p, with rows and columns on the
-    sublattices of the two sectors of ``SECTOR_AXES[sector]``.
-    ``residual`` is max|chi h - I| / max(1, J max|chi|), the larger of the
-    two generators' values; ``susceptibility`` rejects any above 1e-10.
+    its 2N x 2N sub-matrix of that quadrature's chi, with rows and columns
+    on the sublattices of the two sectors of ``SECTOR_AXES[sector]``; the
+    AC x AC and BD x BD parts of chi are zero.  ``residual`` is
+    max|chi h - I| / max(1, J max|chi|), the larger of the two generators'
+    values; ``susceptibility`` rejects any above 1e-10.
     """
 
-    chi_x: np.ndarray
-    chi_p: np.ndarray
     sectors: dict
     params: CouplingSet
     n_cells: int
@@ -83,39 +82,16 @@ def sector_labels(sector: str, n_cells: int) -> np.ndarray:
 PAIRS = (("AC", "X"), ("AC", "P"), ("BD", "X"), ("BD", "P"))
 
 
-def _cell_bands(h: np.ndarray, n_cells: int):
-    """The 2x2 blocks of X = h[ac, bd] and Y = h[bd, ac] that h's bands hold.
-
-    Checks that every nonzero of h lies in X's diagonal and sub-diagonal
-    cell blocks or Y's diagonal and super-diagonal ones (so the AC x AC and
-    BD x BD parts, X's upper band and Y's lower band are zero), and that
-    each band is block-Toeplitz.  Returns (X_diag, X_sub, Y_diag, Y_super)
-    or None where h has another form.
-    """
-    g = h.reshape(n_cells, 4, n_cells, 4)  # view: g[cell, sub, cell', sub']
-    j = np.arange(n_cells)
-    diag = g[j, :, j]                      # (N, 4, 4): cell j on cell j
-    lower = g[j[1:], :, j[:-1]]            # cell j + 1 on cell j
-    upper = g[j[:-1], :, j[1:]]            # cell j on cell j + 1
-    xs = (..., slice(0, None, 2), slice(1, None, 2))  # AC rows, BD columns
-    ys = (..., slice(1, None, 2), slice(0, None, 2))  # BD rows, AC columns
-    held = (diag[xs], lower[xs], diag[ys], upper[ys])
-    if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in held):
-        return None
-    if not all((b == b[0]).all() for b in held):
-        return None
-    return tuple(b[0] for b in held)
-
-
 def _neumann_blocks(cs: list, n_cells: int):
     """Blocks of chi_ac and chi_bd for both quadratures, checked against h.
 
-    h is bipartite: its AC x AC and BD x BD blocks vanish, h[ac, bd] = X is
-    block-lower bidiagonal, X = I(x)D + S(x)W with D = diag(v, -v) and
-    W = [[w+, +-w-], [+-w-, -w+]], and h[bd, ac] = Y is its upper-shift
-    analogue.  So chi_bd = X^-1 and chi_ac = Y^-1 = ((Y^T)^-1)^T, and both
-    X and Y^T are I(x)d + S(x)w with d diagonal: their inverses are
-    block-lower Toeplitz, with block B_m = (-d^-1 w)^m d^-1 at distance m.
+    h is bipartite (``quadrature_cells``): its AC x AC and BD x BD blocks
+    vanish, h[ac, bd] = X is block-lower bidiagonal, X = I(x)D + S(x)W with
+    D = diag(v, -v) and W = [[w+, +-w-], [+-w-, -w+]], and h[bd, ac] = Y is
+    its upper-shift analogue.  So chi_bd = X^-1 and chi_ac = Y^-1 =
+    ((Y^T)^-1)^T, and both X and Y^T are I(x)d + S(x)w with d diagonal:
+    their inverses are block-lower Toeplitz, with block B_m = (-d^-1 w)^m
+    d^-1 at distance m.
     -D^-1 W = -(v_crit/v) R(phi) is a scaled rotation whose gain per cell
     v_crit/|v| exceeds 1 exactly when delta > delta0.
 
@@ -125,12 +101,15 @@ def _neumann_blocks(cs: list, n_cells: int):
     PAIRS, where chi_bd's block (i, j) is blocks[., BD, i - j] and chi_ac's
     is blocks[., AC, j - i]^T; blocks[., :, N] is the zero block of the
     other triangle.  residuals[i] is max|chi h - I| / max(1, J max|chi|) of
-    cs[i], the larger of the two generators' values.  Each is checked
-    against that coupling set's own dense h, from its bands in O(N): the
-    block of chi_bd X at distance m is B_m X_diag + B_(m-1) X_sub, and that
-    of chi_ac Y is A_m^T Y_diag + A_(m-1)^T Y_super.  An error names the
-    first coupling set of the earliest failing check.
+    cs[i], the larger of the two generators' values.  Each is checked in
+    O(N) against that coupling set's ``quadrature_cells``, a statement of h
+    written apart from the (d, w) tables below: the block of chi_bd X at
+    distance m is B_m X_diag + B_(m-1) X_sub, and that of chi_ac Y is
+    A_m^T Y_diag + A_(m-1)^T Y_super.  An error names the first coupling
+    set of the earliest failing check.  ``n_cells < 2`` is a DomainError.
     """
+    if n_cells < 2:
+        raise DomainError(f"need at least 2 unit cells, got {n_cells}")
     for c in cs:
         if c.v == 0.0:
             # X = S(x)W is then strictly block-lower: h is exactly singular
@@ -147,7 +126,9 @@ def _neumann_blocks(cs: list, n_cells: int):
     v = np.array([c.v for c in cs])[:, None, None]
     wp = np.array([0.5 * (c.w_r + c.w_l) for c in cs])[:, None]
     wm = np.array([0.5 * (c.w_l - c.w_r) for c in cs])[:, None]
-    # diagonals of d and the blocks w of Y^T (AC) and X (BD), per pair
+    # diagonals of d and the blocks w of Y^T (AC) and X (BD), per pair;
+    # written apart from quadrature_cells, so that the residual below
+    # compares two statements of h and a wrong block cannot invert itself
     d = v * [[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]]
     w = np.empty((len(cs), 4, 2, 2))
     w[:, :, 0, 0] = wp * [-1.0, -1.0, 1.0, 1.0]
@@ -161,22 +142,14 @@ def _neumann_blocks(cs: list, n_cells: int):
             blocks[:, :, m] = step @ blocks[:, :, m - 1]
     finite = np.isfinite(blocks).reshape(len(cs), -1).all(axis=1)
     if not finite.all():
+        c = cs[np.argmin(finite)]
         raise SingularityError(
             f"susceptibility overflows double precision at "
-            f"n_cells={n_cells}, delta={cs[np.argmin(finite)].delta}: |chi| "
-            f"grows geometrically with n_cells"
+            f"n_cells={n_cells}, delta={c.delta}: |chi| grows geometrically "
+            f"with n_cells and as 1/J (J={c.J})"
         )
     # (X_diag, X_sub, Y_diag, Y_super) of each coupling set's h_x and h_p
-    bands = np.empty((len(cs), 2, 4, 2, 2))
-    for i, c in enumerate(cs):
-        for q, h in enumerate(quadrature_dynamical(c, n_cells)):
-            held = _cell_bands(h, n_cells)
-            if held is None:
-                raise SingularityError(
-                    f"quadrature generator at delta={c.delta} is not the "
-                    f"banded block-Toeplitz form that the closed form inverts"
-                )
-            bands[i, q] = held
+    bands = np.array([quadrature_cells(c) for c in cs])
     # per coupling set and generator: the blocks A_m^T of chi_ac, which
     # multiply (Y_diag, Y_super), and B_m of chi_bd, which multiply
     # (X_diag, X_sub)
@@ -204,10 +177,10 @@ def _neumann_blocks(cs: list, n_cells: int):
 
 
 def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
-    """Static susceptibilities chi_x = h_x^-1 and chi_p = h_p^-1.
+    """Static susceptibilities chi = h^-1 of the X and P quadratures.
 
     Gathers the checked blocks of ``_neumann_blocks`` into the sector
-    sub-matrices and the dense 4N x 4N inverses, with no linear solve.
+    sub-matrices, with no linear solve and no dense 4N x 4N matrix.
     """
     blocks, residuals = _neumann_blocks([c], n_cells)
     # one gather index into the blocks: block distance (the zero block N
@@ -219,13 +192,7 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
                       sub[None, :]]
     # chi_bd is block-lower Toeplitz, chi_ac the transpose of one
     sectors = dict(zip(PAIRS, [*lower[:2].swapaxes(1, 2), *lower[2:]]))
-    n = 4 * n_cells
-    chi = {q: np.zeros((n, n)) for _, q in PAIRS}
-    idx = dict(zip(SECTOR_AXES, _sector_indices(n_cells)))
-    for (sector, q), block in sectors.items():
-        chi[q][np.ix_(*(idx[s] for s in SECTOR_AXES[sector]))] = block
-    return SusceptibilityReport(chi_x=chi["X"], chi_p=chi["P"], sectors=sectors,
-                                params=c, n_cells=n_cells,
+    return SusceptibilityReport(sectors=sectors, params=c, n_cells=n_cells,
                                 residual=float(residuals[0]))
 
 
@@ -320,8 +287,6 @@ def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
     or non-finite grid and points too close to the transition are rejected
     up front.
     """
-    from .model import derive_couplings
-
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0 or not np.isfinite(deltas).all():
         raise DomainError(f"delta grid must be non-empty and finite, got {deltas}")

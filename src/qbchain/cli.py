@@ -498,8 +498,9 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     n_cells = int(cfg["n_cells"])
     t0 = time.perf_counter()
     rep = amplification.susceptibility(c, n_cells)
-    _stage(stages, "susceptibility", t0, rep.chi_x.shape, sum(a.nbytes for a in (
-        rep.chi_x, rep.chi_p, *rep.sectors.values())))
+    subs = list(rep.sectors.values())
+    _stage(stages, "susceptibility", t0, (len(subs), *subs[0].shape),
+           sum(a.nbytes for a in subs))
     tolerances["susceptibility_residual"] = rep.residual
     for (sector, quad), sub in rep.sectors.items():
         _write_chi(outdir, files, stages, f"chi_{sector}_{quad}.csv".lower(), sub,

@@ -33,6 +33,7 @@ __all__ = [
     "realspace_hamiltonian_blocks",
     "realspace_dynamical",
     "fourier_project",
+    "quadrature_cells",
     "quadrature_dynamical",
     "build_dynamical_from_blocks",
     "TAU1",
@@ -369,35 +370,43 @@ def fourier_project(G: np.ndarray, n_cells: int, k: float) -> np.ndarray:
 # quadrature basis (imaginary regime)
 # ---------------------------------------------------------------------------
 
+def quadrature_cells(c: CouplingSet) -> np.ndarray:
+    """The 2x2 cell blocks of the OBC quadrature generators h_x and h_p.
+
+    Shape (2, 4, 2, 2): per generator (h_x, h_p), the blocks (X_diag, X_sub,
+    Y_diag, Y_super) of X = h[AC rows, BD columns] and Y = h[BD rows, AC
+    columns], with rows (A, C) or (B, D) and columns the other pair.  X_diag
+    and Y_diag couple a cell to itself, X_sub cell j + 1 to cell j and
+    Y_super cell j to cell j + 1; h has no other nonzero entries.  The w-
+    cross terms carry +1 in h_x and -1 in h_p.
+    """
+    wp = 0.5 * (c.w_r + c.w_l)
+    wm = 0.5 * (c.w_l - c.w_r)
+    return np.array([[[[c.v, 0.0], [0.0, -c.v]],
+                      [[wp, s * wm], [s * wm, -wp]],
+                      [[-c.v, 0.0], [0.0, c.v]],
+                      [[-wp, s * wm], [s * wm, wp]]] for s in (1.0, -1.0)])
+
+
 def quadrature_dynamical(c: CouplingSet, n_cells: int):
     """OBC generators (h_x, h_p) of the decoupled X and P quadrature dynamics.
 
     Only the imaginary-parameter regime decouples the quadratures; these are
-    the 4N x 4N real matrices in the basis (1A, 1B, 1C, 1D, 2A, ...).
+    the 4N x 4N real matrices in the basis (1A, 1B, 1C, 1D, 2A, ...), with
+    the cell blocks of :func:`quadrature_cells` on their bands.
     """
     if n_cells < 2:
         raise DomainError(f"need at least 2 unit cells, got {n_cells}")
     n = 4 * n_cells
-    hx = np.zeros((n, n))
-    hp = np.zeros((n, n))
-    wp = 0.5 * (c.w_r + c.w_l)
-    wm = 0.5 * (c.w_l - c.w_r)
-
+    hs = np.zeros((2, n, n))
     j = np.arange(n_cells)
     i, o = j[1:], j[:-1]  # each cell but the first, and its left neighbour
-    A, B, C, D = 0, 1, 2, 3
-    for h, s in ((hx, 1.0), (hp, -1.0)):
+    for h, (x_diag, x_sub, y_diag, y_super) in zip(hs, quadrature_cells(c)):
         g = h.reshape(n_cells, 4, n_cells, 4)  # view: g[cell, sub, cell', sub']
-        g[j, A, j, B] = c.v
-        g[j, B, j, A] = -c.v
-        g[j, C, j, D] = -c.v
-        g[j, D, j, C] = c.v
-        g[i, A, o, B] = wp
-        g[i, A, o, D] = s * wm
-        g[i, C, o, D] = -wp
-        g[i, C, o, B] = s * wm
-        g[o, B, i, A] = -wp
-        g[o, B, i, C] = s * wm
-        g[o, D, i, C] = wp
-        g[o, D, i, A] = s * wm
-    return hx, hp
+        x = g[:, 0::2, :, 1::2]  # AC rows, BD columns
+        y = g[:, 1::2, :, 0::2]  # BD rows, AC columns
+        x[j, :, j] = x_diag
+        x[i, :, o] = x_sub
+        y[j, :, j] = y_diag
+        y[o, :, i] = y_super
+    return hs[0], hs[1]

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import mpmath
@@ -105,11 +106,23 @@ def reference_scan(J, theta, deltas, n_cells):
     return rows
 
 
+def dense_chi(rep):
+    """The 4N x 4N (chi_x, chi_p): each sub-matrix of ``rep.sectors`` placed
+    at its sublattice indices (``_sector_indices``), zeros elsewhere."""
+    n = 4 * rep.n_cells
+    chi = {q: np.zeros((n, n)) for _, q in amplification.PAIRS}
+    idx = dict(zip(amplification.SECTOR_AXES,
+                   amplification._sector_indices(rep.n_cells)))
+    for (sector, q), sub in rep.sectors.items():
+        chi[q][np.ix_(*(idx[s] for s in amplification.SECTOR_AXES[sector]))] = sub
+    return chi["X"], chi["P"]
+
+
 def dense_residual(rep):
     """max|chi h - I| / max(1, max|chi|) over both generators, densely."""
     worst = 0.0
     for h, chi in zip(model.quadrature_dynamical(rep.params, rep.n_cells),
-                      (rep.chi_x, rep.chi_p)):
+                      dense_chi(rep)):
         res = np.abs(chi @ h - np.eye(h.shape[0])).max()
         worst = max(worst, res / max(1.0, np.abs(chi).max()))
     return worst
@@ -140,18 +153,35 @@ class TestQuadratureGenerators:
             assert h.shape == ref.shape
             assert np.array_equal(h.view(np.int64), ref.view(np.int64))
 
+    @pytest.mark.parametrize("delta, theta", [(0.3, 0.7), (-0.5, 0.0), (0.9, 2.0)])
+    def test_cells_match_cell_loop(self, delta, theta):
+        # the four cell blocks of each generator, read off the N = 2 loop
+        c = derive_couplings(1, delta, theta)
+        for cells, ref in zip(model.quadrature_cells(c),
+                              reference_quadrature_loop(c, 2)):
+            g = ref.reshape(2, 4, 2, 4)
+            held = np.array([g[0, 0::2, 0, 1::2],   # X_diag: AC rows, BD columns
+                             g[1, 0::2, 0, 1::2],   # X_sub: cell 2 on cell 1
+                             g[0, 1::2, 0, 0::2],   # Y_diag: BD rows, AC columns
+                             g[0, 1::2, 1, 0::2]])  # Y_super: cell 1 on cell 2
+            # bit for bit, signed zeros included (w- = 0 at theta = 0)
+            assert np.array_equal(cells.view(np.int64), held.view(np.int64))
+
     def test_nambu_rotation_decouples_imaginary(self):
-        c = derive_couplings(1, 0.5, 0.4)
         n = 6
-        G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
-        M = amplification.nambu_to_quadrature(G)
-        assert np.abs(M.imag).max() < 1e-12
         half = 4 * n
-        assert np.abs(M[:half, half:]).max() < 1e-12
-        assert np.abs(M[half:, :half]).max() < 1e-12
-        hx, hp = model.quadrature_dynamical(c, n)
-        assert np.abs(M[:half, :half].real - hx).max() < 1e-12
-        assert np.abs(M[half:, half:].real - hp).max() < 1e-12
+        # delta on both sides of delta0 = 0.141, 0, -0.119 and -0.681
+        for delta, theta in [(-0.5, -1.0), (0.5, -1.0), (-0.3, 0.0), (0.3, 0.0),
+                             (-0.5, 0.4), (0.5, 0.4), (-0.9, 2.0), (0.3, 2.0)]:
+            c = derive_couplings(1, delta, theta)
+            G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
+            M = amplification.nambu_to_quadrature(G)
+            assert np.abs(M.imag).max() < 1e-12
+            assert np.abs(M[:half, half:]).max() < 1e-12
+            assert np.abs(M[half:, :half]).max() < 1e-12
+            hx, hp = model.quadrature_dynamical(c, n)
+            assert np.abs(M[:half, :half].real - hx).max() < 1e-12
+            assert np.abs(M[half:, half:].real - hp).max() < 1e-12
 
     def test_nambu_rotation_couples_real(self):
         c = derive_couplings(1, 0.5, 0.4)
@@ -178,9 +208,10 @@ class TestSusceptibility:
     def test_inverse_residual(self):
         c = derive_couplings(1, 0.5, 0.4)
         rep = amplification.susceptibility(c, 8)
-        assert rep.residual < 1e-10 * max(1.0, np.abs(rep.chi_x).max())
+        chi_x, _ = dense_chi(rep)
+        assert rep.residual < 1e-10 * max(1.0, np.abs(chi_x).max())
         hx, hp = model.quadrature_dynamical(c, 8)
-        assert np.abs(rep.chi_x @ hx - np.eye(32)).max() < 1e-6
+        assert np.abs(chi_x @ hx - np.eye(32)).max() < 1e-6
         assert rep.sectors[("AC", "X")].shape == (16, 16)
 
     def test_closed_form_match(self):
@@ -221,8 +252,7 @@ class TestSusceptibility:
         c = derive_couplings(1, delta, theta)
         n_cells = 12
         rep = amplification.susceptibility(c, n_cells)
-        for h, chi in zip(model.quadrature_dynamical(c, n_cells),
-                          (rep.chi_x, rep.chi_p)):
+        for h, chi in zip(model.quadrature_dynamical(c, n_cells), dense_chi(rep)):
             with mpmath.workdps(50):
                 ref = np.array((mpmath.matrix(h.tolist()) ** -1).tolist(),
                                dtype=float)
@@ -242,8 +272,7 @@ class TestSusceptibility:
         c = derive_couplings(1, delta, theta)
         rep = amplification.susceptibility(c, n_cells)
         ac, bd = amplification._sector_indices(n_cells)
-        for h, chi in zip(model.quadrature_dynamical(c, n_cells),
-                          (rep.chi_x, rep.chi_p)):
+        for h, chi in zip(model.quadrature_dynamical(c, n_cells), dense_chi(rep)):
             ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(h),
                                         np.eye(h.shape[0]))
             big = np.abs(ref) >= 1e-12 * np.abs(ref).max()
@@ -255,35 +284,43 @@ class TestSusceptibility:
     def test_overflow_is_typed(self):
         c = derive_couplings(1, 0.9, 0.4)
         rep = amplification.susceptibility(c, 200)  # max|chi| ~ 1e276
-        assert np.isfinite(rep.chi_x).all() and rep.residual < 1e-10
+        assert np.isfinite(dense_chi(rep)[0]).all() and rep.residual < 1e-10
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularityError, match="overflow.*n_cells=260"):
                 amplification.susceptibility(c, 260)
 
     @pytest.mark.parametrize("delta", [-0.5, 0.5])
-    @pytest.mark.parametrize("n_cells", [2, 4])
+    @pytest.mark.parametrize("n_cells", [2, 4, 40])
     def test_corrupted_generator_rejected(self, monkeypatch, n_cells, delta):
-        # every single-entry corruption of h_x or h_p fails the dense check
-        # max|chi h - I| <= 1e-10 max(1, max|chi|), and so must fail the
-        # banded one, in susceptibility and in the scan
+        # every single-entry corruption of the cell blocks of h_x or h_p
+        # fails the dense check max|chi h - I| <= 1e-10 max(1, max|chi|) on
+        # the h laid out from them, and so must fail the banded one, in
+        # susceptibility and in the scan
         c = derive_couplings(1, delta, 0.4)
-        rep = amplification.susceptibility(c, n_cells)
-        clean = model.quadrature_dynamical(c, n_cells)
-        size = (4 * n_cells) ** 2
-        for which, chi in enumerate((rep.chi_x, rep.chi_p)):
-            for entry in range(size):
-                hs = [h.copy() for h in clean]
-                hs[which].flat[entry] += 1e-3
-                dense = np.abs(chi @ hs[which] - np.eye(4 * n_cells)).max()
-                assert dense > 1e-10 * max(1.0, np.abs(chi).max())
-                monkeypatch.setattr(amplification, "quadrature_dynamical",
-                                    lambda c, n, hs=hs: tuple(hs))
-                with pytest.raises(SingularityError):
-                    amplification.susceptibility(c, n_cells)
-                with pytest.raises(SingularityError):
-                    amplification.amplification_phase_scan(1.0, 0.4, [delta],
-                                                           n_cells)
+        chis = dense_chi(amplification.susceptibility(c, n_cells))
+        clean = model.quadrature_cells(c)
+        for entry in range(clean.size):
+            cells = clean.copy()
+            cells.flat[entry] += 1e-3
+            for mod in (model, amplification):
+                monkeypatch.setattr(mod, "quadrature_cells",
+                                    lambda c, cells=cells: cells)
+            which = entry // (clean.size // 2)  # h_x's blocks, then h_p's
+            h = model.quadrature_dynamical(c, n_cells)[which]
+            dense = np.abs(chis[which] @ h - np.eye(4 * n_cells)).max()
+            assert dense > 1e-10 * max(1.0, np.abs(chis[which]).max())
+            with pytest.raises(SingularityError):
+                amplification.susceptibility(c, n_cells)
+            with pytest.raises(SingularityError):
+                amplification.amplification_phase_scan(1.0, 0.4, [delta], n_cells)
+
+    @pytest.mark.parametrize("n_cells", [0, 1])
+    def test_short_chain_rejected(self, n_cells):
+        with pytest.raises(DomainError, match="at least 2 unit cells"):
+            amplification.susceptibility(derive_couplings(1, 0.5, 0.4), n_cells)
+        with pytest.raises(DomainError, match="at least 2 unit cells"):
+            amplification.amplification_phase_scan(1.0, 0.4, [0.5], n_cells)
 
     @pytest.mark.parametrize("delta, n_cells", [
         (0.9, 260),          # (w/v)^259 itself leaves the double range
@@ -425,6 +462,17 @@ class TestGain:
                 with pytest.raises(SingularityError, match="overflow.*n_cells=260"):
                     scan(1.0, 0.4, [0.9], 260)
 
+    def test_scan_memory_is_linear(self):
+        # one dense 4N x 4N generator would take 512 MB at N = 2000
+        tracemalloc.start()
+        try:
+            rows = amplification.amplification_phase_scan(1.0, 0.4, [-0.5], 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.residual < 1e-10
+        assert peak < 20e6
+
     @pytest.mark.parametrize("grid", [[], [np.nan], [0.5, np.inf], [-np.inf]])
     def test_scan_rejects_empty_or_non_finite_grid(self, grid):
         with pytest.raises(DomainError, match="non-empty and finite"):
@@ -446,12 +494,14 @@ class TestAmplifyOutputs:
                 .hexdigest()[:16] for name in ("amplification_scan", "chi_ac_x",
                                                "chi_ac_p", "chi_bd_x", "chi_bd_p")}
 
-    @pytest.mark.parametrize("overrides, scan, ac, bd", [
+    CASES = [
         ({}, "1d1092312d08be9b", "b2a3b4d7a0c14143", "5087230ed41971b2"),
         ({"theta": "0", "delta": "0.5", "delta_min": "0.5", "delta_steps": "1",
           "n_cells": "80"},
          "66ec70bace83088b", "f67da9ad4fa0836b", "571ee1717d6db312"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("overrides, scan, ac, bd", CASES)
     def test_outputs_unchanged(self, tmp_path, overrides, scan, ac, bd):
         cfg = cli.validate({"command": "amplify", "regime": "imaginary",
                             "out": str(tmp_path), **overrides})
@@ -459,3 +509,15 @@ class TestAmplifyOutputs:
         assert self._digests(tmp_path) == {
             "amplification_scan": scan, "chi_ac_x": ac, "chi_ac_p": ac,
             "chi_bd_x": bd, "chi_bd_p": bd}
+
+    @pytest.mark.parametrize("overrides, scan, ac, bd", CASES)
+    def test_outputs_need_no_dense_generator(self, tmp_path, monkeypatch,
+                                             overrides, scan, ac, bd):
+        # amplify reads the cell blocks alone: every binding of the dense
+        # builder refuses, and the files are the same
+        def refuse(*args):
+            raise AssertionError("dense quadrature generator built")
+        for mod in (model, amplification):
+            if hasattr(mod, "quadrature_dynamical"):
+                monkeypatch.setattr(mod, "quadrature_dynamical", refuse)
+        self.test_outputs_unchanged(tmp_path, overrides, scan, ac, bd)

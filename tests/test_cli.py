@@ -557,14 +557,34 @@ class TestCommands:
         assert list(stages) == ["susceptibility", *writes, "phase_scan",
                                 "amplification_scan.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
-        # chi_x, chi_p (16 x 16) and four 8 x 8 sector blocks
-        assert stages["susceptibility"]["shape"] == [16, 16]
-        assert stages["susceptibility"]["bytes"] == 8 * (2 * 256 + 4 * 64)
+        # the four 8 x 8 sector blocks, stacked
+        assert stages["susceptibility"]["shape"] == [4, 8, 8]
+        assert stages["susceptibility"]["bytes"] == 8 * 4 * 64
         for name in writes:
             assert stages[name]["shape"] == [64, 3]
             assert stages[name]["bytes"] == (out / name).stat().st_size
         assert stages["phase_scan"]["shape"] == [2, 7]
         assert stages["phase_scan"]["bytes"] == 2 * 7 * 8
+
+    @pytest.mark.parametrize("n_cells", ["0", "1"])
+    def test_amplify_short_chain_exit_2(self, tmp_path, n_cells):
+        status = cli.run(cli.validate({"command": "amplify", "regime": "imaginary",
+                                       "n_cells": n_cells, "out": str(tmp_path)}))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert status == 2
+        assert manifest["error"] == ("DomainError: need at least 2 unit cells, "
+                                     f"got {n_cells}")
+
+    def test_amplify_small_J_overflow_names_J(self, tmp_path):
+        # |chi| grows as 1/J: at the default n_cells the blocks leave the
+        # double range at J = 1e-280, and not at J = 1e-200
+        for J, want in (("1e-280", 2), ("1e-200", 0)):
+            status = cli.run(cli.validate({"command": "amplify", "regime": "imaginary",
+                                           "J": J, "out": str(tmp_path / J)}))
+            assert status == want
+        error = json.loads((tmp_path / "1e-280" / "manifest.json").read_text())["error"]
+        assert error.startswith("SingularityError: susceptibility overflows")
+        assert "n_cells=40, delta=" in error and "J=1e-280" in error
 
     def test_check_passes(self, tmp_path):
         code, out, manifest = run_cli(tmp_path, ["--command", "check"])
