@@ -42,11 +42,12 @@ def test_spectrum_sweep_pbc(benchmark, cfg, regime):
 
 
 @pytest.mark.parametrize("regime", list(model.Regime), ids=lambda r: r.value)
-def test_realspace_dynamical(benchmark, cfg, regime):
+def test_realspace_dynamical(benchmark, regime):
+    # the spectrum command reads no delta: the documented defaults
+    d = cli.DEFAULTS
     benchmark.extra_info["env"] = cli._environment()
-    n_cells = int(cfg["n_cells"])
-    c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
-                               float(cfg["theta"]))
+    n_cells = int(d["n_cells"])
+    c = model.derive_couplings(float(d["J"]), float(d["delta"]), float(d["theta"]))
     G = benchmark.pedantic(model.realspace_dynamical,
                            args=(c, n_cells, regime),
                            rounds=ROUNDS, iterations=1)

@@ -27,51 +27,34 @@ from . import __version__
 from .exceptions import QbChainError
 from . import amplification, model, quench, spectral, topology
 
-# documented defaults per configuration key (string form, as in config files)
+#: documented defaults per configuration key; a key's type is its default's
 DEFAULTS = {
     "command": "check",
-    "J": "1.0",
-    "theta": "0.4",
-    "delta": "0.5",
+    "J": 1.0,
+    "theta": 0.4,
+    "delta": 0.5,
     "regime": "real",
     "boundary": "pbc",
-    "n_cells": "40",
-    "k_points": "101",
-    "delta_min": "-0.9",
-    "delta_max": "0.9",
-    "delta_steps": "41",
-    "theta_min": "0.0",
-    "theta_max": "1.0",
-    "theta_steps": "11",
-    "grid_points": "2001",
-    "J_i": "1.0",
-    "delta_i": "-0.9",
-    "theta_i": "0.0",
-    "J_f": "1.0",
-    "delta_f": "0.9",
-    "theta_f": "0.4",
-    "t_max": "12.0",
-    "n_half": "1000",
-    "n_t": "800",
-    "n_max": "10",
+    "n_cells": 40,
+    "k_points": 101,
+    "delta_min": -0.9,
+    "delta_max": 0.9,
+    "delta_steps": 41,
+    "theta_min": 0.0,
+    "theta_max": 1.0,
+    "theta_steps": 11,
+    "grid_points": 2001,
+    "J_i": 1.0,
+    "delta_i": -0.9,
+    "theta_i": 0.0,
+    "J_f": 1.0,
+    "delta_f": 0.9,
+    "theta_f": 0.4,
+    "t_max": 12.0,
+    "n_half": 1000,
+    "n_t": 800,
+    "n_max": 10,
 }
-
-
-def _number_type(text: str):
-    """int or float, the first that parses ``text``; None for neither."""
-    for kind in (int, float):
-        try:
-            kind(text)
-        except ValueError:
-            continue
-        return kind
-    return None
-
-
-#: the type of each numeric key, read off its default: "40" parses as an
-#: int, "0.4" only as a float
-_NUMERIC = {key: kind for key, text in DEFAULTS.items()
-            if (kind := _number_type(text)) is not None}
 
 
 class UsageError(Exception):
@@ -201,56 +184,64 @@ def read_config(path: str) -> dict:
             continue  # section headers are organizational only
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        cfg[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise UsageError(f"{path}:{ln}: {key} is set twice")
+        cfg[key] = val
     return cfg
 
 
+def command_defaults(command: str) -> dict:
+    """The keys ``command`` reads, each with its default."""
+    defaults = {key: DEFAULTS[key] for key in _RUNNERS[command][1]}
+    if command in _ONE_REGIME:
+        defaults["regime"] = _ONE_REGIME[command][0]
+    return defaults
+
+
 def validate(cfg: dict) -> dict:
-    """Fill defaults, check keys/values, reject inconsistent combinations."""
-    unknown = sorted(set(cfg) - set(DEFAULTS) - {"out"})
+    """cfg's command with the keys it reads, each parsed once into its
+    default's type; a key the command does not read is a usage error."""
+    command = cfg.get("command", DEFAULTS["command"])
+    if command not in COMMANDS:
+        raise UsageError(f"command must be one of {COMMANDS}, got {command!r}")
+    defaults = command_defaults(command)
+    if command == "spectrum":  # the grid size of the other boundary is not read
+        del defaults[_SIZE_KEY["pbc" if cfg.get("boundary") == "obc" else "obc"]]
+    unknown = sorted(set(cfg) - set(defaults) - {"command", "out"})
     if unknown:
-        raise UsageError(
-            f"unknown config keys {unknown}; valid keys: {sorted(DEFAULTS)} + ['out']"
-        )
-    full = dict(DEFAULTS)
-    full.update(cfg)
-    if full["command"] not in COMMANDS:
-        raise UsageError(f"command must be one of {COMMANDS}, got {full['command']!r}")
-    if full["regime"] not in ("real", "imaginary"):
-        raise UsageError(f"regime must be real or imaginary, got {full['regime']!r}")
-    if full["boundary"] not in ("pbc", "obc"):
-        raise UsageError(f"boundary must be pbc or obc, got {full['boundary']!r}")
-    for key, kind in _NUMERIC.items():
+        raise UsageError(f"unknown config keys {unknown} for command {command!r}; "
+                         f"valid keys: {sorted(defaults)} + ['command', 'out']")
+    full = {"command": command}
+    for key, default in defaults.items():
+        text, kind = cfg.get(key, default), type(default)
         try:
-            value = kind(full[key])
+            full[key] = value = kind(text)
         except ValueError:
             what = "an integer" if kind is int else "a number"
-            raise UsageError(f"{key} must be {what}, got {full[key]!r}") from None
+            raise UsageError(f"{key} must be {what}, got {text!r}") from None
         if kind is float and not math.isfinite(value):
-            raise UsageError(f"{key} must be finite, got {full[key]!r}")
+            raise UsageError(f"{key} must be finite, got {text!r}")
         if kind is int and value < 0:
-            raise UsageError(f"{key} must be >= 0, got {full[key]!r}")
-    if int(full["delta_steps"]) < 1 or int(full["theta_steps"]) < 1:
+            raise UsageError(f"{key} must be >= 0, got {text!r}")
+    for key, choices in ("regime", ("real", "imaginary")), ("boundary", ("pbc", "obc")):
+        if full.get(key, choices[0]) not in choices:
+            raise UsageError(f"{key} must be {' or '.join(choices)}, got {full[key]!r}")
+    if min(full.get("delta_steps", 1), full.get("theta_steps", 1)) < 1:
         raise UsageError("delta_steps and theta_steps must be >= 1")
-    if (int(full["delta_steps"]) > 1
-            and float(full["delta_max"]) <= float(full["delta_min"])):
+    if full.get("delta_steps", 1) > 1 and full["delta_max"] <= full["delta_min"]:
         raise UsageError("delta range is empty (delta_max <= delta_min)")
-    if full["command"] == "amplify" and full["regime"] == "real":
-        raise UsageError(
-            "quadratures do not decouple in the real regime; "
-            "amplify requires regime=imaginary"
-        )
-    if full["command"] == "quench" and full["regime"] == "imaginary":
-        raise UsageError("quench runs the real regime only; it requires regime=real")
-    # derived, not a key: perfbench/checks.py reads the block from the manifest
-    full["model"] = "nssh2" if full["regime"] == "real" else "nssh1"
+    if command in _ONE_REGIME and full["regime"] != _ONE_REGIME[command][0]:
+        raise UsageError(_ONE_REGIME[command][1])
+    if "regime" in full:  # derived, not a key: perfbench/checks.py reads it
+        full["model"] = "nssh2" if full["regime"] == "real" else "nssh1"
+    if "out" in cfg:
+        full["out"] = cfg["out"]
     return full
 
 
 def _delta_grid(cfg: dict) -> np.ndarray:
-    return np.linspace(float(cfg["delta_min"]), float(cfg["delta_max"]),
-                       int(cfg["delta_steps"]))
+    return np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["delta_steps"])
 
 
 def _used(cells: np.ndarray) -> np.ndarray:
@@ -359,19 +350,17 @@ def _write_chi(outdir: Path, files: list, stages: list, name: str,
 
 def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
     regime = model.Regime(cfg["regime"])
-    pbc = cfg["boundary"] == "pbc"
-    size = "k_points" if pbc else "n_cells"
-    boundary = model.PBC.uniform(int(cfg[size])) if pbc else model.OBC(int(cfg[size]))
+    size = _SIZE_KEY[cfg["boundary"]]
+    boundary = (model.PBC.uniform if size == "k_points" else model.OBC)(cfg[size])
     t0 = time.perf_counter()
-    sweep = spectral.spectrum_sweep(float(cfg["J"]), float(cfg["theta"]),
-                                    _delta_grid(cfg), regime, boundary)
+    sweep = spectral.spectrum_sweep(cfg["J"], cfg["theta"], _delta_grid(cfg),
+                                    regime, boundary)
     evs = sweep.eigenvalues
     _stage(stages, "eigensolve", t0, evs.shape, evs.nbytes)
     if sweep.reality_residual is not None:
         tolerances["obc_reality_residual"] = sweep.reality_residual
-    meta = {"J": float(cfg["J"]), "theta": float(cfg["theta"]),
-            "regime": cfg["regime"], "boundary": cfg["boundary"], size: int(cfg[size])}
-    preamble = "".join(f"# {key}={val}\n" for key, val in sorted(meta.items()))
+    preamble = "".join(f"# {key}={cfg[key]}\n" for key in sorted(
+        ("J", "theta", "regime", "boundary", size)))
     _write_table(outdir, files, stages, "spectrum.csv",
                  preamble + "delta,index,re_lambda,im_lambda",
                  [sweep.deltas[:, None], np.arange(evs.shape[1]), evs.real,
@@ -379,9 +368,8 @@ def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
 
 
 def _cmd_winding(cfg, outdir, files, tolerances, stages):
-    c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
-                               float(cfg["theta"]))
-    grid = topology.default_bz_grid(int(cfg["grid_points"]))
+    c = model.derive_couplings(cfg["J"], cfg["delta"], cfg["theta"])
+    grid = topology.default_bz_grid(cfg["grid_points"])
     regime = model.Regime(cfg["regime"])
     provider = lambda k: model.bloch(k, c, regime)
     t0 = time.perf_counter()
@@ -404,15 +392,14 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
 
 def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
     t0 = time.perf_counter()
-    J = float(cfg["J"])
-    thetas = np.linspace(float(cfg["theta_min"]), float(cfg["theta_max"]),
-                         int(cfg["theta_steps"]))
+    thetas = np.linspace(cfg["theta_min"], cfg["theta_max"], cfg["theta_steps"])
     deltas = _delta_grid(cfg)
-    grid = topology.default_bz_grid(int(cfg["grid_points"]))
+    grid = topology.default_bz_grid(cfg["grid_points"])
     regime = model.Regime(cfg["regime"])
     rows, labels = [], []
     for th in thetas:
-        row = topology.classify_phases(J, th, deltas, regime, grid)
+        # at J = 1: no label or winding depends on J
+        row = topology.classify_phases(1.0, th, deltas, regime, grid)
         for d, label in zip(deltas, row):
             labels.append(label.tag.value)
             if label.tag is topology.Phase.CRITICAL:
@@ -420,7 +407,7 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
                 continue
             res = label.winding
             if res is None:  # the real-regime label comes from thresholds
-                c = model.derive_couplings(J, d, th)
+                c = model.derive_couplings(1.0, d, th)
                 res = topology.winding_pair(lambda k: model.bloch(k, c, regime), grid)
             rows.append((d, th, res.nu1, res.nu2, res.nu))
     _stage(stages, "winding", t0, (len(rows), 5), 40 * len(rows))
@@ -429,13 +416,10 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
 
 
 def _cmd_quench(cfg, outdir, files, tolerances, stages):
-    ci = model.derive_couplings(float(cfg["J_i"]), float(cfg["delta_i"]),
-                                float(cfg["theta_i"]))
-    cf = model.derive_couplings(float(cfg["J_f"]), float(cfg["delta_f"]),
-                                float(cfg["theta_f"]))
-    p = quench.QuenchProtocol.default(ci, cf, t_max=float(cfg["t_max"]),
-                                      n_half=int(cfg["n_half"]),
-                                      n_t=int(cfg["n_t"]))
+    ci = model.derive_couplings(cfg["J_i"], cfg["delta_i"], cfg["theta_i"])
+    cf = model.derive_couplings(cfg["J_f"], cfg["delta_f"], cfg["theta_f"])
+    p = quench.QuenchProtocol.default(ci, cf, t_max=cfg["t_max"],
+                                      n_half=cfg["n_half"], n_t=cfg["n_t"])
 
     t0 = time.perf_counter()
     field = quench.pgp_field(p)
@@ -452,7 +436,7 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
                  [p.t_grid, rr])
 
     t0 = time.perf_counter()
-    ct = quench.critical_set(p, range(int(cfg["n_max"])))
+    ct = quench.critical_set(p, range(cfg["n_max"]))
     _stage(stages, "critical_set", t0, (len(ct.entries), 5),
            40 * len(ct.entries), brackets=ct.brackets, halvings=ct.halvings,
            scalar_checks=ct.scalar_checks)
@@ -493,11 +477,9 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
 
 
 def _cmd_amplify(cfg, outdir, files, tolerances, stages):
-    c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
-                               float(cfg["theta"]))
-    n_cells = int(cfg["n_cells"])
+    c = model.derive_couplings(cfg["J"], cfg["delta"], cfg["theta"])
     t0 = time.perf_counter()
-    rep = amplification.susceptibility(c, n_cells)
+    rep = amplification.susceptibility(c, cfg["n_cells"])
     subs = list(rep.sectors.values())
     _stage(stages, "susceptibility", t0, (len(subs), *subs[0].shape),
            sum(a.nbytes for a in subs))
@@ -507,7 +489,7 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
                    *amplification.SECTOR_AXES[sector])
     t0 = time.perf_counter()
     scan = amplification.amplification_phase_scan(
-        float(cfg["J"]), float(cfg["theta"]), _delta_grid(cfg), n_cells)
+        cfg["J"], cfg["theta"], _delta_grid(cfg), cfg["n_cells"])
     table = np.array(scan)
     _stage(stages, "phase_scan", t0, table.shape, table.nbytes)
     tolerances["scan_residual"] = scan.residual
@@ -581,10 +563,28 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
     return len(failures)
 
 
-_RUNNERS = {"spectrum": _cmd_spectrum, "winding": _cmd_winding,
-            "phase-diagram": _cmd_phase_diagram, "quench": _cmd_quench,
-            "amplify": _cmd_amplify, "check": _cmd_check}
+_DELTAS = ("delta_min", "delta_max", "delta_steps")
+#: each command's runner and the keys it reads, besides ``command`` and ``out``
+_RUNNERS = {
+    "spectrum": (_cmd_spectrum, ("J", "theta", "regime", "boundary", *_DELTAS,
+                                 "k_points", "n_cells")),
+    "winding": (_cmd_winding, ("J", "delta", "theta", "regime", "grid_points")),
+    "phase-diagram": (_cmd_phase_diagram, ("regime", "theta_min", "theta_max",
+                                           "theta_steps", *_DELTAS, "grid_points")),
+    "quench": (_cmd_quench, ("regime", "J_i", "delta_i", "theta_i", "J_f", "delta_f",
+                             "theta_f", "t_max", "n_half", "n_t", "n_max")),
+    "amplify": (_cmd_amplify, ("regime", "J", "delta", "theta", "n_cells", *_DELTAS)),
+    "check": (_cmd_check, ()),
+}
 COMMANDS = tuple(_RUNNERS)
+#: the grid size key of each spectrum boundary; the other one is not read
+_SIZE_KEY = {"pbc": "k_points", "obc": "n_cells"}
+#: the one regime each command here runs (its default) and why
+_ONE_REGIME = {
+    "quench": ("real", "quench runs the real regime only; it requires regime=real"),
+    "amplify": ("imaginary", "quadratures do not decouple in the real regime; "
+                "amplify requires regime=imaginary"),
+}
 
 
 def _installed_version(package: str) -> str | None:
@@ -647,7 +647,7 @@ def run(cfg: dict) -> int:
     status = 0
     error = None
     try:
-        if _RUNNERS[cfg["command"]](cfg, outdir, files, tolerances, stages):
+        if _RUNNERS[cfg["command"]][0](cfg, outdir, files, tolerances, stages):
             status = 3  # only check returns a count, of failed checks
     except (QbChainError, np.linalg.LinAlgError, OverflowError) as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -676,8 +676,11 @@ def main(argv=None) -> int:
         prog="qbchain",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="Config keys and defaults:\n" + "\n".join(
-            f"  {k} = {v}" for k, v in DEFAULTS.items()),
+        epilog="Config keys and defaults by command; any other key is a usage error "
+               "(spectrum reads k_points with boundary=pbc, n_cells with obc):\n"
+               + "\n".join(f"  {command}: " + (" ".join(
+                   f"{key}={value}" for key, value in command_defaults(command).items())
+                   or "no keys") for command in COMMANDS),
     )
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--command", choices=COMMANDS,
@@ -686,12 +689,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = read_config(args.config) if args.config else {}
-        for key in ("command", "out"):
-            val = getattr(args, key)
-            if val is not None:
-                cfg[key] = str(val)
-        cfg = validate(cfg)
-        return run(cfg)
+        cfg.update({key: val for key in ("command", "out")
+                    if (val := getattr(args, key)) is not None})
+        return run(validate(cfg))
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

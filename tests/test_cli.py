@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib.metadata
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -32,11 +34,23 @@ SELF_QUENCHES = {
 }
 
 
+# a command that reads each numeric key
+READER = {
+    "J": "winding", "theta": "winding", "delta": "winding", "delta_min": "spectrum",
+    "delta_max": "spectrum", "theta_min": "phase-diagram",
+    "theta_max": "phase-diagram", "J_i": "quench", "delta_i": "quench",
+    "theta_i": "quench", "J_f": "quench", "delta_f": "quench", "theta_f": "quench",
+    "t_max": "quench", "n_cells": "amplify", "k_points": "spectrum",
+    "delta_steps": "spectrum", "theta_steps": "phase-diagram",
+    "grid_points": "winding", "n_half": "quench", "n_t": "quench", "n_max": "quench",
+}
+
+
 class TestValidation:
     def test_defaults_fill_in(self):
-        cfg = cli.validate({})
-        assert cfg["command"] == "check"
-        assert cfg["n_cells"] == "40"
+        assert cli.validate({})["command"] == "check"
+        cfg = cli.validate({"command": "amplify"})
+        assert cfg["n_cells"] == 40 and type(cfg["n_cells"]) is int
 
     def test_unknown_key_lists_schema(self):
         with pytest.raises(cli.UsageError, match="valid keys"):
@@ -48,19 +62,26 @@ class TestValidation:
             cli.validate({key: "1"})
 
     def test_bad_number(self):
-        with pytest.raises(cli.UsageError):
-            cli.validate({"delta": "half"})
+        with pytest.raises(cli.UsageError, match="^delta must be a number"):
+            cli.validate({"command": "winding", "delta": "half"})
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("winding", "regime", "regime must be real or imaginary, got 'x'"),
+        ("spectrum", "boundary", "boundary must be pbc or obc, got 'x'")])
+    def test_bad_choice_rejected(self, command, key, message):
+        with pytest.raises(cli.UsageError, match=f"^{message}$"):
+            cli.validate({"command": command, key: "x"})
 
     def test_empty_delta_range(self):
-        with pytest.raises(cli.UsageError):
-            cli.validate({"delta_min": "1", "delta_max": "0"})
+        with pytest.raises(cli.UsageError, match="delta range is empty"):
+            cli.validate({"command": "spectrum", "delta_min": "1", "delta_max": "0"})
 
     @pytest.mark.parametrize("key, value", [
         ("delta_min", "nan"), ("delta", "inf"), ("theta", "-inf"),
         ("t_max", "NaN"), ("J_f", "infinity")])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(cli.UsageError, match=f"{key} must be finite"):
-            cli.validate({key: value})
+            cli.validate({"command": READER[key], key: value})
 
     def test_unknown_model_rejected(self):
         with pytest.raises(cli.UsageError, match=r"unknown config keys \['model'\]"):
@@ -85,14 +106,14 @@ class TestValidation:
             "n_half", "n_t", "n_max"))])
     def test_numeric_key_rejects_text(self, key, kind):
         with pytest.raises(cli.UsageError, match=f"^{key} must be {kind}, got 'x'$"):
-            cli.validate({key: "x"})
+            cli.validate({"command": READER[key], key: "x"})
 
     @pytest.mark.parametrize("key", [
         "n_cells", "k_points", "delta_steps", "theta_steps", "grid_points",
         "n_half", "n_t", "n_max"])
     def test_negative_count_rejected(self, key):
         with pytest.raises(cli.UsageError, match=f"^{key} must be >= 0, got '-1'$"):
-            cli.validate({key: "-1"})
+            cli.validate({"command": READER[key], key: "-1"})
 
     def test_config_file_parsing(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -106,10 +127,20 @@ class TestValidation:
         with pytest.raises(cli.UsageError):
             cli.read_config(str(p))
 
+    def test_config_key_set_twice(self, tmp_path):
+        # the last value used to win silently: delta=-0.9 here
+        p = tmp_path / "run.cfg"
+        p.write_text("command=winding\ndelta=0.9\n[again]\n delta = -0.9\n")
+        with pytest.raises(cli.UsageError, match=f"^{re.escape(str(p))}:4: delta is "
+                                                 "set twice"):
+            cli.read_config(str(p))
+
 
 class TestCommands:
     def test_usage_error_exit_1(self, tmp_path, capsys):
-        code, _, _ = run_cli(tmp_path, ["--command", "amplify"])  # default regime=real
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("delta=0.5\n")  # check reads no key
+        code, _, _ = run_cli(tmp_path, ["--config", str(cfg), "--command", "check"])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
@@ -189,21 +220,17 @@ class TestCommands:
     @pytest.mark.parametrize("config, files", [
         ({"command": "amplify", "regime": "imaginary", "J": "1e160"},
          ["amplification_scan.csv"]),
-        ({"command": "phase-diagram", "regime": "imaginary", "J": "1e160",
-          "grid_points": "401", "theta_steps": "3"}, ["phase_diagram.csv"]),
-        ({"command": "phase-diagram", "regime": "imaginary", "J": "1e-160",
-          "grid_points": "401", "theta_steps": "3"}, ["phase_diagram.csv"]),
         ({"command": "winding", "J": "1e-160"}, []),
         ({"command": "quench", "J_i": "1e160", "J_f": "1e160", "n_half": "100",
           "n_t": "60"}, []),
         ({"command": "quench", "J_i": "1e-160", "J_f": "1e-160", "n_half": "100",
           "n_t": "60"}, []),
-    ], ids=["amplify-1e160", "phase-diagram-1e160", "phase-diagram-1e-160",
-            "winding-1e-160", "quench-1e160", "quench-1e-160"])
+    ], ids=["amplify-1e160", "winding-1e-160", "quench-1e160", "quench-1e-160"])
     def test_extreme_J_runs_or_names_J(self, tmp_path, config, files):
-        # a run at an extreme J either reads as at J = 1 (delta0, nu and the
-        # labels; the gains scale as 1/J) or exits 2 with a typed error that
-        # names J, with no RuntimeWarning on the way
+        # a run at an extreme J either reads as at J = 1 (delta0 and nu; the
+        # gains scale as 1/J) or exits 2 with a typed error that names J,
+        # with no RuntimeWarning on the way; the phase diagram's labels are
+        # tested at extreme J in test_topology, since it reads no J
         J = config.get("J", config.get("J_i"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -221,15 +248,10 @@ class TestCommands:
             got, ref = ([line.split(",") for line in (tmp_path / d / name)
                          .read_text().splitlines()[1:]] for d in ("x", "unit"))
             assert len(got) == len(ref)
-            for a, b in zip(got, ref):
-                if name == "phase_diagram.csv":  # delta, theta, nu1, nu2, nu, label
-                    assert a[:2] == b[:2] and a[5] == b[5]
-                    assert np.allclose(np.array(a[2:5], float), np.array(b[2:5], float),
-                                       rtol=0, atol=1e-12, equal_nan=True)
-                else:  # delta, delta0, nu, then four gains
-                    a, b = np.array(a, float), np.array(b, float)
-                    assert np.abs(a[:3] - b[:3]).max() < 1e-12
-                    assert np.abs(a[3:] * float(J) / b[3:] - 1).max() < 1e-12
+            for a, b in zip(got, ref):  # delta, delta0, nu, then four gains
+                a, b = np.array(a, float), np.array(b, float)
+                assert np.abs(a[:3] - b[:3]).max() < 1e-12
+                assert np.abs(a[3:] * float(J) / b[3:] - 1).max() < 1e-12
 
     @pytest.mark.parametrize("label", list(SELF_QUENCHES))
     def test_self_quench_has_no_crossing(self, tmp_path, label):
@@ -341,7 +363,7 @@ class TestCommands:
             :16] == "f9219322b9b48391"
 
     @pytest.mark.parametrize("settings, where", [
-        ("n_cells=80\ntheta=1\ndelta=0.5\ndelta_min=0.5\ndelta_steps=1\n",
+        ("n_cells=80\ntheta=1\ndelta_min=0.5\ndelta_steps=1\n",
          "delta=0.5, theta=1.0, N=80"),
         ("n_cells=40\ntheta=2\n", "delta=-0.9, theta=2.0, N=40")])
     def test_obc_spectrum_off_the_real_axis_exit_2(self, tmp_path, settings, where):
@@ -675,6 +697,131 @@ class TestCommands:
         assert proc.stdout.strip() == "[]"
 
 
+# small runs of each command, and for each key a command reads, a value
+# away from the phase boundaries that must change what the run writes;
+# written apart from the key table in cli
+ORACLE_BASE = {
+    "spectrum": {"delta_steps": "3"},
+    "winding": {"grid_points": "401"},
+    "phase-diagram": {"delta_steps": "3", "theta_steps": "2", "grid_points": "401"},
+    "quench": {"n_half": "50", "n_t": "40"},
+    "amplify": {"n_cells": "4", "delta_steps": "3"},
+    "check": {},
+}
+READS = {
+    "spectrum": {"J": "2", "theta": "0.2", "regime": "imaginary", "boundary": "obc",
+                 "delta_min": "-0.5", "delta_max": "0.5", "delta_steps": "2",
+                 "k_points": "13", "n_cells": "4"},
+    "winding": {"J": "2", "delta": "-0.5", "theta": "0.2", "regime": "imaginary",
+                "grid_points": "201"},
+    "phase-diagram": {"regime": "imaginary", "theta_min": "0.2", "theta_max": "0.8",
+                      "theta_steps": "3", "delta_min": "-0.5", "delta_max": "0.5",
+                      "delta_steps": "4", "grid_points": "201"},
+    # the initial state does not depend on the scale J_i (J_i = 2 writes the
+    # same bytes, and other values change the rounding only): J_i sets the
+    # range of the run, and 1e160 leaves it
+    "quench": {"regime": "real", "J_i": "1e160", "delta_i": "-0.5", "theta_i": "0.2",
+               "J_f": "2", "delta_f": "0.5", "theta_f": "0.2", "t_max": "6",
+               "n_half": "40", "n_t": "30", "n_max": "3"},
+    "amplify": {"regime": "imaginary", "J": "2", "delta": "0.7", "theta": "0.2",
+                "n_cells": "5", "delta_min": "-0.5", "delta_max": "0.5",
+                "delta_steps": "2"},
+    "check": {},
+}
+# quench and amplify each run one regime: regime may be set, to that one
+EXEMPT = {("quench", "regime"), ("amplify", "regime")}
+# a spectrum reads the grid size of its boundary only
+OTHER_SIZE = [("spectrum", "pbc", "n_cells"), ("spectrum", "obc", "k_points")]
+REJECTED = [(command, key) for command in READS for key in cli.DEFAULTS
+            if key != "command" and key not in READS[command]]
+
+
+def _written(root, name, config):
+    """The data files, ``files`` and ``tolerances`` of one run; the data
+    without spectrum.csv's preamble, which echoes the configuration."""
+    out = root / name
+    cli.run(cli.validate({**config, "out": str(out)}))
+    manifest = json.loads((out / "manifest.json").read_text())
+    data = {f["name"]: [line for line in (out / f["name"]).read_bytes().splitlines()
+                        if not line.startswith(b"#")] for f in manifest["files"]}
+    return data, manifest["files"], manifest["tolerances"]
+
+
+class TestKeyRule:
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in READS for key in READS[command]])
+    def test_every_key_read_changes_the_run(self, tmp_path, command, key):
+        base = {"command": command, **ORACLE_BASE[command]}
+        if (command, key) == ("spectrum", "n_cells"):
+            base["boundary"] = "obc"  # n_cells is the OBC chain length
+        ref = _written(tmp_path, "ref", base)
+        got = _written(tmp_path, "got", {**base, key: READS[command][key]})
+        if (command, key) in EXEMPT:
+            assert got == ref
+        else:
+            assert got != ref
+
+    def test_rejected_pairs(self):
+        # every (command, key) pair of the 24 keys that no command reads
+        assert len(REJECTED) == 103
+
+    @pytest.mark.parametrize("command, boundary, key", [
+        *((command, None, key) for command, key in REJECTED), *OTHER_SIZE])
+    def test_key_not_read_exit_1(self, tmp_path, capsys, command, boundary, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"command={command}\n{key}=2\n"
+                       + (f"boundary={boundary}\n" if boundary else ""))
+        code, out, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 1 and manifest is None and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: unknown config keys ['{key}'] for "
+                              f"command '{command}'")
+        assert "valid keys" in err
+
+    def test_phase_diagram_takes_no_J(self, tmp_path, capsys):
+        # no label or winding depends on J (see test_topology)
+        cfg = tmp_path / "pd.cfg"
+        cfg.write_text("command=phase-diagram\nJ=2\n")
+        code, _, manifest = run_cli(tmp_path, ["--config", str(cfg)])
+        assert code == 1 and manifest is None
+        err = capsys.readouterr().err
+        assert "unknown config keys ['J'] for command 'phase-diagram'" in err
+        assert "'J'" not in err.split("valid keys")[1]
+
+    def test_amplify_defaults_to_imaginary(self, tmp_path):
+        code, _, manifest = run_cli(tmp_path, ["--command", "amplify"])
+        assert code == 0
+        assert manifest["config"]["regime"] == "imaginary"
+        assert manifest["config"]["model"] == "nssh1"
+
+    def test_benchmark_workloads_validate(self):
+        # perfbench/run.py's WORKLOADS, read without importing the module
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        (node,) = [n.value for n in ast.parse(path.read_text()).body
+                   if isinstance(n, ast.Assign)
+                   and [getattr(t, "id", None) for t in n.targets] == ["WORKLOADS"]]
+        workloads = ast.literal_eval(node)
+        assert set(workloads) == {"quench", "amplify", "survey"}
+        for runs in workloads.values():
+            for label, config in runs:
+                assert cli.validate(config)["command"] == config["command"], label
+
+    def test_readme_and_help_list_the_key_table(self, capsys):
+        table = {command: {key: str(value) for key, value in
+                           cli.command_defaults(command).items()}
+                 for command in cli.COMMANDS}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", readme, re.MULTILINE)
+        assert {command: dict(re.findall(r"`(\w+)=([^`]+)`", keys))
+                for command, keys in rows} == table
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        epilog = capsys.readouterr().out.split("Config keys and defaults")[1]
+        lines = re.findall(r"^  ([\w-]+): (.*)$", epilog, re.MULTILINE)
+        assert {command: dict(re.findall(r"(\w+)=(\S+)", keys))
+                for command, keys in lines} == table
+
+
 class TestInstalledVersion:
     def test_scipy_matches_metadata(self):
         assert cli._environment()["scipy"] == importlib.metadata.version("scipy")
@@ -806,6 +953,16 @@ class TestOutputFiles:
             paths.append(out / "manifest.json")
         for path in paths:
             json.loads(path.read_text(), parse_constant=reject)
+
+    def test_manifest_config_is_typed(self, small_runs):
+        # numbers, not their config-file text
+        root, manifests = small_runs
+        assert '"n_cells": 4,' in (root / "amplify" / "manifest.json").read_text()
+        assert manifests["amplify"]["config"]["J"] == 1.0
+        for manifest in manifests.values():
+            for key, value in manifest["config"].items():
+                if key not in ("out", "model"):
+                    assert type(value) is type(cli.DEFAULTS[key]), key
 
     @pytest.mark.parametrize("label", list(SMALL_RUN_DIGESTS))
     def test_digests(self, small_runs, label):

@@ -230,6 +230,23 @@ class TestClassification:
         with pytest.raises(DomainError, match="regime must be a Regime"):
             topology.classify_phases(1.0, 0.4, [0.5], regime)
 
+    @pytest.mark.parametrize("J", [1e160, 1e-160])
+    def test_imag_labels_do_not_depend_on_J(self, J):
+        # the imaginary phase diagram's grid (theta_steps=3, grid_points=401)
+        # at an extreme J: the J = 1 labels, and nu within 1e-12
+        grid = topology.default_bz_grid(401)
+        deltas = np.linspace(-0.9, 0.9, 41)
+        for theta in np.linspace(0.0, 1.0, 3):
+            got, ref = (topology.classify_phases(j, theta, deltas, Regime.IMAGINARY,
+                                                 grid) for j in (J, 1.0))
+            assert [lab.tag for lab in got] == [lab.tag for lab in ref]
+            for a, b in zip(got, ref):
+                assert (a.winding is None) == (b.winding is None)
+                if b.winding is not None:
+                    assert max(abs(getattr(a.winding, f) - getattr(b.winding, f))
+                               for f in ("nu1", "nu2", "nu")) < 1e-12
+                    assert abs(a.nu - b.nu) < 1e-12
+
     def test_imag_phases(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
         for d in (-0.5, -0.2):
