@@ -2,7 +2,7 @@
 and the chi CSV writes, with pytest-benchmark.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_amplify.py \
-        --benchmark-json BENCH_26.json
+        --benchmark-json BENCH_30.json
 
 ``amplification_phase_scan`` runs the default scan (41 deltas at
 theta = 0.4, N = 40) one block of ``topology.DELTA_BLOCK`` deltas at a
@@ -20,7 +20,9 @@ speed-up, and the real (nSSH2) case is the per-momentum winding that the
 ``phase-diagram`` and ``check`` commands run.  ``environment`` builds the
 manifest's ``env`` block afresh (it is cached per process in a run).  ``chi_csv_writes``
 writes the four ``chi_*.csv`` files of the theta = 0, N = 80 run
-(4 x 25,600 rows) into a fresh directory each round.  The file name is
+(4 x 25,600 rows, two blocks each) into a fresh directory each round with
+``cli._write_chi``: the text of each sector's Neumann blocks, laid out
+once as its X file, which is copied to its P file.  The file name is
 outside pytest's default ``test_*.py`` pattern, so the test suite does not
 collect it; pass it to pytest by path.  Each record's ``extra_info`` holds
 the manifest's ``env`` block (versions, BLAS, cores, thread settings).
@@ -104,10 +106,7 @@ def test_chi_csv_writes(benchmark, tmp_path):
 
     def write_all():
         stages = []
-        for (sector, quad), sub in rep.sectors.items():
-            name = f"chi_{sector}_{quad}.csv".lower()
-            cli._write_chi(tmp_path, [], stages, name, sub,
-                           *amplification.SECTOR_AXES[sector])
+        cli._write_chi(tmp_path, [], stages, rep.blocks)
         return sum(s["bytes"] for s in stages)
 
     nbytes = benchmark.pedantic(write_all, setup=fresh_files, rounds=ROUNDS,

@@ -10,6 +10,7 @@ in the topologically non-trivial phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "GainProfile",
     "PhaseScan",
     "sector_labels",
+    "lay_out",
     "susceptibility",
     "closed_form_theta0",
     "gain_metrics",
@@ -36,18 +38,25 @@ DIRECTION_GAIN_THRESHOLD = 1.02
 class SusceptibilityReport:
     """The nonzero sublattice sub-matrices of the susceptibilities chi = h^-1.
 
-    ``sectors`` maps each (sector, quadrature) of PAIRS, in that order, to
-    its 2N x 2N sub-matrix of that quadrature's chi, with rows and columns
-    on the sublattices of the two sectors of ``SECTOR_AXES[sector]``; the
-    AC x AC and BD x BD parts of chi are zero.  ``residual`` is
-    max|chi h - I| / max(1, J max|chi|), the larger of the two generators'
-    values; ``susceptibility`` rejects any above 1e-10.
+    ``blocks`` is the checked Neumann stack of ``_neumann_blocks``, shape
+    (4, N + 1, 2, 2) in PAIRS order, block N the zero block.  ``sectors``,
+    laid out on first read, maps each (sector, quadrature) of PAIRS, in that
+    order, to its 2N x 2N sub-matrix of that quadrature's chi (``lay_out``
+    of its stack), with rows and columns on the sublattices of the two
+    sectors of ``SECTOR_AXES[sector]``; the AC x AC and BD x BD parts of chi
+    are zero.  ``residual`` is max|chi h - I| / max(1, J max|chi|), the
+    larger of the two generators' values; ``susceptibility`` rejects any
+    above 1e-10.
     """
 
-    sectors: dict
+    blocks: np.ndarray
     params: CouplingSet
     n_cells: int
     residual: float
+
+    @cached_property
+    def sectors(self) -> dict:
+        return {pair: lay_out(stack, pair[0]) for pair, stack in zip(PAIRS, self.blocks)}
 
 
 @dataclass
@@ -176,23 +185,35 @@ def _neumann_blocks(cs: list, n_cells: int):
     return blocks, residuals
 
 
-def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
-    """Static susceptibilities chi = h^-1 of the X and P quadratures.
+def lay_out(stack: np.ndarray, sector: str) -> np.ndarray:
+    """``sector``'s 2N x 2N sub-matrix laid out from its Neumann stack.
 
-    Gathers the checked blocks of ``_neumann_blocks`` into the sector
-    sub-matrices, with no linear solve and no dense 4N x 4N matrix.
+    ``stack`` has shape (N + 1, 2, 2, ...), one pair's entry of the blocks
+    of ``_neumann_blocks``: block m at cell distance m, block N the zero
+    block; trailing axes (the bytes of a text, say) are carried along.
+    chi_bd's block (i, j) is stack[i - j], zero above the diagonal, and
+    chi_ac is the transpose of that layout.
     """
-    blocks, residuals = _neumann_blocks([c], n_cells)
-    # one gather index into the blocks: block distance (the zero block N
-    # above the diagonal) and sublattice pair of each 2N x 2N entry
+    n_cells = len(stack) - 1
+    # block distance (the zero block N above the diagonal) and sublattice
+    # pair of each 2N x 2N entry, as one index into the flattened blocks
     cell = np.repeat(np.arange(n_cells), 2)
     dist = cell[:, None] - cell[None, :]
     sub = np.arange(2 * n_cells) % 2
-    lower = blocks[0][:, np.where(dist >= 0, dist, n_cells), sub[:, None],
-                      sub[None, :]]
-    # chi_bd is block-lower Toeplitz, chi_ac the transpose of one
-    sectors = dict(zip(PAIRS, [*lower[:2].swapaxes(1, 2), *lower[2:]]))
-    return SusceptibilityReport(sectors=sectors, params=c, n_cells=n_cells,
+    flat = (np.where(dist >= 0, dist, n_cells) * 2 + sub[:, None]) * 2 + sub
+    lower = stack.reshape(-1, *stack.shape[3:])[flat]
+    return lower.swapaxes(0, 1) if sector == "AC" else lower
+
+
+def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
+    """Static susceptibilities chi = h^-1 of the X and P quadratures.
+
+    Keeps the checked blocks of ``_neumann_blocks``, from which the sector
+    sub-matrices are laid out, with no linear solve and no dense 4N x 4N
+    matrix.
+    """
+    blocks, residuals = _neumann_blocks([c], n_cells)
+    return SusceptibilityReport(blocks=blocks[0], params=c, n_cells=n_cells,
                                 residual=float(residuals[0]))
 
 
@@ -248,9 +269,10 @@ def gain_metrics(rep: SusceptibilityReport):
             tri_sign, direction = 1, "leftward"
         else:
             tri_sign, direction = -1, "rightward"
-        # mean log-magnitude at each distance m >= 1 into that triangle
+        # mean log-magnitude at each distance m >= 1 into that triangle,
+        # over the entries that are not rounding noise (chi in units of 1/J)
         m = tri_sign * dist
-        keep = (m > 0) & (mag > 1e-13)
+        keep = (m > 0) & (rep.params.J * mag > 1e-13)
         counts = np.bincount(m[keep], minlength=n_cells)
         xs = np.flatnonzero(counts)
         ys = np.bincount(m[keep], weights=np.log(mag[keep]),

@@ -17,6 +17,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -82,6 +83,10 @@ _COMMA, _NEWLINE = np.frombuffer(b",\n", dtype=np.uint8)[:, None]
 #: rows per block of a table (16 momenta of the default pgp_grid.csv):
 #: bounds the text held in memory
 _TABLE_BLOCK = 12800
+#: blocks below which a table is laid out on the calling thread: on 2
+#: cores, tables of 2 to 6 blocks took as long or longer on two threads,
+#: which hand the GIL back and forth more than they overlap
+_POOL_BLOCKS = 8
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -134,7 +139,9 @@ def _fmt_cells(x: np.ndarray) -> np.ndarray:
     slow = ~zero & ~((est >= -7) & (est <= 17))
     # zeros and slow values run as 1.0 * 10^16 and are reset below
     a[zero | slow] = 1.0
-    ex = np.clip(np.where(zero | slow, 0.0, est), -6, 16).astype(np.int64)
+    est[zero | slow] = 0.0
+    ex = np.clip(est, -6, 16, out=est).astype(np.int64)
+    del est
     p, e = _two_product(a, _POW10[16 - ex])
     # the float estimate of E can be one off: step it by the exact p + e
     low, high = _off_decade(p, e)
@@ -147,27 +154,40 @@ def _fmt_cells(x: np.ndarray) -> np.ndarray:
         p[step], e[step] = _two_product(a[step], _POW10[16 - ex[step]])
         low, high = _off_decade(p[step], e[step])
         slow[step[low | high]] = True
-    m = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del a, low, high
+    m = p.astype(np.int64)
+    del p
+    m += np.rint(e, out=e).astype(np.int64)
+    del e
     m[zero | slow] = 0
     ex[zero | slow] = 0
 
     # 0 <= m < 10^17: split it into the lead digit and four 4-digit groups
-    # in uint64, which numpy divides by a constant faster than int64
+    # in uint64, which numpy divides by a constant faster than int64; each
+    # word is computed contiguously and assigned to its column of ``words``
+    # once
     m = m.view(np.uint64)
     hi = m // 10**8
-    lo = m - hi * 10**8
+    m -= hi * 10**8
     lead = hi // 10**8
     hi -= lead * 10**8
+    lead += np.signbit(x) * np.uint64(10)
     words = np.empty((x.size, 6), dtype=np.uint64)
-    np.multiply(np.signbit(x), np.uint64(10), out=words[:, 0])
-    words[:, 0] += lead
-    for col, g in ((1, hi), (3, lo)):
+    words[:, 0] = lead
+    del lead
+    for col, g in ((1, hi), (3, m)):
         q = g // 10**4
-        np.add(q, _GROUP, out=words[:, col])
         g -= q * 10**4
-        np.add(g, _GROUP, out=words[:, col + 1])
-    np.add(ex, _EXPONENT, out=words[:, 5].view(np.int64))
+        q += _GROUP
+        g += _GROUP
+        words[:, col] = q
+        words[:, col + 1] = g
+    del hi, m, q
+    ex += _EXPONENT
+    words[:, 5] = ex
+    del ex
     cells = _WORDS.take(words.view(np.intp)).view(np.uint8)
+    del words
     if slow.any():
         text = np.array([b"%.16e" % v for v in x[slow].tolist()], dtype=f"S{_CELL}")
         cells[slow] = text.view(np.uint8).reshape(-1, _CELL)
@@ -280,13 +300,15 @@ def _write_table(outdir: Path, files: list, stages: list, name: str,
     A column smaller than the table is formatted once, with its separator; a
     full-size column is formatted in each block.  A block is whole entries
     of the leading axis, _TABLE_BLOCK rows or fewer (at least one entry),
-    laid out as fixed-width uint8 rows on ``quench.map_chunks``' threads.
-    Each column of a block keeps only the cell bytes that some cell in it
-    uses (``_used``), and ``bytearray.replace`` drops the padding left; this
-    thread writes the blocks in order.  Records the file under ``files``
-    with its number of data rows, and a stage timed from ``t0`` (default:
-    now) with shape (rows, columns), the bytes written and the number of
-    formatting ``workers``.
+    laid out as fixed-width uint8 rows.  A table of fewer than _POOL_BLOCKS
+    blocks is laid out on the calling thread, a larger one on
+    ``quench.map_chunks``' threads.  Each column of a block keeps
+    only the cell bytes that some cell in it uses (``_used``), and
+    ``bytearray.replace`` drops the padding left; this thread writes the
+    blocks in order.  Records the file under ``files`` with its number of
+    data rows, and a stage timed from ``t0`` (default: now) with shape
+    (rows, columns), the bytes written and the number of formatting
+    ``workers``.
     """
     t0 = time.perf_counter() if t0 is None else t0
     columns = [np.asarray(col) for col in columns]
@@ -321,31 +343,50 @@ def _write_table(outdir: Path, files: list, stages: list, name: str,
             at += part.shape[-1]
         return text.replace(b"\0", b"")
 
+    n_blocks = -(-shape[0] // step) if n else 0
     with (outdir / name).open("wb") as fh:
         written = [fh.write(header.encode() + b"\n")]
-        workers = quench.map_chunks(block, -(-shape[0] // step) if n else 0,
-                                    lambda text: written.append(fh.write(text)))
+        if n_blocks < _POOL_BLOCKS:
+            workers = 1
+            written += [fh.write(block(i)) for i in range(n_blocks)]
+        else:
+            workers = quench.map_chunks(block, n_blocks,
+                                        lambda text: written.append(fh.write(text)))
     files.append({"name": name, "rows": n})
     _stage(stages, name, t0, (n, len(columns)), sum(written), workers=workers)
 
 
-def _write_chi(outdir: Path, files: list, stages: list, name: str,
-               sub: np.ndarray, rows: str, cols: str) -> None:
-    """Write the ``row,col,abs_value`` rows of |sub| as ``name``.
+def _write_chi(outdir: Path, files: list, stages: list, blocks: np.ndarray) -> None:
+    """Write ``chi_<sector>_<quadrature>.csv`` for each pair of PAIRS, in
+    that order: the ``row,col,abs_value`` rows of the pair's sub-matrix.
 
-    ``rows`` and ``cols`` name the sectors whose
-    ``amplification.sector_labels`` index sub's rows and columns.  Each
-    distinct |value| is formatted once with ``'%.16e'`` (``np.unique``) and
-    gathered into the value column: a sub-matrix holds few distinct
-    magnitudes.
+    ``blocks`` is ``SusceptibilityReport.blocks``.  The 4(N + 1) magnitudes
+    of a pair's Neumann stack are formatted with ``'%.16e'`` and the text is
+    laid out by ``amplification.lay_out``, with the row and column labels of
+    ``amplification.sector_labels``.  Where a sector's P magnitudes equal
+    its X ones bit for bit (|chi_P| = |chi_X|: the P recurrence is the X one
+    conjugated by diag(1, -1)), its P file is a copy of its X file, with its
+    own ``files`` entry and stage.
     """
-    t0 = time.perf_counter()
-    uniq, inv = np.unique(np.abs(sub).ravel(), return_inverse=True)
-    rl, cl = (amplification.sector_labels(s, n // 2)
-              for s, n in zip((rows, cols), sub.shape))
-    text = np.array([b"%.16e" % u for u in uniq.tolist()])[inv]
-    _write_table(outdir, files, stages, name, "row,col,abs_value",
-                 [rl[:, None], cl, text.reshape(sub.shape)], t0)
+    mags = np.abs(blocks)
+    n_cells = len(blocks[0]) - 1
+    for sector, axes in amplification.SECTOR_AXES.items():
+        rows, cols = (amplification.sector_labels(s, n_cells) for s in axes)
+        x, p = (mags[amplification.PAIRS.index((sector, quad))] for quad in ("X", "P"))
+        for quad, mag in (("X", x), ("P", p)):
+            t0 = time.perf_counter()
+            name = f"chi_{sector}_{quad}.csv".lower()
+            if quad == "P" and p.tobytes() == x.tobytes():
+                shutil.copyfile(outdir / files[-1]["name"], outdir / name)
+                files.append({**files[-1], "name": name})
+                stages.append({**stages[-1], "name": name,
+                               "wall_s": time.perf_counter() - t0})
+                continue
+            text = np.array([b"%.16e" % v for v in mag.ravel().tolist()])
+            _write_table(outdir, files, stages, name, "row,col,abs_value",
+                         [rows[:, None], cols,
+                          amplification.lay_out(text.reshape(mag.shape), sector)],
+                         t0)
 
 
 def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
@@ -480,13 +521,11 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     c = model.derive_couplings(cfg["J"], cfg["delta"], cfg["theta"])
     t0 = time.perf_counter()
     rep = amplification.susceptibility(c, cfg["n_cells"])
-    subs = list(rep.sectors.values())
-    _stage(stages, "susceptibility", t0, (len(subs), *subs[0].shape),
-           sum(a.nbytes for a in subs))
+    # the four 2N x 2N sub-matrices the blocks lay out as
+    shape = (len(rep.blocks), 2 * rep.n_cells, 2 * rep.n_cells)
+    _stage(stages, "susceptibility", t0, shape, math.prod(shape) * rep.blocks.itemsize)
     tolerances["susceptibility_residual"] = rep.residual
-    for (sector, quad), sub in rep.sectors.items():
-        _write_chi(outdir, files, stages, f"chi_{sector}_{quad}.csv".lower(), sub,
-                   *amplification.SECTOR_AXES[sector])
+    _write_chi(outdir, files, stages, rep.blocks)
     t0 = time.perf_counter()
     scan = amplification.amplification_phase_scan(
         cfg["J"], cfg["theta"], _delta_grid(cfg), cfg["n_cells"])

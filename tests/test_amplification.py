@@ -411,6 +411,19 @@ class TestGain:
             assert abs(g.gain_per_cell / ref - 1.0) < 1e-12
             assert g.end_to_end == mag[np.abs(dist) == 19].max()
 
+    @pytest.mark.parametrize("delta", [0.5, -0.5])
+    @pytest.mark.parametrize("J", [1e-150, 1e-20, 1e20, 1e40, 1e150])
+    def test_gain_does_not_depend_on_J(self, J, delta):
+        # |chi| scales as 1/J: the noise cut reads J |chi|
+        ref = amplification.gain_metrics(
+            amplification.susceptibility(derive_couplings(1.0, delta, 0.4), 40))
+        gains = amplification.gain_metrics(
+            amplification.susceptibility(derive_couplings(J, delta, 0.4), 40))
+        assert any(g.gain_per_cell > 0.0 for g in ref)
+        for g, r in zip(gains, ref, strict=True):
+            assert g.direction == r.direction
+            assert abs(g.gain_per_cell - r.gain_per_cell) <= 1e-12 * r.gain_per_cell
+
     def test_scan_topology_correspondence(self):
         delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
         deltas = np.linspace(-0.9, 0.9, 50)
@@ -483,6 +496,21 @@ class TestGain:
         with pytest.raises(DomainError):
             amplification.amplification_phase_scan(
                 1.0, 0.4, [delta0 + 5e-5], 6)
+
+
+class TestNeumannStack:
+    def test_sectors_are_the_stack_laid_out(self):
+        rep = amplification.susceptibility(derive_couplings(1.0, 0.5, 0.4), 5)
+        for (sector, _), stack, sub in zip(amplification.PAIRS, rep.blocks,
+                                           rep.sectors.values(), strict=True):
+            assert np.array_equal(amplification.lay_out(stack, sector), sub)
+            # chi_bd's block (i, j) is stack[i - j], chi_ac's stack[j - i]^T
+            block = sub[2 * 3:2 * 3 + 2, 2 * 1:2 * 1 + 2]
+            ref = stack[2] if sector == "BD" else np.zeros((2, 2))
+            assert np.array_equal(block, ref)
+            block = sub[2 * 1:2 * 1 + 2, 2 * 3:2 * 3 + 2]
+            ref = stack[2].T if sector == "AC" else np.zeros((2, 2))
+            assert np.array_equal(block, ref)
 
 
 class TestAmplifyOutputs:

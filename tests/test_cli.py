@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qbchain
-from qbchain import cli, model, quench, spectral, topology
+from qbchain import amplification, cli, model, quench, spectral, topology
 
 
 def run_cli(tmp_path, args):
@@ -993,6 +993,116 @@ def _edge_values():
     return np.concatenate([edges, -edges])
 
 
+def pool_workers(blocks, cpus):
+    """The threads ``_write_table`` lays out a table of ``blocks`` blocks on."""
+    return 1 if blocks < cli._POOL_BLOCKS else min(cpus, blocks)
+
+
+def chi_expected(stack, sector):
+    """The chi file of one pair's Neumann stack, entry by entry with '%.16e':
+    chi_bd's entry (r, c) is entry (r % 2, c % 2) of block r // 2 - c // 2,
+    chi_ac's the transposed one of block c // 2 - r // 2, zero below 0."""
+    n = len(stack) - 1
+    other = "BD" if sector == "AC" else "AC"
+    rows, cols = ([f"{i // 2 + 1}{s[i % 2]}" for i in range(2 * n)]
+                  for s in (sector, other))
+    lines = ["row,col,abs_value\n"]
+    for r in range(2 * n):
+        for c in range(2 * n):
+            m = r // 2 - c // 2 if sector == "BD" else c // 2 - r // 2
+            a, b = (r % 2, c % 2) if sector == "BD" else (c % 2, r % 2)
+            v = stack[m][a][b] if m >= 0 else 0.0
+            lines.append(f"{rows[r]},{cols[c]},{'%.16e' % abs(v)}\n")
+    return "".join(lines)
+
+
+def chi_written(tmp_path, blocks):
+    """Run ``_write_chi`` on ``blocks``: the texts of its files in PAIRS
+    order, its ``files`` and its stages."""
+    files, stages = [], []
+    cli._write_chi(tmp_path, files, stages, blocks)
+    names = [f"chi_{s}_{q}.csv".lower() for s, q in amplification.PAIRS]
+    assert [f["name"] for f in files] == [s["name"] for s in stages] == names
+    return [(tmp_path / name).read_text() for name in names], files, stages
+
+
+#: (n_cells, theta, delta - delta0) of the chi layout tests
+CHI_GRID = [(n, theta, side) for n in (2, 3, 40, 80)
+            for theta in (-1.0, 0.0, 0.4, 2.0) for side in (-0.25, 0.25)]
+
+
+class TestChiWriter:
+    @pytest.mark.parametrize("n_cells, theta, side", CHI_GRID)
+    def test_text_from_blocks_matches_per_entry_format(self, tmp_path, n_cells,
+                                                       theta, side):
+        delta0 = topology.ep_nssh1(model.derive_couplings(1.0, 0.0, theta))[2]
+        rep = amplification.susceptibility(
+            model.derive_couplings(1.0, delta0 + side, theta), n_cells)
+        assert rep.blocks.shape == (4, n_cells + 1, 2, 2)
+        assert not rep.blocks[:, n_cells].any()
+        # |chi_P| = |chi_X| bit for bit: the P recurrence is the X one
+        # conjugated by diag(1, -1), an exact sign flip
+        mag = np.abs(rep.blocks).view(np.int64)
+        assert np.array_equal(mag[[0, 2]], mag[[1, 3]])
+        texts, files, stages = chi_written(tmp_path, rep.blocks)
+        for text, ((sector, _), sub), f, stage in zip(
+                texts, rep.sectors.items(), files, stages, strict=True):
+            rows, cols = (amplification.sector_labels(s, n_cells).astype(str)
+                          for s in amplification.SECTOR_AXES[sector])
+            assert text == "row,col,abs_value\n" + "".join(
+                f"{r},{c},{'%.16e' % abs(v)}\n"
+                for r, line in zip(rows, sub.tolist()) for c, v in zip(cols, line))
+            assert f["rows"] == (2 * n_cells) ** 2
+            assert stage["shape"] == [(2 * n_cells) ** 2, 3]
+            assert stage["bytes"] == len(text)
+
+    def test_unequal_pair_takes_the_normal_path(self, tmp_path, monkeypatch):
+        # |chi_BD,P| one ulp off |chi_BD,X|: the BD P file is laid out
+        # afresh, the AC P file is the AC X file's bytes
+        rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.4), 5)
+        blocks = rep.blocks.copy()
+        blocks[3, :-1] = np.nextafter(blocks[3, :-1], np.inf)
+        laid = []
+        lay_out = amplification.lay_out
+        monkeypatch.setattr(amplification, "lay_out",
+                            lambda stack, sector: laid.append(sector)
+                            or lay_out(stack, sector))
+        texts, _, stages = chi_written(tmp_path, blocks)
+        assert laid == ["AC", "BD", "BD"]
+        for text, (sector, _), stack in zip(texts, amplification.PAIRS, blocks):
+            assert text == chi_expected(stack, sector)
+        assert texts[0] == texts[1] and texts[2] != texts[3]
+        assert [s["bytes"] for s in stages] == [len(t) for t in texts]
+
+    def test_two_block_table_starts_no_thread(self, tmp_path, monkeypatch):
+        # the theta = 0, N = 80 chi files hold 25,600 rows: two blocks each
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a two-block table started a thread")
+
+        monkeypatch.setattr(quench, "cpus_available", lambda: 2)
+        monkeypatch.setattr(quench.threading, "Thread", no_thread)
+        rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.0), 80)
+        assert -(-160 // (cli._TABLE_BLOCK // 160)) == 2
+        texts, _, stages = chi_written(tmp_path, rep.blocks)
+        assert [s["workers"] for s in stages] == [1] * 4
+        assert texts[0] == chi_expected(rep.blocks[0], "AC")
+        assert texts[2] == chi_expected(rep.blocks[2], "BD")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_125_block_table_keeps_the_pool(self, tmp_path, monkeypatch, cpus):
+        # the default pgp_grid.csv's 125 blocks, of one leading entry (two
+        # rows) each here; the rule counts blocks, not blocks per CPU
+        x = np.random.default_rng(3).standard_normal((125, 3))
+        expected = "a,b\n" + "".join("%.16e,%.16e\n" % (a, b)
+                                      for a, *bs in x.tolist() for b in bs)
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", 2)
+        monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
+        stages = []
+        cli._write_table(tmp_path, [], stages, "p.csv", "a,b", [x[:, :1], x[:, 1:]])
+        assert (tmp_path / "p.csv").read_text() == expected
+        assert stages[0]["workers"] == min(cpus, 125)
+
+
 class TestFormatKernel:
     def test_matches_percent_format(self):
         rng = np.random.default_rng(20261018)
@@ -1031,15 +1141,17 @@ class TestFormatKernel:
         # blocks of 16 momenta x 23 times; 74 momenta: a partial block
         monkeypatch.setattr(cli, "_TABLE_BLOCK", 16 * 23)
         ref = (tmp_path / "ref.csv").read_bytes()
-        # one thread, two, and more CPUs than the 5 blocks
-        for cpus in (1, 2, 16):
+        # one thread, two, and more CPUs than the 5 blocks; on the pool too
+        for cpus, pool_blocks in ((1, cli._POOL_BLOCKS), (2, cli._POOL_BLOCKS),
+                                  (2, 0), (16, 0)):
             monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
+            monkeypatch.setattr(cli, "_POOL_BLOCKS", pool_blocks)
             stages = []
             cli._write_table(tmp_path, [], stages, "new.csv", "k,t,phi_pgp",
                              [p.k_grid[:, None], p.t_grid, phi])
             assert (tmp_path / "new.csv").read_bytes() == ref
             assert stages[0]["bytes"] == len(ref)
-            assert stages[0]["workers"] == min(cpus, 5)
+            assert stages[0]["workers"] == pool_workers(5, cpus)
 
     @pytest.mark.parametrize("t_grid", [
         np.linspace(0.0, 12.0, 7),
@@ -1062,37 +1174,38 @@ class TestFormatKernel:
             for k, row in zip(k_grid.tolist(), phi.tolist())
             for t, v in zip(t_grid.tolist(), row))).encode()
         monkeypatch.setattr(cli, "_TABLE_BLOCK", 16 * t_grid.size)
-        for cpus in (1, 2):
+        for cpus, pool_blocks in ((1, cli._POOL_BLOCKS), (2, cli._POOL_BLOCKS), (2, 0)):
             monkeypatch.setattr(quench, "cpus_available", lambda: cpus)
+            monkeypatch.setattr(cli, "_POOL_BLOCKS", pool_blocks)
             stages = []
             cli._write_table(tmp_path, [], stages, "grid.csv", "k,t,phi_pgp",
                              [k_grid[:, None], t_grid, phi])
             assert (tmp_path / "grid.csv").read_bytes() == expected
-            assert (stages[0]["bytes"], stages[0]["workers"]) == (len(expected), cpus)
+            assert (stages[0]["bytes"], stages[0]["workers"]) == (
+                len(expected), pool_workers(4, cpus))
 
     def test_chi_writer_matches_per_entry_format(self, tmp_path):
-        # 101 x 12 cells: row labels up to "101C", column labels up to "12D"
+        # N = 101: labels up to "101D"; a random stack per pair, so that no
+        # P file shares its X file's bytes, with values across the double
+        # range, zeros, subnormals and the largest double
         rng = np.random.default_rng(11)
-        sub = rng.choice([0.5, -0.5, 3.0, np.pi, -2.0 ** -30], size=(202, 24))
-        sub[:3] *= rng.standard_normal((3, 24)) * 10.0 ** rng.integers(
-            -320, 300, (3, 24))
-        sub[3, :16] = [0.0, -0.0, 5e-324, -2.5e-310, 2.0 ** -1030, 1e-7,
-                       9.9999999999999995e-08, -1e-300, 1e17,
-                       -99999999999999984.0, 1e300, 1.7976931348623157e308,
-                       1e22, 1e23, -1e16, 123456.789]
-        labels = {s: [f"{i // 2 + 1}{s[i % 2]}" for i in range(n)]
-                  for s, n in (("BD", 202), ("AC", 24))}
-        expected = "row,col,abs_value\n" + "".join(
-            f"{r},{c},{'%.16e' % abs(v)}\n"
-            for r, line in zip(labels["BD"], sub.tolist())
-            for c, v in zip(labels["AC"], line))
-        assert "101D,12C," in expected
-        files, stages = [], []
-        cli._write_chi(tmp_path, files, stages, "chi.csv", sub, "BD", "AC")
-        assert (tmp_path / "chi.csv").read_text() == expected
-        assert files == [{"name": "chi.csv", "rows": 202 * 24}]
-        assert stages[0]["bytes"] == len(expected)
-        assert stages[0]["shape"] == [202 * 24, 3]
+        blocks = rng.choice([0.5, -0.5, 3.0, np.pi, -2.0 ** -30], size=(4, 102, 2, 2))
+        blocks[:, :3] *= rng.standard_normal((4, 3, 2, 2)) * 10.0 ** rng.integers(
+            -320, 300, (4, 3, 2, 2))
+        blocks[:, 3:7] = np.reshape(
+            [0.0, -0.0, 5e-324, -2.5e-310, 2.0 ** -1030, 1e-7,
+             9.9999999999999995e-08, -1e-300, 1e17,
+             -99999999999999984.0, 1e300, 1.7976931348623157e308,
+             1e22, 1e23, -1e16, 123456.789], (4, 2, 2))
+        blocks[:, -1] = 0.0  # the zero block
+        texts, files, stages = chi_written(tmp_path, blocks)
+        assert "101D,101C," in texts[2]
+        for text, (sector, _), stack, f, stage in zip(
+                texts, amplification.PAIRS, blocks, files, stages, strict=True):
+            assert text == chi_expected(stack, sector)
+            assert f["rows"] == 202 * 202
+            assert stage["shape"] == [202 * 202, 3]
+            assert stage["bytes"] == len(text)
 
     @pytest.mark.parametrize("block", [1, 7, cli._TABLE_BLOCK])
     def test_table_matches_per_row_format(self, tmp_path, monkeypatch, block):
@@ -1119,7 +1232,7 @@ class TestFormatKernel:
                                                     block, blocks):
         # a (10, 5) table: (10, 1) labels, some shorter than their S4 dtype, a
         # (5,) float column and full (10, 5) values with slow cells; blocks of
-        # 3 labels (the last partial), or one block on this thread
+        # 3 labels (the last partial) on the pool, or one block on this thread
         labels = np.array([b"a", b"bb", b"ccc", b"dddd", b"e", b"ff", b"g",
                            b"hhh", b"i", b"jj"])[:, None]
         rng = np.random.default_rng(23)
@@ -1137,6 +1250,7 @@ class TestFormatKernel:
 
         monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
         monkeypatch.setattr(quench, "cpus_available", lambda: 2)
+        monkeypatch.setattr(cli, "_POOL_BLOCKS", 0)
         if blocks == 1:
             monkeypatch.setattr(quench.threading, "Thread", no_thread)
         files, stages = [], []
