@@ -45,16 +45,14 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def couplings(cfg):
-    return model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
-                                  float(cfg["theta"]))
+    return model.derive_couplings(float(cfg["delta"]), float(cfg["theta"]))
 
 
 def test_amplification_phase_scan(benchmark, cfg):
     benchmark.extra_info["env"] = cli._environment()
     rows = benchmark.pedantic(
         amplification.amplification_phase_scan,
-        args=(float(cfg["J"]), float(cfg["theta"]), cli._delta_grid(cfg),
-              int(cfg["n_cells"])),
+        args=(float(cfg["theta"]), cli._delta_grid(cfg), int(cfg["n_cells"])),
         rounds=ROUNDS, iterations=1)
     assert len(rows) == 41
 
@@ -62,7 +60,7 @@ def test_amplification_phase_scan(benchmark, cfg):
 def test_amplification_phase_scan_n2000(benchmark):
     benchmark.extra_info["env"] = cli._environment()
     rows = benchmark.pedantic(amplification.amplification_phase_scan,
-                              args=(1.0, 0.4, [-0.5], 2000),
+                              args=(0.4, [-0.5], 2000),
                               rounds=ROUNDS, iterations=1)
     assert rows.residual < 1e-10
 
@@ -71,7 +69,7 @@ def test_classify_phase_imag(benchmark, couplings):
     benchmark.extra_info["env"] = cli._environment()
     labels = benchmark.pedantic(
         topology.classify_phases,
-        args=(couplings.J, couplings.theta, [couplings.delta], model.Regime.IMAGINARY),
+        args=(couplings.theta, [couplings.delta], model.Regime.IMAGINARY),
         rounds=ROUNDS, iterations=1)
     assert labels[0].tag is topology.Phase.NONTRIVIAL
 
@@ -98,7 +96,7 @@ def test_environment(benchmark):
 
 def test_chi_csv_writes(benchmark, tmp_path):
     benchmark.extra_info["env"] = cli._environment()
-    rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.0), 80)
+    rep = amplification.susceptibility(model.derive_couplings(0.5, 0.0), 80)
     def fresh_files():
         for path in tmp_path.glob("chi_*.csv"):
             path.unlink()

@@ -27,8 +27,8 @@ ROUNDS = 5
 @pytest.fixture(scope="module")
 def protocol():
     cfg = cli.validate({"command": "quench"})
-    ci, cf = (model.derive_couplings(float(cfg[f"J_{s}"]), float(cfg[f"delta_{s}"]),
-                                     float(cfg[f"theta_{s}"])) for s in "if")
+    ci, cf = (model.derive_couplings(float(cfg[f"delta_{s}"]), float(cfg[f"theta_{s}"]))
+              for s in "if")
     return quench.QuenchProtocol.default(ci, cf, t_max=float(cfg["t_max"]),
                                          n_half=int(cfg["n_half"]),
                                          n_t=int(cfg["n_t"]))

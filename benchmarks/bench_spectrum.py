@@ -35,8 +35,8 @@ def test_spectrum_sweep_pbc(benchmark, cfg, regime):
     benchmark.extra_info["env"] = cli._environment()
     sweep = benchmark.pedantic(
         spectral.spectrum_sweep,
-        args=(float(cfg["J"]), float(cfg["theta"]), cli._delta_grid(cfg),
-              regime, model.PBC.uniform(int(cfg["k_points"]))),
+        args=(float(cfg["theta"]), cli._delta_grid(cfg), regime,
+              model.PBC.uniform(int(cfg["k_points"]))),
         rounds=ROUNDS, iterations=1)
     assert [evs.size for evs in sweep.eigenvalues] == [8 * 101] * 41
 
@@ -47,7 +47,7 @@ def test_realspace_dynamical(benchmark, regime):
     d = cli.DEFAULTS
     benchmark.extra_info["env"] = cli._environment()
     n_cells = int(d["n_cells"])
-    c = model.derive_couplings(float(d["J"]), float(d["delta"]), float(d["theta"]))
+    c = model.derive_couplings(float(d["delta"]), float(d["theta"]))
     G = benchmark.pedantic(model.realspace_dynamical,
                            args=(c, n_cells, regime),
                            rounds=ROUNDS, iterations=1)

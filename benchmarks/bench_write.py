@@ -32,15 +32,14 @@ LOOPS_HEADER = "k,re_E_plus,im_E_plus,re_E_minus,im_E_minus"
 def sweep():
     cfg = cli.validate({"command": "spectrum"})
     return spectral.spectrum_sweep(
-        float(cfg["J"]), float(cfg["theta"]), cli._delta_grid(cfg),
-        model.Regime(cfg["regime"]), model.PBC.uniform(int(cfg["k_points"])))
+        float(cfg["theta"]), cli._delta_grid(cfg), model.Regime(cfg["regime"]),
+        model.PBC.uniform(int(cfg["k_points"])))
 
 
 @pytest.fixture(scope="module")
 def loops():
     cfg = cli.validate({"command": "winding"})
-    c = model.derive_couplings(float(cfg["J"]), float(cfg["delta"]),
-                               float(cfg["theta"]))
+    c = model.derive_couplings(float(cfg["delta"]), float(cfg["theta"]))
     grid = topology.default_bz_grid(int(cfg["grid_points"]))
     ep, em, _ = topology.parametric_energy_loops(c, grid)
     return grid, ep, em

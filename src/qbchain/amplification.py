@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import DomainError, DoubleOverflowError, SingularityError
 from .model import CouplingSet, Regime, derive_couplings, quadrature_cells
-from .topology import DELTA_BLOCK, classify_phases, ep_nssh1
+from .topology import DELTA_BLOCK, classify_phases, transition_delta
 
 __all__ = [
     "SusceptibilityReport",
@@ -44,7 +44,7 @@ class SusceptibilityReport:
     order, to its 2N x 2N sub-matrix of that quadrature's chi (``lay_out``
     of its stack), with rows and columns on the sublattices of the two
     sectors of ``SECTOR_AXES[sector]``; the AC x AC and BD x BD parts of chi
-    are zero.  ``residual`` is max|chi h - I| / max(1, J max|chi|), the
+    are zero.  ``residual`` is max|chi h - I| / max(1, max|chi|), the
     larger of the two generators' values; ``susceptibility`` rejects any
     above 1e-10.
     """
@@ -91,7 +91,7 @@ def sector_labels(sector: str, n_cells: int) -> np.ndarray:
 PAIRS = (("AC", "X"), ("AC", "P"), ("BD", "X"), ("BD", "P"))
 
 
-def _neumann_blocks(cs: list, n_cells: int):
+def _neumann_blocks(theta: float, deltas: list, n_cells: int):
     """Blocks of chi_ac and chi_bd for both quadratures, checked against h.
 
     h is bipartite (``quadrature_cells``): its AC x AC and BD x BD blocks
@@ -104,13 +104,13 @@ def _neumann_blocks(cs: list, n_cells: int):
     -D^-1 W = -(v_crit/v) R(phi) is a scaled rotation whose gain per cell
     v_crit/|v| exceeds 1 exactly when delta > delta0.
 
-    ``cs`` is a sequence of coupling sets; the recurrence runs for all of
-    them at once.  Returns (blocks, residuals).  blocks has shape
-    (len(cs), 4, N + 1, 2, 2): per coupling set, one stack per entry of
+    The recurrence runs for the coupling sets of all ``deltas`` at
+    ``theta`` at once.  Returns (blocks, residuals).  blocks has shape
+    (len(deltas), 4, N + 1, 2, 2): per coupling set, one stack per entry of
     PAIRS, where chi_bd's block (i, j) is blocks[., BD, i - j] and chi_ac's
     is blocks[., AC, j - i]^T; blocks[., :, N] is the zero block of the
-    other triangle.  residuals[i] is max|chi h - I| / max(1, J max|chi|) of
-    cs[i], the larger of the two generators' values.  Each is checked in
+    other triangle.  residuals[i] is max|chi h - I| / max(1, max|chi|) at
+    deltas[i], the larger of the two generators' values.  Each is checked in
     O(N) against that coupling set's ``quadrature_cells``, a statement of h
     written apart from the (d, w) tables below: the block of chi_bd X at
     distance m is B_m X_diag + B_(m-1) X_sub, and that of chi_ac Y is
@@ -119,6 +119,8 @@ def _neumann_blocks(cs: list, n_cells: int):
     """
     if n_cells < 2:
         raise DomainError(f"need at least 2 unit cells, got {n_cells}")
+    cs = [derive_couplings(d, theta) for d in deltas]
+    delta0 = transition_delta(theta)
     for c in cs:
         if c.v == 0.0:
             # X = S(x)W is then strictly block-lower: h is exactly singular
@@ -126,7 +128,6 @@ def _neumann_blocks(cs: list, n_cells: int):
                 f"quadrature generators singular at v = 0 (delta={c.delta}): "
                 f"no intracell coupling"
             )
-        _, _, delta0 = ep_nssh1(c)
         if abs(c.delta - delta0) < 1e-8:
             raise SingularityError(
                 f"quadrature generators singular at the transition: "
@@ -155,7 +156,7 @@ def _neumann_blocks(cs: list, n_cells: int):
         raise SingularityError(
             f"susceptibility overflows double precision at "
             f"n_cells={n_cells}, delta={c.delta}: |chi| grows geometrically "
-            f"with n_cells and as 1/J (J={c.J})"
+            f"with n_cells"
         )
     # (X_diag, X_sub, Y_diag, Y_super) of each coupling set's h_x and h_p
     bands = np.array([quadrature_cells(c) for c in cs])
@@ -170,16 +171,14 @@ def _neumann_blocks(cs: list, n_cells: int):
         r[:, :, :, 0] -= np.eye(2)
         res = np.abs(r).max(axis=(2, 3, 4, 5))
     # the residual floor scales with |chi| for strongly amplifying
-    # parameters; quality is judged relative to that scale, with chi in
-    # units of 1/J
-    J = np.array([c.J for c in cs])[:, None]
-    scale = np.maximum(1.0, J * np.abs(left).max(axis=(2, 3, 4, 5)))
+    # parameters; quality is judged relative to that scale
+    scale = np.maximum(1.0, np.abs(left).max(axis=(2, 3, 4, 5)))
     bad = ~np.isfinite(res) | (res > 1e-10 * scale)
     if bad.any():
         i, q = np.unravel_index(np.argmax(bad), bad.shape)
         raise SingularityError(
             f"inverse residual {res[i, q]:.3e} too large at delta={cs[i].delta} "
-            f"(transition at delta0={ep_nssh1(cs[i])[2]:.6f})"
+            f"(transition at delta0={delta0:.6f})"
         )
     residuals = (res / scale).max(axis=1)
     return blocks, residuals
@@ -212,7 +211,7 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
     sub-matrices are laid out, with no linear solve and no dense 4N x 4N
     matrix.
     """
-    blocks, residuals = _neumann_blocks([c], n_cells)
+    blocks, residuals = _neumann_blocks(c.theta, [c.delta], n_cells)
     return SusceptibilityReport(blocks=blocks[0], params=c, n_cells=n_cells,
                                 residual=float(residuals[0]))
 
@@ -270,9 +269,9 @@ def gain_metrics(rep: SusceptibilityReport):
         else:
             tri_sign, direction = -1, "rightward"
         # mean log-magnitude at each distance m >= 1 into that triangle,
-        # over the entries that are not rounding noise (chi in units of 1/J)
+        # over the entries that are not rounding noise
         m = tri_sign * dist
-        keep = (m > 0) & (rep.params.J * mag > 1e-13)
+        keep = (m > 0) & (mag > 1e-13)
         counts = np.bincount(m[keep], minlength=n_cells)
         xs = np.flatnonzero(counts)
         ys = np.bincount(m[keep], weights=np.log(mag[keep]),
@@ -300,7 +299,7 @@ class PhaseScan(list):
         self.residual = residual
 
 
-def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
+def amplification_phase_scan(theta: float, delta_grid, n_cells: int):
     """Gain/topology table over a delta grid (imaginary regime).
 
     Returns a ``PhaseScan``.  end_to_end, the largest |chi| entry between
@@ -312,7 +311,7 @@ def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0 or not np.isfinite(deltas).all():
         raise DomainError(f"delta grid must be non-empty and finite, got {deltas}")
-    _, _, delta0 = ep_nssh1(derive_couplings(J, 0.0, theta))
+    delta0 = transition_delta(theta)
     if np.abs(deltas - delta0).min() < 1e-4:
         raise DomainError(
             f"delta grid must exclude |delta - delta0| < 1e-4 (delta0={delta0:.6f})"
@@ -321,12 +320,11 @@ def amplification_phase_scan(J: float, theta: float, delta_grid, n_cells: int):
     worst_res = 0.0
     for start in range(0, deltas.size, DELTA_BLOCK):
         block = deltas[start:start + DELTA_BLOCK].tolist()
-        labels = classify_phases(J, theta, block, Regime.IMAGINARY)
-        blocks, res = _neumann_blocks(
-            [derive_couplings(J, d, theta) for d in block], n_cells)
+        labels = classify_phases(theta, block, Regime.IMAGINARY)
+        blocks, res = _neumann_blocks(theta, block, n_cells)
         # the largest |chi| entry between the end cells: block N - 1
         ends = np.abs(blocks[:, :, n_cells - 1]).max(axis=(2, 3))
-        rows.extend((d, float(delta0), label.nu, *e)
+        rows.extend((d, delta0, label.nu, *e)
                     for d, label, e in zip(block, labels, ends.tolist()))
         worst_res = max(worst_res, *res.tolist())
     return PhaseScan(rows, worst_res)

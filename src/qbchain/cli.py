@@ -5,6 +5,9 @@ brackets are allowed and ignored) plus command-line overrides.  Every run
 writes a ``manifest.json`` echoing the resolved configuration, the files
 produced and the residuals observed.
 
+The library computes at the hopping scale J = 1; ``_units`` alone applies
+J, where a command writes an energy, a time or a chi.
+
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 tolerance
 failure in ``check``.
 """
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .exceptions import QbChainError
+from .exceptions import DomainError, DoubleOverflowError, QbChainError
 from . import amplification, model, quench, spectral, topology
 
 #: documented defaults per configuration key; a key's type is its default's
@@ -260,6 +263,25 @@ def validate(cfg: dict) -> dict:
     return full
 
 
+def _units(J: float, key: str = "J"):
+    """The scaling of real outputs from the hopping scale 1, at which the
+    library computes, to ``key`` = J: scale(x) is x J (an energy, or a time
+    t as J t) and scale(x, -1) is x / J (a chi, or J t back to t).  J <= 0
+    is a DomainError; a finite value scaled past the double range is a
+    DoubleOverflowError that names J.  At J = 1 each value keeps its bits."""
+    if not J > 0:
+        raise DomainError(f"{key} must be positive, got {J}")
+
+    def scale(x, power: int = 1) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            y = np.multiply(x, J) if power > 0 else np.divide(x, J)
+        if not np.isfinite(y[np.isfinite(x)]).all():
+            raise DoubleOverflowError(f"outputs scaled by {key}**{power} leave the "
+                                      f"double range at {key}={J}")
+        return y
+    return scale
+
+
 def _delta_grid(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["delta_min"], cfg["delta_max"], cfg["delta_steps"])
 
@@ -360,13 +382,13 @@ def _write_chi(outdir: Path, files: list, stages: list, blocks: np.ndarray) -> N
     """Write ``chi_<sector>_<quadrature>.csv`` for each pair of PAIRS, in
     that order: the ``row,col,abs_value`` rows of the pair's sub-matrix.
 
-    ``blocks`` is ``SusceptibilityReport.blocks``.  The 4(N + 1) magnitudes
-    of a pair's Neumann stack are formatted with ``'%.16e'`` and the text is
-    laid out by ``amplification.lay_out``, with the row and column labels of
-    ``amplification.sector_labels``.  Where a sector's P magnitudes equal
-    its X ones bit for bit (|chi_P| = |chi_X|: the P recurrence is the X one
-    conjugated by diag(1, -1)), its P file is a copy of its X file, with its
-    own ``files`` entry and stage.
+    ``blocks`` is ``SusceptibilityReport.blocks`` over J.  The 4(N + 1)
+    magnitudes of a pair's Neumann stack are formatted with ``'%.16e'`` and
+    the text is laid out by ``amplification.lay_out``, with the row and
+    column labels of ``amplification.sector_labels``.  Where a sector's P
+    magnitudes equal its X ones bit for bit (|chi_P| = |chi_X|: the P
+    recurrence is the X one conjugated by diag(1, -1)), its P file is a copy
+    of its X file, with its own ``files`` entry and stage.
     """
     mags = np.abs(blocks)
     n_cells = len(blocks[0]) - 1
@@ -390,12 +412,12 @@ def _write_chi(outdir: Path, files: list, stages: list, blocks: np.ndarray) -> N
 
 
 def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
+    scale = _units(cfg["J"])
     regime = model.Regime(cfg["regime"])
     size = _SIZE_KEY[cfg["boundary"]]
     boundary = (model.PBC.uniform if size == "k_points" else model.OBC)(cfg[size])
     t0 = time.perf_counter()
-    sweep = spectral.spectrum_sweep(cfg["J"], cfg["theta"], _delta_grid(cfg),
-                                    regime, boundary)
+    sweep = spectral.spectrum_sweep(cfg["theta"], _delta_grid(cfg), regime, boundary)
     evs = sweep.eigenvalues
     _stage(stages, "eigensolve", t0, evs.shape, evs.nbytes)
     if sweep.reality_residual is not None:
@@ -404,17 +426,18 @@ def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
         ("J", "theta", "regime", "boundary", size)))
     _write_table(outdir, files, stages, "spectrum.csv",
                  preamble + "delta,index,re_lambda,im_lambda",
-                 [sweep.deltas[:, None], np.arange(evs.shape[1]), evs.real,
-                  evs.imag])
+                 [sweep.deltas[:, None], np.arange(evs.shape[1]), scale(evs.real),
+                  scale(evs.imag)])
 
 
 def _cmd_winding(cfg, outdir, files, tolerances, stages):
-    c = model.derive_couplings(cfg["J"], cfg["delta"], cfg["theta"])
+    scale = _units(cfg["J"])
+    c = model.derive_couplings(cfg["delta"], cfg["theta"])
     grid = topology.default_bz_grid(cfg["grid_points"])
     regime = model.Regime(cfg["regime"])
     provider = lambda k: model.bloch(k, c, regime)
     t0 = time.perf_counter()
-    # the energy loops first: past the double range their error names J
+    # the energy loops first: past the double range their error names theta
     ep, em, merged = topology.parametric_energy_loops(c, grid, regime)
     res = topology.winding_pair(provider, grid)
     integral = topology.winding_integral(provider, grid)
@@ -427,7 +450,7 @@ def _cmd_winding(cfg, outdir, files, tolerances, stages):
                   [integral.imag], [res.grid_size]])
     _write_table(outdir, files, stages, "energy_loops.csv",
                  "k,re_E_plus,im_E_plus,re_E_minus,im_E_minus",
-                 [grid, ep.real, ep.imag, em.real, em.imag])
+                 [grid, *(scale(part) for part in (ep.real, ep.imag, em.real, em.imag))])
     files[-1]["merged"] = merged  # the two loops form one (Moebius exchange)
 
 
@@ -439,8 +462,7 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
     regime = model.Regime(cfg["regime"])
     rows, labels = [], []
     for th in thetas:
-        # at J = 1: no label or winding depends on J
-        row = topology.classify_phases(1.0, th, deltas, regime, grid)
+        row = topology.classify_phases(th, deltas, regime, grid)
         for d, label in zip(deltas, row):
             labels.append(label.tag.value)
             if label.tag is topology.Phase.CRITICAL:
@@ -448,8 +470,9 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
                 continue
             res = label.winding
             if res is None:  # the real-regime label comes from thresholds
-                c = model.derive_couplings(1.0, d, th)
+                c = model.derive_couplings(d, th)
                 res = topology.winding_pair(lambda k: model.bloch(k, c, regime), grid)
+                label.check(res.nu, d)
             rows.append((d, th, res.nu1, res.nu2, res.nu))
     _stage(stages, "winding", t0, (len(rows), 5), 40 * len(rows))
     _write_table(outdir, files, stages, "phase_diagram.csv",
@@ -457,10 +480,14 @@ def _cmd_phase_diagram(cfg, outdir, files, tolerances, stages):
 
 
 def _cmd_quench(cfg, outdir, files, tolerances, stages):
-    ci = model.derive_couplings(cfg["J_i"], cfg["delta_i"], cfg["theta_i"])
-    cf = model.derive_couplings(cfg["J_f"], cfg["delta_f"], cfg["theta_f"])
+    _units(cfg["J_i"], "J_i")  # only checked: ov does not depend on J_i
+    scale = _units(cfg["J_f"], "J_f")
+    ci = model.derive_couplings(cfg["delta_i"], cfg["theta_i"])
+    cf = model.derive_couplings(cfg["delta_f"], cfg["theta_f"])
     p = quench.QuenchProtocol.default(ci, cf, t_max=cfg["t_max"],
                                       n_half=cfg["n_half"], n_t=cfg["n_t"])
+    t = p.t_grid  # the protocol runs at the times J_f t
+    p = quench.QuenchProtocol(ci, cf, p.k_grid, scale(t))
 
     t0 = time.perf_counter()
     field = quench.pgp_field(p)
@@ -474,7 +501,7 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
     field.log_mag2 = None  # read by return_rate only: freed before the later stages
     _stage(stages, "return_rate", t0, rr.shape, rr.nbytes)
     _write_table(outdir, files, stages, "return_rate.csv", "t,return_rate",
-                 [p.t_grid, rr])
+                 [t, rr])
 
     t0 = time.perf_counter()
     ct = quench.critical_set(p, range(cfg["n_max"]))
@@ -483,11 +510,12 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
            scalar_checks=ct.scalar_checks)
     tolerances["kc_equation_residual"] = max(
         (abs(e[4]) for e in ct.entries), default=0.0)
+    n, side, k_c, t_c, residual = list(zip(*ct.entries)) or [[]] * 5
     _write_table(outdir, files, stages, "critical_times.csv",
-                 "n,side,k_c,t_c,residual",
-                 list(zip(*ct.entries)) or [[]] * 5)
+                 "n,side,k_c,t_c,residual", [n, side, k_c, scale(t_c, -1), residual])
     # null where no momentum crosses: +inf is not JSON
-    files[-1]["t_complete"] = ct.t_complete if ct.t_complete < np.inf else None
+    files[-1]["t_complete"] = (float(scale(ct.t_complete, -1))
+                               if ct.t_complete < np.inf else None)
 
     t0 = time.perf_counter()
     d = quench.dtop(field, ct)
@@ -510,26 +538,28 @@ def _cmd_quench(cfg, outdir, files, tolerances, stages):
         for side, w in (("+", d.dtop_plus), ("-", d.dtop_minus))))
     _write_table(outdir, files, stages, "dtop.csv",
                  "t,dtop_plus,dtop_minus,drift_plus,drift_minus,resolved",
-                 [d.t, *series, d.resolved.astype(int)])
+                 [t, *series, d.resolved.astype(int)])
     files[-1]["unresolved"] = int((~d.resolved).sum())
     files[-1]["refined"] = d.refined
     _write_table(outdir, files, stages, "pgp_grid.csv", "k,t,phi_pgp",
-                 [p.k_grid[:, None], p.t_grid, field.phi_pgp])
+                 [p.k_grid[:, None], t, field.phi_pgp])
 
 
 def _cmd_amplify(cfg, outdir, files, tolerances, stages):
-    c = model.derive_couplings(cfg["J"], cfg["delta"], cfg["theta"])
+    scale = _units(cfg["J"])
+    c = model.derive_couplings(cfg["delta"], cfg["theta"])
     t0 = time.perf_counter()
     rep = amplification.susceptibility(c, cfg["n_cells"])
     # the four 2N x 2N sub-matrices the blocks lay out as
     shape = (len(rep.blocks), 2 * rep.n_cells, 2 * rep.n_cells)
     _stage(stages, "susceptibility", t0, shape, math.prod(shape) * rep.blocks.itemsize)
     tolerances["susceptibility_residual"] = rep.residual
-    _write_chi(outdir, files, stages, rep.blocks)
+    _write_chi(outdir, files, stages, scale(rep.blocks, -1))
     t0 = time.perf_counter()
-    scan = amplification.amplification_phase_scan(
-        cfg["J"], cfg["theta"], _delta_grid(cfg), cfg["n_cells"])
+    scan = amplification.amplification_phase_scan(cfg["theta"], _delta_grid(cfg),
+                                                  cfg["n_cells"])
     table = np.array(scan)
+    table[:, 3:] = scale(table[:, 3:], -1)  # the gains, |chi| entries
     _stage(stages, "phase_scan", t0, table.shape, table.nbytes)
     tolerances["scan_residual"] = scan.residual
     gains = (f"gain_{sector}_{quad}".lower() for sector, quad in amplification.PAIRS)
@@ -552,8 +582,7 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
     worst = {"phs1": 0.0, "pseudo": 0.0, "quadruple": 0.0}
     for _ in range(100):
         k = rng.uniform(-np.pi, np.pi)
-        c = model.derive_couplings(1.0, rng.uniform(-0.95, 0.95),
-                                   rng.uniform(0.0, 1.0))
+        c = model.derive_couplings(rng.uniform(-0.95, 0.95), rng.uniform(0.0, 1.0))
         for r in model.Regime:
             G, Gm = model.dynamical_qb_k(np.array([k, -k]), c, r)  # G(k), G(-k)
             block[r] = max(block[r], spectral.block_diagonalize(k, c, r))
@@ -574,10 +603,8 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
     worst_g = 0.0
     for _ in range(100):
         k = rng.uniform(-np.pi, np.pi)
-        ci = model.derive_couplings(1.0, rng.uniform(-0.9, 0.9),
-                                    rng.uniform(0.05, 1.0))
-        cf = model.derive_couplings(1.0, rng.uniform(-0.9, 0.9),
-                                    rng.uniform(0.05, 1.0))
+        ci = model.derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1.0))
+        cf = model.derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1.0))
         t = rng.uniform(0.0, 5.0)
         g0 = complex(quench.loschmidt_gk(k, ci, cf, t))
         for method in ("fq", "biortho"):
@@ -587,7 +614,7 @@ def _cmd_check(cfg, outdir, files, tolerances, stages):
 
     grid = topology.default_bz_grid()
     for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
-        c = model.derive_couplings(1.0, d, 0.4)
+        c = model.derive_couplings(d, 0.4)
         res = topology.winding_pair(
             lambda k: model.bloch(k, c, model.Regime.REAL), grid)
         check(f"winding_delta_{d}", abs(res.nu - expected), 1e-3)

@@ -3,8 +3,9 @@
 The chain has four sublattices A, B, C, D per unit cell.  Two SSH-like legs
 (A-B and C-D) are coupled by pairing terms whose strength is controlled by
 ``theta``; ``delta`` sets the intra/intercell hopping asymmetry.  All matrices
-are built from a single immutable :class:`CouplingSet` so the (J, delta,
-theta) and (v, w_r, w_l) parameterizations can never drift apart.
+are built from a single immutable :class:`CouplingSet` so the (delta, theta)
+and (v, w_r, w_l) parameterizations can never drift apart.  Every energy is
+in units of the hopping scale J (J = 1): the model is homogeneous in it.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ _SYMMETRY_TOL = 1e-12
 
 #: largest magnitude whose square, four times over, stays in the double range
 _SQUARE_SAFE = 0.5 * math.sqrt(np.finfo(float).max)
-#: least magnitude whose square, a quarter of it, is still a normal double
-_SQUARE_TINY = 2.0 * math.sqrt(np.finfo(float).tiny)
 
 
 class Regime(enum.Enum):
@@ -66,14 +65,13 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """Physical parameters (J, delta, theta) plus derived couplings.
+    """Physical parameters (delta, theta) plus derived couplings, in units of J.
 
-    Invariants: v = J(1-delta), w_r = J(1+delta), w_l = w_r * exp(theta);
+    Invariants: v = 1-delta, w_r = 1+delta, w_l = w_r * exp(theta);
     a DoubleOverflowError where e^theta or a coupling is not finite.
     Construct through :func:`derive_couplings`.
     """
 
-    J: float
     delta: float
     theta: float
     v: float = field(init=False)
@@ -81,25 +79,23 @@ class CouplingSet:
     w_l: float = field(init=False)
 
     def __post_init__(self):
-        if self.J <= 0:
-            raise DomainError(f"energy scale J must be positive, got {self.J}")
         try:
             growth = math.exp(self.theta)
         except OverflowError:
             raise DoubleOverflowError(
                 f"e^theta leaves the double range at theta={self.theta}") from None
-        object.__setattr__(self, "v", self.J * (1.0 - self.delta))
-        object.__setattr__(self, "w_r", self.J * (1.0 + self.delta))
+        object.__setattr__(self, "v", 1.0 - self.delta)
+        object.__setattr__(self, "w_r", 1.0 + self.delta)
         object.__setattr__(self, "w_l", self.w_r * growth)
         if not np.isfinite((self.v, self.w_r, self.w_l)).all():
             raise DoubleOverflowError(
-                f"couplings v, w_r, w_l leave the double range at J={self.J}, "
-                f"theta={self.theta}")
+                f"couplings v, w_r, w_l leave the double range at "
+                f"delta={self.delta}, theta={self.theta}")
 
 
-def derive_couplings(J: float, delta: float, theta: float) -> CouplingSet:
+def derive_couplings(delta: float, theta: float) -> CouplingSet:
     """Build a coupling set from the physical parameters."""
-    return CouplingSet(J=float(J), delta=float(delta), theta=float(theta))
+    return CouplingSet(delta=float(delta), theta=float(theta))
 
 
 @dataclass(frozen=True)
@@ -208,12 +204,11 @@ def bloch(k, c: CouplingSet, regime: Regime) -> BlochVector:
 
 
 def _check_squares(c: CouplingSet) -> None:
-    """A DoubleOverflowError, naming J, where the square of the largest
-    coupling leaves [_SQUARE_TINY^2, _SQUARE_SAFE^2]: past the double range,
-    or below its normal numbers."""
-    if not _SQUARE_TINY <= np.abs((c.v, c.w_r, c.w_l)).max() <= _SQUARE_SAFE:
+    """A DoubleOverflowError where the square of the largest coupling passes
+    _SQUARE_SAFE^2: at large theta, w_l^2 leaves the double range."""
+    if not np.abs((c.v, c.w_r, c.w_l)).max() <= _SQUARE_SAFE:
         raise DoubleOverflowError(
-            f"squared couplings leave the double range at J={c.J}, "
+            f"squared couplings leave the double range at delta={c.delta}, "
             f"theta={c.theta}")
 
 

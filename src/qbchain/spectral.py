@@ -91,7 +91,7 @@ class SpectrumSweep:
     reality_residual: float | None = None  # real OBC: worst max|Im| / max|lambda|
 
 
-def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
+def spectrum_sweep(theta: float, delta_grid, regime: Regime,
                    boundary) -> SpectrumSweep:
     """Spectrum of the dynamical matrix as a function of delta.
 
@@ -106,7 +106,7 @@ def spectrum_sweep(J: float, theta: float, delta_grid, regime: Regime,
     real_obc = isinstance(boundary, OBC) and _is_real(regime)
     rows, worst = [], 0.0
     for d in deltas:
-        c = derive_couplings(J, d, theta)
+        c = derive_couplings(d, theta)
         try:
             if isinstance(boundary, PBC):
                 evs = np.linalg.eigvals(

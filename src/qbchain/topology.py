@@ -9,8 +9,8 @@ import numpy as np
 
 from .exceptions import (DomainError, DoubleOverflowError, ResolutionError,
                          SingularityError)
-from .model import (_SQUARE_SAFE, _SQUARE_TINY, PBC, BlochVector, CouplingSet,
-                     Regime, _is_real, bloch, derive_couplings, energy)
+from .model import (_SQUARE_SAFE, PBC, BlochVector, CouplingSet, Regime, _is_real,
+                    bloch, derive_couplings, energy)
 
 __all__ = [
     "Phase",
@@ -20,7 +20,7 @@ __all__ = [
     "ep_locations_nssh2",
     "winding_pair",
     "winding_integral",
-    "ep_nssh1",
+    "transition_delta",
     "classify_phases",
     "parametric_energy_loops",
 ]
@@ -43,6 +43,15 @@ class PhaseLabel:
     boundaries: tuple  # delta thresholds used for classification
     nu: float | None = None
     winding: WindingResult | None = None  # the numerical winding, where computed
+
+    def check(self, nu: float, delta: float) -> None:
+        """A ResolutionError where a winding nu lies 1/4 or more from this
+        closed-form label's nu at ``delta``: the two statements of the phase
+        disagree.  Both regimes' phase diagrams are checked by this rule."""
+        if not abs(nu - self.nu) < 0.25:
+            raise ResolutionError(
+                f"winding nu={nu:.4f} disagrees with the {self.tag.value} label "
+                f"of the boundaries {self.boundaries} at delta={delta}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,7 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     vanish over the closed loop.  Derivatives are spectral (the components
     are trigonometric polynomials), the quadrature is the periodic trapezoid
     rule, so the grid must be uniform over [-pi, pi).  A DoubleOverflowError
-    where a product of two components could leave the double range or its
-    normal numbers.
+    where a product of two components could leave the double range.
     """
     grid = _loop_grid(grid)
     n = grid.size
@@ -222,7 +230,7 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     ddx = np.fft.ifft(1j * m * np.fft.fft(dx))
     ddy = np.fft.ifft(1j * m * np.fft.fft(dy))
     big = max(np.abs(z).max() for z in (dx, dy, ddx, ddy))
-    if not _SQUARE_TINY <= big <= _SQUARE_SAFE:
+    if not big <= _SQUARE_SAFE:
         raise DoubleOverflowError(
             f"Bloch vector components up to {big:.3g} square outside the "
             f"double range")
@@ -237,41 +245,30 @@ def winding_integral(d_provider, grid: np.ndarray) -> complex:
     return complex(integrand.mean())
 
 
-def ep_nssh1(c: CouplingSet):
-    """Exceptional-point data of the single-EP block.
-
-    Returns (v_critical, k_star, delta0): the critical intracell coupling,
-    the momentum where both X(k) and Y(k) vanish, and the transition value
-    of delta at the given theta.
-    """
-    # k_star and delta0 are dimensionless: from the couplings in units of J,
-    # whose squares stay in the double range at any J
-    wr, wl = c.w_r / c.J, c.w_l / c.J
-    v_crit = c.J * np.sqrt(0.5 * (wr**2 + wl**2))
-    arg = -(wr + wl) / np.sqrt(2.0 * (wr**2 + wl**2))
-    if abs(arg) > 1.0 + 1e-12:
-        raise DomainError(f"arccos argument {arg} outside [-1, 1]")
-    k_star = float(np.arccos(np.clip(arg, -1.0, 1.0)))
-    s = np.sqrt(0.5 * (1.0 + np.exp(2.0 * c.theta)))
-    delta0 = (1.0 - s) / (1.0 + s)
-    return float(v_crit), k_star, float(delta0)
+def transition_delta(theta: float) -> float:
+    """delta0, where the single-EP block changes phase at ``theta``:
+    (1 - s) / (1 + s) with s = sqrt((1 + e^(2 theta)) / 2)."""
+    # past 2 theta = 700, s > 1e152 and delta0 rounds to -1 either way: the
+    # cap keeps e^(2 theta) finite
+    s = np.sqrt(0.5 * (1.0 + np.exp(min(2.0 * theta, 700.0))))
+    return float((1.0 - s) / (1.0 + s))
 
 
-#: per regime, the closed-form delta boundaries at couplings of (J, theta)
+#: per regime, the closed-form delta boundaries at couplings of theta
 #: (in any order: the real pair descends for theta < 0), and the (tag, nu)
 #: of the interval below each sorted boundary, then above the last
 _PHASES = {
     Regime.REAL: (lambda c: ((1.0 - np.exp(c.theta)) / (1.0 + np.exp(c.theta)), 0.0),
                   ((Phase.TRIVIAL, 0.0), (Phase.MOEBIUS, 0.5),
                    (Phase.NONTRIVIAL, 1.0))),
-    Regime.IMAGINARY: (lambda c: (ep_nssh1(c)[2],),
+    Regime.IMAGINARY: (lambda c: (transition_delta(c.theta),),
                        ((Phase.TRIVIAL, 0.0), (Phase.NONTRIVIAL, 1.0))),
 }
 
 
-def classify_phases(J: float, theta: float, deltas, regime: Regime,
+def classify_phases(theta: float, deltas, regime: Regime,
                     grid: np.ndarray | None = None) -> list:
-    """Phase labels of the regime's chain at each delta, (J, theta) fixed.
+    """Phase labels of the regime's chain at each delta, theta fixed.
 
     Tags come from ``_PHASES``; a delta within CRITICAL_BAND of a boundary
     is CRITICAL, with no nu.  Real-regime labels are threshold-only.  In the
@@ -279,15 +276,16 @@ def classify_phases(J: float, theta: float, deltas, regime: Regime,
     through the nSSH1 ``bloch``, DELTA_BLOCK deltas at a time, and each
     (delta, k) row is wound by ``_windings`` on the closed loop ``grid``
     (the default Brillouin-zone grid if None); the label carries that
-    winding and its nu, cross-checked against the closed-form tag.  An
-    error names the first delta of its block that fails.
+    winding and its nu, cross-checked against the closed-form tag by
+    ``PhaseLabel.check``.  An error names the first delta of its block that
+    fails.
     """
     grid = default_bz_grid() if grid is None else _loop_grid(grid)
     deltas = np.asarray(deltas, dtype=float)
     _is_real(regime)  # a DomainError for anything but a Regime
     bounds, intervals = _PHASES[regime]
     boundaries = tuple(sorted(float(b)
-                              for b in bounds(derive_couplings(J, 0.0, theta))))
+                              for b in bounds(derive_couplings(0.0, theta))))
     labels = []
     for start in range(0, deltas.size, DELTA_BLOCK):
         block = deltas[start:start + DELTA_BLOCK]
@@ -295,7 +293,7 @@ def classify_phases(J: float, theta: float, deltas, regime: Regime,
         wound = block[~critical]
         results = iter([])
         if regime is Regime.IMAGINARY and wound.size:
-            rows = CouplingSet(J=float(J), delta=wound[:, None], theta=float(theta))
+            rows = CouplingSet(delta=wound[:, None], theta=float(theta))
             results = iter(_windings(*_phi_angles(bloch(grid, rows, regime)), wound))
         for d, at_critical in zip(block.tolist(), critical):
             if at_critical:
@@ -303,16 +301,13 @@ def classify_phases(J: float, theta: float, deltas, regime: Regime,
                 continue
             tag, nu = intervals[next((i for i, b in enumerate(boundaries) if d < b),
                                      len(boundaries))]
+            label = PhaseLabel(tag=tag, boundaries=boundaries, nu=nu)
             res = next(results, None)  # None in the real regime
             if res is not None:
-                nu = res.nu
-                if tag is not (Phase.NONTRIVIAL if abs(nu - 1.0) < 0.25
-                               else Phase.TRIVIAL):
-                    raise ResolutionError(
-                        f"winding nu={nu:.4f} disagrees with "
-                        f"delta0={boundaries[0]:.6f} classification at delta={d}")
-            labels.append(PhaseLabel(tag=tag, boundaries=boundaries, nu=nu,
-                                     winding=res))
+                label.check(res.nu, d)
+                label = PhaseLabel(tag=tag, boundaries=boundaries, nu=res.nu,
+                                   winding=res)
+            labels.append(label)
     return labels
 
 
@@ -322,7 +317,7 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     (nSSH2 real, nSSH1 imaginary) over the closed loop ``grid``.
 
     Returns (E_plus, E_minus, merged) where merged reports whether the two
-    loops share a point within 1e-8 J^2 of E^2 (single bigger loop).
+    loops share a point within 1e-8 of E^2 (single bigger loop).
     """
     grid = default_bz_grid() if grid is None else _loop_grid(grid)
     e = np.asarray(energy(grid, c, regime), dtype=complex)
@@ -336,6 +331,5 @@ def parametric_energy_loops(c: CouplingSet, grid: np.ndarray | None = None,
     i = np.nonzero(np.diff(np.sign(dd.imag)) != 0)[0]
     ks, _ = _bisect_all(lambda m, _: (energy(m, c, regime) ** 2).imag, kk[i], kk[i + 1])
     z = energy(ks, c, regime) ** 2
-    e2 = c.J**2  # thresholds scale with E^2
-    merged = ((np.abs(z.imag) < 1e-8 * e2) & (z.real < -1e-12 * e2)).any()
+    merged = ((np.abs(z.imag) < 1e-8) & (z.real < -1e-12)).any()
     return e_plus, e_minus, bool(merged)

@@ -26,7 +26,7 @@ def test_criterion_01_block_equivalence_real():
     worst = 0.0
     for _ in range(100):
         k = rng.uniform(-np.pi, np.pi)
-        c = derive_couplings(1.0, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
+        c = derive_couplings(rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
         worst = max(worst, spectral.block_diagonalize(k, c, Regime.REAL))
     elapsed = time.time() - start
     report(1, worst < 1e-12 and elapsed < 1.0,
@@ -38,7 +38,7 @@ def test_criterion_02_block_equivalence_imaginary():
     worst = 0.0
     for _ in range(100):
         k = rng.uniform(-np.pi, np.pi)
-        c = derive_couplings(1.0, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
+        c = derive_couplings(rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
         worst = max(worst, spectral.block_diagonalize(k, c, Regime.IMAGINARY))
     report(2, worst < 1e-12, f"max residual {worst:.2e} < 1e-12")
 
@@ -48,7 +48,7 @@ def test_criterion_03_phase_table():
     worst_nu = 0.0
     worst_res = 0.0
     for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
-        c = derive_couplings(1.0, d, 0.4)
+        c = derive_couplings(d, 0.4)
         res = topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), grid)
         worst_nu = max(worst_nu, abs(res.nu - expected))
         worst_res = max(worst_res, res.imag_residual)
@@ -63,7 +63,7 @@ def test_criterion_04_moebius_window():
     bz = PBC.uniform(64)
     mismatches = []
     for d in deltas:
-        c = derive_couplings(1.0, d, 0.4)
+        c = derive_couplings(d, 0.4)
         evs = np.concatenate([np.linalg.eigvals(
             model.dynamical_qb_k(k, c, Regime.REAL)) for k in bz.k_grid])
         has_imag = bool(np.any((np.abs(evs.real) < 1e-9)
@@ -78,7 +78,7 @@ def test_criterion_05_obc_reality_and_zero_modes():
     ok = True
     notes = []
     for d in np.round(np.linspace(-0.9, 0.9, 19), 12):
-        c = derive_couplings(1.0, d, 0.4)
+        c = derive_couplings(d, 0.4)
         evs = np.linalg.eigvals(model.realspace_dynamical(c, 20, Regime.REAL))
         if np.abs(evs.imag).max() >= 1e-6 * np.abs(evs).max():
             ok = False
@@ -100,15 +100,15 @@ def test_criterion_06_imaginary_transition():
     bz = PBC.uniform(401)
     gaps = []
     for d in deltas:
-        c = derive_couplings(1.0, d, 0.4)
+        c = derive_couplings(d, 0.4)
         gaps.append(min(np.abs(np.linalg.eigvals(
             model.dynamical_qb_k(k, c, Regime.IMAGINARY))).min()
             for k in bz.k_grid))
     d_min = deltas[int(np.argmin(gaps))]
-    delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+    delta0 = topology.transition_delta(0.4)
     ok = abs(d_min - delta0) <= step + 1e-12
     ok = ok and abs(delta0 + 0.1189) < 5e-5
-    ok = ok and topology.ep_nssh1(derive_couplings(1, 0, 0.0))[2] == 0.0
+    ok = ok and topology.transition_delta(0.0) == 0.0
     report(6, ok, f"gap minimum at delta={d_min:.4f}, "
                   f"delta0={delta0:.6f}, step {step:.4f}")
 
@@ -120,8 +120,8 @@ def test_criterion_07_loschmidt_oracle():
     worst_id = 0.0
     for _ in range(200):
         k = rng.uniform(-np.pi, np.pi)
-        ci = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
-        cf = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
+        ci = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
+        cf = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
         t = rng.uniform(0, 5)
         g0 = complex(quench.loschmidt_gk(k, ci, cf, t))
         for method in ("fq", "biortho"):
@@ -141,13 +141,13 @@ def test_criterion_07_loschmidt_oracle():
 
 
 def test_criterion_08_chiral_dtop():
-    ci = derive_couplings(1, -0.9, 0.0)
+    ci = derive_couplings(-0.9, 0.0)
     start = time.time()
     notes = []
     ok = True
 
     # chiral quench into the Moebius phase: DTOP_+ plateaus, DTOP_- flat
-    cf = derive_couplings(1, -0.1, 0.4)
+    cf = derive_couplings(-0.1, 0.4)
     p = quench.QuenchProtocol.default(ci, cf)
     d = quench.dtop(quench.pgp_field(p))
     ct = quench.critical_set(p)
@@ -169,7 +169,7 @@ def test_criterion_08_chiral_dtop():
         notes.append(f"DTOP_+ plateaus {sorted(plateaus)}")
 
     # quench into the nontrivial phase: plateaus in both halves; RR cusps at t_c
-    cf4 = derive_couplings(1, 0.9, 0.4)
+    cf4 = derive_couplings(0.9, 0.4)
     p4 = quench.QuenchProtocol.default(ci, cf4)
     f4 = quench.pgp_field(p4)
     d4 = quench.dtop(f4)
@@ -195,7 +195,7 @@ def test_criterion_08_chiral_dtop():
 
 
 def test_criterion_09_quadrature_fixtures():
-    c = derive_couplings(1.0, 0.3, 0.7)
+    c = derive_couplings(0.3, 0.7)
     hx, hp = model.quadrature_dynamical(c, 2)
     rx, rp = reference_quadrature_n2(c)
     ok = np.array_equal(hx, rx) and np.array_equal(hp, rp)
@@ -204,8 +204,8 @@ def test_criterion_09_quadrature_fixtures():
 
 
 def test_criterion_10_amplification():
-    # closed form at theta=0, N=4, (v, w) = (1, 2)
-    c = derive_couplings(1.5, 1.0 / 3.0, 0.0)
+    # closed form at theta=0, N=4, (v, w) = (2/3, 4/3): w/v = 2
+    c = derive_couplings(1.0 / 3.0, 0.0)
     rep = amplification.susceptibility(c, 4)
     ac_ref, bd_ref = amplification.closed_form_theta0(c, 4)
     worst = max(np.abs(np.abs(sub) - (ac_ref if s == "AC" else bd_ref)).max()
@@ -216,10 +216,10 @@ def test_criterion_10_amplification():
     ok = ok and all(d == "leftward" for (s, _), d in dirs.items() if s == "AC")
     ok = ok and all(d == "rightward" for (s, _), d in dirs.items() if s == "BD")
 
-    delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+    delta0 = topology.transition_delta(0.4)
     deltas = np.linspace(-0.9, 0.9, 50)
     deltas = deltas[np.abs(deltas - delta0) > 1e-3]
-    rows = amplification.amplification_phase_scan(1.0, 0.4, deltas, 10)
+    rows = amplification.amplification_phase_scan(0.4, deltas, 10)
     corr = all((all(v > 1.0 for v in ends)) == (abs(nu - 1.0) < 0.25)
                for _, _, nu, *ends in rows)
     ok = ok and corr
@@ -229,7 +229,7 @@ def test_criterion_10_amplification():
 
 
 def test_criterion_11_nhse():
-    c = derive_couplings(1.0, 0.5, 0.4)
+    c = derive_couplings(0.5, 0.4)
     n = 40
     fracs = {}
     for regime in (Regime.REAL, Regime.IMAGINARY):

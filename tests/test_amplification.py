@@ -79,27 +79,28 @@ def reference_quadrature_loop(c, n_cells):
     return hx, hp
 
 
-def reference_closed_form_loop(c, n_cells):
-    """|chi_ac| and |chi_bd| at theta = 0, set entry by entry."""
-    g0 = c.w_r / c.v
+def reference_closed_form_loop(v, w, n_cells):
+    """|chi_ac| and |chi_bd| at theta = 0 and couplings (v, w), set entry by
+    entry."""
+    g0 = w / v
     n = 2 * n_cells
     ac = np.zeros((n, n))
     for i in range(n_cells):
         for j in range(i, n_cells):
-            val = abs(g0 ** (j - i) / c.v)
+            val = abs(g0 ** (j - i) / v)
             ac[2 * i, 2 * j] = val
             ac[2 * i + 1, 2 * j + 1] = val
     return ac, ac.T.copy()
 
 
-def reference_scan(J, theta, deltas, n_cells):
+def reference_scan(theta, deltas, n_cells):
     """The scan through dense chi: per delta, ``susceptibility`` and
     ``gain_metrics``' end_to_end."""
-    delta0 = topology.ep_nssh1(derive_couplings(J, 0.0, theta))[2]
+    delta0 = topology.transition_delta(theta)
     rows = []
     for d in np.asarray(deltas, dtype=float):
-        c = derive_couplings(J, d, theta)
-        label = topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY)[0]
+        c = derive_couplings(d, theta)
+        label = topology.classify_phases(c.theta, [c.delta], Regime.IMAGINARY)[0]
         rep = amplification.susceptibility(c, n_cells)
         rows.append((float(d), float(delta0), label.nu,
                      *(g.end_to_end for g in amplification.gain_metrics(rep))))
@@ -130,14 +131,14 @@ def dense_residual(rep):
 
 def scan_grid(theta):
     """The default 41-point delta grid without points near delta0."""
-    delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+    delta0 = topology.transition_delta(theta)
     deltas = np.linspace(-0.9, 0.9, 41)
     return deltas[np.abs(deltas - delta0) >= 1e-4]
 
 
 class TestQuadratureGenerators:
     def test_n2_fixture_exact(self):
-        c = derive_couplings(1, 0.3, 0.7)
+        c = derive_couplings(0.3, 0.7)
         hx, hp = model.quadrature_dynamical(c, 2)
         rx, rp = reference_quadrature_n2(c)
         assert np.array_equal(hx, rx)
@@ -146,7 +147,7 @@ class TestQuadratureGenerators:
     @pytest.mark.parametrize("n_cells", [2, 3, 40])
     @pytest.mark.parametrize("delta, theta", [(0.3, 0.7), (-0.5, 0.0), (0.9, 2.0)])
     def test_matches_cell_loop(self, n_cells, delta, theta):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         for h, ref in zip(model.quadrature_dynamical(c, n_cells),
                           reference_quadrature_loop(c, n_cells)):
             # bit for bit, signed zeros included (w- = 0 at theta = 0)
@@ -156,7 +157,7 @@ class TestQuadratureGenerators:
     @pytest.mark.parametrize("delta, theta", [(0.3, 0.7), (-0.5, 0.0), (0.9, 2.0)])
     def test_cells_match_cell_loop(self, delta, theta):
         # the four cell blocks of each generator, read off the N = 2 loop
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         for cells, ref in zip(model.quadrature_cells(c),
                               reference_quadrature_loop(c, 2)):
             g = ref.reshape(2, 4, 2, 4)
@@ -173,7 +174,7 @@ class TestQuadratureGenerators:
         # delta on both sides of delta0 = 0.141, 0, -0.119 and -0.681
         for delta, theta in [(-0.5, -1.0), (0.5, -1.0), (-0.3, 0.0), (0.3, 0.0),
                              (-0.5, 0.4), (0.5, 0.4), (-0.9, 2.0), (0.3, 2.0)]:
-            c = derive_couplings(1, delta, theta)
+            c = derive_couplings(delta, theta)
             G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
             M = amplification.nambu_to_quadrature(G)
             assert np.abs(M.imag).max() < 1e-12
@@ -184,7 +185,7 @@ class TestQuadratureGenerators:
             assert np.abs(M[half:, half:].real - hp).max() < 1e-12
 
     def test_nambu_rotation_couples_real(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         n = 4
         G = model.realspace_dynamical(c, n, Regime.REAL)
         M = amplification.nambu_to_quadrature(G)
@@ -206,7 +207,7 @@ class TestQuadratureGenerators:
 
 class TestSusceptibility:
     def test_inverse_residual(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         rep = amplification.susceptibility(c, 8)
         chi_x, _ = dense_chi(rep)
         assert rep.residual < 1e-10 * max(1.0, np.abs(chi_x).max())
@@ -215,9 +216,9 @@ class TestSusceptibility:
         assert rep.sectors[("AC", "X")].shape == (16, 16)
 
     def test_closed_form_match(self):
-        # symmetric limit with (v, w) = (1, 2): J(1-delta)=1, J(1+delta)=2
-        c = derive_couplings(1.5, 1.0 / 3.0, 0.0)
-        assert abs(c.v - 1.0) < 1e-12 and abs(c.w_r - 2.0) < 1e-12
+        # symmetric limit with (v, w) = (2/3, 4/3): w/v = 2
+        c = derive_couplings(1.0 / 3.0, 0.0)
+        assert abs(c.v - 2 / 3) < 1e-15 and abs(c.w_r - 4 / 3) < 1e-15
         rep = amplification.susceptibility(c, 4)
         ac_ref, bd_ref = amplification.closed_form_theta0(c, 4)
         assert list(rep.sectors) == list(amplification.PAIRS)
@@ -229,16 +230,23 @@ class TestSusceptibility:
     @pytest.mark.parametrize("J, delta", [(1.5, 1.0 / 3.0), (1.0, -0.6),
                                           (0.7, 0.9)])
     def test_closed_form_matches_entry_loop(self, J, delta, n_cells):
-        c = derive_couplings(J, delta, 0.0)
+        # chi is homogeneous of degree -1 in the couplings: at the couplings
+        # J (1 -+ delta) it is the closed form in units of J, over J (bit for
+        # bit at J = 1)
+        c = derive_couplings(delta, 0.0)
         for got, ref in zip(amplification.closed_form_theta0(c, n_cells),
-                            reference_closed_form_loop(c, n_cells)):
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                            reference_closed_form_loop(J * c.v, J * c.w_r, n_cells)):
+            if J == 1.0:
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            nz = got != 0.0
+            assert np.array_equal(nz, ref != 0.0)
+            assert np.abs(got[nz] / J / ref[nz] - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("delta,theta,n_cells", [
         (0.5, 0.4, 8), (-0.5, 0.4, 8), (0.2, 0.0, 2), (0.8, 1.0, 40),
         (-0.9, 2.0, 40), (0.9, 0.4, 200)])
     def test_banded_residual_matches_dense(self, delta, theta, n_cells):
-        rep = amplification.susceptibility(derive_couplings(1, delta, theta),
+        rep = amplification.susceptibility(derive_couplings(delta, theta),
                                            n_cells)
         # the same products, summed in another order
         assert rep.residual < 1e-10
@@ -249,7 +257,7 @@ class TestSusceptibility:
         (-0.5, 0.4),  # trivial: delta < delta0
     ])
     def test_matches_high_precision_inverse(self, delta, theta):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         n_cells = 12
         rep = amplification.susceptibility(c, n_cells)
         for h, chi in zip(model.quadrature_dynamical(c, n_cells), dense_chi(rep)):
@@ -269,7 +277,7 @@ class TestSusceptibility:
         (0.9, 0.4, 200),                    # max|chi| ~ 1e276
     ])
     def test_closed_form_matches_lu(self, delta, theta, n_cells):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         rep = amplification.susceptibility(c, n_cells)
         ac, bd = amplification._sector_indices(n_cells)
         for h, chi in zip(model.quadrature_dynamical(c, n_cells), dense_chi(rep)):
@@ -282,7 +290,7 @@ class TestSusceptibility:
             assert not chi[np.ix_(bd, bd)].any()
 
     def test_overflow_is_typed(self):
-        c = derive_couplings(1, 0.9, 0.4)
+        c = derive_couplings(0.9, 0.4)
         rep = amplification.susceptibility(c, 200)  # max|chi| ~ 1e276
         assert np.isfinite(dense_chi(rep)[0]).all() and rep.residual < 1e-10
         with warnings.catch_warnings():
@@ -297,7 +305,7 @@ class TestSusceptibility:
         # fails the dense check max|chi h - I| <= 1e-10 max(1, max|chi|) on
         # the h laid out from them, and so must fail the banded one, in
         # susceptibility and in the scan
-        c = derive_couplings(1, delta, 0.4)
+        c = derive_couplings(delta, 0.4)
         chis = dense_chi(amplification.susceptibility(c, n_cells))
         clean = model.quadrature_cells(c)
         for entry in range(clean.size):
@@ -313,21 +321,21 @@ class TestSusceptibility:
             with pytest.raises(SingularityError):
                 amplification.susceptibility(c, n_cells)
             with pytest.raises(SingularityError):
-                amplification.amplification_phase_scan(1.0, 0.4, [delta], n_cells)
+                amplification.amplification_phase_scan(0.4, [delta], n_cells)
 
     @pytest.mark.parametrize("n_cells", [0, 1])
     def test_short_chain_rejected(self, n_cells):
         with pytest.raises(DomainError, match="at least 2 unit cells"):
-            amplification.susceptibility(derive_couplings(1, 0.5, 0.4), n_cells)
+            amplification.susceptibility(derive_couplings(0.5, 0.4), n_cells)
         with pytest.raises(DomainError, match="at least 2 unit cells"):
-            amplification.amplification_phase_scan(1.0, 0.4, [0.5], n_cells)
+            amplification.amplification_phase_scan(0.4, [0.5], n_cells)
 
     @pytest.mark.parametrize("delta, n_cells", [
         (0.9, 260),          # (w/v)^259 itself leaves the double range
         (0.9, 242),          # (w/v)^241 is finite; divided by v = 0.1 it is not
         (1.0 - 1e-6, 49)])   # the same at v = 1e-6
     def test_closed_form_overflow_is_typed(self, delta, n_cells):
-        c = derive_couplings(1, delta, 0.0)
+        c = derive_couplings(delta, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DoubleOverflowError, match=f"n_cells={n_cells}"):
@@ -335,30 +343,30 @@ class TestSusceptibility:
 
     @pytest.mark.parametrize("delta, n_cells", [(0.9, 241), (1.0 - 1e-6, 48)])
     def test_closed_form_finite_below_overflow(self, delta, n_cells):
-        ac, bd = amplification.closed_form_theta0(derive_couplings(1, delta, 0.0),
+        ac, bd = amplification.closed_form_theta0(derive_couplings(delta, 0.0),
                                                   n_cells)
         assert np.isfinite(ac).all() and ac.max() > 1e300
 
     def test_closed_form_requires_theta0(self):
         with pytest.raises(DomainError):
-            amplification.closed_form_theta0(derive_couplings(1, 0.3, 0.4), 4)
+            amplification.closed_form_theta0(derive_couplings(0.3, 0.4), 4)
 
     def test_singular_at_transition(self):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        delta0 = topology.transition_delta(0.4)
         with pytest.raises(SingularityError):
-            amplification.susceptibility(derive_couplings(1, delta0, 0.4), 6)
+            amplification.susceptibility(derive_couplings(delta0, 0.4), 6)
 
     def test_singular_at_zero_intracell_coupling(self):
         # delta = 1: v = 0, h is exactly singular; nothing overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularityError, match="singular at v = 0"):
-                amplification.susceptibility(derive_couplings(1, 1.0, 0.4), 6)
+                amplification.susceptibility(derive_couplings(1.0, 0.4), 6)
 
 
 class TestGain:
     def test_directions_nontrivial(self):
-        c = derive_couplings(1.5, 1.0 / 3.0, 0.0)  # (v, w) = (1, 2)
+        c = derive_couplings(1.0 / 3.0, 0.0)  # (v, w) = (2/3, 4/3), w/v = 2
         gains = amplification.gain_metrics(amplification.susceptibility(c, 8))
         for g in gains:
             if g.sector == "AC":
@@ -369,7 +377,7 @@ class TestGain:
             assert g.end_to_end > 1.0
 
     def test_no_gain_trivial(self):
-        c = derive_couplings(1, -0.5, 0.4)  # delta < delta0: trivial
+        c = derive_couplings(-0.5, 0.4)  # delta < delta0: trivial
         gains = amplification.gain_metrics(amplification.susceptibility(c, 8))
         for g in gains:
             assert g.direction == "none"
@@ -382,8 +390,9 @@ class TestGain:
     ])
     def test_gain_per_cell_is_topological(self, delta, theta, tol):
         # -D^-1 W is the rotation R(phi) scaled by v_crit/|v|
-        c = derive_couplings(1, delta, theta)
-        v_crit, _, delta0 = topology.ep_nssh1(c)
+        c = derive_couplings(delta, theta)
+        v_crit = np.sqrt(0.5 * (c.w_r**2 + c.w_l**2))  # the single EP's
+        delta0 = topology.transition_delta(theta)
         gains = amplification.gain_metrics(amplification.susceptibility(c, 40))
         for g in gains:
             assert abs(g.gain_per_cell / (v_crit / abs(c.v)) - 1.0) < tol
@@ -392,7 +401,7 @@ class TestGain:
     @pytest.mark.parametrize("delta,theta", [
         (0.5, 0.4), (0.8, 1.0), (-0.5, 0.4), (0.2, 0.0), (-0.3, 0.0)])
     def test_gain_matches_per_distance_loop(self, delta, theta):
-        rep = amplification.susceptibility(derive_couplings(1, delta, theta), 20)
+        rep = amplification.susceptibility(derive_couplings(delta, theta), 20)
         cell = np.repeat(np.arange(20), 2)
         dist = cell[None, :] - cell[:, None]
         gains = amplification.gain_metrics(rep)
@@ -413,22 +422,34 @@ class TestGain:
 
     @pytest.mark.parametrize("delta", [0.5, -0.5])
     @pytest.mark.parametrize("J", [1e-150, 1e-20, 1e20, 1e40, 1e150])
-    def test_gain_does_not_depend_on_J(self, J, delta):
-        # |chi| scales as 1/J: the noise cut reads J |chi|
-        ref = amplification.gain_metrics(
-            amplification.susceptibility(derive_couplings(1.0, delta, 0.4), 40))
-        gains = amplification.gain_metrics(
-            amplification.susceptibility(derive_couplings(J, delta, 0.4), 40))
-        assert any(g.gain_per_cell > 0.0 for g in ref)
-        for g, r in zip(gains, ref, strict=True):
-            assert g.direction == r.direction
-            assert abs(g.gain_per_cell - r.gain_per_cell) <= 1e-12 * r.gain_per_cell
+    def test_gain_does_not_depend_on_J(self, tmp_path, J, delta):
+        # amplify at J writes each |chi| entry and end-to-end gain of J = 1
+        # over J, so every gain per cell (a ratio of entries) is that of J = 1
+        names = ["amplification_scan.csv", *(f"chi_{s}_{q}.csv".lower()
+                                             for s, q in amplification.PAIRS)]
+        read = {}
+        for scale in (1.0, J):
+            out = tmp_path / str(scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.run(cli.validate({"command": "amplify", "J": str(scale),
+                                             "delta": str(delta),
+                                             "out": str(out)})) == 0
+            read[scale] = [np.loadtxt(out / name, delimiter=",", skiprows=1,
+                                      usecols=None if name == names[0] else 2)
+                           for name in names]
+        (scan, *chi), (ref_scan, *ref_chi) = read[J], read[1.0]
+        assert np.array_equal(scan[:, :3], ref_scan[:, :3])  # delta, delta0, nu
+        for got, ref in [(scan[:, 3:], ref_scan[:, 3:]), *zip(chi, ref_chi)]:
+            nz = ref != 0.0
+            assert np.array_equal(got != 0.0, nz)
+            assert np.abs(got[nz] * J / ref[nz] - 1.0).max() < 1e-12
 
     def test_scan_topology_correspondence(self):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        delta0 = topology.transition_delta(0.4)
         deltas = np.linspace(-0.9, 0.9, 50)
         deltas = deltas[np.abs(deltas - delta0) > 1e-3]
-        rows = amplification.amplification_phase_scan(1.0, 0.4, deltas, 10)
+        rows = amplification.amplification_phase_scan(0.4, deltas, 10)
         for d, d0, nu, *ends in rows:
             assert abs(d0 - delta0) < 1e-12
             assert len(ends) == len(amplification.PAIRS)
@@ -439,23 +460,22 @@ class TestGain:
     @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0, 2.0])
     def test_scan_matches_reference(self, theta, n_cells):
         deltas = scan_grid(theta)
-        rows = amplification.amplification_phase_scan(1.0, theta, deltas, n_cells)
-        assert rows == reference_scan(1.0, theta, deltas, n_cells)
+        rows = amplification.amplification_phase_scan(theta, deltas, n_cells)
+        assert rows == reference_scan(theta, deltas, n_cells)
         assert rows.residual == max(
-            amplification.susceptibility(derive_couplings(1, d, theta),
+            amplification.susceptibility(derive_couplings(d, theta),
                                          n_cells).residual for d in deltas)
 
     @pytest.mark.parametrize("theta", [0.0, 0.4])
     def test_scan_over_several_blocks(self, theta):
         # 150 deltas: several blocks of DELTA_BLOCK, the last one partial
         deltas = np.linspace(-0.9, 0.9, 150)
-        assert np.abs(deltas - topology.ep_nssh1(
-            derive_couplings(1, 0, theta))[2]).min() >= 1e-4
+        assert np.abs(deltas - topology.transition_delta(theta)).min() >= 1e-4
         assert deltas.size > topology.DELTA_BLOCK and deltas.size % topology.DELTA_BLOCK
-        rows = amplification.amplification_phase_scan(1.0, theta, deltas, 10)
-        assert rows == reference_scan(1.0, theta, deltas, 10)
+        rows = amplification.amplification_phase_scan(theta, deltas, 10)
+        assert rows == reference_scan(theta, deltas, 10)
         assert rows.residual == max(
-            amplification.susceptibility(derive_couplings(1, d, theta),
+            amplification.susceptibility(derive_couplings(d, theta),
                                          10).residual for d in deltas)
 
     def test_scan_error_names_first_failing_delta_of_its_block(self):
@@ -465,21 +485,21 @@ class TestGain:
             for scan in (amplification.amplification_phase_scan, reference_scan):
                 with pytest.raises(SingularityError,
                                    match=f"n_cells=260, delta={named}:"):
-                    scan(1.0, 0.4, deltas, 260)
-        amplification.amplification_phase_scan(1.0, 0.4, [0.5], 260)
+                    scan(0.4, deltas, 260)
+        amplification.amplification_phase_scan(0.4, [0.5], 260)
 
     def test_scan_overflow_is_typed(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for scan in (amplification.amplification_phase_scan, reference_scan):
                 with pytest.raises(SingularityError, match="overflow.*n_cells=260"):
-                    scan(1.0, 0.4, [0.9], 260)
+                    scan(0.4, [0.9], 260)
 
     def test_scan_memory_is_linear(self):
         # one dense 4N x 4N generator would take 512 MB at N = 2000
         tracemalloc.start()
         try:
-            rows = amplification.amplification_phase_scan(1.0, 0.4, [-0.5], 2000)
+            rows = amplification.amplification_phase_scan(0.4, [-0.5], 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -489,18 +509,17 @@ class TestGain:
     @pytest.mark.parametrize("grid", [[], [np.nan], [0.5, np.inf], [-np.inf]])
     def test_scan_rejects_empty_or_non_finite_grid(self, grid):
         with pytest.raises(DomainError, match="non-empty and finite"):
-            amplification.amplification_phase_scan(1.0, 0.4, grid, 6)
+            amplification.amplification_phase_scan(0.4, grid, 6)
 
     def test_scan_rejects_near_transition(self):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        delta0 = topology.transition_delta(0.4)
         with pytest.raises(DomainError):
-            amplification.amplification_phase_scan(
-                1.0, 0.4, [delta0 + 5e-5], 6)
+            amplification.amplification_phase_scan(0.4, [delta0 + 5e-5], 6)
 
 
 class TestNeumannStack:
     def test_sectors_are_the_stack_laid_out(self):
-        rep = amplification.susceptibility(derive_couplings(1.0, 0.5, 0.4), 5)
+        rep = amplification.susceptibility(derive_couplings(0.5, 0.4), 5)
         for (sector, _), stack, sub in zip(amplification.PAIRS, rep.blocks,
                                            rep.sectors.values(), strict=True):
             assert np.array_equal(amplification.lay_out(stack, sector), sub)

@@ -1,12 +1,15 @@
 import ast
+import dataclasses
 import hashlib
 import importlib.metadata
+import inspect
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -32,6 +35,61 @@ SELF_QUENCHES = {
     "non-hermitian": {"delta_i": "0.9", "theta_i": "0.4"},  # the default final
     "hermitian": {"theta_i": "0", "theta_f": "0", "delta_i": "0.5", "delta_f": "0.5"},
 }
+
+
+def scaling_powers(name: str) -> tuple:
+    """The power of J by which each column of the file ``name`` scales (None
+    for a text column): energies as J, chi and times as 1/J."""
+    if name.startswith("chi_"):
+        return (None, None, -1)
+    return {"spectrum.csv": (0, 0, 1, 1), "winding.csv": (0,) * 6,
+            "energy_loops.csv": (0, 1, 1, 1, 1),
+            "amplification_scan.csv": (0, 0, 0, -1, -1, -1, -1),
+            "return_rate.csv": (-1, 0), "critical_times.csv": (0, None, 0, -1, 0),
+            "dtop.csv": (-1, 0, 0, 0, 0, 0), "pgp_grid.csv": (0, -1, 0)}[name]
+
+
+def unit_run(config: dict, key: str) -> dict:
+    """``config`` at J = 1: a quench over t_max J_f, whose protocol runs at
+    the same times J_f t."""
+    unit = {**config, key: "1"}
+    if key == "J_f":
+        unit["t_max"] = repr(float(config.get("t_max", cli.DEFAULTS["t_max"]))
+                             * float(config[key]))
+    return unit
+
+
+def assert_scaled(got: Path, ref: Path, J: float) -> None:
+    """The run in ``got``, at J, writes what the run in ``ref`` writes at
+    J = 1, each column times J to its power (``scaling_powers``): bit for
+    bit at J = 2, else within 1e-12 of each scaled value (of the largest
+    one in an unscaled column).  The manifests' file entries agree: the
+    same rows and merged flags, and the quench's t_complete, a time."""
+    files = [json.loads((d / "manifest.json").read_text())["files"] for d in (got, ref)]
+    assert [f["name"] for f in files[0]] == [f["name"] for f in files[1]]
+    for entry, unit in zip(*files):
+        for key in ("rows", "merged", "unresolved"):
+            assert entry.get(key) == unit.get(key)
+        done, unit_done = entry.get("t_complete"), unit.get("t_complete")
+        assert (done is None) == (unit_done is None)
+        if done is not None:
+            assert done * J == pytest.approx(unit_done, rel=1e-12)
+        rows = [[line.split(",") for line in (d / entry["name"]).read_text().splitlines()
+                 if not line.startswith("#")] for d in (got, ref)]
+        assert rows[0][0] == rows[1][0]  # the header
+        for col, power in enumerate(scaling_powers(entry["name"])):
+            a, b = ([row[col] for row in r[1:]] for r in rows)
+            if power is None:
+                assert a == b
+                continue
+            a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+            if J == 2.0:
+                assert np.array_equal(a, b * J**power), (entry["name"], col)
+                continue
+            err = np.abs(a / J**power - b)
+            assert err.max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+            if power:
+                assert (err <= 1e-12 * np.abs(b)).all(), (entry["name"], col)
 
 
 # a command that reads each numeric key
@@ -183,9 +241,9 @@ class TestCommands:
         ("command=winding\ntheta=800\n", "theta=800"),
         ("command=quench\ntheta_f=800\n", "theta=800"),
         ("command=spectrum\ntheta=710\n", "theta=710"),
-        # finite couplings whose squares overflow in model.energy
-        ("command=winding\nJ=1e155\n", "OverflowError"),
-        ("command=winding\nJ=1e155\n", "J="),
+        # the energy loops at J = 1, times J
+        ("command=winding\nJ=1e308\n", "OverflowError"),
+        ("command=winding\nJ=1e308\n", "J="),
     ])
     def test_overflow_exit_2(self, tmp_path, config, name):
         cfg = tmp_path / "big.cfg"
@@ -217,41 +275,34 @@ class TestCommands:
             for J, got in read.items():
                 assert np.abs(got - read["1"]).max() < 1e-12, (regime, J)
 
-    @pytest.mark.parametrize("config, files", [
-        ({"command": "amplify", "regime": "imaginary", "J": "1e160"},
-         ["amplification_scan.csv"]),
-        ({"command": "winding", "J": "1e-160"}, []),
+    @pytest.mark.parametrize("config, error", [
+        ({"command": "amplify", "regime": "imaginary", "J": "1e160"}, None),
+        ({"command": "winding", "J": "1e-160"}, None),
+        # J_f t reaches 1.2e161: |g_k|^2 leaves the double range
         ({"command": "quench", "J_i": "1e160", "J_f": "1e160", "n_half": "100",
-          "n_t": "60"}, []),
-        ({"command": "quench", "J_i": "1e-160", "J_f": "1e-160", "n_half": "100",
-          "n_t": "60"}, []),
+          "n_t": "60"}, "J_f"),
+        # over t_max = 1.2e161: the protocol's times J_f t are those of J_f = 1
+        ({"command": "quench", "J_i": "1e-160", "J_f": "1e-160", "t_max": "1.2e161",
+          "n_half": "100", "n_t": "60"}, None),
     ], ids=["amplify-1e160", "winding-1e-160", "quench-1e160", "quench-1e-160"])
-    def test_extreme_J_runs_or_names_J(self, tmp_path, config, files):
-        # a run at an extreme J either reads as at J = 1 (delta0 and nu; the
-        # gains scale as 1/J) or exits 2 with a typed error that names J,
-        # with no RuntimeWarning on the way; the phase diagram's labels are
-        # tested at extreme J in test_topology, since it reads no J
-        J = config.get("J", config.get("J_i"))
+    def test_extreme_J_runs_or_names_J(self, tmp_path, config, error):
+        # a run at an extreme J either reads as the run at J = 1 scaled
+        # (``assert_scaled``) or exits 2 with a typed error that names J,
+        # with no RuntimeWarning on the way
+        key = "J_f" if config["command"] == "quench" else "J"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status = cli.run(cli.validate({**config, "out": str(tmp_path / "x")}))
+            if error is None:
+                assert status == 0
+                unit = unit_run(config, key)
+                assert cli.run(cli.validate({**unit, "out": str(tmp_path / "unit")})) == 0
+                assert_scaled(tmp_path / "x", tmp_path / "unit", float(config[key]))
+                return
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
-        if not files:
-            assert status == 2
-            assert manifest["error"].startswith("DoubleOverflowError: ")
-            assert f"J={float(J)}" in manifest["error"]
-            return
-        assert status == 0
-        unit = {**config, "J": "1", "out": str(tmp_path / "unit")}
-        assert cli.run(cli.validate(unit)) == 0
-        for name in files:
-            got, ref = ([line.split(",") for line in (tmp_path / d / name)
-                         .read_text().splitlines()[1:]] for d in ("x", "unit"))
-            assert len(got) == len(ref)
-            for a, b in zip(got, ref):  # delta, delta0, nu, then four gains
-                a, b = np.array(a, float), np.array(b, float)
-                assert np.abs(a[:3] - b[:3]).max() < 1e-12
-                assert np.abs(a[3:] * float(J) / b[3:] - 1).max() < 1e-12
+        assert status == 2
+        assert manifest["error"].startswith("DoubleOverflowError: ")
+        assert error in manifest["error"]
 
     @pytest.mark.parametrize("label", list(SELF_QUENCHES))
     def test_self_quench_has_no_crossing(self, tmp_path, label):
@@ -259,7 +310,7 @@ class TestCommands:
         # manifest), and the count oracle reads the whole grid
         cfg = cli.validate({"command": "quench", "n_half": "100", "n_t": "60",
                             **SELF_QUENCHES[label], "out": str(tmp_path)})
-        ci, cf = (model.derive_couplings(float(cfg[f"J_{s}"]), float(cfg[f"delta_{s}"]),
+        ci, cf = (model.derive_couplings(float(cfg[f"delta_{s}"]),
                                          float(cfg[f"theta_{s}"])) for s in "if")
         assert ci == cf
         ct = quench.critical_set(quench.QuenchProtocol.default(ci, cf, n_half=100,
@@ -328,7 +379,7 @@ class TestCommands:
                              "# regime=real", "# theta=0.0",
                              "delta,index,re_lambda,im_lambda"]
         assert len(lines[6:]) == 2 * 16 == manifest["files"][0]["rows"]
-        sweep = spectral.spectrum_sweep(1.0, 0.0, [0.1, 0.2], model.Regime.REAL,
+        sweep = spectral.spectrum_sweep(0.0, [0.1, 0.2], model.Regime.REAL,
                                         model.OBC(2))
         expected = [(d, i, ev.real, ev.imag)
                     for d, evs in zip(sweep.deltas, sweep.eigenvalues)
@@ -403,8 +454,8 @@ class TestCommands:
         lines = ["delta,theta,nu1,nu2,nu,label"]
         for th in np.linspace(0.0, 1.0, 3):
             for d in np.linspace(-0.9, 0.9, 9):
-                c = model.derive_couplings(1.0, d, th)
-                tag = topology.classify_phases(1.0, th, [d], model.Regime.IMAGINARY,
+                c = model.derive_couplings(d, th)
+                tag = topology.classify_phases(th, [d], model.Regime.IMAGINARY,
                                                grid)[0].tag
                 if tag is topology.Phase.CRITICAL:
                     lines.append(f"{'%.16e' % d},{'%.16e' % th},nan,nan,nan,"
@@ -474,8 +525,8 @@ class TestCommands:
         rows = {f["name"]: f["rows"] for f in manifest["files"]}
         assert rows["pgp_grid.csv"] == 12000
         p = quench.QuenchProtocol.default(
-            model.derive_couplings(1.0, -0.9, 0.0),
-            model.derive_couplings(1.0, 0.9, 0.4), t_max=12.0, n_half=100, n_t=60)
+            model.derive_couplings(-0.9, 0.0),
+            model.derive_couplings(0.9, 0.4), t_max=12.0, n_half=100, n_t=60)
         f = quench.pgp_field(p)
         lines = (out / "pgp_grid.csv").read_text().splitlines()
         assert lines[0] == "k,t,phi_pgp"
@@ -598,15 +649,16 @@ class TestCommands:
                                      f"got {n_cells}")
 
     def test_amplify_small_J_overflow_names_J(self, tmp_path):
-        # |chi| grows as 1/J: at the default n_cells the blocks leave the
-        # double range at J = 1e-280, and not at J = 1e-200
+        # |chi| grows as 1/J: at the default n_cells the chi of J = 1 (up to
+        # about 1e29), over J, leaves the double range at J = 1e-280, and not
+        # at J = 1e-200
         for J, want in (("1e-280", 2), ("1e-200", 0)):
             status = cli.run(cli.validate({"command": "amplify", "regime": "imaginary",
                                            "J": J, "out": str(tmp_path / J)}))
             assert status == want
-        error = json.loads((tmp_path / "1e-280" / "manifest.json").read_text())["error"]
-        assert error.startswith("SingularityError: susceptibility overflows")
-        assert "n_cells=40, delta=" in error and "J=1e-280" in error
+        manifest = json.loads((tmp_path / "1e-280" / "manifest.json").read_text())
+        assert manifest["error"] == ("DoubleOverflowError: outputs scaled by "
+                                     "J**-1 leave the double range at J=1e-280")
 
     def test_check_passes(self, tmp_path):
         code, out, manifest = run_cli(tmp_path, ["--command", "check"])
@@ -717,9 +769,7 @@ READS = {
     "phase-diagram": {"regime": "imaginary", "theta_min": "0.2", "theta_max": "0.8",
                       "theta_steps": "3", "delta_min": "-0.5", "delta_max": "0.5",
                       "delta_steps": "4", "grid_points": "201"},
-    # the initial state does not depend on the scale J_i (J_i = 2 writes the
-    # same bytes, and other values change the rounding only): J_i sets the
-    # range of the run, and 1e160 leaves it
+    # the initial state does not depend on the scale J_i
     "quench": {"regime": "real", "J_i": "1e160", "delta_i": "-0.5", "theta_i": "0.2",
                "J_f": "2", "delta_f": "0.5", "theta_f": "0.2", "t_max": "6",
                "n_half": "40", "n_t": "30", "n_max": "3"},
@@ -728,8 +778,9 @@ READS = {
                 "delta_steps": "2"},
     "check": {},
 }
-# quench and amplify each run one regime: regime may be set, to that one
-EXEMPT = {("quench", "regime"), ("amplify", "regime")}
+# quench and amplify each run one regime: regime may be set, to that one;
+# J_i scales E^i alone, which the overlap cancels: it is only checked
+EXEMPT = {("quench", "regime"), ("amplify", "regime"), ("quench", "J_i")}
 # a spectrum reads the grid size of its boundary only
 OTHER_SIZE = [("spectrum", "pbc", "n_cells"), ("spectrum", "obc", "k_points")]
 REJECTED = [(command, key) for command in READS for key in cli.DEFAULTS
@@ -1035,9 +1086,9 @@ class TestChiWriter:
     @pytest.mark.parametrize("n_cells, theta, side", CHI_GRID)
     def test_text_from_blocks_matches_per_entry_format(self, tmp_path, n_cells,
                                                        theta, side):
-        delta0 = topology.ep_nssh1(model.derive_couplings(1.0, 0.0, theta))[2]
+        delta0 = topology.transition_delta(theta)
         rep = amplification.susceptibility(
-            model.derive_couplings(1.0, delta0 + side, theta), n_cells)
+            model.derive_couplings(delta0 + side, theta), n_cells)
         assert rep.blocks.shape == (4, n_cells + 1, 2, 2)
         assert not rep.blocks[:, n_cells].any()
         # |chi_P| = |chi_X| bit for bit: the P recurrence is the X one
@@ -1059,7 +1110,7 @@ class TestChiWriter:
     def test_unequal_pair_takes_the_normal_path(self, tmp_path, monkeypatch):
         # |chi_BD,P| one ulp off |chi_BD,X|: the BD P file is laid out
         # afresh, the AC P file is the AC X file's bytes
-        rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.4), 5)
+        rep = amplification.susceptibility(model.derive_couplings(0.5, 0.4), 5)
         blocks = rep.blocks.copy()
         blocks[3, :-1] = np.nextafter(blocks[3, :-1], np.inf)
         laid = []
@@ -1081,7 +1132,7 @@ class TestChiWriter:
 
         monkeypatch.setattr(quench, "cpus_available", lambda: 2)
         monkeypatch.setattr(quench.threading, "Thread", no_thread)
-        rep = amplification.susceptibility(model.derive_couplings(1.0, 0.5, 0.0), 80)
+        rep = amplification.susceptibility(model.derive_couplings(0.5, 0.0), 80)
         assert -(-160 // (cli._TABLE_BLOCK // 160)) == 2
         texts, _, stages = chi_written(tmp_path, rep.blocks)
         assert [s["workers"] for s in stages] == [1] * 4
@@ -1121,8 +1172,8 @@ class TestFormatKernel:
 
     def test_pgp_grid_matches_percent_writer(self, tmp_path, monkeypatch):
         p = quench.QuenchProtocol.default(
-            model.derive_couplings(1.0, -0.9, 0.0),
-            model.derive_couplings(1.0, 0.9, 0.4), n_half=37, n_t=23)
+            model.derive_couplings(-0.9, 0.0),
+            model.derive_couplings(0.9, 0.4), n_half=37, n_t=23)
         phi = quench.pgp_field(p).phi_pgp.copy()
         assert p.t_grid[0] == 0.0 and (phi < 0).any()
         phi[5, 1:1 + 11] = [-0.0, 1e-300, -1e-7, 1e-6, np.nan, -np.inf,
@@ -1267,3 +1318,185 @@ class TestFormatKernel:
         assert (tmp_path / "e.csv").read_text() == "a,b\n"
         assert files == [{"name": "e.csv", "rows": 0}]
         assert stages[0]["shape"] == [0, 2] and stages[0]["bytes"] == 4
+
+
+#: a small run of each command that writes an energy, a time or a chi, and
+#: its scale key
+UNIT_RUNS = {
+    "spectrum-pbc": ({"command": "spectrum", "k_points": "13", "delta_steps": "5"},
+                     "J"),
+    "spectrum-obc": ({"command": "spectrum", "boundary": "obc", "n_cells": "4",
+                      "delta_steps": "5"}, "J"),
+    # inside the Moebius window: merged loops
+    "winding": ({"command": "winding", "delta": "-0.1", "grid_points": "401"}, "J"),
+    "amplify": ({"command": "amplify", "n_cells": "10"}, "J"),
+    "quench": ({"command": "quench", "n_half": "100", "n_t": "60"}, "J_f"),
+}
+
+
+class TestUnits:
+    @pytest.mark.parametrize("J", ["1e-150", "1e-7", "2", "1e150"])
+    @pytest.mark.parametrize("label", list(UNIT_RUNS))
+    def test_outputs_scale_with_J(self, tmp_path, label, J):
+        # the run at J is the run at J = 1 with its energies times J, its chi
+        # and gains over J, and the rest (nu, delta0, labels, merged) equal;
+        # a quench at (J_f, t_max) is that at (1, J_f t_max), here 12
+        config, key = UNIT_RUNS[label]
+        config = {**config, key: J}
+        if key == "J_f":
+            config["t_max"] = repr(12.0 / float(J))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, cfg in (("J", config), ("unit", unit_run(config, key))):
+                assert cli.run(cli.validate({**cfg, "out": str(tmp_path / name)})) == 0
+        assert_scaled(tmp_path / "J", tmp_path / "unit", float(J))
+
+    def test_unit_scale_keeps_the_bits(self):
+        x = np.array([0.0, -0.0, 5e-324, -1.2345678901234567e-300, 1.7e308, np.inf,
+                      np.nan])
+        for power in (1, -1):
+            assert cli._units(1.0)(x, power).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("J", [0.0, -1.0, -np.inf, np.nan])
+    def test_nonpositive_scale_rejected(self, J):
+        with pytest.raises(qbchain.DomainError, match="J must be positive"):
+            cli._units(J)
+
+    def test_overflow_names_the_key(self):
+        scale = cli._units(1e-300, "J_f")
+        assert scale(np.array([1e-10, np.inf])).tolist() == [1e-310, np.inf]
+        with pytest.raises(qbchain.DoubleOverflowError,
+                           match=re.escape("J_f**-1 leave the double range at "
+                                           "J_f=1e-300")):
+            scale(np.array([1e-10, 1e10]), -1)
+
+
+class TestPhaseLabels:
+    @pytest.mark.parametrize("regime", ["real", "imaginary"])
+    def test_wrong_winding_exits_2(self, tmp_path, monkeypatch, regime):
+        # one rule checks each label against its winding in both regimes: a
+        # nu moved by 1/2 is a ResolutionError, not a written row
+        def shifted(fn):
+            def wrapper(*args, **kwargs):
+                res = fn(*args, **kwargs)
+                if isinstance(res, list):
+                    return [dataclasses.replace(r, nu=r.nu + 0.5) for r in res]
+                return dataclasses.replace(res, nu=res.nu + 0.5)
+            return wrapper
+        cfg = cli.validate({"command": "phase-diagram", "regime": regime,
+                            "delta_steps": "5", "theta_steps": "2",
+                            "grid_points": "401", "out": str(tmp_path / "ok")})
+        assert cli.run(cfg) == 0
+        monkeypatch.setattr(topology, "winding_pair", shifted(topology.winding_pair))
+        monkeypatch.setattr(topology, "_windings", shifted(topology._windings))
+        assert cli.run({**cfg, "out": str(tmp_path / "bad")}) == 2
+        manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+        assert manifest["error"].startswith("ResolutionError: winding nu=")
+        assert "disagrees with the trivial label" in manifest["error"]
+        assert manifest["files"] == []
+
+    @pytest.mark.parametrize("config", [
+        {"command": "amplify", "delta": "-1"},
+        {"command": "phase-diagram", "regime": "imaginary", "theta_min": "400",
+         "theta_max": "400", "theta_steps": "1", "grid_points": "401"},
+    ])
+    def test_ep_edge_cases_run(self, tmp_path, config):
+        # delta = -1 (w_r = w_l = 0) and theta = 400 (w_l^2 past the double
+        # range) run with no warning; at theta = 400 delta0 is -1, so every
+        # delta of the grid is non-trivial
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(cli.validate({**config, "out": str(tmp_path)})) == 0
+        if config["command"] == "phase-diagram":
+            labels = [row.split(",")[-1] for row in
+                      (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]]
+            assert set(labels) == {"nontrivial"}
+
+    def test_amplify_large_theta_typed(self, tmp_path):
+        # chi grows as (v_crit/|v|)^m with v_crit about e^400: a typed error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli.run(cli.validate({"command": "amplify", "theta": "400",
+                                           "out": str(tmp_path)}))
+        error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+        assert status == 2
+        assert error.startswith("SingularityError: susceptibility overflows")
+
+
+#: the functions of the six modules that no command reaches: oracles of the
+#: tests, and gain_metrics, whose gains no command writes
+UNREACHED = {
+    "model": {"fourier_project", "quadrature_dynamical"},
+    "spectral": {"ipr_localization"},
+    "topology": {"_bisect", "ep_locations_nssh2"},
+    "quench": {"fisher_zeros"},
+    "amplification": {"closed_form_theta0", "gain_metrics", "nambu_to_quadrature",
+                      "SusceptibilityReport.sectors"},
+    "cli": set(),
+}
+
+
+def defined_functions(module) -> dict:
+    """Code object -> qualified name of every function written in
+    ``module``'s file: its functions and methods (properties and cached
+    properties included) and the functions nested in them, lambdas too; not
+    comprehensions, class bodies, or the methods that dataclasses generate."""
+    found = {}
+
+    def visit(code, qualname):
+        found[code] = qualname
+        for const in code.co_consts:
+            if inspect.iscode(const) and not const.co_name.endswith("comp>") \
+                    and const.co_name != "<genexpr>":
+                visit(const, f"{qualname}.<locals>.{const.co_name}")
+
+    def add(obj):
+        obj = getattr(obj, "func", obj)  # a cached_property
+        obj = getattr(obj, "fget", obj)  # a property
+        obj = getattr(obj, "__func__", obj)  # a classmethod
+        obj = inspect.unwrap(obj) if callable(obj) else obj
+        if inspect.isfunction(obj) and obj.__code__.co_filename == module.__file__:
+            visit(obj.__code__, obj.__qualname__)
+
+    for value in vars(module).values():
+        if inspect.isclass(value) and value.__module__ == module.__name__:
+            for member in vars(value).values():
+                add(member)
+        else:
+            add(value)
+    return found
+
+
+class TestReach:
+    def test_every_function_is_reached(self, tmp_path, monkeypatch):
+        # each small run, an OBC real spectrum and a quench whose pgp_grid.csv
+        # takes 10 blocks, through main: every function of the six modules
+        # runs, on any thread, but those of UNREACHED.  Two CPUs, so that the
+        # thread pools start
+        monkeypatch.setattr(quench, "cpus_available", lambda: 2)
+        cli._environment.cache_clear()
+        runs = {**SMALL_RUNS,
+                "spectrum-obc": {"command": "spectrum", "boundary": "obc",
+                                 "n_cells": "4", "delta_steps": "3"},
+                "quench-pool": {"command": "quench", "n_t": "60"}}
+        reached = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                reached.add(frame.f_code)
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            for label, config in runs.items():
+                cfg = tmp_path / f"{label}.cfg"
+                cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+                assert cli.main(["--config", str(cfg), "--out", str(tmp_path / label)]) == 0
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+            cli._environment.cache_clear()
+        for module in (model, spectral, topology, quench, amplification, cli):
+            name = module.__name__.rsplit(".", 1)[1]
+            missed = {qual for code, qual in defined_functions(module).items()
+                      if code not in reached}
+            assert missed == UNREACHED[name], name

@@ -1,15 +1,16 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
-from qbchain import model, spectral, topology
+from qbchain import cli, model, spectral, topology
 from qbchain.exceptions import DomainError, DoubleOverflowError, ValidationError
 from qbchain.model import OBC, PBC, Regime, derive_couplings
 
 
 # every public function that takes a regime, called with the regime r
-_C = derive_couplings(1.0, 0.5, 0.4)
+_C = derive_couplings(0.5, 0.4)
 REGIME_TAKERS = {
     "two_band": lambda r: model.two_band(0.3, _C, r),
     "bloch": lambda r: model.bloch(0.3, _C, r),
@@ -22,9 +23,9 @@ REGIME_TAKERS = {
     "block_transform": lambda r: spectral.block_transform(0.3, _C, r),
     "block_diagonalize": lambda r: spectral.block_diagonalize(0.3, _C, r),
     "spectrum_sweep-pbc":
-        lambda r: spectral.spectrum_sweep(1.0, 0.4, [0.5], r, PBC.uniform(8)),
-    "spectrum_sweep-obc": lambda r: spectral.spectrum_sweep(1.0, 0.4, [0.5], r, OBC(4)),
-    "classify_phases": lambda r: topology.classify_phases(1.0, 0.4, [0.5], r),
+        lambda r: spectral.spectrum_sweep(0.4, [0.5], r, PBC.uniform(8)),
+    "spectrum_sweep-obc": lambda r: spectral.spectrum_sweep(0.4, [0.5], r, OBC(4)),
+    "classify_phases": lambda r: topology.classify_phases(0.4, [0.5], r),
     "parametric_energy_loops": lambda r: topology.parametric_energy_loops(_C, None, r),
 }
 
@@ -39,17 +40,18 @@ class TestRegimeArgument:
 
 class TestCouplings:
     def test_symmetric_point(self):
-        c = derive_couplings(1, 0, 0)
+        c = derive_couplings(0, 0)
         assert (c.v, c.w_r, c.w_l) == (1, 1, 1)
+        assert not hasattr(c, "J")  # the couplings are in units of J
 
     def test_derived_values(self):
-        c = derive_couplings(1, 0.9, 0.4)
+        c = derive_couplings(0.9, 0.4)
         assert c.v == pytest.approx(0.1)
         assert c.w_r == pytest.approx(1.9)
         assert c.w_l == pytest.approx(1.9 * np.exp(0.4))
 
     def test_negative_delta(self):
-        c = derive_couplings(1, -0.9, 0)
+        c = derive_couplings(-0.9, 0)
         assert c.v == pytest.approx(1.9)
         assert c.w_r == pytest.approx(0.1)
         assert c.w_l == pytest.approx(0.1)
@@ -57,30 +59,55 @@ class TestCouplings:
     def test_invariants_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            J, d, th = rng.uniform(0.1, 3), rng.uniform(-1, 1), rng.uniform(0, 1)
-            c = derive_couplings(J, d, th)
-            assert c.v == pytest.approx(J * (1 - d), rel=1e-15)
+            d, th = rng.uniform(-1, 1), rng.uniform(0, 1)
+            c = derive_couplings(d, th)
+            assert (c.v, c.w_r) == (1 - d, 1 + d)
             assert c.w_r == pytest.approx(c.w_l * np.exp(-th), rel=1e-14)
 
-    def test_nonpositive_J_rejected(self):
-        with pytest.raises(DomainError):
-            derive_couplings(0, 0.1, 0.1)
-        with pytest.raises(DomainError):
-            derive_couplings(-1, 0.1, 0.1)
+    # J is applied by cli alone, which checks it and names it where the
+    # values it scales leave the double range
+
+    def test_nonpositive_J_rejected(self, tmp_path):
+        for command, key in (("winding", "J"), ("quench", "J_i"), ("quench", "J_f")):
+            for J in ("0", "-1"):
+                out = tmp_path / key / J
+                status = cli.run(cli.validate({"command": command, key: J,
+                                               "out": str(out)}))
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert status == 2 and manifest["files"] == []
+                assert manifest["error"] == (f"DomainError: {key} must be "
+                                             f"positive, got {float(J)}")
 
     @pytest.mark.parametrize("J, delta, theta, name", [
         (1, 0, 800, "theta=800"),      # e^theta itself overflows
         (1, 0.5, 709.5, "theta=709.5"),  # e^theta is finite, w_l is not
-        (1e308, 0.9, 0, "J=1e+308"),     # w_r = 1.9e308
+        (1e308, 0.9, 0, "J=1e+308"),     # the J = 1 spectrum reaches 2, times J
     ])
-    def test_overflowing_couplings_typed(self, J, delta, theta, name):
-        with pytest.raises(DoubleOverflowError, match=re.escape(name)):
-            derive_couplings(J, delta, theta)
+    def test_overflowing_couplings_typed(self, tmp_path, J, delta, theta, name):
+        # a spectrum at (J, delta, theta): the couplings in units of J leave
+        # the double range at large theta, the spectrum times J at large J
+        if J == 1:
+            with pytest.raises(DoubleOverflowError, match=re.escape(name)):
+                derive_couplings(delta, theta)
+        status = cli.run(cli.validate({
+            "command": "spectrum", "J": str(J), "delta_min": str(delta),
+            "delta_steps": "1", "theta": str(theta), "k_points": "8",
+            "out": str(tmp_path)}))
+        error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+        assert status == 2 and error.startswith("DoubleOverflowError: ")
+        assert name in error
 
     @pytest.mark.parametrize("J, theta", [(1e155, 0.4), (1.0, 400.0), (1.0, -800.0)])
-    def test_finite_couplings_with_overflowing_squares_kept(self, J, theta):
-        c = derive_couplings(J, 0.5, theta)
+    def test_finite_couplings_with_overflowing_squares_kept(self, tmp_path, J, theta):
+        # no square is taken in the coupling set: those of w_l overflow at
+        # theta = 400.  cli scales no coupling by J: a winding at J = 1e155
+        # squares the couplings at J = 1
+        c = derive_couplings(0.5, theta)
         assert np.isfinite([c.v, c.w_r, c.w_l]).all()
+        if J != 1.0:
+            assert cli.run(cli.validate({"command": "winding", "J": str(J),
+                                         "theta": str(theta), "grid_points": "401",
+                                         "out": str(tmp_path)})) == 0
 
 
 class TestBoundaries:
@@ -99,26 +126,26 @@ class TestBoundaries:
 
 class TestKSpace:
     def test_coupling_functions_hermitian_limit(self):
-        f1, f2 = model.coupling_functions(0.0, derive_couplings(1, 0, 0))
+        f1, f2 = model.coupling_functions(0.0, derive_couplings(0, 0))
         assert f1 == pytest.approx(2.0)
         assert f2 == pytest.approx(0.0)
 
     def test_coupling_functions_at_pi(self):
-        c = derive_couplings(1, 0.3, 0.7)
+        c = derive_couplings(0.3, 0.7)
         f1, _ = model.coupling_functions(np.pi, c)
         assert f1 == pytest.approx(c.v - 0.5 * (c.w_l + c.w_r), abs=1e-12)
 
     def test_nssh2_block(self):
-        c = derive_couplings(1, 0.9, 0.4)
+        c = derive_couplings(0.9, 0.4)
         H = model.two_band(0.0, c, Regime.REAL)
         assert H[0, 1] == pytest.approx(c.v + c.w_r)
         assert H[1, 0] == pytest.approx(c.v + c.w_l)
         assert H[0, 0] == H[1, 1] == 0
-        Hh = model.two_band(1.3, derive_couplings(1, 0.2, 0), Regime.REAL)
+        Hh = model.two_band(1.3, derive_couplings(0.2, 0), Regime.REAL)
         assert np.abs(Hh - Hh.conj().T).max() < 1e-14
 
     def test_bloch_nssh2_properties(self):
-        c = derive_couplings(1, 0.4, 0.6)
+        c = derive_couplings(0.4, 0.6)
         for k in np.linspace(-np.pi, np.pi, 17):
             b = model.bloch(k, c, Regime.REAL)
             assert np.hypot(*b.di) == pytest.approx(0.5 * (c.w_l - c.w_r))
@@ -126,29 +153,29 @@ class TestKSpace:
             H = model.two_band(k, c, Regime.REAL)
             assert b.dx == pytest.approx((H[0, 1] + H[1, 0]) / 2, abs=1e-12)
             assert b.dy == pytest.approx(1j * (H[0, 1] - H[1, 0]) / 2, abs=1e-12)
-        b0 = model.bloch(0.3, derive_couplings(1, 0.4, 0), Regime.REAL)
+        b0 = model.bloch(0.3, derive_couplings(0.4, 0), Regime.REAL)
         assert np.allclose(b0.di, 0)
 
     def test_energy_nssh2(self):
-        assert (model.energy(0.0, derive_couplings(1, 0, 0), Regime.REAL)
+        assert (model.energy(0.0, derive_couplings(0, 0), Regime.REAL)
                 == pytest.approx(2.0))
         # EP parameters: v = w_r at k = pi
-        c = derive_couplings(1, 0.0, 0.4)
+        c = derive_couplings(0.0, 0.4)
         # square root halves the precision of the radicand's rounding at pi
         assert abs(model.energy(np.pi, c, Regime.REAL)) < 1e-7
         # eigensolve oracle
-        c = derive_couplings(1, -0.1, 0.4)
+        c = derive_couplings(-0.1, 0.4)
         E = model.energy(np.pi / 2, c, Regime.REAL)
         ev = np.linalg.eigvals(model.two_band(np.pi / 2, c, Regime.REAL))
         assert min(abs(ev - E)) < 1e-12 and min(abs(ev + E)) < 1e-12
 
     def test_nssh1_block(self):
-        c = derive_couplings(1, 0.2, 0)
+        c = derive_couplings(0.2, 0)
         for k in (0.0, 1.1, -2.0):
             H = model.two_band(k, c, Regime.IMAGINARY)
             assert H[0, 0] == H[1, 1] == 0
             assert np.abs(H - H.conj().T).max() < 1e-14  # Hermitian at theta=0
-        c = derive_couplings(1, 0.2, 0.5)
+        c = derive_couplings(0.2, 0.5)
         H = model.two_band(0.8, c, Regime.IMAGINARY)
         E = model.energy(0.8, c, Regime.IMAGINARY)
         ev = np.linalg.eigvals(H)
@@ -270,7 +297,7 @@ class TestTwoBand:
     @pytest.mark.parametrize("delta", [0.5, -0.3])
     @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0])
     def test_matches_closed_forms(self, regime, delta, theta):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         ref_h, ref_b, ref_e = REFERENCE_TWO_BAND[regime]
         grid = np.linspace(-np.pi, np.pi, 9)  # holds -pi, 0 and pi
         for k in [*grid, *grid.tolist()]:  # numpy and Python floats
@@ -285,7 +312,7 @@ class TestTwoBand:
     @pytest.mark.parametrize("delta", [0.5, -0.3])
     @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0])
     def test_momentum_array_matches_one_at_a_time(self, regime, delta, theta):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         grid = np.linspace(-np.pi, np.pi, 25)  # holds -pi, 0 and pi
         H = model.two_band(grid.reshape(5, 5), c, regime)
         b = model.bloch(grid, c, regime)
@@ -312,7 +339,7 @@ class TestNambuMatrices:
     @pytest.mark.parametrize("delta, theta", [(0.5, 0.4), (-0.1, 0.4),
                                               (0.3, 0.0), (0.9, 1.0)])
     def test_matches_hand_written_blocks(self, regime, delta, theta):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         for k in np.linspace(-np.pi, np.pi, 9, endpoint=False):
             P, Q = reference_pq_blocks(k, c, regime)
             s = 1 if regime is Regime.REAL else -1
@@ -322,7 +349,7 @@ class TestNambuMatrices:
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("theta", [0.0, 0.4])
     def test_momentum_array_matches_one_at_a_time(self, regime, theta):
-        c = derive_couplings(1, 0.5, theta)
+        c = derive_couplings(0.5, theta)
         grid = np.linspace(-np.pi, np.pi, 16, endpoint=False)  # holds k = 0
         G = model.dynamical_qb_k(grid, c, regime)
         H = model.hamiltonian_qb_k(grid.reshape(4, 4), c, regime)
@@ -337,16 +364,16 @@ class TestNambuMatrices:
         rng = np.random.default_rng(1)
         for _ in range(20):
             k = rng.uniform(-np.pi, np.pi)
-            c = derive_couplings(1, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
+            c = derive_couplings(rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
             H = model.hamiltonian_qb_k(k, c, regime)
             assert np.abs(H - H.conj().T).max() < 1e-14
 
     def test_pairing_vanishes_at_theta0(self):
-        H = model.hamiltonian_qb_k(0.7, derive_couplings(1, 0.3, 0), Regime.REAL)
+        H = model.hamiltonian_qb_k(0.7, derive_couplings(0.3, 0), Regime.REAL)
         assert np.abs(H[:4, 4:]).max() < 1e-14
 
     def test_block_entries(self):
-        c = derive_couplings(1, 0.9, 0.4)
+        c = derive_couplings(0.9, 0.4)
         H = model.hamiltonian_qb_k(0.0, c, Regime.REAL)
         f1, f2 = model.coupling_functions(0.0, c)
         assert H[0, 1] == pytest.approx(f1)
@@ -357,7 +384,7 @@ class TestNambuMatrices:
         rng = np.random.default_rng(2)
         for _ in range(20):
             k = rng.uniform(-np.pi, np.pi)
-            c = derive_couplings(1, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
+            c = derive_couplings(rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
             G = model.dynamical_qb_k(k, c, regime)
             Gm = model.dynamical_qb_k(-k, c, regime)
             assert np.abs(model.TAU1 @ Gm.conj() @ model.TAU1 + G).max() < 1e-12
@@ -373,7 +400,7 @@ class TestNambuMatrices:
         rng = np.random.default_rng(3)
         for _ in range(10):
             k = rng.uniform(-np.pi, np.pi)
-            c = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0, 1))
+            c = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0, 1))
             G = model.dynamical_qb_k(k, c, Regime.REAL)
             Gm = model.dynamical_qb_k(-k, c, Regime.REAL)
             assert np.abs(tau1t @ Gm.conj() @ tau1t + G).max() < 1e-12
@@ -384,13 +411,13 @@ class TestNambuMatrices:
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_eigenvalue_quadruples(self, regime):
-        c = derive_couplings(1, -0.2, 0.6)
+        c = derive_couplings(-0.2, 0.6)
         ev = np.linalg.eigvals(model.dynamical_qb_k(0.9, c, regime))
         for target in (-ev, ev.conj()):
             assert np.abs(ev[:, None] - target[None, :]).min(axis=1).max() < 1e-9
 
     def test_imaginary_eigenvalues_in_moebius_window(self):
-        c = derive_couplings(1, -0.1, 0.4)
+        c = derive_couplings(-0.1, 0.4)
         ev = np.linalg.eigvals(model.dynamical_qb_k(np.pi, c, Regime.REAL))
         assert any(abs(e.real) < 1e-9 and abs(e.imag) > 1e-6 for e in ev)
 
@@ -399,7 +426,7 @@ class TestRealSpace:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_fourier_oracle(self, regime):
         n_cells = 8
-        c = derive_couplings(1, 0.3, 0.5)
+        c = derive_couplings(0.3, 0.5)
         G = model.realspace_dynamical(c, n_cells, regime, pbc=True)
         for m in range(n_cells):
             k = -np.pi + 2 * np.pi * m / n_cells
@@ -407,13 +434,13 @@ class TestRealSpace:
             assert np.abs(Gk - model.dynamical_qb_k(k, c, regime)).max() < 1e-12
 
     def test_obc_real_spectrum(self):
-        c = derive_couplings(1, 0.3, 0.4)
+        c = derive_couplings(0.3, 0.4)
         G = model.realspace_dynamical(c, 20, Regime.REAL)
         ev = np.linalg.eigvals(G)
         assert np.abs(ev.imag).max() < 1e-6 * np.abs(ev).max()
 
     def test_theta0_hermitian_blocks(self):
-        c = derive_couplings(1, 0.3, 0)
+        c = derive_couplings(0.3, 0)
         K, D = model.realspace_hamiltonian_blocks(c, 6)
         assert np.abs(D).max() < 1e-14
         assert np.abs(K - K.conj().T).max() < 1e-14
@@ -430,14 +457,14 @@ class TestRealSpace:
                 K, np.array([[0.0, 1.0], [-1.0, 0.0]]))  # antisymmetric
 
     def test_blocks_match_direct_build(self):
-        c = derive_couplings(1, -0.4, 0.8)
+        c = derive_couplings(-0.4, 0.8)
         for regime in Regime:
             K, D = model.realspace_hamiltonian_blocks(c, 5, regime)
             G = model.build_dynamical_from_blocks(K, D)
             assert np.allclose(G, model.realspace_dynamical(c, 5, regime))
 
     def test_boundary_is_a_keyword_flag(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         with pytest.raises(TypeError):
             model.realspace_dynamical(c, 4, Regime.REAL, OBC(4))
         with pytest.raises(TypeError):
@@ -452,14 +479,14 @@ class TestRealSpace:
 
     def test_small_system_rejected(self):
         with pytest.raises(DomainError):
-            model.realspace_dynamical(derive_couplings(1, 0, 0), 1)
+            model.realspace_dynamical(derive_couplings(0, 0), 1)
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("pbc", [False, True])
     @pytest.mark.parametrize("n_cells, delta, theta", [
         (2, 0.5, 0.4), (3, -0.1, 0.4), (7, 0.3, 0.0), (5, 1.0, 0.2)])
     def test_blocks_match_cell_loop(self, regime, pbc, n_cells, delta, theta):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         K, D = model.realspace_hamiltonian_blocks(c, n_cells, regime, pbc=pbc)
         K0, D0 = reference_realspace_loop(c, n_cells, regime, pbc)
         # bit for bit, signed zeros included (v = 0 at delta = 1)
@@ -469,14 +496,14 @@ class TestRealSpace:
 
 class TestQuadrature:
     def test_theta0_decoupling(self):
-        c = derive_couplings(1, 0.3, 0)
+        c = derive_couplings(0.3, 0)
         hx, hp = model.quadrature_dynamical(c, 4)
         assert np.allclose(hx, hp)  # cross terms vanish
 
     def test_swap_relation(self):
         # swapping w_r <-> w_l flips the sign of the cross terms, i.e. maps
         # the X generator onto the P generator
-        c = derive_couplings(1.3, 0.2, 0.6)
+        c = derive_couplings(0.2, 0.6)
         hx, hp = model.quadrature_dynamical(c, 5)
         wm = 0.5 * (c.w_l - c.w_r)
         diff = hx - hp
@@ -485,10 +512,10 @@ class TestQuadrature:
     def test_antisymmetric_pattern(self):
         # the v and w+ couplings are antisymmetric and the w- cross terms
         # symmetric: at theta = 0 (w- = 0) each generator is exactly -h^T
-        for h in model.quadrature_dynamical(derive_couplings(1, -0.2, 0.0), 6):
+        for h in model.quadrature_dynamical(derive_couplings(-0.2, 0.0), 6):
             assert np.array_equal(h, -h.T)
         # elsewhere h + h^T holds only the w- terms: 4 per bond, each +-2 w-
-        c = derive_couplings(1, -0.2, 0.9)
+        c = derive_couplings(-0.2, 0.9)
         wm = 0.5 * (c.w_l - c.w_r)
         for h in model.quadrature_dynamical(c, 6):
             sym = h + h.T

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qbchain import model, quench, spectral, topology
+from qbchain import cli, model, quench, spectral, topology
 from qbchain.exceptions import (
     BranchCutError,
     DomainError,
@@ -17,10 +18,10 @@ from qbchain.exceptions import (
 from qbchain.model import Regime, derive_couplings
 
 
-CI = derive_couplings(1, -0.9, 0.0)
-CF5 = derive_couplings(1, -0.1, 0.4)   # chiral quench
-CF4 = derive_couplings(1, 0.9, 0.4)    # double-sided quench
-CH = derive_couplings(1, 0.9, 0.0)     # Hermitian final Hamiltonian
+CI = derive_couplings(-0.9, 0.0)
+CF5 = derive_couplings(-0.1, 0.4)   # chiral quench
+CF4 = derive_couplings(0.9, 0.4)    # double-sided quench
+CH = derive_couplings(0.9, 0.0)     # Hermitian final Hamiltonian
 
 
 class TestLoschmidtAmplitude:
@@ -30,7 +31,7 @@ class TestLoschmidtAmplitude:
 
     def test_self_quench_pure_phase(self):
         # quenching onto itself: overlap 1, g = e^{iEt}
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         for k in (0.3, 1.7, -2.2):
             E = model.energy(k, c, Regime.REAL)
             for t in (0.5, 2.0):
@@ -38,57 +39,53 @@ class TestLoschmidtAmplitude:
                 assert abs(g - np.exp(1j * E * t)) < 1e-12
 
     def test_hermitian_quench_bounded(self):
-        ci = derive_couplings(1, -0.5, 0.0)
-        cf = derive_couplings(1, 0.5, 0.0)
+        ci = derive_couplings(-0.5, 0.0)
+        cf = derive_couplings(0.5, 0.0)
         ks = np.linspace(-3, 3, 41)
         ts = np.linspace(0, 10, 101)
         g = quench.loschmidt_gk(ks[:, None], ci, cf, ts[None, :])
         assert np.abs(g).max() <= 1.0 + 1e-12
 
     def test_ep_rejected(self):
-        ci = derive_couplings(1, 0.0, 0.0)  # gapless at k = pi
+        ci = derive_couplings(0.0, 0.0)  # gapless at k = pi
         with pytest.raises(ExceptionalPointError):
             quench.loschmidt_gk(np.pi, ci, CF5, 1.0)
 
-    def test_energy_scale_invariance(self):
-        # g_k(t) depends on J and t through J t only: a quench at J = 1e-8
-        # over t_max = 12e8 is the J = 1 quench over t_max = 12.  The
-        # exceptional-point thresholds scale with J, so it is not rejected
+    def test_energy_scale_invariance(self, tmp_path):
+        # g_k(t) depends on J_f and t through J_f t only, and the library
+        # runs at J_f = 1: a quench at J_f = 1e-8 over t_max = 12e8 is the
+        # J_f = 1 quench over t_max = 12, its times over J_f
         J = 1e-8
+        quench_cfg = {"command": "quench", "delta_i": str(CI.delta),
+                      "theta_i": str(CI.theta), "delta_f": str(CF5.delta),
+                      "theta_f": str(CF5.theta), "n_half": "100", "n_t": "200"}
         runs = []
         for scale in (1.0, J):
-            ci, cf = (derive_couplings(scale, c.delta, c.theta) for c in (CI, CF5))
-            p = quench.QuenchProtocol.default(ci, cf, t_max=12 / scale,
-                                              n_half=100, n_t=200)
-            runs.append((quench.return_rate(quench.pgp_field(p)),
-                         quench.critical_set(p)))
-        (rr1, ct1), (rr, ct) = runs
+            out = tmp_path / str(scale)
+            assert cli.run(cli.validate({**quench_cfg, "J_f": str(scale),
+                                         "t_max": str(12 / scale),
+                                         "out": str(out)})) == 0
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            runs.append((np.loadtxt(out / "return_rate.csv", delimiter=",",
+                                    skiprows=1)[:, 1],
+                         (out / "critical_times.csv").read_text().splitlines()[1:],
+                         files[1]["t_complete"]))
+        (rr1, ct1, done1), (rr, ct, done) = runs
         assert np.abs(rr - rr1).max() < 1e-13 * rr1.max()
-        assert len(ct.entries) == len(ct1.entries) == 7
-        for (n, side, kc, tc, _), (n1, side1, kc1, tc1, _) in zip(ct.entries, ct1.entries):
-            assert (n, side, kc) == (n1, side1, kc1)
-            assert tc * J == pytest.approx(tc1, rel=1e-14)
-        assert ct.t_complete * J == pytest.approx(ct1.t_complete, rel=1e-14)
-        # the oracle's mode parameters, at an energy scale of 1e-16
-        small = [derive_couplings(1e-16, c.delta, c.theta) for c in (CI, CF5)]
-        for method in ("fq", "biortho"):
-            g = quench.loschmidt_oracle(0.3, *small, 2e16, method)
-            assert abs(g - quench.loschmidt_oracle(0.3, CI, CF5, 2.0, method)) < 1e-13
-        # an exceptional point is still one at a small energy scale
-        gapless = derive_couplings(J, 0.0, 0.0)  # at k = pi
-        cf = derive_couplings(J, CF5.delta, CF5.theta)
-        with pytest.raises(ExceptionalPointError):
-            quench.loschmidt_gk(np.pi, gapless, cf, 1.0)
-        with pytest.raises(ExceptionalPointError):
-            quench.loschmidt_oracle(np.pi, gapless, cf, 1.0)
+        assert len(ct) == len(ct1) == 7
+        for row, row1 in zip(ct, ct1):
+            (*head, tc, _), (*head1, tc1, _) = row.split(","), row1.split(",")
+            assert head == head1  # n, side, k_c
+            assert float(tc) * J == pytest.approx(float(tc1), rel=1e-14)
+        assert done * J == pytest.approx(done1, rel=1e-14)
 
     def test_three_way_oracle(self):
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(200):
             k = rng.uniform(-np.pi, np.pi)
-            ci = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
-            cf = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
+            ci = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
+            cf = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
             t = rng.uniform(0, 5)
             g0 = complex(quench.loschmidt_gk(k, ci, cf, t))
             for method in ("fq", "biortho"):
@@ -134,8 +131,8 @@ class TestLoschmidtAmplitude:
         rng = np.random.default_rng(8)
         for _ in range(100):
             k = rng.uniform(-np.pi, np.pi)
-            ci = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
-            cf = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
+            ci = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
+            cf = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0.05, 1))
             ui, _ = quench._mode_parameter(k, ci)
             uf, _ = quench._mode_parameter(k, cf)
             rho = ui / uf
@@ -201,7 +198,7 @@ class TestFisherZeros:
 
     def test_branch_cut(self):
         # self-quench: overlap is exactly 1 -> atanh branch cut
-        c = derive_couplings(1, 0.5, 0.0)
+        c = derive_couplings(0.5, 0.0)
         with pytest.raises(BranchCutError):
             quench.fisher_zeros(1.0, c, c)
 
@@ -272,17 +269,17 @@ def random_quenches(n, seed):
                      + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-6, -2))
         else:
             delta = rng.uniform(-0.95, 0.95)
-        pairs.append((derive_couplings(1, rng.uniform(-0.95, 0.95),
+        pairs.append((derive_couplings(rng.uniform(-0.95, 0.95),
                                        rng.uniform(0, 0.5)),
-                      derive_couplings(1, delta, theta)))
+                      derive_couplings(delta, theta)))
     return pairs
 
 
 class TestCriticalSet:
     @pytest.mark.parametrize("ci, cf", [
         (CI, CF4), (CI, CF5), (CI, CH),
-        (derive_couplings(1, 0.9, 0.0), derive_couplings(1, -0.5, 0.8)),
-        (derive_couplings(1.2, 0.2, 0.1), derive_couplings(0.8, -0.7, 0.6))])
+        (derive_couplings(0.9, 0.0), derive_couplings(-0.5, 0.8)),
+        (derive_couplings(0.2, 0.1), derive_couplings(-0.7, 0.6))])
     def test_matches_per_order_scan(self, ci, cf):
         p = quench.QuenchProtocol.default(ci, cf)
         ct = quench.critical_set(p)
@@ -293,8 +290,8 @@ class TestCriticalSet:
         # near an exceptional point of H_f: without the one-momentum
         # re-evaluation near zero (_KC_GUARD = 0), numpy 2.4's FMA array
         # loops put one k_c 9e-13 from the scalar bisection's
-        (derive_couplings(1, -0.05436705625586025, 0.4358511987592625),
-         derive_couplings(1, -8.70238058964953e-05, 0.7466969142964084))])
+        (derive_couplings(-0.05436705625586025, 0.4358511987592625),
+         derive_couplings(-8.70238058964953e-05, 0.7466969142964084))])
     def test_matches_scalar_bisection(self, ci, cf):
         p = quench.QuenchProtocol.default(ci, cf, n_half=200, n_t=50)
         ct = quench.critical_set(p)
@@ -348,8 +345,8 @@ class TestCriticalSet:
 
     def test_hermitian_quench_evenly_spaced(self):
         # Hermitian final Hamiltonian: t_c = (n + 1/2) pi / E^f at fixed k_c
-        ci = derive_couplings(1, -0.8, 0.0)
-        cf = derive_couplings(1, 0.8, 0.0)
+        ci = derive_couplings(-0.8, 0.0)
+        cf = derive_couplings(0.8, 0.0)
         p = quench.QuenchProtocol.default(ci, cf, t_max=20, n_half=400, n_t=100)
         ct = quench.critical_set(p, range(6))
         plus = ct.times("+")
@@ -677,11 +674,11 @@ class TestMirroredRows:
         (CI, CF4, np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 3.0])),
         # Im g_k(0) = 0: taken as conj(C - A), one row's phi_pgp(t = 0)
         # would be -0.0 where the direct value is 0.0
-        (derive_couplings(1, -0.5, 0.6), derive_couplings(1, 0.1, -0.2),
+        (derive_couplings(-0.5, 0.6), derive_couplings(0.1, -0.2),
          np.linspace(0.0, 12.0, 97)),
         # a first time so small that Im g_k(t) = 0 past t = 0: 11 rows
         # would differ in the sign of phi_pgp's zero
-        (CI, derive_couplings(1, -0.1, 1.0), np.array([5e-324, 1e-300, 1e-8, 1.0])),
+        (CI, derive_couplings(-0.1, 1.0), np.array([5e-324, 1e-300, 1e-8, 1.0])),
         # a Hermitian quench: E^f and ov are real, their imaginary zeros +0.0
         # at both +-k and -0.0 in the conjugates
         (CI, CH, np.array([5e-324, 1e-300, 1e-8, 1.0])),
@@ -701,7 +698,7 @@ class TestMirroredRows:
         # both Hermitian: E^f's imaginary zero has one sign at +-k, paired
         # up to the sign of that zero
         (CI, 100),
-        (derive_couplings(1, -0.5, 0.7), 100),
+        (derive_couplings(-0.5, 0.7), 100),
     ])
     def test_hermitian_final(self, ci, mirrored):
         p = quench.QuenchProtocol.default(ci, CH, n_half=100, n_t=97)
@@ -712,7 +709,7 @@ class TestMirroredRows:
         rng = np.random.default_rng(19)
         mirrored = 0
         for i in range(24):
-            ci, cf = (derive_couplings(rng.uniform(0.5, 2.0), rng.uniform(-0.9, 0.9),
+            ci, cf = (derive_couplings(rng.uniform(-0.9, 0.9),
                                        0.0 if (i + j) % 6 == 0 else rng.uniform(-1.0, 1.0))
                       for j in (0, 3))
             p = quench.QuenchProtocol.default(ci, cf, t_max=rng.uniform(1.0, 20.0),
@@ -786,14 +783,14 @@ class TestOverflow:
     def test_overflow_is_typed(self):
         # |Im E^f| t passes about 354 from t = 1667: |g_k|^2 leaves the
         # double range, and the field says so instead of holding inf and NaN
-        cf = derive_couplings(1, 0.9, 3.0)
+        cf = derive_couplings(0.9, 3.0)
         p = quench.QuenchProtocol.default(CI, cf, t_max=5000, n_half=50, n_t=400)
         with pytest.raises(DoubleOverflowError, match=r"max\|Im E\^f\| t = 35"):
             quench.pgp_field(p)
 
     @pytest.mark.filterwarnings("error")
     def test_below_overflow_is_finite(self):
-        cf = derive_couplings(1, 0.9, 3.0)
+        cf = derive_couplings(0.9, 3.0)
         p = quench.QuenchProtocol.default(CI, cf, t_max=1600, n_half=50, n_t=400)
         f = quench.pgp_field(p)
         assert np.isfinite(f.log_mag2).all() and np.isfinite(f.phi_pgp).all()

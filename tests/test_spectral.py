@@ -10,7 +10,7 @@ from qbchain.model import OBC, PBC, Regime, derive_couplings
 
 class TestBlockDiagonalization:
     def test_quadruple_symmetry(self):
-        c = derive_couplings(1, 0.35, 0.75)
+        c = derive_couplings(0.35, 0.75)
         ev = np.linalg.eigvals(model.dynamical_qb_k(0.4, c, Regime.REAL))
         for target in (-ev, ev.conj()):
             assert np.abs(ev[:, None] - target[None, :]).min(axis=1).max() < 1e-9
@@ -23,7 +23,7 @@ class TestBlockDiagonalization:
         rng = np.random.default_rng(2)
         for _ in range(100):
             k = rng.uniform(-np.pi, np.pi)
-            c = derive_couplings(1, rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
+            c = derive_couplings(rng.uniform(-0.95, 0.95), rng.uniform(0, 1))
             assert spectral.block_diagonalize(k, c, Regime.REAL) < 1e-12
             assert spectral.block_diagonalize(k, c, Regime.IMAGINARY) < 1e-12
 
@@ -31,7 +31,7 @@ class TestBlockDiagonalization:
     def test_blocks_hold_the_four_images(self, regime):
         # real: nSSH2 copies (H, -H^dag, -H, H^dag); imaginary: nSSH1 copies
         # (H, -H, H^dag, -H^dag)
-        c = derive_couplings(1, -0.3, 0.7)
+        c = derive_couplings(-0.3, 0.7)
         k = 1.1
         if regime is Regime.REAL:
             H = model.two_band(k, c, Regime.REAL)
@@ -44,13 +44,13 @@ class TestBlockDiagonalization:
         assert spectral.block_diagonalize(k, c, regime) < 1e-12
 
     def test_theta0_blocks_hermitian(self):
-        c = derive_couplings(1, 0.3, 0)
+        c = derive_couplings(0.3, 0)
         B = spectral.block_transform(0.9, c, Regime.REAL)
         assert spectral.block_diagonalize(0.9, c, Regime.REAL) < 1e-12
         assert np.abs(B - B.conj().T).max() < 1e-12
 
     def test_spectrum_union(self):
-        c = derive_couplings(1, -0.3, 0.7)
+        c = derive_couplings(-0.3, 0.7)
         k = 1.2
         G = model.dynamical_qb_k(k, c, Regime.IMAGINARY)
         ev = np.linalg.eigvals(G)
@@ -71,18 +71,18 @@ class TestBlockDiagonalization:
         rng = np.random.default_rng(3)
         for _ in range(10):
             k = rng.uniform(-np.pi, np.pi)
-            c = derive_couplings(1, rng.uniform(-0.9, 0.9), rng.uniform(0, 1))
+            c = derive_couplings(rng.uniform(-0.9, 0.9), rng.uniform(0, 1))
             G = model.dynamical_qb_k(k, c, Regime.REAL)
             Gt = model.dynamical_qb_k(k, c, Regime.IMAGINARY)
             assert np.abs(U @ G - G @ U).max() < 1e-12
             assert np.abs(Ut @ Gt - Gt @ Ut).max() < 1e-12
 
 
-def reference_spectrum_loop(J, theta, deltas, regime, k_grid):
+def reference_spectrum_loop(theta, deltas, regime, k_grid):
     """PBC spectra with one 8x8 eigensolve per momentum, in k-major order."""
     rows = []
     for d in deltas:
-        c = derive_couplings(J, d, theta)
+        c = derive_couplings(d, theta)
         evs = np.concatenate([np.linalg.eigvals(model.dynamical_qb_k(k, c, regime))
                               for k in k_grid])
         rows.append(evs[np.lexsort((evs.imag, evs.real))])
@@ -95,8 +95,8 @@ class TestSpectrumSweep:
     def test_pbc_matches_per_momentum_loop(self, regime, theta, n_k):
         deltas = np.linspace(-0.9, 0.9, 7)
         boundary = PBC.uniform(n_k)
-        sweep = spectral.spectrum_sweep(1.0, theta, deltas, regime, boundary)
-        ref = reference_spectrum_loop(1.0, theta, deltas, regime, boundary.k_grid)
+        sweep = spectral.spectrum_sweep(theta, deltas, regime, boundary)
+        ref = reference_spectrum_loop(theta, deltas, regime, boundary.k_grid)
         assert len(sweep.eigenvalues) == len(ref)
         for evs, expected in zip(sweep.eigenvalues, ref):
             assert evs.shape == (8 * n_k,)
@@ -105,7 +105,7 @@ class TestSpectrumSweep:
     def test_moebius_window_pbc(self):
         lower = (1 - np.exp(0.4)) / (1 + np.exp(0.4))
         deltas = np.round(np.linspace(-0.9, 0.9, 41), 12)  # snap 0.0 exactly
-        sweep = spectral.spectrum_sweep(1.0, 0.4, deltas, Regime.REAL,
+        sweep = spectral.spectrum_sweep(0.4, deltas, Regime.REAL,
                                         PBC.uniform(64))
         for d, evs in zip(sweep.deltas, sweep.eigenvalues):
             has_imag = any(abs(e.real) < 1e-9 and abs(e.imag) > 1e-6 for e in evs)
@@ -113,20 +113,20 @@ class TestSpectrumSweep:
 
     def test_imaginary_gap_minimum(self):
         deltas = np.linspace(-0.3, 0.1, 81)
-        sweep = spectral.spectrum_sweep(1.0, 0.4, deltas, Regime.IMAGINARY,
+        sweep = spectral.spectrum_sweep(0.4, deltas, Regime.IMAGINARY,
                                         PBC.uniform(401))
         gaps = [np.abs(evs).min() for evs in sweep.eigenvalues]
         d_at_min = deltas[int(np.argmin(gaps))]
         assert abs(d_at_min - (-0.11892293640549756)) <= np.diff(deltas)[0] + 1e-12
 
     def test_obc_zero_modes_imaginary(self):
-        sweep = spectral.spectrum_sweep(1.0, 0.4, [0.5], Regime.IMAGINARY,
+        sweep = spectral.spectrum_sweep(0.4, [0.5], Regime.IMAGINARY,
                                         OBC(30))
         assert min(abs(e) for e in sweep.eigenvalues[0]) < 1e-3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
-            spectral.spectrum_sweep(1.0, 0.4, [], Regime.REAL, OBC(4))
+            spectral.spectrum_sweep(0.4, [], Regime.REAL, OBC(4))
 
 
 def reference_ipr(A, n_cells):
@@ -178,7 +178,7 @@ class TestIpr:
 
     def test_exceptional_point_rows_finite(self):
         # v = w_r at k = pi makes the two-EP block a Jordan block
-        c = derive_couplings(1, 0.0, 0.4)
+        c = derive_couplings(0.0, 0.4)
         rows = spectral.ipr_localization(model.two_band(np.pi, c, Regime.REAL))
         assert len(rows) == 2
         assert np.isfinite(np.array(rows)).all()
@@ -194,13 +194,13 @@ class TestIpr:
     def test_real_obc_matches_biorthogonal_reference(self):
         # one eigensolve gives the former rows bit for bit on a real-regime
         # chain, whose clusters the biorthogonal test never flagged
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         n = 40
         G = model.realspace_dynamical(c, n, Regime.REAL)
         assert spectral.ipr_localization(G, n_cells=n) == reference_ipr(G, n)
 
     def test_pbc_extended(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         n = 16
         G = model.realspace_dynamical(c, n, Regime.REAL, pbc=True)
         rows = spectral.ipr_localization(G, n_cells=n)
@@ -208,7 +208,7 @@ class TestIpr:
         assert np.median(iprs) < 5.0 / n
 
     def test_nhse_real_obc(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         n = 40
         G = model.realspace_dynamical(c, n, Regime.REAL)
         rows = spectral.ipr_localization(G, n_cells=n)
@@ -217,7 +217,7 @@ class TestIpr:
         assert edge >= 0.9
 
     def test_no_nhse_imaginary_obc(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         n = 40
         G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
         rows = spectral.ipr_localization(G, n_cells=n)

@@ -1,13 +1,23 @@
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from qbchain import model, topology
+from qbchain import cli, model, topology
 from qbchain.exceptions import (DomainError, DoubleOverflowError, ResolutionError,
                                 SingularityError)
 from qbchain.model import Regime, derive_couplings
 from qbchain.topology import Phase
+
+
+def ep_nssh1(c):
+    """(v_crit, k*) of the single-EP block: the intracell coupling at which
+    X(k) and Y(k) vanish together, sqrt((w_r^2 + w_l^2) / 2), and the
+    momentum where they do."""
+    v_crit = np.sqrt(0.5 * (c.w_r**2 + c.w_l**2))
+    return v_crit, float(np.arccos(-(c.w_r + c.w_l) / (2.0 * v_crit)))
 
 
 class TestGridAndEps:
@@ -24,31 +34,45 @@ class TestGridAndEps:
                 topology.default_bz_grid(n)
 
     def test_ep_locations_nssh2(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         ep1, ep2, degenerate = topology.ep_locations_nssh2(c)
         wm = 0.5 * (c.w_l - c.w_r)
         assert np.allclose(ep1, [wm, 0.0])
         assert np.allclose(ep2, [-wm, 0.0])
         assert not degenerate
         # d(k) visits the EPs: |d^r - EP| minimized where d^i vanishes along x
-        assert topology.ep_locations_nssh2(derive_couplings(1, 0.5, 0.0))[2]
+        assert topology.ep_locations_nssh2(derive_couplings(0.5, 0.0))[2]
 
     def test_ep_nssh1_zero_energy(self):
-        # at delta0 the band energy X + iY vanishes at k*
-        c = derive_couplings(1, -0.11892293640549756, 0.4)
-        v_crit, k_star, delta0 = topology.ep_nssh1(c)
-        assert abs(c.delta - delta0) < 1e-14
+        # at delta0 the band energy X + iY vanishes at k*, where the
+        # intracell coupling is v_crit
+        c = derive_couplings(-0.11892293640549756, 0.4)
+        v_crit, k_star = ep_nssh1(c)
+        assert abs(c.delta - topology.transition_delta(c.theta)) < 1e-14
         assert abs(c.v - v_crit) < 1e-12
         e = model.energy(k_star, c, Regime.IMAGINARY)
         assert abs(e) ** 2 < 1e-12
 
     def test_delta0_theta0_is_zero(self):
-        assert topology.ep_nssh1(derive_couplings(1, 0.3, 0.0))[2] == 0.0
+        assert topology.transition_delta(0.0) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [354.0, 400.0, 709.0])
+    def test_delta0_at_large_theta(self, theta):
+        # e^(2 theta) leaves the double range, and delta0 rounds to -1
+        assert topology.transition_delta(theta) == -1.0
+
+    def test_delta0_keeps_its_bits_on_the_default_grids(self):
+        # the closed form sqrt((1 + e^(2 theta)) / 2) -> delta0, as written
+        # to amplification_scan.csv before the large-theta cap
+        for theta in [0.4, *np.linspace(0.0, 1.0, 11), *np.linspace(-3, 3, 13)]:
+            s = np.sqrt(0.5 * (1.0 + np.exp(2.0 * theta)))
+            assert topology.transition_delta(theta) == (1.0 - s) / (1.0 + s)
 
 
 class TestWinding:
     def _nu(self, delta, theta=0.4, n=2001):
-        c = derive_couplings(1, delta, theta)
+        c = derive_couplings(delta, theta)
         grid = topology.default_bz_grid(n)
         return topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), grid)
 
@@ -65,7 +89,7 @@ class TestWinding:
     def test_integral_agrees_with_pair(self):
         grid = topology.default_bz_grid()
         for d, expected in ((-0.9, 0.0), (-0.1, 0.5), (0.9, 1.0)):
-            c = derive_couplings(1, d, 0.4)
+            c = derive_couplings(d, 0.4)
             z = topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL),
                                           grid)
             assert abs(z.real - expected) < 1e-10
@@ -76,7 +100,7 @@ class TestWinding:
         # the origin; check with an even-odd ray-crossing count
         grid = topology.default_bz_grid(4001)
         for d, expected in ((-0.9, (0, 0)), (-0.1, (1, 0)), (0.9, (1, 1))):
-            c = derive_couplings(1, d, 0.4)
+            c = derive_couplings(d, 0.4)
             pts1, pts2 = [], []
             for k in grid:
                 b = model.bloch(k, c, Regime.REAL)
@@ -94,13 +118,13 @@ class TestWinding:
 
     def test_integral_nonuniform_grid_rejected(self):
         grid = np.sort(np.random.default_rng(0).uniform(-np.pi, np.pi, 801))
-        c = derive_couplings(1, 0.9, 0.4)
+        c = derive_couplings(0.9, 0.4)
         with pytest.raises(DomainError):
             topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL), grid)
 
     def test_integral_singular_at_ep(self):
         # gapless point: v = w_r (delta = 0) at theta=0 puts d.d = 0 at k = pi
-        c = derive_couplings(1, 0.0, 0.0)
+        c = derive_couplings(0.0, 0.0)
         grid = topology.default_bz_grid(401)
         with pytest.raises(SingularityError):
             topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL), grid)
@@ -108,18 +132,18 @@ class TestWinding:
     @pytest.mark.parametrize("regime", list(Regime), ids=["nssh2", "nssh1"])
     def test_squares_past_double_range_typed(self, regime):
         # finite couplings whose squares overflow: a typed error, no nan
-        c = derive_couplings(1e155, 0.5, 0.4)
+        c = derive_couplings(0.5, 400.0)
         grid = topology.default_bz_grid(401)
-        with pytest.raises(DoubleOverflowError):
-            topology.winding_integral(lambda k: model.bloch(k, c, regime), grid)
-        with pytest.raises(DoubleOverflowError, match="J=1e\\+155"):
-            topology.parametric_energy_loops(c, grid, regime)
-        res = topology.winding_pair(lambda k: model.bloch(k, c, regime), grid)
-        assert abs(res.nu - 1.0) < 1e-12  # the angles alone stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DoubleOverflowError, match="square outside"):
+                topology.winding_integral(lambda k: model.bloch(k, c, regime), grid)
+            with pytest.raises(DoubleOverflowError, match="theta=400.0"):
+                topology.parametric_energy_loops(c, grid, regime)
 
     def test_pair_coarse_grid_near_transition(self):
         with pytest.raises((ResolutionError, DomainError)):
-            c = derive_couplings(1, 0.9, 0.4)
+            c = derive_couplings(0.9, 0.4)
             topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL),
                                   np.linspace(-np.pi, np.pi, 40, endpoint=False))
 
@@ -136,10 +160,10 @@ OPEN_GRIDS = {
     lambda c, g: topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), g),
     lambda c, g: topology.winding_integral(lambda k: model.bloch(k, c, Regime.REAL),
                                            g),
-    lambda c, g: topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY,
+    lambda c, g: topology.classify_phases(c.theta, [c.delta], Regime.IMAGINARY,
                                           g),
     lambda c, g: topology.parametric_energy_loops(c, g),
-    lambda c, g: topology.classify_phases(c.J, c.theta, [c.delta], Regime.REAL, g),
+    lambda c, g: topology.classify_phases(c.theta, [c.delta], Regime.REAL, g),
 ], ids=["winding_pair", "winding_integral", "classify_phases_imag",
         "parametric_energy_loops", "classify_phases_real"])
 def test_open_grid_rejected(call, grid):
@@ -147,7 +171,7 @@ def test_open_grid_rejected(call, grid):
     # and the integral 0.0128 on [0, 1], and the integral 0.4999 on half the
     # zone
     with pytest.raises(DomainError, match="does not close a loop"):
-        call(derive_couplings(1, 0.5, 0.4), grid)
+        call(derive_couplings(0.5, 0.4), grid)
 
 
 @pytest.mark.parametrize("n", [1359, 1379, 1467])
@@ -175,7 +199,7 @@ def reference_phase_real(c):
 
 def imag_label(c, grid=None):
     """The imaginary-regime label of one coupling set."""
-    return topology.classify_phases(c.J, c.theta, [c.delta], Regime.IMAGINARY, grid)[0]
+    return topology.classify_phases(c.theta, [c.delta], Regime.IMAGINARY, grid)[0]
 
 
 class TestClassification:
@@ -184,14 +208,14 @@ class TestClassification:
         for d, tag, nu in ((-0.9, Phase.TRIVIAL, 0.0),
                            (-0.1, Phase.MOEBIUS, 0.5),
                            (0.9, Phase.NONTRIVIAL, 1.0)):
-            lab = topology.classify_phases(1, 0.4, [d], Regime.REAL)[0]
+            lab = topology.classify_phases(0.4, [d], Regime.REAL)[0]
             assert lab.tag is tag
             assert lab.nu == nu
             assert lab.boundaries == (lower, 0.0)
             assert lab.winding is None  # thresholds, no numerical winding
 
     def test_real_critical_band(self):
-        lab = topology.classify_phases(1, 0.4, [1e-9], Regime.REAL)[0]
+        lab = topology.classify_phases(0.4, [1e-9], Regime.REAL)[0]
         assert lab.tag is Phase.CRITICAL
         assert lab.nu is None
 
@@ -203,8 +227,8 @@ class TestClassification:
         near = [b + s for b in (lower, 0.0) for s in (-2e-6, -1e-7, 0.0, 1e-7, 2e-6)]
         deltas = np.concatenate([np.linspace(-0.95, 0.95, topology.DELTA_BLOCK + 7),
                                  near])
-        labels = topology.classify_phases(1.0, theta, deltas, Regime.REAL)
-        refs = [reference_phase_real(derive_couplings(1.0, d, theta)) for d in deltas]
+        labels = topology.classify_phases(theta, deltas, Regime.REAL)
+        refs = [reference_phase_real(derive_couplings(d, theta)) for d in deltas]
         assert [(lab.tag, lab.nu, lab.boundaries) for lab in labels] == [
             (ref.tag, ref.nu, ref.boundaries) for ref in refs]
         assert all(lab.winding is None for lab in labels)
@@ -216,10 +240,10 @@ class TestClassification:
         b = -np.tanh(theta / 2)
         deltas = [-0.5, -0.05, 0.02, b / 2, b - 0.02, b + 0.02, 0.9]
         grid = topology.default_bz_grid()
-        labels = topology.classify_phases(1.0, theta, deltas, Regime.REAL, grid)
+        labels = topology.classify_phases(theta, deltas, Regime.REAL, grid)
         tags = {0.0: Phase.TRIVIAL, 0.5: Phase.MOEBIUS, 1.0: Phase.NONTRIVIAL}
         for d, lab in zip(deltas, labels):
-            c = derive_couplings(1.0, d, theta)
+            c = derive_couplings(d, theta)
             res = topology.winding_pair(lambda k: model.bloch(k, c, Regime.REAL), grid)
             assert abs(lab.nu - res.nu) < 1e-9, d
             assert lab.tag is tags[lab.nu], d
@@ -228,42 +252,42 @@ class TestClassification:
     @pytest.mark.parametrize("regime", ["real", None])
     def test_unknown_regime_rejected(self, regime):
         with pytest.raises(DomainError, match="regime must be a Regime"):
-            topology.classify_phases(1.0, 0.4, [0.5], regime)
+            topology.classify_phases(0.4, [0.5], regime)
 
     @pytest.mark.parametrize("J", [1e160, 1e-160])
-    def test_imag_labels_do_not_depend_on_J(self, J):
-        # the imaginary phase diagram's grid (theta_steps=3, grid_points=401)
-        # at an extreme J: the J = 1 labels, and nu within 1e-12
-        grid = topology.default_bz_grid(401)
-        deltas = np.linspace(-0.9, 0.9, 41)
-        for theta in np.linspace(0.0, 1.0, 3):
-            got, ref = (topology.classify_phases(j, theta, deltas, Regime.IMAGINARY,
-                                                 grid) for j in (J, 1.0))
-            assert [lab.tag for lab in got] == [lab.tag for lab in ref]
-            for a, b in zip(got, ref):
-                assert (a.winding is None) == (b.winding is None)
-                if b.winding is not None:
-                    assert max(abs(getattr(a.winding, f) - getattr(b.winding, f))
-                               for f in ("nu1", "nu2", "nu")) < 1e-12
-                    assert abs(a.nu - b.nu) < 1e-12
+    def test_imag_labels_do_not_depend_on_J(self, tmp_path, J):
+        # classify_phases takes no J; amplify, the one command that labels
+        # imaginary phases at a J, writes the J = 1 delta0 and nu at an
+        # extreme J, bit for bit
+        for theta in ("0", "0.5", "1"):
+            read = []
+            for scale in (J, 1.0):
+                out = tmp_path / f"{theta}-{scale}"
+                assert cli.run(cli.validate({
+                    "command": "amplify", "J": str(scale), "theta": theta,
+                    "delta_steps": "40", "n_cells": "4", "out": str(out)})) == 0
+                read.append((out / "amplification_scan.csv").read_text()
+                            .splitlines())
+            for got, ref in zip(*read, strict=True):
+                assert got.split(",")[:3] == ref.split(",")[:3]  # delta, delta0, nu
 
     def test_imag_phases(self):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        delta0 = topology.transition_delta(0.4)
         for d in (-0.5, -0.2):
-            lab = imag_label(derive_couplings(1, d, 0.4))
+            lab = imag_label(derive_couplings(d, 0.4))
             assert lab.tag is Phase.TRIVIAL
             assert abs(lab.nu - 0.0) < 1e-6
         for d in (-0.05, 0.5):
-            lab = imag_label(derive_couplings(1, d, 0.4))
+            lab = imag_label(derive_couplings(d, 0.4))
             assert lab.tag is Phase.NONTRIVIAL
             assert abs(lab.nu - 1.0) < 1e-6
-        lab = imag_label(derive_couplings(1, delta0 + 1e-8, 0.4))
+        lab = imag_label(derive_couplings(delta0 + 1e-8, 0.4))
         assert lab.tag is Phase.CRITICAL
 
 
 def _near_ep_grid(c, half_width=1e-3, n_fine=2001):
     """The default grid plus fine clusters around +-k* of the single EP."""
-    k_star = topology.ep_nssh1(c)[1]
+    k_star = ep_nssh1(c)[1]
     fine = np.linspace(-half_width, half_width, n_fine)
     extra = np.concatenate([k_star + fine, -k_star + fine])
     extra = (extra + np.pi) % (2 * np.pi) - np.pi
@@ -280,9 +304,9 @@ class TestArrayWinding:
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, 2.0])
     def test_matches_per_momentum_winding(self, theta):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+        delta0 = topology.transition_delta(theta)
         for delta in (-0.9, delta0 - 1e-5, delta0 + 1e-5, 0.5):
-            c = derive_couplings(1, delta, theta)
+            c = derive_couplings(delta, theta)
             # the clustered grid resolves |delta - delta0| = 1e-5 at every theta
             grid = _near_ep_grid(c)
             ref = self._per_k(c, grid)
@@ -302,13 +326,13 @@ class TestArrayWinding:
 
     @pytest.mark.parametrize("theta, n", [(0.0, 401), (0.4, 2001), (2.0, 2001)])
     def test_coarse_grid_near_ep_raises(self, theta, n):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
-        c = derive_couplings(1, delta0 + 1e-5, theta)
+        delta0 = topology.transition_delta(theta)
+        c = derive_couplings(delta0 + 1e-5, theta)
         with pytest.raises(ResolutionError, match="grid too coarse"):
             imag_label(c, topology.default_bz_grid(n))
 
     def test_grid_size_checked(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         grid = np.linspace(-np.pi, np.pi, 400, endpoint=False)
         with pytest.raises(DomainError):
             imag_label(c, grid)
@@ -321,33 +345,33 @@ class TestBatchedWinding:
 
     @pytest.mark.parametrize("theta", [0.0, 0.4])
     def test_matches_one_delta_at_a_time(self, theta):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, theta))[2]
+        delta0 = topology.transition_delta(theta)
         # three blocks, the last partial, with a delta at the transition
         deltas = np.append(np.linspace(-0.9, 0.9, 2 * topology.DELTA_BLOCK + 5),
                            delta0 + 1e-8)
         grid = topology.default_bz_grid(801)
-        labels = topology.classify_phases(1.0, theta, deltas, Regime.IMAGINARY, grid)
-        assert labels == [imag_label(derive_couplings(1, d, theta), grid)
+        labels = topology.classify_phases(theta, deltas, Regime.IMAGINARY, grid)
+        assert labels == [imag_label(derive_couplings(d, theta), grid)
                           for d in deltas]
         assert labels[-1].tag is Phase.CRITICAL and labels[-1].winding is None
         for d, lab in zip(deltas[::9], labels[::9]):
-            c = derive_couplings(1, d, theta)
+            c = derive_couplings(d, theta)
             assert lab.winding == topology.winding_pair(
                 lambda k: model.bloch(k, c, Regime.IMAGINARY), grid)
 
     def test_error_names_first_failing_delta(self):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
+        delta0 = topology.transition_delta(0.4)
         for first, second in ((delta0 + 1e-5, delta0 - 1e-5),
                               (delta0 - 1e-5, delta0 + 1e-5)):
             with pytest.raises(ResolutionError,
                                match=re.escape(f"at delta={first};")):
-                topology.classify_phases(1.0, 0.4, [0.5, first, second],
+                topology.classify_phases(0.4, [0.5, first, second],
                                          Regime.IMAGINARY)
 
     def test_empty_and_all_critical(self):
-        delta0 = topology.ep_nssh1(derive_couplings(1, 0, 0.4))[2]
-        assert topology.classify_phases(1.0, 0.4, [], Regime.IMAGINARY) == []
-        labels = topology.classify_phases(1.0, 0.4, [delta0], Regime.IMAGINARY)
+        delta0 = topology.transition_delta(0.4)
+        assert topology.classify_phases(0.4, [], Regime.IMAGINARY) == []
+        labels = topology.classify_phases(0.4, [delta0], Regime.IMAGINARY)
         assert [lab.tag for lab in labels] == [Phase.CRITICAL]
 
 
@@ -382,39 +406,44 @@ class TestEnergyLoops:
         flags = []
         for th in (0.0, 0.4, 1.0, 2.0):
             for d in np.linspace(-0.95, 0.95, 39):
-                c = derive_couplings(1, d, th)
+                c = derive_couplings(d, th)
                 merged = topology.parametric_energy_loops(c, grid, regime)[2]
                 assert merged == reference_merged(c, grid, regime), (d, th)
                 flags.append(merged)
         assert any(flags) and not all(flags)
 
     @pytest.mark.parametrize("regime", list(Regime), ids=["nssh2", "nssh1"])
-    def test_merged_independent_of_J(self, regime):
-        # E^2 scales with J^2, and so do the thresholds of the merged test
-        grid = topology.default_bz_grid()
+    def test_merged_independent_of_J(self, tmp_path, regime):
+        # the loops are built at J = 1: a winding at any J writes their merged
+        # flag
         for d in (-0.15, -0.1, 0.05, 0.5):
-            flags = [topology.parametric_energy_loops(derive_couplings(J, d, 0.4),
-                                                      grid, regime)[2]
-                     for J in (1.0, 1e-150, 1e-30, 1e3, 1e6, 1e150)]
+            flags = []
+            for J in (1.0, 1e-150, 1e-30, 1e3, 1e6, 1e150):
+                out = tmp_path / f"{d}-{J}"
+                assert cli.run(cli.validate({
+                    "command": "winding", "regime": regime.value, "J": str(J),
+                    "delta": str(d), "out": str(out)})) == 0
+                files = json.loads((out / "manifest.json").read_text())["files"]
+                flags.append(files[-1]["merged"])
             assert flags == flags[:1] * len(flags), d
             if regime is Regime.REAL and d in (-0.15, -0.1):
                 assert flags[0]  # inside the Moebius window at theta = 0.4
 
     def test_moebius_merged_loop(self):
         # band exchange in the Moebius phase: the two traces form one loop
-        c = derive_couplings(1, -0.1, 0.4)
+        c = derive_couplings(-0.1, 0.4)
         ep, em, merged = topology.parametric_energy_loops(c)
         assert merged
         assert np.allclose(em, -ep)
 
     def test_disjoint_loops_outside_moebius(self):
         for d in (-0.9, 0.9):
-            c = derive_couplings(1, d, 0.4)
+            c = derive_couplings(d, 0.4)
             _, _, merged = topology.parametric_energy_loops(c)
             assert not merged
 
     def test_hermitian_loops_real(self):
-        c = derive_couplings(1, 0.5, 0.0)
+        c = derive_couplings(0.5, 0.0)
         ep, em, merged = topology.parametric_energy_loops(c)
         assert np.abs(ep.imag).max() < 1e-12
         assert not merged
@@ -424,7 +453,7 @@ class TestEnergyLoops:
         for fn in ("loops", "two_band", "bloch", "energy")
         for which in ("bogus", "NSSH2", "", "nssh2", "real", None)])
     def test_unknown_model_rejected(self, fn, which):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         with pytest.raises(DomainError, match="nssh2 or nssh1"):
             if fn == "loops":
                 topology.parametric_energy_loops(c, regime=which)
@@ -432,7 +461,7 @@ class TestEnergyLoops:
                 getattr(model, fn)(0.3, c, which)
 
     def test_nssh1_branch(self):
-        c = derive_couplings(1, 0.5, 0.4)
+        c = derive_couplings(0.5, 0.4)
         ep, _, _ = topology.parametric_energy_loops(c, regime=Regime.IMAGINARY)
         grid = topology.default_bz_grid()
         assert np.abs(ep - model.energy(grid, c, Regime.IMAGINARY)).max() < 1e-14
