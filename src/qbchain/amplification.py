@@ -10,7 +10,6 @@ in the topologically non-trivial phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,27 +35,21 @@ DIRECTION_GAIN_THRESHOLD = 1.02
 
 @dataclass
 class SusceptibilityReport:
-    """The nonzero sublattice sub-matrices of the susceptibilities chi = h^-1.
+    """The susceptibilities chi = h^-1 of both quadratures, as Neumann blocks.
 
-    ``blocks`` is the checked Neumann stack of ``_neumann_blocks``, shape
-    (4, N + 1, 2, 2) in PAIRS order, block N the zero block.  ``sectors``,
-    laid out on first read, maps each (sector, quadrature) of PAIRS, in that
-    order, to its 2N x 2N sub-matrix of that quadrature's chi (``lay_out``
-    of its stack), with rows and columns on the sublattices of the two
-    sectors of ``SECTOR_AXES[sector]``; the AC x AC and BD x BD parts of chi
-    are zero.  ``residual`` is max|chi h - I| / max(1, max|chi|), the
-    larger of the two generators' values; ``susceptibility`` rejects any
-    above 1e-10.
+    ``blocks`` is the checked stack of ``_neumann_blocks``, shape
+    (4, N + 1, 2, 2) in PAIRS order, block N the zero block; ``lay_out``
+    lays a pair's stack out as its 2N x 2N sub-matrix of chi, with rows and
+    columns on the sublattices of the two sectors of
+    ``SECTOR_AXES[sector]``; the AC x AC and BD x BD parts of chi are zero.
+    ``residual`` is max|chi h - I| / max(1, max|chi|), the larger of the two
+    generators' values; ``susceptibility`` rejects any above 1e-10.
     """
 
     blocks: np.ndarray
     params: CouplingSet
     n_cells: int
     residual: float
-
-    @cached_property
-    def sectors(self) -> dict:
-        return {pair: lay_out(stack, pair[0]) for pair, stack in zip(PAIRS, self.blocks)}
 
 
 @dataclass
@@ -87,7 +80,7 @@ def sector_labels(sector: str, n_cells: int) -> np.ndarray:
     return np.array([f"{i // 4 + 1}{'ABCD'[i % 4]}" for i in idx], dtype="S")
 
 
-#: (sector, quadrature) of each Neumann stack, and of sectors, gains and scan rows
+#: (sector, quadrature) of each Neumann stack, gain and scan row
 PAIRS = (("AC", "X"), ("AC", "P"), ("BD", "X"), ("BD", "P"))
 
 
@@ -104,16 +97,21 @@ def _neumann_blocks(theta: float, deltas: list, n_cells: int):
     -D^-1 W = -(v_crit/v) R(phi) is a scaled rotation whose gain per cell
     v_crit/|v| exceeds 1 exactly when delta > delta0.
 
+    h_p is h_x conjugated by G = diag(1, -1) (its w- entries change sign),
+    so the recurrence runs for h_x's two stacks only, and each P stack is
+    G B_m G, its X stack with the off-diagonal entries negated.
+
     The recurrence runs for the coupling sets of all ``deltas`` at
     ``theta`` at once.  Returns (blocks, residuals).  blocks has shape
     (len(deltas), 4, N + 1, 2, 2): per coupling set, one stack per entry of
     PAIRS, where chi_bd's block (i, j) is blocks[., BD, i - j] and chi_ac's
     is blocks[., AC, j - i]^T; blocks[., :, N] is the zero block of the
     other triangle.  residuals[i] is max|chi h - I| / max(1, max|chi|) at
-    deltas[i], the larger of the two generators' values.  Each is checked in
-    O(N) against that coupling set's ``quadrature_cells``, a statement of h
-    written apart from the (d, w) tables below: the block of chi_bd X at
-    distance m is B_m X_diag + B_(m-1) X_sub, and that of chi_ac Y is
+    deltas[i], the larger of the two generators' values.  All four stacks
+    are checked in O(N) against that coupling set's ``quadrature_cells``, a
+    statement of h_x and h_p written apart from the (d, w) tables and the
+    gauge below: the block of chi_bd X at distance m is
+    B_m X_diag + B_(m-1) X_sub, and that of chi_ac Y is
     A_m^T Y_diag + A_(m-1)^T Y_super.  An error names the first coupling
     set of the earliest failing check.  ``n_cells < 2`` is a DomainError.
     """
@@ -136,21 +134,23 @@ def _neumann_blocks(theta: float, deltas: list, n_cells: int):
     v = np.array([c.v for c in cs])[:, None, None]
     wp = np.array([0.5 * (c.w_r + c.w_l) for c in cs])[:, None]
     wm = np.array([0.5 * (c.w_l - c.w_r) for c in cs])[:, None]
-    # diagonals of d and the blocks w of Y^T (AC) and X (BD), per pair;
-    # written apart from quadrature_cells, so that the residual below
-    # compares two statements of h and a wrong block cannot invert itself
-    d = v * [[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]]
-    w = np.empty((len(cs), 4, 2, 2))
-    w[:, :, 0, 0] = wp * [-1.0, -1.0, 1.0, 1.0]
-    w[:, :, 1, 1] = wp * [1.0, 1.0, -1.0, -1.0]
-    w[:, :, 0, 1] = w[:, :, 1, 0] = wm * [1.0, -1.0, 1.0, -1.0]
-    blocks = np.zeros((len(cs), 4, n_cells + 1, 2, 2))
+    # diagonals of d and the blocks w of h_x's Y^T (AC) and X (BD); written
+    # apart from quadrature_cells, so that the residual below compares two
+    # statements of h and a wrong block cannot invert itself
+    d = v * [[-1.0, 1.0], [1.0, -1.0]]
+    w = np.empty((len(cs), 2, 2, 2))
+    w[:, :, 0, 0] = wp * [-1.0, 1.0]
+    w[:, :, 1, 1] = wp * [1.0, -1.0]
+    w[:, :, 0, 1] = w[:, :, 1, 0] = wm
+    # per coupling set: sector (AC, BD), quadrature (X, P), block distance
+    blocks = np.zeros((len(cs), 2, 2, n_cells + 1, 2, 2))
+    x = blocks[:, :, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         step = -w / d[..., None]
-        blocks[:, :, 0, [0, 1], [0, 1]] = 1.0 / d
+        x[:, :, 0, [0, 1], [0, 1]] = 1.0 / d
         for m in range(1, n_cells):
-            blocks[:, :, m] = step @ blocks[:, :, m - 1]
-    finite = np.isfinite(blocks).reshape(len(cs), -1).all(axis=1)
+            x[:, :, m] = step @ x[:, :, m - 1]
+    finite = np.isfinite(x).reshape(len(cs), -1).all(axis=1)
     if not finite.all():
         c = cs[np.argmin(finite)]
         raise SingularityError(
@@ -158,6 +158,8 @@ def _neumann_blocks(theta: float, deltas: list, n_cells: int):
             f"n_cells={n_cells}, delta={c.delta}: |chi| grows geometrically "
             f"with n_cells"
         )
+    blocks[:, :, 1] = x * [[1.0, -1.0], [-1.0, 1.0]]  # G B_m G
+    blocks = blocks.reshape(len(cs), 4, n_cells + 1, 2, 2)
     # (X_diag, X_sub, Y_diag, Y_super) of each coupling set's h_x and h_p
     bands = np.array([quadrature_cells(c) for c in cs])
     # per coupling set and generator: the blocks A_m^T of chi_ac, which
@@ -246,45 +248,33 @@ def closed_form_theta0(c: CouplingSet, n_cells: int):
 
 
 def gain_metrics(rep: SusceptibilityReport):
-    """Directional gain per sector and quadrature from |chi| sub-matrices.
+    """Directional gain per sector and quadrature, from the Neumann stack.
 
-    The dominant triangle (upper = leftward for AC, lower = rightward for
-    BD) sets the direction; the gain per cell is the least-squares slope of
-    mean log-magnitude against block distance.
+    chi[r, c] is the response at cell r to a drive at cell c, so chi_ac,
+    block-upper, carries signals leftward and chi_bd, block-lower,
+    rightward.  The gain per cell is the least-squares slope of the mean
+    log-magnitude of the block at distance m >= 1 against m, over the
+    entries that are not rounding noise; end_to_end is max|B_(N-1)|.
     """
     out = []
-    n_cells = rep.n_cells
-    # block distance between the column cell and the row cell
-    cell_r = np.repeat(np.arange(n_cells), 2)
-    dist = cell_r[None, :] - cell_r[:, None]  # cols minus rows
-    far = np.abs(dist) == n_cells - 1
-    for (sector, quad), sub in rep.sectors.items():
-        mag = np.abs(sub)
-        upper = mag[dist > 0]
-        lower = mag[dist < 0]
-        # chi[r, c] is the response at cell r to a drive at cell c: a
-        # dominant upper triangle (c > r) propagates signals leftward
-        if upper.max(initial=0.0) >= lower.max(initial=0.0):
-            tri_sign, direction = 1, "leftward"
-        else:
-            tri_sign, direction = -1, "rightward"
-        # mean log-magnitude at each distance m >= 1 into that triangle,
-        # over the entries that are not rounding noise
-        m = tri_sign * dist
-        keep = (m > 0) & (mag > 1e-13)
-        counts = np.bincount(m[keep], minlength=n_cells)
-        xs = np.flatnonzero(counts)
-        ys = np.bincount(m[keep], weights=np.log(mag[keep]),
-                         minlength=n_cells)[xs] / counts[xs]
-        if len(xs) >= 2:
-            slope = np.polyfit(xs, ys, 1)[0]
+    dist = np.arange(1, rep.n_cells)
+    for (sector, quad), stack in zip(PAIRS, rep.blocks):
+        mag = np.abs(stack[1:rep.n_cells]).reshape(-1, 4)
+        keep = mag > 1e-13
+        counts = keep.sum(axis=1)
+        logs = np.log(mag, where=keep, out=np.zeros_like(mag)).sum(axis=1)
+        xs = counts > 0
+        if xs.sum() >= 2:
+            slope = np.polyfit(dist[xs], logs[xs] / counts[xs], 1)[0]
             gain = float(np.exp(slope))
         else:
             gain = 0.0
-        if gain <= DIRECTION_GAIN_THRESHOLD:
+        if gain > DIRECTION_GAIN_THRESHOLD:
+            direction = "leftward" if sector == "AC" else "rightward"
+        else:
             direction = "none"
         out.append(GainProfile(direction=direction, gain_per_cell=gain,
-                               end_to_end=float(mag[far].max(initial=0.0)),
+                               end_to_end=float(mag[-1].max()),
                                sector=sector, quadrature=quad))
     return out
 
@@ -304,9 +294,8 @@ def amplification_phase_scan(theta: float, delta_grid, n_cells: int):
 
     Returns a ``PhaseScan``.  end_to_end, the largest |chi| entry between
     the two end cells, is read from the checked Neumann blocks at distance
-    N - 1, with no dense chi; it equals ``gain_metrics``' value.  An empty
-    or non-finite grid and points too close to the transition are rejected
-    up front.
+    N - 1, as ``gain_metrics`` reads it.  An empty or non-finite grid and
+    points too close to the transition are rejected up front.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0 or not np.isfinite(deltas).all():

@@ -383,32 +383,27 @@ def _write_chi(outdir: Path, files: list, stages: list, blocks: np.ndarray) -> N
     that order: the ``row,col,abs_value`` rows of the pair's sub-matrix.
 
     ``blocks`` is ``SusceptibilityReport.blocks`` over J.  The 4(N + 1)
-    magnitudes of a pair's Neumann stack are formatted with ``'%.16e'`` and
-    the text is laid out by ``amplification.lay_out``, with the row and
-    column labels of ``amplification.sector_labels``.  Where a sector's P
-    magnitudes equal its X ones bit for bit (|chi_P| = |chi_X|: the P
-    recurrence is the X one conjugated by diag(1, -1)), its P file is a copy
-    of its X file, with its own ``files`` entry and stage.
+    magnitudes of a sector's X stack are formatted with ``'%.16e'`` and the
+    text is laid out by ``amplification.lay_out``, with the row and column
+    labels of ``amplification.sector_labels``.  The P stack is the X one in
+    the diag(1, -1) gauge, of the same magnitudes, so the P file is a copy
+    of the X file, with its own ``files`` entry and stage.
     """
-    mags = np.abs(blocks)
     n_cells = len(blocks[0]) - 1
     for sector, axes in amplification.SECTOR_AXES.items():
         rows, cols = (amplification.sector_labels(s, n_cells) for s in axes)
-        x, p = (mags[amplification.PAIRS.index((sector, quad))] for quad in ("X", "P"))
-        for quad, mag in (("X", x), ("P", p)):
-            t0 = time.perf_counter()
-            name = f"chi_{sector}_{quad}.csv".lower()
-            if quad == "P" and p.tobytes() == x.tobytes():
-                shutil.copyfile(outdir / files[-1]["name"], outdir / name)
-                files.append({**files[-1], "name": name})
-                stages.append({**stages[-1], "name": name,
-                               "wall_s": time.perf_counter() - t0})
-                continue
-            text = np.array([b"%.16e" % v for v in mag.ravel().tolist()])
-            _write_table(outdir, files, stages, name, "row,col,abs_value",
-                         [rows[:, None], cols,
-                          amplification.lay_out(text.reshape(mag.shape), sector)],
-                         t0)
+        mag = np.abs(blocks[amplification.PAIRS.index((sector, "X"))])
+        x, p = (f"chi_{sector}_{quad}.csv".lower() for quad in ("X", "P"))
+        t0 = time.perf_counter()
+        text = np.array([b"%.16e" % v for v in mag.ravel().tolist()])
+        _write_table(outdir, files, stages, x, "row,col,abs_value",
+                     [rows[:, None], cols,
+                      amplification.lay_out(text.reshape(mag.shape), sector)],
+                     t0)
+        t0 = time.perf_counter()
+        shutil.copyfile(outdir / x, outdir / p)
+        files.append({**files[-1], "name": p})
+        stages.append({**stages[-1], "name": p, "wall_s": time.perf_counter() - t0})
 
 
 def _cmd_spectrum(cfg, outdir, files, tolerances, stages):
@@ -554,7 +549,7 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     shape = (len(rep.blocks), 2 * rep.n_cells, 2 * rep.n_cells)
     _stage(stages, "susceptibility", t0, shape, math.prod(shape) * rep.blocks.itemsize)
     tolerances["susceptibility_residual"] = rep.residual
-    _write_chi(outdir, files, stages, scale(rep.blocks, -1))
+    chi = scale(rep.blocks, -1)
     t0 = time.perf_counter()
     scan = amplification.amplification_phase_scan(cfg["theta"], _delta_grid(cfg),
                                                   cfg["n_cells"])
@@ -562,6 +557,9 @@ def _cmd_amplify(cfg, outdir, files, tolerances, stages):
     table[:, 3:] = scale(table[:, 3:], -1)  # the gains, |chi| entries
     _stage(stages, "phase_scan", t0, table.shape, table.nbytes)
     tolerances["scan_residual"] = scan.residual
+    # every value is computed and scaled before the first write, so a run
+    # that fails writes no file
+    _write_chi(outdir, files, stages, chi)
     gains = (f"gain_{sector}_{quad}".lower() for sector, quad in amplification.PAIRS)
     _write_table(outdir, files, stages, "amplification_scan.csv",
                  ",".join(["delta,delta0,nu", *gains]), table.T)

@@ -107,14 +107,22 @@ def reference_scan(theta, deltas, n_cells):
     return rows
 
 
+def sub_matrices(rep):
+    """Each pair of PAIRS with its 2N x 2N sub-matrix, laid out from the
+    pair's Neumann stack by ``lay_out``."""
+    return [(pair, amplification.lay_out(stack, pair[0]))
+            for pair, stack in zip(amplification.PAIRS, rep.blocks, strict=True)]
+
+
 def dense_chi(rep):
-    """The 4N x 4N (chi_x, chi_p): each sub-matrix of ``rep.sectors`` placed
-    at its sublattice indices (``_sector_indices``), zeros elsewhere."""
+    """The 4N x 4N (chi_x, chi_p): each sub-matrix of ``sub_matrices``
+    placed at its sublattice indices (``_sector_indices``), zeros
+    elsewhere."""
     n = 4 * rep.n_cells
     chi = {q: np.zeros((n, n)) for _, q in amplification.PAIRS}
     idx = dict(zip(amplification.SECTOR_AXES,
                    amplification._sector_indices(rep.n_cells)))
-    for (sector, q), sub in rep.sectors.items():
+    for (sector, q), sub in sub_matrices(rep):
         chi[q][np.ix_(*(idx[s] for s in amplification.SECTOR_AXES[sector]))] = sub
     return chi["X"], chi["P"]
 
@@ -213,7 +221,7 @@ class TestSusceptibility:
         assert rep.residual < 1e-10 * max(1.0, np.abs(chi_x).max())
         hx, hp = model.quadrature_dynamical(c, 8)
         assert np.abs(chi_x @ hx - np.eye(32)).max() < 1e-6
-        assert rep.sectors[("AC", "X")].shape == (16, 16)
+        assert amplification.lay_out(rep.blocks[0], "AC").shape == (16, 16)
 
     def test_closed_form_match(self):
         # symmetric limit with (v, w) = (2/3, 4/3): w/v = 2
@@ -221,8 +229,7 @@ class TestSusceptibility:
         assert abs(c.v - 2 / 3) < 1e-15 and abs(c.w_r - 4 / 3) < 1e-15
         rep = amplification.susceptibility(c, 4)
         ac_ref, bd_ref = amplification.closed_form_theta0(c, 4)
-        assert list(rep.sectors) == list(amplification.PAIRS)
-        for (sector, _), sub in rep.sectors.items():
+        for (sector, _), sub in sub_matrices(rep):
             ref = ac_ref if sector == "AC" else bd_ref
             assert np.abs(np.abs(sub) - ref).max() < 1e-10
 
@@ -405,7 +412,7 @@ class TestGain:
         cell = np.repeat(np.arange(20), 2)
         dist = cell[None, :] - cell[:, None]
         gains = amplification.gain_metrics(rep)
-        for g, (pair, sub) in zip(gains, rep.sectors.items(), strict=True):
+        for g, (pair, sub) in zip(gains, sub_matrices(rep), strict=True):
             assert (g.sector, g.quadrature) == pair
             mag = np.abs(sub)
             tri_sign = 1 if g.sector == "AC" else -1
@@ -419,6 +426,21 @@ class TestGain:
             ref = float(np.exp(np.polyfit(xs, ys, 1)[0]))
             assert abs(g.gain_per_cell / ref - 1.0) < 1e-12
             assert g.end_to_end == mag[np.abs(dist) == 19].max()
+
+    def test_gain_memory_is_linear(self):
+        # the four dense 2N x 2N sub-matrices would take 512 MB at N = 2000
+        c = derive_couplings(-0.5, 0.4)
+        rep = amplification.susceptibility(c, 2000)
+        tracemalloc.start()
+        try:
+            gains = amplification.gain_metrics(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        v_crit = np.sqrt(0.5 * (c.w_r**2 + c.w_l**2))
+        for g in gains:
+            assert abs(g.gain_per_cell / (v_crit / abs(c.v)) - 1.0) < 0.02
 
     @pytest.mark.parametrize("delta", [0.5, -0.5])
     @pytest.mark.parametrize("J", [1e-150, 1e-20, 1e20, 1e40, 1e150])
@@ -520,16 +542,42 @@ class TestGain:
 class TestNeumannStack:
     def test_sectors_are_the_stack_laid_out(self):
         rep = amplification.susceptibility(derive_couplings(0.5, 0.4), 5)
-        for (sector, _), stack, sub in zip(amplification.PAIRS, rep.blocks,
-                                           rep.sectors.values(), strict=True):
-            assert np.array_equal(amplification.lay_out(stack, sector), sub)
-            # chi_bd's block (i, j) is stack[i - j], chi_ac's stack[j - i]^T
-            block = sub[2 * 3:2 * 3 + 2, 2 * 1:2 * 1 + 2]
-            ref = stack[2] if sector == "BD" else np.zeros((2, 2))
-            assert np.array_equal(block, ref)
-            block = sub[2 * 1:2 * 1 + 2, 2 * 3:2 * 3 + 2]
-            ref = stack[2].T if sector == "AC" else np.zeros((2, 2))
-            assert np.array_equal(block, ref)
+        for (sector, _), stack in zip(amplification.PAIRS, rep.blocks, strict=True):
+            sub = amplification.lay_out(stack, sector)
+            assert sub.shape == (10, 10)
+            # chi_bd's block (i, j) is stack[i - j], chi_ac's stack[j - i]^T,
+            # and every block of the other triangle is zero
+            for i in range(5):
+                for j in range(5):
+                    block = sub[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                    if sector == "BD":
+                        ref = stack[i - j] if i >= j else np.zeros((2, 2))
+                    else:
+                        ref = stack[j - i].T if j >= i else np.zeros((2, 2))
+                    assert np.array_equal(block, ref)
+
+    @pytest.mark.parametrize("n_cells", [2, 5, 40, 150])
+    @pytest.mark.parametrize("theta", [-0.7, 0.0, 0.4, 1.0, 2.0])
+    def test_p_stacks_are_the_x_stacks_in_the_gauge(self, theta, n_cells):
+        # h_p is h_x conjugated by diag(1, -1): each P block is its X block
+        # with the off-diagonal entries negated, of the same magnitudes
+        blocks, _ = amplification._neumann_blocks(theta, scan_grid(theta).tolist(),
+                                                  n_cells)
+        x, p = blocks[:, [0, 2]], blocks[:, [1, 3]]
+        assert np.array_equal(p, x * [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(np.abs(p).view(np.int64), np.abs(x).view(np.int64))
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.5])
+    def test_gauge_is_checked_against_h_p(self, monkeypatch, delta):
+        # with h_x's cells standing in for h_p's, the P stacks, derived from
+        # the X ones and not from h_p, fail the residual check
+        cells = model.quadrature_cells
+        monkeypatch.setattr(amplification, "quadrature_cells",
+                            lambda c: cells(c)[[0, 0]])
+        with pytest.raises(SingularityError, match="inverse residual"):
+            amplification.susceptibility(derive_couplings(delta, 0.4), 5)
+        with pytest.raises(SingularityError, match="inverse residual"):
+            amplification.amplification_phase_scan(0.4, [delta], 5)
 
 
 class TestAmplifyOutputs:

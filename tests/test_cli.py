@@ -627,7 +627,8 @@ class TestCommands:
         assert manifest["tolerances"]["scan_residual"] < 1e-10
         stages = {s["name"]: s for s in manifest["stages"]}
         writes = ["chi_ac_x.csv", "chi_ac_p.csv", "chi_bd_x.csv", "chi_bd_p.csv"]
-        assert list(stages) == ["susceptibility", *writes, "phase_scan",
+        # every value is computed before the first write
+        assert list(stages) == ["susceptibility", "phase_scan", *writes,
                                 "amplification_scan.csv"]
         assert all(s["wall_s"] >= 0.0 for s in stages.values())
         # the four 8 x 8 sector blocks, stacked
@@ -659,6 +660,10 @@ class TestCommands:
         manifest = json.loads((tmp_path / "1e-280" / "manifest.json").read_text())
         assert manifest["error"] == ("DoubleOverflowError: outputs scaled by "
                                      "J**-1 leave the double range at J=1e-280")
+        # every value is scaled before the first write: the failed run
+        # writes no data file
+        assert manifest["files"] == []
+        assert not list((tmp_path / "1e-280").glob("chi_*.csv"))
 
     def test_check_passes(self, tmp_path):
         code, out, manifest = run_cli(tmp_path, ["--command", "check"])
@@ -1091,13 +1096,14 @@ class TestChiWriter:
             model.derive_couplings(delta0 + side, theta), n_cells)
         assert rep.blocks.shape == (4, n_cells + 1, 2, 2)
         assert not rep.blocks[:, n_cells].any()
-        # |chi_P| = |chi_X| bit for bit: the P recurrence is the X one
-        # conjugated by diag(1, -1), an exact sign flip
+        # |chi_P| = |chi_X| bit for bit: each P stack is its X stack in the
+        # diag(1, -1) gauge, an exact sign flip
         mag = np.abs(rep.blocks).view(np.int64)
         assert np.array_equal(mag[[0, 2]], mag[[1, 3]])
         texts, files, stages = chi_written(tmp_path, rep.blocks)
-        for text, ((sector, _), sub), f, stage in zip(
-                texts, rep.sectors.items(), files, stages, strict=True):
+        for text, (sector, _), stack, f, stage in zip(
+                texts, amplification.PAIRS, rep.blocks, files, stages, strict=True):
+            sub = amplification.lay_out(stack, sector)
             rows, cols = (amplification.sector_labels(s, n_cells).astype(str)
                           for s in amplification.SECTOR_AXES[sector])
             assert text == "row,col,abs_value\n" + "".join(
@@ -1106,24 +1112,6 @@ class TestChiWriter:
             assert f["rows"] == (2 * n_cells) ** 2
             assert stage["shape"] == [(2 * n_cells) ** 2, 3]
             assert stage["bytes"] == len(text)
-
-    def test_unequal_pair_takes_the_normal_path(self, tmp_path, monkeypatch):
-        # |chi_BD,P| one ulp off |chi_BD,X|: the BD P file is laid out
-        # afresh, the AC P file is the AC X file's bytes
-        rep = amplification.susceptibility(model.derive_couplings(0.5, 0.4), 5)
-        blocks = rep.blocks.copy()
-        blocks[3, :-1] = np.nextafter(blocks[3, :-1], np.inf)
-        laid = []
-        lay_out = amplification.lay_out
-        monkeypatch.setattr(amplification, "lay_out",
-                            lambda stack, sector: laid.append(sector)
-                            or lay_out(stack, sector))
-        texts, _, stages = chi_written(tmp_path, blocks)
-        assert laid == ["AC", "BD", "BD"]
-        for text, (sector, _), stack in zip(texts, amplification.PAIRS, blocks):
-            assert text == chi_expected(stack, sector)
-        assert texts[0] == texts[1] and texts[2] != texts[3]
-        assert [s["bytes"] for s in stages] == [len(t) for t in texts]
 
     def test_two_block_table_starts_no_thread(self, tmp_path, monkeypatch):
         # the theta = 0, N = 80 chi files hold 25,600 rows: two blocks each
@@ -1236,9 +1224,9 @@ class TestFormatKernel:
                 len(expected), pool_workers(4, cpus))
 
     def test_chi_writer_matches_per_entry_format(self, tmp_path):
-        # N = 101: labels up to "101D"; a random stack per pair, so that no
-        # P file shares its X file's bytes, with values across the double
-        # range, zeros, subnormals and the largest double
+        # N = 101: labels up to "101D"; a random X stack per sector, with
+        # values across the double range, zeros, subnormals and the largest
+        # double, and each P stack its image in the diag(1, -1) gauge
         rng = np.random.default_rng(11)
         blocks = rng.choice([0.5, -0.5, 3.0, np.pi, -2.0 ** -30], size=(4, 102, 2, 2))
         blocks[:, :3] *= rng.standard_normal((4, 3, 2, 2)) * 10.0 ** rng.integers(
@@ -1249,6 +1237,7 @@ class TestFormatKernel:
              -99999999999999984.0, 1e300, 1.7976931348623157e308,
              1e22, 1e23, -1e16, 123456.789], (4, 2, 2))
         blocks[:, -1] = 0.0  # the zero block
+        blocks[[1, 3]] = blocks[[0, 2]] * [[1.0, -1.0], [-1.0, 1.0]]
         texts, files, stages = chi_written(tmp_path, blocks)
         assert "101D,101C," in texts[2]
         for text, (sector, _), stack, f, stage in zip(
@@ -1430,8 +1419,7 @@ UNREACHED = {
     "spectral": {"ipr_localization"},
     "topology": {"_bisect", "ep_locations_nssh2"},
     "quench": {"fisher_zeros"},
-    "amplification": {"closed_form_theta0", "gain_metrics", "nambu_to_quadrature",
-                      "SusceptibilityReport.sectors"},
+    "amplification": {"closed_form_theta0", "gain_metrics", "nambu_to_quadrature"},
     "cli": set(),
 }
 
