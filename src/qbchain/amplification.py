@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, DoubleOverflowError, SingularityError
+from .exceptions import DomainError, SingularityError
 from .model import CouplingSet, Regime, derive_couplings, quadrature_cells
 from .topology import DELTA_BLOCK, classify_phases, transition_delta
 
@@ -24,10 +24,8 @@ __all__ = [
     "sector_labels",
     "lay_out",
     "susceptibility",
-    "closed_form_theta0",
     "gain_metrics",
     "amplification_phase_scan",
-    "nambu_to_quadrature",
 ]
 
 DIRECTION_GAIN_THRESHOLD = 1.02
@@ -218,35 +216,6 @@ def susceptibility(c: CouplingSet, n_cells: int) -> SusceptibilityReport:
                                 residual=float(residuals[0]))
 
 
-def closed_form_theta0(c: CouplingSet, n_cells: int):
-    """Analytic |chi_ac|, |chi_bd| in the symmetric limit w_r = w_l = w.
-
-    |chi_ac| is block-upper-triangular with entry G0^m / v at block distance
-    m = (column cell - row cell) >= 0, G0 = w/v; |chi_bd| is the transposed
-    pattern.  An entry past the double range raises ``DoubleOverflowError``.
-    """
-    if c.theta != 0.0:
-        raise DomainError(f"closed form requires theta=0, got theta={c.theta}")
-    if c.v == 0.0:
-        raise DomainError("closed form undefined at v=0")
-    g0 = c.w_r / c.v
-    cell = np.repeat(np.arange(n_cells), 2)
-    m = cell[None, :] - cell[:, None]  # column cell minus row cell
-    sub = np.arange(2 * n_cells) % 2
-    try:
-        entry = np.array([abs(g0 ** k / c.v) for k in range(n_cells)])
-        finite = np.isfinite(entry).all()
-    except OverflowError:  # g0 ** k itself left the double range
-        finite = False
-    if not finite:
-        raise DoubleOverflowError(
-            f"|w/v|^m / |v| leaves the double range at n_cells={n_cells} "
-            f"(|w/v| = {abs(g0):.6g})")
-    ac = np.where((m >= 0) & (sub[:, None] == sub[None, :]),
-                  entry[np.maximum(m, 0)], 0.0)
-    return ac, ac.T.copy()
-
-
 def gain_metrics(rep: SusceptibilityReport):
     """Directional gain per sector and quadrature, from the Neumann stack.
 
@@ -317,20 +286,3 @@ def amplification_phase_scan(theta: float, delta_grid, n_cells: int):
                     for d, label, e in zip(block, labels, ends.tolist()))
         worst_res = max(worst_res, *res.tolist())
     return PhaseScan(rows, worst_res)
-
-
-def nambu_to_quadrature(G_nambu: np.ndarray) -> np.ndarray:
-    """Rotate a Nambu-basis dynamical matrix to the quadrature basis.
-
-    Heisenberg evolution d/dt (a, a^dag) = -i G (a, a^dag) becomes
-    d/dt (X, P) = M (X, P) with M = -i T G T^dag, T = (1/sqrt 2)
-    [[I, I], [-iI, iI]].  In the imaginary regime M is real and block
-    diagonal, the blocks being the quadrature generators.
-    """
-    G = np.asarray(G_nambu, dtype=complex)
-    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] % 2:
-        raise DomainError(f"expected an even-dimensional square matrix, got {G.shape}")
-    n = G.shape[0] // 2
-    eye = np.eye(n)
-    T = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2)
-    return -1j * (T @ G @ T.conj().T)

@@ -390,8 +390,11 @@ def _write_chi(outdir: Path, files: list, stages: list, blocks: np.ndarray) -> N
     of the X file, with its own ``files`` entry and stage.
     """
     n_cells = len(blocks[0]) - 1
+    # each sector's rows are the other's columns
+    labels = {s: amplification.sector_labels(s, n_cells)
+              for s in amplification.SECTOR_AXES}
     for sector, axes in amplification.SECTOR_AXES.items():
-        rows, cols = (amplification.sector_labels(s, n_cells) for s in axes)
+        rows, cols = (labels[s] for s in axes)
         mag = np.abs(blocks[amplification.PAIRS.index((sector, "X"))])
         x, p = (f"chi_{sector}_{quad}.csv".lower() for quad in ("X", "P"))
         t0 = time.perf_counter()

@@ -35,7 +35,6 @@ __all__ = [
     "realspace_dynamical",
     "fourier_project",
     "quadrature_cells",
-    "quadrature_dynamical",
     "build_dynamical_from_blocks",
     "TAU1",
     "TAU3",
@@ -381,27 +380,3 @@ def quadrature_cells(c: CouplingSet) -> np.ndarray:
                       [[wp, s * wm], [s * wm, -wp]],
                       [[-c.v, 0.0], [0.0, c.v]],
                       [[-wp, s * wm], [s * wm, wp]]] for s in (1.0, -1.0)])
-
-
-def quadrature_dynamical(c: CouplingSet, n_cells: int):
-    """OBC generators (h_x, h_p) of the decoupled X and P quadrature dynamics.
-
-    Only the imaginary-parameter regime decouples the quadratures; these are
-    the 4N x 4N real matrices in the basis (1A, 1B, 1C, 1D, 2A, ...), with
-    the cell blocks of :func:`quadrature_cells` on their bands.
-    """
-    if n_cells < 2:
-        raise DomainError(f"need at least 2 unit cells, got {n_cells}")
-    n = 4 * n_cells
-    hs = np.zeros((2, n, n))
-    j = np.arange(n_cells)
-    i, o = j[1:], j[:-1]  # each cell but the first, and its left neighbour
-    for h, (x_diag, x_sub, y_diag, y_super) in zip(hs, quadrature_cells(c)):
-        g = h.reshape(n_cells, 4, n_cells, 4)  # view: g[cell, sub, cell', sub']
-        x = g[:, 0::2, :, 1::2]  # AC rows, BD columns
-        y = g[:, 1::2, :, 0::2]  # BD rows, AC columns
-        x[j, :, j] = x_diag
-        x[i, :, o] = x_sub
-        y[j, :, j] = y_diag
-        y[o, :, i] = y_super
-    return hs[0], hs[1]

@@ -273,13 +273,17 @@ class QuenchProtocol:
     def __post_init__(self):
         k = np.asarray(self.k_grid, dtype=float)
         t = np.asarray(self.t_grid, dtype=float)
-        if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
+        if k.ndim == 1 and k.size < 2:
+            raise DomainError(f"k grid needs at least 2 momenta, got {k.size}")
+        if k.ndim != 1 or np.any(np.diff(k) <= 0):
             raise DomainError("k grid must be strictly increasing")
         # half-zone DTOPs need matched +-k pairs
         neg, pos = np.sort(-k[k < 0]), k[k > 0]
         if neg.size != pos.size or not np.allclose(neg, pos, atol=1e-12):
             raise DomainError("k grid must contain matched +-k pairs")
-        if t.ndim != 1 or t.size < 2 or t[0] < 0 or np.any(np.diff(t) <= 0):
+        if t.ndim == 1 and t.size < 2:
+            raise DomainError(f"t grid needs at least 2 times, got {t.size}")
+        if t.ndim != 1 or t[0] < 0 or np.any(np.diff(t) <= 0):
             raise DomainError("t grid must be strictly increasing and >= 0")
         object.__setattr__(self, "k_grid", k)
         object.__setattr__(self, "t_grid", t)

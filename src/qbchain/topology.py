@@ -17,7 +17,6 @@ __all__ = [
     "PhaseLabel",
     "WindingResult",
     "default_bz_grid",
-    "ep_locations_nssh2",
     "winding_pair",
     "winding_integral",
     "transition_delta",
@@ -80,18 +79,6 @@ def _loop_grid(grid) -> np.ndarray:
         raise DomainError("momentum grid does not close a loop over the Brillouin "
                           "zone: its closing step is wider than every other step")
     return k
-
-
-def ep_locations_nssh2(c: CouplingSet):
-    """The two fixed exceptional points in the (d_x^r, d_y^r) plane.
-
-    Returns (EP1, EP2, degenerate) where degenerate flags the Hermitian
-    theta=0 limit in which both collapse to the origin.
-    """
-    wm = 0.5 * (c.w_l - c.w_r)
-    ep1 = np.array([wm, 0.0])
-    ep2 = -ep1
-    return ep1, ep2, bool(c.theta == 0.0)
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:

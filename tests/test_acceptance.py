@@ -12,7 +12,8 @@ import pytest
 from qbchain import amplification, model, quench, spectral, topology
 from qbchain.model import PBC, Regime, derive_couplings
 
-from test_amplification import reference_quadrature_n2
+from test_amplification import (cell_blocks, laid_out, reference_closed_form_loop,
+                                reference_quadrature_n2)
 
 
 def report(n, ok, detail):
@@ -196,18 +197,19 @@ def test_criterion_08_chiral_dtop():
 
 def test_criterion_09_quadrature_fixtures():
     c = derive_couplings(0.3, 0.7)
-    hx, hp = model.quadrature_dynamical(c, 2)
-    rx, rp = reference_quadrature_n2(c)
-    ok = np.array_equal(hx, rx) and np.array_equal(hp, rp)
-    report(9, ok, "quadrature generators equal the printed 8x8 matrices "
-                  "elementwise")
+    ok = all(np.array_equal(cells, cell_blocks(ref))
+             and np.array_equal(laid_out(cells, 2), ref)
+             for cells, ref in zip(model.quadrature_cells(c),
+                                   reference_quadrature_n2(c)))
+    report(9, ok, "quadrature cell blocks equal those of the printed 8x8 "
+                  "matrices, which they fill elementwise")
 
 
 def test_criterion_10_amplification():
     # closed form at theta=0, N=4, (v, w) = (2/3, 4/3): w/v = 2
     c = derive_couplings(1.0 / 3.0, 0.0)
     rep = amplification.susceptibility(c, 4)
-    ac_ref, bd_ref = amplification.closed_form_theta0(c, 4)
+    ac_ref, bd_ref = reference_closed_form_loop(c.v, c.w_r, 4)
     worst = max(np.abs(np.abs(amplification.lay_out(stack, s))
                        - (ac_ref if s == "AC" else bd_ref)).max()
                 for (s, _), stack in zip(amplification.PAIRS, rep.blocks))

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from qbchain import amplification, cli, model, topology
-from qbchain.exceptions import DomainError, DoubleOverflowError, SingularityError
+from qbchain.exceptions import DomainError, SingularityError
 from qbchain.model import Regime, derive_couplings
 
 
@@ -79,6 +79,39 @@ def reference_quadrature_loop(c, n_cells):
     return hx, hp
 
 
+def cell_blocks(h):
+    """The cell blocks (X_diag, X_sub, Y_diag, Y_super) of ``quadrature_cells``,
+    read off an N = 2 generator."""
+    g = h.reshape(2, 4, 2, 4)
+    return np.array([g[0, 0::2, 0, 1::2],   # X_diag: AC rows, BD columns
+                     g[1, 0::2, 0, 1::2],   # X_sub: cell 2 on cell 1
+                     g[0, 1::2, 0, 0::2],   # Y_diag: BD rows, AC columns
+                     g[0, 1::2, 1, 0::2]])  # Y_super: cell 1 on cell 2
+
+
+def laid_out(cells, n_cells):
+    """The 4N x 4N generator with one generator's blocks of
+    ``quadrature_cells`` on its bands, zeros elsewhere."""
+    x_diag, x_sub, y_diag, y_super = cells
+    g = np.zeros((n_cells, 4, n_cells, 4))
+    for j in range(n_cells):
+        g[j, 0::2, j, 1::2] = x_diag
+        g[j, 1::2, j, 0::2] = y_diag
+        if j:
+            g[j, 0::2, j - 1, 1::2] = x_sub
+            g[j - 1, 1::2, j, 0::2] = y_super
+    return g.reshape(4 * n_cells, 4 * n_cells)
+
+
+def to_quadratures(G):
+    """-i T G T^dag with T = (1/sqrt 2) [[I, I], [-iI, iI]]: the generator of
+    d/dt (X, P) for the Nambu dynamical matrix G of d/dt (a, a^dag) = -i G
+    (a, a^dag)."""
+    eye = np.eye(G.shape[0] // 2)
+    T = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2)
+    return -1j * (T @ G @ T.conj().T)
+
+
 def reference_closed_form_loop(v, w, n_cells):
     """|chi_ac| and |chi_bd| at theta = 0 and couplings (v, w), set entry by
     entry."""
@@ -130,7 +163,7 @@ def dense_chi(rep):
 def dense_residual(rep):
     """max|chi h - I| / max(1, max|chi|) over both generators, densely."""
     worst = 0.0
-    for h, chi in zip(model.quadrature_dynamical(rep.params, rep.n_cells),
+    for h, chi in zip(reference_quadrature_loop(rep.params, rep.n_cells),
                       dense_chi(rep)):
         res = np.abs(chi @ h - np.eye(h.shape[0])).max()
         worst = max(worst, res / max(1.0, np.abs(chi).max()))
@@ -146,18 +179,22 @@ def scan_grid(theta):
 
 class TestQuadratureGenerators:
     def test_n2_fixture_exact(self):
+        # the cell blocks of each generator, read off the printed matrices,
+        # which they fill with no other nonzero entry
         c = derive_couplings(0.3, 0.7)
-        hx, hp = model.quadrature_dynamical(c, 2)
-        rx, rp = reference_quadrature_n2(c)
-        assert np.array_equal(hx, rx)
-        assert np.array_equal(hp, rp)
+        for cells, ref in zip(model.quadrature_cells(c), reference_quadrature_n2(c)):
+            assert np.array_equal(cells, cell_blocks(ref))
+            assert np.array_equal(laid_out(cells, 2), ref)
 
     @pytest.mark.parametrize("n_cells", [2, 3, 40])
     @pytest.mark.parametrize("delta, theta", [(0.3, 0.7), (-0.5, 0.0), (0.9, 2.0)])
     def test_matches_cell_loop(self, n_cells, delta, theta):
+        # the cell blocks on the bands are the whole generator: h has no
+        # other nonzero entry, as the Neumann recurrence assumes
         c = derive_couplings(delta, theta)
-        for h, ref in zip(model.quadrature_dynamical(c, n_cells),
-                          reference_quadrature_loop(c, n_cells)):
+        for cells, ref in zip(model.quadrature_cells(c),
+                              reference_quadrature_loop(c, n_cells)):
+            h = laid_out(cells, n_cells)
             # bit for bit, signed zeros included (w- = 0 at theta = 0)
             assert h.shape == ref.shape
             assert np.array_equal(h.view(np.int64), ref.view(np.int64))
@@ -168,13 +205,9 @@ class TestQuadratureGenerators:
         c = derive_couplings(delta, theta)
         for cells, ref in zip(model.quadrature_cells(c),
                               reference_quadrature_loop(c, 2)):
-            g = ref.reshape(2, 4, 2, 4)
-            held = np.array([g[0, 0::2, 0, 1::2],   # X_diag: AC rows, BD columns
-                             g[1, 0::2, 0, 1::2],   # X_sub: cell 2 on cell 1
-                             g[0, 1::2, 0, 0::2],   # Y_diag: BD rows, AC columns
-                             g[0, 1::2, 1, 0::2]])  # Y_super: cell 1 on cell 2
             # bit for bit, signed zeros included (w- = 0 at theta = 0)
-            assert np.array_equal(cells.view(np.int64), held.view(np.int64))
+            assert np.array_equal(cells.view(np.int64),
+                                  cell_blocks(ref).view(np.int64))
 
     def test_nambu_rotation_decouples_imaginary(self):
         n = 6
@@ -184,11 +217,11 @@ class TestQuadratureGenerators:
                              (-0.5, 0.4), (0.5, 0.4), (-0.9, 2.0), (0.3, 2.0)]:
             c = derive_couplings(delta, theta)
             G = model.realspace_dynamical(c, n, Regime.IMAGINARY)
-            M = amplification.nambu_to_quadrature(G)
+            M = to_quadratures(G)
             assert np.abs(M.imag).max() < 1e-12
             assert np.abs(M[:half, half:]).max() < 1e-12
             assert np.abs(M[half:, :half]).max() < 1e-12
-            hx, hp = model.quadrature_dynamical(c, n)
+            hx, hp = reference_quadrature_loop(c, n)
             assert np.abs(M[:half, :half].real - hx).max() < 1e-12
             assert np.abs(M[half:, half:].real - hp).max() < 1e-12
 
@@ -196,21 +229,9 @@ class TestQuadratureGenerators:
         c = derive_couplings(0.5, 0.4)
         n = 4
         G = model.realspace_dynamical(c, n, Regime.REAL)
-        M = amplification.nambu_to_quadrature(G)
+        M = to_quadratures(G)
         half = 4 * n
         assert np.abs(M[:half, half:]).max() > 1e-3
-
-    def test_nambu_rotation_round_trip(self):
-        rng = np.random.default_rng(4)
-        G = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        M = amplification.nambu_to_quadrature(G)
-        eye = np.eye(4)
-        T = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2)
-        assert np.abs(T.conj().T @ (1j * M) @ T - G).max() < 1e-12
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            amplification.nambu_to_quadrature(np.zeros((3, 3)))
 
 
 class TestSusceptibility:
@@ -219,7 +240,7 @@ class TestSusceptibility:
         rep = amplification.susceptibility(c, 8)
         chi_x, _ = dense_chi(rep)
         assert rep.residual < 1e-10 * max(1.0, np.abs(chi_x).max())
-        hx, hp = model.quadrature_dynamical(c, 8)
+        hx, _ = reference_quadrature_loop(c, 8)
         assert np.abs(chi_x @ hx - np.eye(32)).max() < 1e-6
         assert amplification.lay_out(rep.blocks[0], "AC").shape == (16, 16)
 
@@ -228,7 +249,7 @@ class TestSusceptibility:
         c = derive_couplings(1.0 / 3.0, 0.0)
         assert abs(c.v - 2 / 3) < 1e-15 and abs(c.w_r - 4 / 3) < 1e-15
         rep = amplification.susceptibility(c, 4)
-        ac_ref, bd_ref = amplification.closed_form_theta0(c, 4)
+        ac_ref, bd_ref = reference_closed_form_loop(c.v, c.w_r, 4)
         for (sector, _), sub in sub_matrices(rep):
             ref = ac_ref if sector == "AC" else bd_ref
             assert np.abs(np.abs(sub) - ref).max() < 1e-10
@@ -238,16 +259,15 @@ class TestSusceptibility:
                                           (0.7, 0.9)])
     def test_closed_form_matches_entry_loop(self, J, delta, n_cells):
         # chi is homogeneous of degree -1 in the couplings: at the couplings
-        # J (1 -+ delta) it is the closed form in units of J, over J (bit for
-        # bit at J = 1)
+        # J (1 -+ delta) the closed form is chi in units of J, over J
         c = derive_couplings(delta, 0.0)
-        for got, ref in zip(amplification.closed_form_theta0(c, n_cells),
-                            reference_closed_form_loop(J * c.v, J * c.w_r, n_cells)):
-            if J == 1.0:
-                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-            nz = got != 0.0
+        rep = amplification.susceptibility(c, n_cells)
+        ac_ref, bd_ref = reference_closed_form_loop(J * c.v, J * c.w_r, n_cells)
+        for (sector, _), sub in sub_matrices(rep):
+            ref = ac_ref if sector == "AC" else bd_ref
+            nz = sub != 0.0
             assert np.array_equal(nz, ref != 0.0)
-            assert np.abs(got[nz] / J / ref[nz] - 1.0).max() < 1e-12
+            assert np.abs(np.abs(sub[nz]) / J / ref[nz] - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("delta,theta,n_cells", [
         (0.5, 0.4, 8), (-0.5, 0.4, 8), (0.2, 0.0, 2), (0.8, 1.0, 40),
@@ -267,7 +287,7 @@ class TestSusceptibility:
         c = derive_couplings(delta, theta)
         n_cells = 12
         rep = amplification.susceptibility(c, n_cells)
-        for h, chi in zip(model.quadrature_dynamical(c, n_cells), dense_chi(rep)):
+        for h, chi in zip(reference_quadrature_loop(c, n_cells), dense_chi(rep)):
             with mpmath.workdps(50):
                 ref = np.array((mpmath.matrix(h.tolist()) ** -1).tolist(),
                                dtype=float)
@@ -287,7 +307,7 @@ class TestSusceptibility:
         c = derive_couplings(delta, theta)
         rep = amplification.susceptibility(c, n_cells)
         ac, bd = amplification._sector_indices(n_cells)
-        for h, chi in zip(model.quadrature_dynamical(c, n_cells), dense_chi(rep)):
+        for h, chi in zip(reference_quadrature_loop(c, n_cells), dense_chi(rep)):
             ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(h),
                                         np.eye(h.shape[0]))
             big = np.abs(ref) >= 1e-12 * np.abs(ref).max()
@@ -322,7 +342,7 @@ class TestSusceptibility:
                 monkeypatch.setattr(mod, "quadrature_cells",
                                     lambda c, cells=cells: cells)
             which = entry // (clean.size // 2)  # h_x's blocks, then h_p's
-            h = model.quadrature_dynamical(c, n_cells)[which]
+            h = laid_out(cells[which], n_cells)
             dense = np.abs(chis[which] @ h - np.eye(4 * n_cells)).max()
             assert dense > 1e-10 * max(1.0, np.abs(chis[which]).max())
             with pytest.raises(SingularityError):
@@ -336,27 +356,6 @@ class TestSusceptibility:
             amplification.susceptibility(derive_couplings(0.5, 0.4), n_cells)
         with pytest.raises(DomainError, match="at least 2 unit cells"):
             amplification.amplification_phase_scan(0.4, [0.5], n_cells)
-
-    @pytest.mark.parametrize("delta, n_cells", [
-        (0.9, 260),          # (w/v)^259 itself leaves the double range
-        (0.9, 242),          # (w/v)^241 is finite; divided by v = 0.1 it is not
-        (1.0 - 1e-6, 49)])   # the same at v = 1e-6
-    def test_closed_form_overflow_is_typed(self, delta, n_cells):
-        c = derive_couplings(delta, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DoubleOverflowError, match=f"n_cells={n_cells}"):
-                amplification.closed_form_theta0(c, n_cells)
-
-    @pytest.mark.parametrize("delta, n_cells", [(0.9, 241), (1.0 - 1e-6, 48)])
-    def test_closed_form_finite_below_overflow(self, delta, n_cells):
-        ac, bd = amplification.closed_form_theta0(derive_couplings(delta, 0.0),
-                                                  n_cells)
-        assert np.isfinite(ac).all() and ac.max() > 1e300
-
-    def test_closed_form_requires_theta0(self):
-        with pytest.raises(DomainError):
-            amplification.closed_form_theta0(derive_couplings(0.3, 0.4), 4)
 
     def test_singular_at_transition(self):
         delta0 = topology.transition_delta(0.4)
@@ -604,15 +603,3 @@ class TestAmplifyOutputs:
         assert self._digests(tmp_path) == {
             "amplification_scan": scan, "chi_ac_x": ac, "chi_ac_p": ac,
             "chi_bd_x": bd, "chi_bd_p": bd}
-
-    @pytest.mark.parametrize("overrides, scan, ac, bd", CASES)
-    def test_outputs_need_no_dense_generator(self, tmp_path, monkeypatch,
-                                             overrides, scan, ac, bd):
-        # amplify reads the cell blocks alone: every binding of the dense
-        # builder refuses, and the files are the same
-        def refuse(*args):
-            raise AssertionError("dense quadrature generator built")
-        for mod in (model, amplification):
-            if hasattr(mod, "quadrature_dynamical"):
-                monkeypatch.setattr(mod, "quadrature_dynamical", refuse)
-        self.test_outputs_unchanged(tmp_path, overrides, scan, ac, bd)

@@ -496,28 +496,32 @@ class TestRealSpace:
 
 class TestQuadrature:
     def test_theta0_decoupling(self):
-        c = derive_couplings(0.3, 0)
-        hx, hp = model.quadrature_dynamical(c, 4)
-        assert np.allclose(hx, hp)  # cross terms vanish
+        hx, hp = model.quadrature_cells(derive_couplings(0.3, 0))
+        assert np.array_equal(hx, hp)  # cross terms vanish
 
     def test_swap_relation(self):
         # swapping w_r <-> w_l flips the sign of the cross terms, i.e. maps
         # the X generator onto the P generator
         c = derive_couplings(0.2, 0.6)
-        hx, hp = model.quadrature_dynamical(c, 5)
+        hx, hp = model.quadrature_cells(c)
         wm = 0.5 * (c.w_l - c.w_r)
         diff = hx - hp
         assert np.abs(np.abs(diff[np.nonzero(diff)]) - 2 * abs(wm)).max() < 1e-12
 
     def test_antisymmetric_pattern(self):
         # the v and w+ couplings are antisymmetric and the w- cross terms
-        # symmetric: at theta = 0 (w- = 0) each generator is exactly -h^T
-        for h in model.quadrature_dynamical(derive_couplings(-0.2, 0.0), 6):
-            assert np.array_equal(h, -h.T)
-        # elsewhere h + h^T holds only the w- terms: 4 per bond, each +-2 w-
+        # symmetric.  h = -h^T reads X_diag = -Y_diag^T and X_sub = -Y_super^T
+        # on the cell blocks (X_diag, X_sub, Y_diag, Y_super): at theta = 0
+        # (w- = 0) each generator is exactly -h^T
+        for x_diag, x_sub, y_diag, y_super in model.quadrature_cells(
+                derive_couplings(-0.2, 0.0)):
+            assert np.array_equal(x_diag, -y_diag.T)
+            assert np.array_equal(x_sub, -y_super.T)
+        # elsewhere h + h^T holds only the w- terms: 2 per bond and side,
+        # each +-2 w-, off the diagonal of X_sub + Y_super^T
         c = derive_couplings(-0.2, 0.9)
         wm = 0.5 * (c.w_l - c.w_r)
-        for h in model.quadrature_dynamical(c, 6):
-            sym = h + h.T
-            assert np.count_nonzero(sym) == 4 * (6 - 1)
-            assert np.array_equal(np.abs(sym[sym != 0]), np.full(20, 2 * wm))
+        for x_diag, x_sub, y_diag, y_super in model.quadrature_cells(c):
+            assert not (x_diag + y_diag.T).any()
+            assert np.array_equal(np.abs(x_sub + y_super.T),
+                                  [[0.0, 2 * wm], [2 * wm, 0.0]])

@@ -196,6 +196,15 @@ class TestFisherZeros:
                 # the amplitude vanishes on the Fisher-zero line t = i omega
                 assert abs(g) < 1e-10
 
+    def test_zeros_cross_at_critical_set(self):
+        # each crossing (n, side, k_c, t_c) of the default quench is the
+        # Fisher zero of order -n - 1 at k_c, on the real axis t = i omega
+        ct = quench.critical_set(quench.QuenchProtocol.default(CI, CF4))
+        assert len(ct.entries) == 18
+        for n, _, k_c, t_c, _ in ct.entries:
+            t = 1j * quench.fisher_zeros(k_c, CI, CF4, [-n - 1])[0]
+            assert abs(t - t_c) < 1e-9
+
     def test_branch_cut(self):
         # self-quench: overlap is exactly 1 -> atanh branch cut
         c = derive_couplings(0.5, 0.0)

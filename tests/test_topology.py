@@ -33,16 +33,6 @@ class TestGridAndEps:
             with pytest.raises(DomainError):
                 topology.default_bz_grid(n)
 
-    def test_ep_locations_nssh2(self):
-        c = derive_couplings(0.5, 0.4)
-        ep1, ep2, degenerate = topology.ep_locations_nssh2(c)
-        wm = 0.5 * (c.w_l - c.w_r)
-        assert np.allclose(ep1, [wm, 0.0])
-        assert np.allclose(ep2, [-wm, 0.0])
-        assert not degenerate
-        # d(k) visits the EPs: |d^r - EP| minimized where d^i vanishes along x
-        assert topology.ep_locations_nssh2(derive_couplings(0.5, 0.0))[2]
-
     def test_ep_nssh1_zero_energy(self):
         # at delta0 the band energy X + iY vanishes at k*, where the
         # intracell coupling is v_crit
